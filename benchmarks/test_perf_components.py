@@ -10,6 +10,10 @@ workload once and assert shapes).
 import random
 
 from repro.core.program_codec import encode_basic_block
+from repro.core.reference import (
+    encode_basic_block_reference,
+    encode_stream_reference,
+)
 from repro.core.stream_codec import StreamEncoder
 from repro.hw.bbit import BasicBlockIdentificationTable, BBITEntry
 from repro.hw.fetch_decoder import FetchDecoder
@@ -40,8 +44,7 @@ def test_perf_stream_encoder_greedy(benchmark):
 
 
 def test_perf_stream_encoder_greedy_reference(benchmark):
-    encoder = StreamEncoder(5, strategy="greedy", use_codebook=False)
-    result = benchmark(encoder.encode, STREAM)
+    result = benchmark(encode_stream_reference, STREAM, 5, strategy="greedy")
     assert result.encoded_transitions < result.original_transitions
 
 
@@ -52,8 +55,7 @@ def test_perf_stream_encoder_optimal(benchmark):
 
 
 def test_perf_stream_encoder_optimal_reference(benchmark):
-    encoder = StreamEncoder(5, strategy="optimal", use_codebook=False)
-    result = benchmark(encoder.encode, STREAM)
+    result = benchmark(encode_stream_reference, STREAM, 5, strategy="optimal")
     assert result.encoded_transitions < result.original_transitions
 
 
@@ -63,7 +65,7 @@ def test_perf_encode_basic_block(benchmark):
 
 
 def test_perf_encode_basic_block_reference(benchmark):
-    encoding = benchmark(encode_basic_block, WORDS, 5, use_codebook=False)
+    encoding = benchmark(encode_basic_block_reference, WORDS, 5)
     assert encoding.num_segments == len(encoding.bounds)
 
 

@@ -1,15 +1,18 @@
-"""Measure codec throughput: compiled fast path vs. reference solver.
+"""Measure codec throughput: production path vs. reference oracle.
 
-Runs the same fast-vs-reference suite as ``repro bench`` /
+Runs the same suite as ``repro bench`` /
 ``benchmarks/test_codec_throughput.py``: stream encoding under all
-three strategies, vertical basic-block encoding, and both table-driven
-decoders, each cross-checked for bit-identity before timing.  Writes
-the machine-readable report to ``BENCH_codec.json``.
+three strategies, vertical basic-block encoding, stream, block and
+whole-trace decoding.  Each case times the production path (compiled
+codebook encode, bitplane decode) against its oracle in
+``repro.core.reference`` (per-block solver, bit-serial decode) and
+cross-checks the two for bit-identity before timing.  Writes the
+machine-readable report to ``BENCH_codec.json``.
 
-Run:  python examples/codec_throughput.py [--repeats N] [--parallel N]
+Run:  python examples/codec_throughput.py [--repeats N] [--whole-program]
 
-``--parallel N`` additionally times a whole-program encode (the mmul
-workload) serially and across N worker processes.
+``--whole-program`` additionally times a whole-program encode (the
+mmul workload).
 """
 
 import argparse
@@ -32,11 +35,9 @@ def main() -> int:
         default=str(Path(__file__).resolve().parent.parent / "BENCH_codec.json"),
     )
     parser.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="also time a whole-program encode with N worker processes",
+        "--whole-program",
+        action="store_true",
+        help="also time a whole-program encode of the mmul workload",
     )
     args = parser.parse_args()
 
@@ -50,18 +51,9 @@ def main() -> int:
     path = report.write(args.json)
     print(f"\nwrote {path}")
 
-    if args.parallel:
-        print("\nwhole-program encode (mmul workload):")
-        timing = workload_encode_benchmark(
-            block_size=args.block_size, parallel=args.parallel
-        )
-        print(f"  serial:              {timing['serial_seconds']:.3f} s")
-        if "parallel_seconds" in timing:
-            ratio = timing["serial_seconds"] / timing["parallel_seconds"]
-            print(
-                f"  {timing['parallel_workers']} workers:           "
-                f"{timing['parallel_seconds']:.3f} s ({ratio:.2f}x)"
-            )
+    if args.whole_program:
+        timing = workload_encode_benchmark(block_size=args.block_size)
+        print(f"\nwhole-program encode (mmul): {timing['serial_seconds']:.3f} s")
     return 0
 
 

@@ -20,17 +20,24 @@ from typing import Sequence
 
 def _code_candidates(width: int, count: int) -> list[int]:
     """``count`` code points with small mutual Hamming distances:
-    breadth-first by popcount (0, then weight-1 codes, ...)."""
-    codes: list[int] = []
-    weight = 0
+    breadth-first by popcount (0, then weight-1 codes, ...), ascending
+    within a weight, over the low ``min(width, 20)`` bits.  Each weight
+    is walked with Gosper's next-same-popcount step, so only the codes
+    handed out are generated.  The all-ones code is never handed out."""
+    bits = min(width, 20)
+    if count >= 1 << bits:
+        raise ValueError("code space exhausted")
+    codes = [0][:count]
+    weight = 1
     while len(codes) < count:
-        codes.extend(
-            c for c in range(1 << min(width, 20)) if c.bit_count() == weight
-        )
+        code = (1 << weight) - 1
+        while code >> bits == 0 and len(codes) < count:
+            codes.append(code)
+            low = code & -code
+            ripple = code + low
+            code = ripple | (((code ^ ripple) >> 2) // low)
         weight += 1
-        if weight > min(width, 20):
-            raise ValueError("code space exhausted")
-    return codes[:count]
+    return codes
 
 
 @dataclass

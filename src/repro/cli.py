@@ -12,7 +12,7 @@ command        what it prints
 ``suite``      the whole Figure-6 table + Figure-7 chart
 ``compile``    compile a minicc kernel, run it, encode its hot loops
 ``cost``       the Section-7.2 hardware cost table
-``bench``      codec throughput (fast path vs reference solver),
+``bench``      codec throughput (production path vs reference oracle),
                written to BENCH_codec.json
 ``faults``     the fault-injection campaign: per-model detection and
                recovery rates, written to FAULTS_report.json
@@ -160,18 +160,11 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         block_size=args.block_size,
         tt_capacity=args.tt_entries,
         strategy=args.strategy,
-        use_codebook=not args.reference,
-        parallel=args.parallel,
     )
     result = flow.run(program, trace, name=workload.name)
     bundle_json = EncodingBundle.from_flow_result(program, result).to_json()
     bundle_digest = hashlib.sha256(bundle_json.encode()).hexdigest()
     print(f"workload:      {workload.description}")
-    print(
-        f"encoder:       "
-        f"{'reference BlockSolver' if args.reference else 'compiled codebook fast path'}"
-        + (f", {args.parallel} workers" if args.parallel else "")
-    )
     print(f"trace:         {result.trace_length} fetches")
     print(
         f"blocks:        {len(result.selected_blocks)} encoded, "
@@ -1019,32 +1012,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-k", "--block-size", type=int, default=5)
     p.add_argument("--tt-entries", type=int, default=16)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--fast",
-        dest="reference",
-        action="store_false",
-        help="compiled codebook fast path (default)",
-    )
-    mode.add_argument(
-        "--reference",
-        dest="reference",
-        action="store_true",
-        help="seed per-block BlockSolver (bit-identical, slower)",
-    )
-    p.set_defaults(reference=False)
     p.add_argument(
         "--strategy",
         choices=("greedy", "optimal"),
         default="greedy",
         help="block-selection strategy (the same two repro serve accepts)",
-    )
-    p.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="encode basic blocks across N worker processes",
     )
     p.add_argument(
         "--select-per-region",
@@ -1091,7 +1063,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cost)
 
     p = sub.add_parser(
-        "bench", help="codec throughput: fast path vs reference solver"
+        "bench", help="codec throughput: production path vs reference oracle"
     )
     p.add_argument("--json", default="BENCH_codec.json", metavar="PATH")
     p.add_argument("--repeats", type=int, default=3)
@@ -1222,7 +1194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategies",
         nargs="+",
-        choices=("greedy", "optimal", "disjoint"),
+        choices=("greedy", "optimal"),
         default=["greedy"],
     )
     p.add_argument(

@@ -27,8 +27,13 @@ Submodules:
     (Section 4, Figure 1).
 ``fastpath``
     The compiled codebook fast path: memoized block solutions and
-    integer bit-parallel stream/program encoding, cross-validated
-    bit-for-bit against ``block_solver``.
+    integer bit-parallel stream/program encoding (the production
+    encoder).
+``bitplane``
+    The lane-packed doubling-scan decoder (the production decoder).
+``reference``
+    The oracles both are checked against: per-block ``block_solver``
+    encoders and the bit-serial decoder.
 ``analysis``
     Reduction summaries and stream statistics.
 """

@@ -273,7 +273,7 @@ class BlockSolver:
             OBS.registry.counter(
                 "codec.reference_blocks_solved",
                 "block words solved by the reference BlockSolver "
-                "(codebook compilation or --reference runs)",
+                "(codebook compilation or the reference oracle)",
                 variant="anchored" if fixed_first is None else "constrained",
             ).inc()
         best: BlockSolution | None = None

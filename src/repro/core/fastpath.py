@@ -1,6 +1,6 @@
 """Compiled codebook fast path: memoized block solutions over integers.
 
-The reference encoder (:mod:`repro.core.block_solver`) re-solves the
+The per-block oracle (:mod:`repro.core.reference`) re-solves the
 same tiny subproblem — optimal (code word, tau) for a <= 7-bit block
 word — for every bus line of every segment of every basic block.  The
 subproblem space is only ``2**k`` words per (block size, variant), so
@@ -23,15 +23,15 @@ Three table families are compiled:
     compiled lazily on first use of the ``optimal`` strategy.
 
 Streams are represented as Python ints (bit ``i`` = stream position
-``i``): block words are extracted with shift/mask, transitions are
-counted with a single popcount (``count_transitions_int``), and
-decoding walks per-(tau, length) suffix tables instead of bit-serial
-Python loops.
+``i``): block words are extracted with shift/mask and transitions are
+counted with a single popcount (``count_transitions_int``).  Decoding
+is the bitplane scan's job (:mod:`repro.core.bitplane`).
 
-Every table entry is produced by the *reference* :class:`BlockSolver`
-at compile time, so the fast path is bit-identical to the seed
-implementation by construction; ``tests/core/test_fastpath.py``
-cross-validates this property over random streams and every strategy.
+Every table entry is produced by the :class:`BlockSolver` at compile
+time, so the fast path is bit-identical to the per-block oracle
+(:mod:`repro.core.reference`) by construction;
+``tests/core/test_fastpath.py`` cross-validates this property over
+random streams and every strategy.
 
 Codebooks are cached process-wide in a small LRU keyed on the
 transformation set's (truth table, selector) pairs.
@@ -40,11 +40,9 @@ transformation set's (truth table, selector) pairs.
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import lru_cache
 from typing import Sequence
 
 from repro.core.block_solver import BlockSolver, infeasible_block_error
-from repro.core.boolfunc import BoolFunc
 from repro.core.transformations import OPTIMAL_SET, Transformation
 from repro.obs import OBS
 
@@ -142,9 +140,10 @@ class CompiledCodebook:
     # ------------------------------------------------------------------
 
     def _compile_profile(self, word: list[int], first_block: bool) -> tuple:
-        """One block's DP interface profile, replicating the reference
-        ``StreamEncoder._encode_optimal`` inner loop (including its
-        insertion order, which fixes the DP's tie-breaking)."""
+        """One block's DP interface profile, replicating the optimal
+        loop of :func:`repro.core.reference.encode_stream_reference`
+        (including its insertion order, which fixes the DP's
+        tie-breaking)."""
         profile: dict[tuple[int, int], tuple[int, Transformation, tuple]] = {}
         in_bits = (word[0],) if first_block else (0, 1)
         for in_bit in in_bits:
@@ -300,7 +299,7 @@ def encode_optimal_int(
 ) -> tuple[int, list[Transformation], int]:
     """Globally optimal chained encoding via the interface-bit DP.
 
-    Identical tie-breaking to the reference ``_encode_optimal``: the
+    Identical tie-breaking to the oracle's optimal DP: the
     compiled profiles preserve its iteration order, and the forward DP
     keeps backpointer chains instead of copying plans (O(blocks) rather
     than O(blocks^2)).
@@ -348,59 +347,3 @@ def encode_optimal_int(
         encoded |= code_int << start
         taus.append(tau)
     return encoded, taus, best_cost
-
-
-# ----------------------------------------------------------------------
-# Integer bit-parallel decode
-# ----------------------------------------------------------------------
-
-
-@lru_cache(maxsize=1024)
-def decode_suffix_table(truth_table: int, suffix_len: int) -> tuple:
-    """``table[history_bit][stored_suffix] -> decoded_suffix`` for one
-    transformation: the full bit-serial decode recurrence of a segment
-    body (positions after the anchor/overlap bit), precomputed."""
-    func = BoolFunc(truth_table)
-    tables = []
-    for history in (0, 1):
-        row = [0] * (1 << suffix_len)
-        for stored in range(1 << suffix_len):
-            h = history
-            out = 0
-            for i in range(suffix_len):
-                h = func((stored >> i) & 1, h)
-                out |= h << i
-            row[stored] = out
-        tables.append(tuple(row))
-    return tuple(tables)
-
-
-def decode_plan_int(
-    encoded_int: int,
-    length: int,
-    bounds: Sequence[tuple[int, int]],
-    transformations: Sequence[Transformation],
-    overlapped: bool = True,
-) -> int:
-    """Decode an integer stream from its segment bounds and tau plan.
-
-    Mirrors the hardware protocol: the stream's first bit passes
-    through; every segment body is restored from the segment's
-    transformation and the one-bit history at its start (inherited for
-    overlapped segments, re-anchored for disjoint ones).
-    """
-    if length == 0:
-        return 0
-    decoded = encoded_int & 1
-    for (start, seg_len), transformation in zip(bounds, transformations):
-        if not overlapped and start != 0:
-            decoded |= ((encoded_int >> start) & 1) << start  # re-anchor
-        if seg_len <= 1:
-            continue
-        history = (decoded >> start) & 1
-        table = decode_suffix_table(
-            transformation.func.truth_table, seg_len - 1
-        )
-        suffix = (encoded_int >> (start + 1)) & ((1 << (seg_len - 1)) - 1)
-        decoded |= table[history][suffix] << (start + 1)
-    return decoded

@@ -8,13 +8,13 @@ bookkeeping (Figure 5a).  This module produces the encoded instruction
 words (what is stored in program memory) and the per-segment selector
 plans (what is loaded into the TT).
 
-Encoding defaults to the compiled codebook fast path: columns are
+Encoding runs through the compiled codebook fast path: columns are
 extracted from the word list with shift/mask loops into Python ints
 and each block is one table lookup (:mod:`repro.core.fastpath`).
-``use_codebook=False`` selects the seed per-block solver; the two are
-bit-identical.  :func:`encode_basic_blocks` batches independent basic
-blocks and can fan them across a ``ProcessPoolExecutor`` for
-whole-program encoding (``parallel=N``).
+Decoding restores all bus lines at once through the lane-packed
+bitplane scan (:mod:`repro.core.bitplane`).  The per-block solver and
+bit-serial oracles these are checked against live in
+:mod:`repro.core.reference`.
 """
 
 from __future__ import annotations
@@ -23,11 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core import bitplane
-from repro.core.bitstream import (
-    columns_to_words,
-    total_word_transitions,
-    word_column,
-)
+from repro.core.bitstream import total_word_transitions
 from repro.core.fastpath import (
     encode_disjoint_int,
     encode_greedy_int,
@@ -35,13 +31,11 @@ from repro.core.fastpath import (
     get_codebook,
 )
 from repro.core.stream_codec import (
-    STRATEGIES,
-    StreamEncoder,
     _segment_bounds_cached,
-    decode_with_plan,
+    check_strategy,
     segment_bounds,
 )
-from repro.core.transformations import OPTIMAL_SET, Transformation
+from repro.core.transformations import IDENTITY, OPTIMAL_SET, Transformation
 from repro.obs import OBS
 
 
@@ -61,6 +55,9 @@ class BlockEncoding:
         ``segment_plans[s][b]`` is the transformation applied by bus
         line ``b`` during segment ``s`` — exactly the payload of the
         ``s``-th Transformation Table entry for this basic block.
+    overlapped:
+        ``False`` for the disjoint strategy, whose segments do not
+        share a boundary bit and re-anchor at every segment start.
     """
 
     original_words: tuple[int, ...]
@@ -68,6 +65,7 @@ class BlockEncoding:
     block_size: int
     width: int
     segment_plans: tuple[tuple[Transformation, ...], ...]
+    overlapped: bool = True
 
     def __len__(self) -> int:
         return len(self.original_words)
@@ -80,7 +78,9 @@ class BlockEncoding:
     @property
     def bounds(self) -> list[tuple[int, int]]:
         """(start, length) of each segment in instruction indices."""
-        return segment_bounds(len(self.original_words), self.block_size)
+        return segment_bounds(
+            len(self.original_words), self.block_size, self.overlapped
+        )
 
     @property
     def original_transitions(self) -> int:
@@ -125,7 +125,7 @@ def tt_entries_required(num_instructions: int, block_size: int) -> int:
     return max(1, len(segment_bounds(num_instructions, block_size)))
 
 
-def _encode_basic_block_fast(
+def _encode_columns(
     words: list[int],
     block_size: int,
     width: int,
@@ -169,7 +169,24 @@ def _encode_basic_block_fast(
         block_size=block_size,
         width=width,
         segment_plans=segment_plans,
+        overlapped=overlapped,
     )
+
+
+def check_block_words(
+    words: Sequence[int], block_size: int, width: int, strategy: str
+) -> list[int]:
+    """Validate a basic block's words and encoding options; returns
+    the words as plain ints."""
+    words = [int(w) for w in words]
+    for w in words:
+        if w < 0 or w >= (1 << width):
+            raise ValueError(f"word {w:#x} does not fit in {width} bits")
+    if words:
+        if block_size < 2:
+            raise ValueError(f"block size must be >= 2, got {block_size}")
+        check_strategy(strategy)
+    return words
 
 
 def encode_basic_block(
@@ -178,7 +195,6 @@ def encode_basic_block(
     width: int = 32,
     transformations: Sequence[Transformation] = OPTIMAL_SET,
     strategy: str = "greedy",
-    use_codebook: bool = True,
 ) -> BlockEncoding:
     """Encode a basic block's instruction words vertically.
 
@@ -187,71 +203,33 @@ def encode_basic_block(
     share the same segmentation so a TT entry can carry one selector
     per line.
     """
-    words = [int(w) for w in words]
-    for w in words:
-        if w < 0 or w >= (1 << width):
-            raise ValueError(f"word {w:#x} does not fit in {width} bits")
+    words = check_block_words(words, block_size, width, strategy)
+    overlapped = strategy != "disjoint"
     if not words:
-        return BlockEncoding((), (), block_size, width, ())
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-        )
+        return BlockEncoding((), (), block_size, width, (), overlapped)
     if OBS.enabled:
-        path = "fast" if use_codebook and len(words) >= 2 else "reference"
         OBS.registry.counter(
             "codec.blocks_encoded",
             "basic blocks vertically encoded",
-            path=path,
             strategy=strategy,
         ).inc()
         OBS.registry.counter(
             "codec.words_encoded",
             "instruction words vertically encoded",
-            path=path,
         ).inc(len(words))
-    if use_codebook and len(words) >= 2:
-        return _encode_basic_block_fast(
-            words, block_size, width, tuple(transformations), strategy
+    if len(words) == 1:
+        # One-bit columns have nothing to transform: every line keeps
+        # its stored bit under the identity.
+        return BlockEncoding(
+            original_words=tuple(words),
+            encoded_words=tuple(words),
+            block_size=block_size,
+            width=width,
+            segment_plans=((IDENTITY,) * width,),
+            overlapped=overlapped,
         )
-
-    encoder = StreamEncoder(
-        block_size, transformations, strategy, use_codebook=use_codebook
-    )
-    encoded_columns: list[list[int]] = []
-    per_line_segments: list[list[Transformation]] = []
-    for line in range(width):
-        encoding = encoder.encode(word_column(words, line))
-        encoded_columns.append(list(encoding.encoded))
-        per_line_segments.append(encoding.transformations())
-
-    num_segments = len(per_line_segments[0])
-    segment_plans = tuple(
-        tuple(per_line_segments[line][segment] for line in range(width))
-        for segment in range(num_segments)
-    )
-    encoded_words = columns_to_words(encoded_columns)
-    return BlockEncoding(
-        original_words=tuple(words),
-        encoded_words=tuple(encoded_words),
-        block_size=block_size,
-        width=width,
-        segment_plans=segment_plans,
-    )
-
-
-def _encode_block_worker(
-    args: tuple,
-) -> BlockEncoding:
-    """Top-level (picklable) worker for the process-pool path."""
-    words, block_size, width, transformations, strategy, use_codebook = args
-    return encode_basic_block(
-        words,
-        block_size,
-        width=width,
-        transformations=transformations,
-        strategy=strategy,
-        use_codebook=use_codebook,
+    return _encode_columns(
+        words, block_size, width, tuple(transformations), strategy
     )
 
 
@@ -261,37 +239,9 @@ def encode_basic_blocks(
     width: int = 32,
     transformations: Sequence[Transformation] = OPTIMAL_SET,
     strategy: str = "greedy",
-    use_codebook: bool = True,
-    parallel: int | None = None,
 ) -> list[BlockEncoding]:
-    """Encode many independent basic blocks, preserving order.
-
-    ``parallel=N`` (N > 1) fans the blocks across a
-    ``ProcessPoolExecutor`` with N workers — basic blocks are encoded
-    independently (the paper's encoding never spans block boundaries),
-    so whole-program encoding parallelises trivially.  ``None``/``1``
-    encodes serially in-process.
-    """
+    """Encode many independent basic blocks, preserving order."""
     transformations = tuple(transformations)
-    if parallel is not None and parallel > 1 and len(word_lists) > 1:
-        # Compile the codebook before forking so workers inherit it.
-        if use_codebook:
-            get_codebook(block_size, transformations)
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [
-            (
-                [int(w) for w in words],
-                block_size,
-                width,
-                transformations,
-                strategy,
-                use_codebook,
-            )
-            for words in word_lists
-        ]
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(_encode_block_worker, jobs))
     return [
         encode_basic_block(
             words,
@@ -299,51 +249,35 @@ def encode_basic_blocks(
             width=width,
             transformations=transformations,
             strategy=strategy,
-            use_codebook=use_codebook,
         )
         for words in word_lists
     ]
 
 
-def decode_basic_block(
-    encoding: BlockEncoding,
-    use_tables: bool = True,
-    use_bitplane: bool | None = None,
-) -> list[int]:
+def decode_basic_block(encoding: BlockEncoding) -> list[int]:
     """Restore the original instruction words from a
-    :class:`BlockEncoding` (software mirror of the fetch hardware).
-
-    The default decodes all ``width`` vertical streams concurrently
-    through the lane-packed bitplane scan; ``use_bitplane=False``
-    selects the per-line scalar paths (suffix tables or the bit-serial
-    reference, per ``use_tables``).  All paths are bit-identical.
-    """
+    :class:`BlockEncoding` (software mirror of the fetch hardware):
+    all ``width`` vertical streams decode concurrently through the
+    lane-packed bitplane scan."""
     if not encoding.encoded_words:
         return []
-    if use_bitplane is None:
-        use_bitplane = use_tables
-    if use_bitplane:
-        length = len(encoding.encoded_words)
-        bounds = _segment_bounds_cached(length, encoding.block_size, True)
-        if len(bounds) != len(encoding.segment_plans):
-            raise ValueError(
-                f"plan length {len(encoding.segment_plans)} does not match "
-                f"{len(bounds)} blocks for a stream of {length} bits"
-            )
-        plans = tuple(
-            tuple(transformation.func.truth_table for transformation in plan)
-            for plan in encoding.segment_plans
+    length = len(encoding.encoded_words)
+    bounds = _segment_bounds_cached(
+        length, encoding.block_size, encoding.overlapped
+    )
+    if len(bounds) != len(encoding.segment_plans):
+        raise ValueError(
+            f"plan length {len(encoding.segment_plans)} does not match "
+            f"{len(bounds)} blocks for a stream of {length} bits"
         )
-        return bitplane.decode_block_bitplane(
-            encoding.encoded_words, bounds, plans, width=encoding.width
-        )
-    decoded_columns = []
-    for line in range(encoding.width):
-        stored = word_column(encoding.encoded_words, line)
-        plan = [plan[line] for plan in encoding.segment_plans]
-        decoded_columns.append(
-            decode_with_plan(
-                stored, encoding.block_size, plan, use_tables=use_tables
-            )
-        )
-    return columns_to_words(decoded_columns)
+    plans = tuple(
+        tuple(transformation.func.truth_table for transformation in plan)
+        for plan in encoding.segment_plans
+    )
+    return bitplane.decode_block_bitplane(
+        encoding.encoded_words,
+        bounds,
+        plans,
+        width=encoding.width,
+        overlapped=encoding.overlapped,
+    )

@@ -22,12 +22,12 @@ Three strategies are provided:
     the paper dismisses ("Were blocks to be disjoint, no improvement
     can be effected" across boundaries); kept for the overlap ablation.
 
-Two implementations back every strategy.  The default routes through
-the **compiled codebook fast path** (:mod:`repro.core.fastpath`):
-streams are packed into Python ints and each block resolves to one
-table lookup.  ``use_codebook=False`` selects the seed reference
-implementation that calls :class:`BlockSolver` per block; the two are
-cross-validated bit-for-bit in ``tests/core/test_fastpath.py``.
+Encoding runs through the **compiled codebook fast path**
+(:mod:`repro.core.fastpath`): streams are packed into Python ints and
+each block resolves to one table lookup.  Decoding runs through the
+bitplane doubling scan (:mod:`repro.core.bitplane`).  The per-block
+:class:`BlockSolver` encoders and the bit-serial decoder live in
+:mod:`repro.core.reference` as the oracle both are checked against.
 """
 
 from __future__ import annotations
@@ -44,23 +44,17 @@ from repro.core.bitstream import (
     unpack_bits,
     validate_bits,
 )
-from repro.core.block_solver import BlockSolver
 from repro.core.fastpath import (
-    CompiledCodebook,
-    decode_plan_int,
     encode_disjoint_int,
     encode_greedy_int,
     encode_optimal_int,
     get_codebook,
-    optimal_dp_empty_error,
 )
 from repro.core.transformations import (
     IDENTITY,
     OPTIMAL_SET,
     Transformation,
 )
-
-_INF = 1 << 30
 
 STRATEGIES = ("greedy", "optimal", "disjoint")
 
@@ -91,9 +85,9 @@ class StreamEncoding:
     the compiled encoder already holds (the packed stored bits and the
     per-segment tau truth tables); carrying them spares the bitplane
     decoder re-deriving both on every call.  They are excluded from
-    equality/repr — a reference-path encoding (which leaves them
-    ``None``) still compares equal to its fast-path twin, and decode
-    falls back to recomputing them.
+    equality/repr — an oracle encoding (which leaves them ``None``)
+    still compares equal to its fast-path twin, and decode falls back
+    to recomputing them.
     """
 
     original: tuple[int, ...]
@@ -163,6 +157,26 @@ def _segment_bounds_cached(
     return tuple(bounds)
 
 
+def check_strategy(strategy: str) -> None:
+    if strategy not in STRATEGIES:
+        raise ValueError(
+            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
+        )
+
+
+def trivial_encoding(
+    stream: list[int], block_size: int, strategy: str
+) -> StreamEncoding | None:
+    """The encoding of an empty or one-bit stream (nothing to
+    transform), or ``None`` for a stream that needs blocks."""
+    if len(stream) > 1:
+        return None
+    segments = (SegmentEncoding(0, 1, IDENTITY),) if stream else ()
+    return StreamEncoding(
+        tuple(stream), tuple(stream), block_size, segments, strategy != "disjoint"
+    )
+
+
 class StreamEncoder:
     """Encoder for vertical bit streams.
 
@@ -175,10 +189,6 @@ class StreamEncoder:
     strategy:
         ``"greedy"`` (the paper's), ``"optimal"`` (interface DP) or
         ``"disjoint"`` (no overlap, ablation only).
-    use_codebook:
-        ``True`` (default) encodes through the compiled codebook fast
-        path; ``False`` runs the reference per-block solver.  Outputs
-        are bit-identical either way.
     """
 
     def __init__(
@@ -186,208 +196,52 @@ class StreamEncoder:
         block_size: int,
         transformations: Sequence[Transformation] = OPTIMAL_SET,
         strategy: str = "greedy",
-        use_codebook: bool = True,
     ) -> None:
         if block_size < 2:
             raise ValueError(f"block size must be >= 2, got {block_size}")
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-            )
+        check_strategy(strategy)
         self.block_size = block_size
         self.transformations = tuple(transformations)
         self.strategy = strategy
-        self._solver = BlockSolver(self.transformations)
-        self._codebook: CompiledCodebook | None = (
-            get_codebook(block_size, self.transformations)
-            if use_codebook
-            else None
-        )
-
-    @property
-    def use_codebook(self) -> bool:
-        return self._codebook is not None
-
-    # ------------------------------------------------------------------
+        self._codebook = get_codebook(block_size, self.transformations)
 
     def encode(self, stream: Sequence[int]) -> StreamEncoding:
         """Encode a stream; decoding the result restores it exactly."""
         stream = validate_bits(stream)
-        if not stream:
-            return StreamEncoding((), (), self.block_size, (), self.strategy != "disjoint")
-        if len(stream) == 1:
-            return StreamEncoding(
-                tuple(stream),
-                tuple(stream),
-                self.block_size,
-                (SegmentEncoding(0, 1, IDENTITY),),
-                self.strategy != "disjoint",
-            )
+        trivial = trivial_encoding(stream, self.block_size, self.strategy)
+        if trivial is not None:
+            return trivial
+        overlapped = self.strategy != "disjoint"
+        bounds = _segment_bounds_cached(len(stream), self.block_size, overlapped)
+        packed = pack_bits(stream)
         if self.strategy == "greedy":
-            return self._encode_greedy(stream)
-        if self.strategy == "optimal":
-            return self._encode_optimal(stream)
-        return self._encode_disjoint(stream)
-
-    # ------------------------------------------------------------------
-    # Compiled fast path (default)
-    # ------------------------------------------------------------------
-
-    def _fast_result(
-        self,
-        stream: list[int],
-        encoded_int: int,
-        taus: list[Transformation],
-        bounds: Sequence[tuple[int, int]],
-        overlapped: bool,
-    ) -> StreamEncoding:
-        segments = tuple(
-            SegmentEncoding(start, seg_len, tau)
-            for (start, seg_len), tau in zip(bounds, taus)
-        )
-        return StreamEncoding(
-            tuple(stream),
-            unpack_bits(encoded_int, len(stream)),
-            self.block_size,
-            segments,
-            overlapped,
-            encoded_int=encoded_int,
-            truth_tables=tuple(tau.func.truth_table for tau in taus),
-        )
-
-    # ------------------------------------------------------------------
-
-    def _encode_greedy(self, stream: list[int]) -> StreamEncoding:
-        if self._codebook is not None:
-            bounds = _segment_bounds_cached(len(stream), self.block_size, True)
-            encoded_int, taus = encode_greedy_int(
-                self._codebook, pack_bits(stream), bounds
-            )
-            return self._fast_result(stream, encoded_int, taus, bounds, True)
-        bounds = segment_bounds(len(stream), self.block_size, overlapped=True)
-        encoded: list[int] = [0] * len(stream)
-        segments: list[SegmentEncoding] = []
-        for index, (start, seg_len) in enumerate(bounds):
-            word = stream[start : start + seg_len]
-            if index == 0:
-                solution = self._solver.solve_anchored(word)
-            else:
-                solution = self._solver.solve_constrained(word, encoded[start])
-            for offset, bit in enumerate(solution.code):
-                encoded[start + offset] = bit
-            segments.append(
-                SegmentEncoding(start, seg_len, solution.transformation)
-            )
-        return StreamEncoding(
-            tuple(stream), tuple(encoded), self.block_size, tuple(segments), True
-        )
-
-    def _encode_disjoint(self, stream: list[int]) -> StreamEncoding:
-        if self._codebook is not None:
-            bounds = _segment_bounds_cached(len(stream), self.block_size, False)
-            encoded_int, taus = encode_disjoint_int(
-                self._codebook, pack_bits(stream), bounds
-            )
-            return self._fast_result(stream, encoded_int, taus, bounds, False)
-        bounds = segment_bounds(len(stream), self.block_size, overlapped=False)
-        encoded: list[int] = [0] * len(stream)
-        segments: list[SegmentEncoding] = []
-        for start, seg_len in bounds:
-            word = stream[start : start + seg_len]
-            solution = self._solver.solve_anchored(word)
-            for offset, bit in enumerate(solution.code):
-                encoded[start + offset] = bit
-            segments.append(
-                SegmentEncoding(start, seg_len, solution.transformation)
-            )
-        return StreamEncoding(
-            tuple(stream), tuple(encoded), self.block_size, tuple(segments), False
-        )
-
-    def _encode_optimal(self, stream: list[int]) -> StreamEncoding:
-        """Global minimum via DP over the one-bit block interface.
-
-        For each block and each (incoming stored bit, outgoing stored
-        bit, transformation) we precompute the minimal internal
-        transitions; a forward pass then chains blocks through the
-        shared overlap bit.
-        """
-        if self._codebook is not None:
-            bounds = _segment_bounds_cached(len(stream), self.block_size, True)
+            encoded_int, taus = encode_greedy_int(self._codebook, packed, bounds)
+        elif self.strategy == "disjoint":
+            encoded_int, taus = encode_disjoint_int(self._codebook, packed, bounds)
+        else:
             encoded_int, taus, best_cost = encode_optimal_int(
-                self._codebook, pack_bits(stream), bounds
+                self._codebook, packed, bounds
             )
-            result = self._fast_result(stream, encoded_int, taus, bounds, True)
+            # Explicit check (not a bare assert: `python -O` must not
+            # strip the verification from the production path).
             realised = count_transitions_int(encoded_int, len(stream))
             if realised != best_cost:
                 raise RuntimeError(
                     f"optimal encoder self-check failed: DP cost {best_cost}"
                     f" != realised transitions {realised}"
                 )
-            return result
-        bounds = segment_bounds(len(stream), self.block_size, overlapped=True)
-        # profiles[j][(in_bit, out_bit)] = (cost, transformation, code)
-        profiles: list[dict[tuple[int, int], tuple[int, Transformation, tuple[int, ...]]]] = []
-        for index, (start, seg_len) in enumerate(bounds):
-            word = stream[start : start + seg_len]
-            profile: dict[tuple[int, int], tuple[int, Transformation, tuple[int, ...]]] = {}
-            in_bits = (word[0],) if index == 0 else (0, 1)
-            for in_bit in in_bits:
-                for transformation in self.transformations:
-                    fixed_first = None if index == 0 else in_bit
-                    by_final = self._solver.best_by_final_bit(
-                        word, transformation, fixed_first
-                    )
-                    if by_final is None:
-                        continue
-                    for out_bit, (cost, code) in by_final.items():
-                        key = (in_bit, out_bit)
-                        if key not in profile or cost < profile[key][0]:
-                            profile[key] = (cost, transformation, code)
-            profiles.append(profile)
-
-        # Forward DP over the interface bit.
-        state: dict[int, tuple[int, list[tuple[Transformation, tuple[int, ...]]]]] = {}
-        first_profile = profiles[0]
-        for (in_bit, out_bit), (cost, transformation, code) in first_profile.items():
-            if out_bit not in state or cost < state[out_bit][0]:
-                state[out_bit] = (cost, [(transformation, code)])
-        for block_index, profile in enumerate(profiles[1:], start=1):
-            if not state:
-                raise optimal_dp_empty_error(
-                    block_index - 1, bounds[block_index - 1][0]
-                )
-            new_state: dict[int, tuple[int, list[tuple[Transformation, tuple[int, ...]]]]] = {}
-            for (in_bit, out_bit), (cost, transformation, code) in profile.items():
-                if in_bit not in state:
-                    continue
-                prev_cost, prev_plan = state[in_bit]
-                total = prev_cost + cost
-                if out_bit not in new_state or total < new_state[out_bit][0]:
-                    new_state[out_bit] = (total, prev_plan + [(transformation, code)])
-            state = new_state
-        if not state:
-            last = len(bounds) - 1
-            raise optimal_dp_empty_error(last, bounds[last][0])
-
-        best_cost, plan = min(state.values(), key=lambda item: item[0])
-        encoded: list[int] = [0] * len(stream)
-        segments: list[SegmentEncoding] = []
-        for (start, seg_len), (transformation, code) in zip(bounds, plan):
-            for offset, bit in enumerate(code):
-                encoded[start + offset] = bit
-            segments.append(SegmentEncoding(start, seg_len, transformation))
-        result = StreamEncoding(
-            tuple(stream), tuple(encoded), self.block_size, tuple(segments), True
+        return StreamEncoding(
+            tuple(stream),
+            unpack_bits(encoded_int, len(stream)),
+            self.block_size,
+            tuple(
+                SegmentEncoding(start, seg_len, tau)
+                for (start, seg_len), tau in zip(bounds, taus)
+            ),
+            overlapped,
+            encoded_int=encoded_int,
+            truth_tables=tuple(tau.func.truth_table for tau in taus),
         )
-        # Explicit check (not a bare assert: `python -O` must not strip
-        # the verification from the production path).
-        if result.encoded_transitions != best_cost:
-            raise RuntimeError(
-                f"optimal encoder self-check failed: DP cost {best_cost}"
-                f" != realised transitions {result.encoded_transitions}"
-            )
-        return result
 
 
 def encode_stream(
@@ -395,138 +249,39 @@ def encode_stream(
     block_size: int,
     transformations: Sequence[Transformation] = OPTIMAL_SET,
     strategy: str = "greedy",
-    use_codebook: bool = True,
 ) -> StreamEncoding:
     """Convenience wrapper around :class:`StreamEncoder`."""
-    encoder = StreamEncoder(block_size, transformations, strategy, use_codebook)
-    return encoder.encode(stream)
+    return StreamEncoder(block_size, transformations, strategy).encode(stream)
 
 
-def decode_stream(
-    encoding: StreamEncoding,
-    use_tables: bool = True,
-    use_bitplane: bool | None = None,
-) -> list[int]:
-    """Decode a :class:`StreamEncoding`.
+def decode_stream(encoding: StreamEncoding) -> list[int]:
+    """Decode a :class:`StreamEncoding` through the bitplane scan.
 
     Mirrors the hardware: the stream's first bit passes through
     unchanged; every later bit is ``tau(stored, previous_decoded)``
     with ``tau`` selected by the segment covering that position.
-
-    Three bit-identical implementations back the contract.  The
-    default routes through the vectorized bitplane scan
-    (:mod:`repro.core.bitplane`); ``use_bitplane=False`` selects the
-    scalar paths, where ``use_tables`` picks the compiled suffix-table
-    decode (``True``) or the reference bit-serial loop (``False``).
     """
     if not encoding.encoded:
         return []
-    if use_bitplane is None:
-        use_bitplane = use_tables
-    if use_bitplane:
-        # Segmentation is a pure function of (length, k, overlap), so
-        # the cached uniform bounds are exactly this encoding's layout;
-        # fast-path encodings carry their packed bits and truth tables
-        # already, reference-path ones re-derive both here.
-        length = len(encoding.encoded)
-        packed = encoding.encoded_int
-        if packed is None:
-            packed, length = bitplane.pack_validated(encoding.encoded)
-        truth_tables = encoding.truth_tables
-        if truth_tables is None:
-            truth_tables = tuple(
-                s.transformation.func.truth_table for s in encoding.segments
-            )
-        decoded_int = bitplane.decode_plan_bitplane(
-            packed,
-            length,
-            _segment_bounds_cached(
-                length, encoding.block_size, encoding.overlapped
-            ),
-            (),
-            encoding.overlapped,
-            truth_tables=truth_tables,
+    # Segmentation is a pure function of (length, k, overlap), so the
+    # cached uniform bounds are exactly this encoding's layout;
+    # fast-path encodings carry their packed bits and truth tables
+    # already, oracle ones re-derive both here.
+    length = len(encoding.encoded)
+    packed = encoding.encoded_int
+    if packed is None:
+        packed, length = bitplane.pack_validated(encoding.encoded)
+    truth_tables = encoding.truth_tables
+    if truth_tables is None:
+        truth_tables = tuple(
+            s.transformation.func.truth_table for s in encoding.segments
         )
-        return bitplane.bits_list(decoded_int, length)
-    encoded = list(encoding.encoded)
-    if use_tables:
-        bounds = tuple((s.start, s.length) for s in encoding.segments)
-        decoded_int = decode_plan_int(
-            pack_bits(encoded),
-            len(encoded),
-            bounds,
-            [s.transformation for s in encoding.segments],
-            encoding.overlapped,
-        )
-        return list(unpack_bits(decoded_int, len(encoded)))
-    decoded: list[int] = [encoded[0]]
-    if encoding.overlapped:
-        for segment in encoding.segments:
-            for pos in range(segment.start + 1, segment.end):
-                decoded.append(
-                    segment.transformation(encoded[pos], decoded[pos - 1])
-                )
-    else:
-        for segment in encoding.segments:
-            for pos in range(segment.start, segment.end):
-                if pos == segment.start:
-                    if pos != 0:
-                        decoded.append(encoded[pos])  # each block re-anchors
-                else:
-                    decoded.append(
-                        segment.transformation(encoded[pos], decoded[pos - 1])
-                    )
-    return decoded
-
-
-def decode_with_plan(
-    encoded: Sequence[int],
-    block_size: int,
-    transformations: Sequence[Transformation],
-    use_tables: bool = True,
-    use_bitplane: bool | None = None,
-) -> list[int]:
-    """Decode from raw materials (stored bits + per-block tau plan) —
-    exactly the information a Transformation Table holds.
-
-    Defaults to the vectorized bitplane scan; ``use_bitplane=False``
-    selects the scalar suffix-table (``use_tables=True``) or bit-serial
-    (``use_tables=False``) path.  All three are bit-identical.
-    """
-    if use_bitplane is None:
-        use_bitplane = use_tables
-    if use_bitplane:
-        packed, length = bitplane.pack_validated(encoded)
-        if block_size < 2:
-            raise ValueError(f"block size must be >= 2, got {block_size}")
-        bounds = _segment_bounds_cached(length, block_size, True)
-        if len(bounds) != len(transformations):
-            raise ValueError(
-                f"plan length {len(transformations)} does not match "
-                f"{len(bounds)} blocks for a stream of {length} bits"
-            )
-        if length == 0:
-            return []
-        decoded_int = bitplane.decode_plan_bitplane(
-            packed, length, bounds, transformations, True
-        )
-        return bitplane.bits_list(decoded_int, length)
-    encoded = validate_bits(encoded)
-    bounds = segment_bounds(len(encoded), block_size, overlapped=True)
-    if len(bounds) != len(transformations):
-        raise ValueError(
-            f"plan length {len(transformations)} does not match "
-            f"{len(bounds)} blocks for a stream of {len(encoded)} bits"
-        )
-    if not encoded:
-        return []
-    if use_tables:
-        decoded_int = decode_plan_int(
-            pack_bits(encoded), len(encoded), bounds, transformations, True
-        )
-        return list(unpack_bits(decoded_int, len(encoded)))
-    decoded = [encoded[0]]
-    for (start, seg_len), transformation in zip(bounds, transformations):
-        for pos in range(start + 1, start + seg_len):
-            decoded.append(transformation(encoded[pos], decoded[pos - 1]))
-    return decoded
+    decoded_int = bitplane.decode_plan_bitplane(
+        packed,
+        length,
+        _segment_bounds_cached(length, encoding.block_size, encoding.overlapped),
+        (),
+        encoding.overlapped,
+        truth_tables=truth_tables,
+    )
+    return bitplane.bits_list(decoded_int, length)

@@ -1,16 +1,19 @@
-"""Codec throughput harness: compiled fast path vs. reference solver.
+"""Codec throughput harness: production path vs. reference oracle.
 
 Measures the hot encode/decode paths on the same workloads
 ``benchmarks/test_perf_components.py`` uses (a 5000-bit random stream,
 a 64-word basic block; seed 1234) and reports streams/s, words/s,
-bits/s and the speedup of the compiled codebook fast path over the
-seed :class:`~repro.core.block_solver.BlockSolver` reference.  Results
-are written to ``BENCH_codec.json`` so the performance trajectory is
-tracked across PRs (CI uploads the file as an artifact; ``repro
-bench`` produces it locally).
+bits/s and the speedup of the production path (compiled codebook
+encode, bitplane decode) over the oracles in
+:mod:`repro.core.reference` (per-block
+:class:`~repro.core.block_solver.BlockSolver` encode, bit-serial
+decode).  Results are written to ``BENCH_codec.json`` so the
+performance trajectory is tracked across PRs (CI uploads the file as
+an artifact; ``repro bench`` produces it locally).
 
-Every case cross-checks fast and reference outputs for bit-identity
-before timing — a benchmark of a wrong result is meaningless.
+Every case cross-checks production and oracle outputs for
+bit-identity before timing — a benchmark of a wrong result is
+meaningless.
 """
 
 from __future__ import annotations
@@ -26,11 +29,13 @@ from repro.core.program_codec import (
     decode_basic_block,
     encode_basic_block,
 )
-from repro.core.stream_codec import (
-    StreamEncoder,
-    decode_stream,
-    decode_with_plan,
+from repro.core.reference import (
+    decode_basic_block_reference,
+    decode_stream_reference,
+    encode_basic_block_reference,
+    encode_stream_reference,
 )
+from repro.core.stream_codec import StreamEncoder, decode_stream
 from repro.obs.report import run_metadata
 from repro.obs.tracing import Tracer
 
@@ -43,7 +48,7 @@ _BENCH_TRACER = Tracer(enabled=True)
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One fast-vs-reference measurement."""
+    """One production-vs-oracle measurement."""
 
     name: str
     unit: str  # what one "unit" is: stream, word, bit
@@ -158,10 +163,10 @@ def _trace_decode_case(
     basic blocks encoded and patched into the program image exactly as
     :class:`~repro.pipeline.flow.EncodingFlow` deploys them, then the
     *actual* simulator fetch trace replayed through the decoder.  The
-    reference is the same engine forced onto the per-fetch walk
-    (``use_bitplane=False``); the bulk path's per-trace block
-    memoization is in play, as it is in production, because a real
-    trace re-fetches its hot loops."""
+    reference is the same engine walked one :meth:`FetchDecoder.fetch`
+    at a time; the bulk path's per-trace block memoization is in play,
+    as it is in production, because a real trace re-fetches its hot
+    loops."""
     from repro.cfg.graph import ControlFlowGraph
     from repro.cfg.hotspot import select_hot_blocks
     from repro.cfg.loops import find_natural_loops
@@ -211,17 +216,22 @@ def _trace_decode_case(
     base = program.text_base
     fetches = list(trace)
 
-    def _decode(use_bitplane: bool) -> list[int]:
+    def _lookup(pc: int) -> int:
+        return image[(pc - base) >> 2]
+
+    def _decode_bulk() -> list[int]:
         decoder = FetchDecoder(
             tt, bbit, block_size, encoded_region=encoded_region
         )
-        return decoder.decode_trace(
-            fetches,
-            lambda pc: image[(pc - base) >> 2],
-            use_bitplane=use_bitplane,
-        )
+        return decoder.decode_trace(fetches, _lookup)
 
-    if _decode(True) != _decode(False):
+    def _decode_per_fetch() -> list[int]:
+        decoder = FetchDecoder(
+            tt, bbit, block_size, encoded_region=encoded_region
+        )
+        return [decoder.fetch(pc, _lookup(pc)) for pc in fetches]
+
+    if _decode_bulk() != _decode_per_fetch():
         raise RuntimeError(
             "trace_decode: bulk bitplane walk diverged from the "
             "per-fetch walk"
@@ -231,10 +241,10 @@ def _trace_decode_case(
         unit="words",
         units_per_run=len(fetches),
         reference_seconds=_best_time(
-            lambda: _decode(False), repeats, "bench.trace_decode.reference"
+            _decode_per_fetch, repeats, "bench.trace_decode.reference"
         ),
         fast_seconds=_best_time(
-            lambda: _decode(True), repeats, "bench.trace_decode.fast"
+            _decode_bulk, repeats, "bench.trace_decode.fast"
         ),
     )
 
@@ -313,170 +323,67 @@ def run_codec_benchmarks(
     repeats: int = 3,
     seed: int = 1234,
 ) -> BenchReport:
-    """Run the full fast-vs-reference suite and return the report."""
+    """Run the full production-vs-oracle suite and return the report."""
     rng = random.Random(seed)
     stream = [rng.randint(0, 1) for _ in range(stream_length)]
     words = [rng.getrandbits(32) for _ in range(num_words)]
     cases: list[BenchCase] = []
 
-    def _stream_case(name: str, strategy: str) -> None:
-        fast = StreamEncoder(block_size, strategy=strategy)
-        reference = StreamEncoder(
-            block_size, strategy=strategy, use_codebook=False
-        )
-        fast_result = fast.encode(stream)  # also warms the codebook
-        if fast_result != reference.encode(stream):
-            raise RuntimeError(
-                f"{name}: fast path diverged from the reference encoder"
-            )
+    def _case(name, unit, units, production, reference) -> None:
+        if production() != reference():
+            raise RuntimeError(f"{name}: production path diverged from the oracle")
         cases.append(
             BenchCase(
                 name=name,
-                unit="streams",
-                units_per_run=1,
+                unit=unit,
+                units_per_run=units,
                 reference_seconds=_best_time(
-                    lambda: reference.encode(stream),
-                    repeats,
-                    f"bench.{name}.reference",
+                    reference, repeats, f"bench.{name}.reference"
                 ),
                 fast_seconds=_best_time(
-                    lambda: fast.encode(stream), repeats, f"bench.{name}.fast"
+                    production, repeats, f"bench.{name}.fast"
                 ),
             )
         )
 
-    _stream_case("stream_encode_greedy", "greedy")
-    _stream_case("stream_encode_optimal", "optimal")
-    _stream_case("stream_encode_disjoint", "disjoint")
+    for strategy in ("greedy", "optimal", "disjoint"):
+        encoder = StreamEncoder(block_size, strategy=strategy)
+        _case(
+            f"stream_encode_{strategy}",
+            "streams",
+            1,
+            lambda: encoder.encode(stream),
+            lambda: encode_stream_reference(
+                stream, block_size, strategy=strategy
+            ),
+        )
+
+    _case(
+        "block_encode_greedy",
+        "words",
+        num_words,
+        lambda: encode_basic_block(words, block_size),
+        lambda: encode_basic_block_reference(words, block_size),
+    )
 
     encoding = encode_basic_block(words, block_size)
-    if encoding != encode_basic_block(words, block_size, use_codebook=False):
-        raise RuntimeError(
-            "block_encode: fast path diverged from the reference encoder"
-        )
-    cases.append(
-        BenchCase(
-            name="block_encode_greedy",
-            unit="words",
-            units_per_run=num_words,
-            reference_seconds=_best_time(
-                lambda: encode_basic_block(
-                    words, block_size, use_codebook=False
-                ),
-                repeats,
-                "bench.block_encode_greedy.reference",
-            ),
-            fast_seconds=_best_time(
-                lambda: encode_basic_block(words, block_size),
-                repeats,
-                "bench.block_encode_greedy.fast",
-            ),
-        )
+    _case(
+        "block_decode",
+        "words",
+        num_words,
+        lambda: decode_basic_block(encoding),
+        lambda: decode_basic_block_reference(encoding),
     )
 
     stream_encoding = StreamEncoder(block_size).encode(stream)
-    plan = stream_encoding.transformations()
-    stored = list(stream_encoding.encoded)
-    if decode_with_plan(stored, block_size, plan) != decode_with_plan(
-        stored, block_size, plan, use_tables=False
-    ):
-        raise RuntimeError(
-            "decode_with_plan: table decode diverged from the reference"
-        )
-    cases.append(
-        BenchCase(
-            name="stream_decode_plan",
-            unit="bits",
-            units_per_run=stream_length,
-            reference_seconds=_best_time(
-                lambda: decode_with_plan(
-                    stored, block_size, plan, use_tables=False
-                ),
-                repeats,
-                "bench.stream_decode_plan.reference",
-            ),
-            fast_seconds=_best_time(
-                lambda: decode_with_plan(stored, block_size, plan),
-                repeats,
-                "bench.stream_decode_plan.fast",
-            ),
-        )
-    )
-
-    if decode_basic_block(encoding) != decode_basic_block(
-        encoding, use_tables=False
-    ):
-        raise RuntimeError(
-            "block_decode: table decode diverged from the reference"
-        )
-    cases.append(
-        BenchCase(
-            name="block_decode",
-            unit="words",
-            units_per_run=num_words,
-            reference_seconds=_best_time(
-                lambda: decode_basic_block(encoding, use_tables=False),
-                repeats,
-                "bench.block_decode.reference",
-            ),
-            fast_seconds=_best_time(
-                lambda: decode_basic_block(encoding),
-                repeats,
-                "bench.block_decode.fast",
-            ),
-        )
-    )
-
-    # Per-path decode cases: the same encoded stream through each
-    # scalar decoder as its own reference, with the bitplane doubling
-    # scan as the fast path, so BENCH_codec.json tracks the decode
-    # trajectory per-path (not just the plan aggregate above).
-    decoded_bitplane = decode_stream(stream_encoding)
-    if decoded_bitplane != stream or decoded_bitplane != decode_stream(
-        stream_encoding, use_bitplane=False
-    ):
-        raise RuntimeError(
-            "stream_decode_table: bitplane decode diverged from the "
-            "suffix-table decode"
-        )
-    if decoded_bitplane != decode_stream(stream_encoding, use_tables=False):
-        raise RuntimeError(
-            "stream_decode_serial: bitplane decode diverged from the "
-            "bit-serial decode"
-        )
-    cases.append(
-        BenchCase(
-            name="stream_decode_table",
-            unit="bits",
-            units_per_run=stream_length,
-            reference_seconds=_best_time(
-                lambda: decode_stream(stream_encoding, use_bitplane=False),
-                repeats,
-                "bench.stream_decode_table.reference",
-            ),
-            fast_seconds=_best_time(
-                lambda: decode_stream(stream_encoding),
-                repeats,
-                "bench.stream_decode_table.fast",
-            ),
-        )
-    )
-    cases.append(
-        BenchCase(
-            name="stream_decode_serial",
-            unit="bits",
-            units_per_run=stream_length,
-            reference_seconds=_best_time(
-                lambda: decode_stream(stream_encoding, use_tables=False),
-                repeats,
-                "bench.stream_decode_serial.reference",
-            ),
-            fast_seconds=_best_time(
-                lambda: decode_stream(stream_encoding),
-                repeats,
-                "bench.stream_decode_serial.fast",
-            ),
-        )
+    if decode_stream(stream_encoding) != stream:
+        raise RuntimeError("stream_decode_serial: decode did not restore the stream")
+    _case(
+        "stream_decode_serial",
+        "bits",
+        stream_length,
+        lambda: decode_stream(stream_encoding),
+        lambda: decode_stream_reference(stream_encoding),
     )
 
     cases.append(_trace_decode_case(block_size, repeats))
@@ -503,12 +410,10 @@ def run_codec_benchmarks(
 def workload_encode_benchmark(
     workload_name: str = "mmul",
     block_size: int = 5,
-    parallel: int | None = None,
     repeats: int = 1,
 ) -> dict:
-    """Whole-program encode timing on a real workload (serial vs
-    ``parallel=N`` process fan-out).  Heavier than the codec cases;
-    not part of the default report."""
+    """Whole-program encode timing on a real workload.  Heavier than
+    the codec cases; not part of the default report."""
     from repro.pipeline.flow import EncodingFlow
     from repro.sim.cpu import run_program
     from repro.workloads.registry import build_workload
@@ -522,15 +427,4 @@ def workload_encode_benchmark(
         ),
         repeats,
     )
-    result = {"workload": workload_name, "serial_seconds": serial}
-    if parallel and parallel > 1:
-        result["parallel_workers"] = parallel
-        result["parallel_seconds"] = _best_time(
-            lambda: EncodingFlow(
-                block_size=block_size,
-                verify_decode=False,
-                parallel=parallel,
-            ).run(program, trace, workload_name),
-            repeats,
-        )
-    return result
+    return {"workload": workload_name, "serial_seconds": serial}

@@ -94,10 +94,14 @@ class EncodingFlow:
         strategy: str = "greedy",
         loops_only: bool = True,
         verify_decode: bool = True,
-        use_codebook: bool = True,
-        parallel: int | None = None,
         parity_protect: bool = False,
     ):
+        if strategy == "disjoint" and verify_decode:
+            raise ValueError(
+                "the disjoint strategy cannot be deployed: the TT/BBIT "
+                "fetch decoder restores overlapped blocks only (pass "
+                "verify_decode=False to measure it)"
+            )
         self.block_size = block_size
         self.tt_capacity = tt_capacity
         self.bbit_capacity = bbit_capacity
@@ -108,12 +112,6 @@ class EncodingFlow:
         #: Arm per-row parity words on the TT/BBIT this flow programs
         #: (the hardened deploy path; see docs/robustness.md).
         self.parity_protect = parity_protect
-        #: ``True`` routes block encoding through the compiled codebook
-        #: fast path; ``False`` runs the reference per-block solver.
-        self.use_codebook = use_codebook
-        #: Fan basic-block encoding across N worker processes (the
-        #: blocks are independent); ``None`` encodes serially.
-        self.parallel = parallel
 
     # ------------------------------------------------------------------
 
@@ -165,8 +163,6 @@ class EncodingFlow:
                     self.block_size,
                     transformations=self.transformations,
                     strategy=self.strategy,
-                    use_codebook=self.use_codebook,
-                    parallel=self.parallel,
                 )
             with OBS.tracer.span("flow.deploy", workload=name):
                 for start, encoding in zip(plan.selected, encodings):

@@ -1,12 +1,12 @@
-"""Differential verification: every decode path against every other.
+"""Differential verification: the production path against the oracle.
 
-The encoder/decoder stack deliberately keeps redundant implementations
-of one contract — a reference :class:`BlockSolver`, the compiled
-integer fast path, suffix-table vs bit-serial decode, and the
+The codec keeps one production path per job (compiled codebook
+encode, bitplane decode) and one oracle (:mod:`repro.core.reference`:
+per-block :class:`BlockSolver` encode, bit-serial decode), plus the
 behavioural :class:`FetchDecoder` in three fault-handling modes.  This
 package turns that redundancy into a harness: seeded randomised inputs
 (streams, synthetic programs, corrupted table states) plus exhaustive
-per-block-size sweeps run through *all* paths, demanding bit-identical
+per-block-size sweeps run through every path, demanding bit-identical
 agreement, with divergences shrunk into replayable counterexamples and
 the verdict qualified by behaviour-space coverage
 (``VERIFY_report.json``).  ``repro verify`` is the CLI front end.

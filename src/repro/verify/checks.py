@@ -1,27 +1,27 @@
-"""Differential checks: every decode path against every other.
+"""Differential checks: the production path against the oracle.
 
-Each check runs one input through all independent implementations of
-the same contract and demands bit-identical agreement:
+Each check runs one input through the production implementation and
+the reference oracle (:mod:`repro.core.reference`) of the same
+contract and demands bit-identical agreement:
 
-* stream level — compiled fast path vs reference :class:`BlockSolver`
-  encode, then bitplane vs suffix-table vs bit-serial decode (plus the
-  plan-based variants of all three, and every available bitplane
-  backend) (:func:`check_stream`);
-* program level — vertical fast/reference block encode, bitplane /
-  table / bit-serial block decode, the behavioural
-  :class:`FetchDecoder` in strict, recover and degraded modes against
-  the golden words, and the bulk ``decode_trace`` bitplane walk
-  against the per-fetch walk (:func:`check_program`);
+* stream level — compiled codebook encode vs the per-block
+  :class:`BlockSolver` oracle, then bitplane decode vs the bit-serial
+  oracle decode (:func:`check_stream`);
+* program level — vertical block encode vs the oracle, bitplane vs
+  bit-serial block decode, the behavioural :class:`FetchDecoder` in
+  strict, recover and degraded modes against the golden words, and the
+  bulk ``decode_trace`` bitplane walk against the per-fetch walk
+  (:func:`check_program`);
 * table-state level — seeded SEC-DED corruption of live TT/BBIT rows,
   checking each decoder mode's *exact* contractual output: strict
   raises, recover serves the documented pass-through region, degraded
   stays bit-identical to the golden image (:func:`check_tables`);
 * exhaustive sweeps — every codebook entry for a block size against
-  the reference solver plus all three decode paths
-  (:func:`sweep_codebook`), and every τ selector's decode tables
-  against the bit-serial recurrence, the bitplane doubling scan and
-  the hardware :class:`TTEntry` gate model (:func:`sweep_tau`), in the
-  exhaustive-enumeration spirit of the bus-encoding literature.
+  the reference solver plus the bit-serial and bitplane decodes
+  (:func:`sweep_codebook`), and every τ selector's bitplane decode and
+  hardware :class:`TTEntry` gate model against the bit-serial
+  recurrence (:func:`sweep_tau`), in the exhaustive-enumeration spirit
+  of the bus-encoding literature.
 
 Checks never raise on divergence — they return a
 :class:`CheckResult` whose ``mismatch`` names the first disagreement,
@@ -40,12 +40,13 @@ from repro.core.program_codec import (
     decode_basic_block,
     encode_basic_block,
 )
-from repro.core.stream_codec import (
-    _segment_bounds_cached,
-    decode_stream,
-    decode_with_plan,
-    encode_stream,
+from repro.core.reference import (
+    decode_basic_block_reference,
+    decode_stream_reference,
+    encode_basic_block_reference,
+    encode_stream_reference,
 )
+from repro.core.stream_codec import decode_stream, encode_stream
 from repro.core.transformations import OPTIMAL_SET
 from repro.errors import ReproError, TableIntegrityError
 from repro.hw import integrity
@@ -85,14 +86,12 @@ class CheckResult:
 
 
 def check_stream(stream: list[int], block_size: int, strategy: str) -> CheckResult:
-    """Fast vs reference encode, then every decode path, for one stream."""
+    """Production vs oracle encode, then both decodes, for one stream."""
     result = CheckResult()
     result.cover("block_sizes", f"k={block_size}")
     try:
         fast = encode_stream(stream, block_size, strategy=strategy)
-        reference = encode_stream(
-            stream, block_size, strategy=strategy, use_codebook=False
-        )
+        reference = encode_stream_reference(stream, block_size, strategy=strategy)
     except ReproError as err:
         return result.fail("stream_encode_raised", error=repr(err))
     if fast != reference:
@@ -101,40 +100,10 @@ def check_stream(stream: list[int], block_size: int, strategy: str) -> CheckResu
             detail="compiled codebook encoding != reference BlockSolver "
             "encoding for the same stream",
         )
-    decoded_bitplane = decode_stream(fast)
-    if decoded_bitplane != list(stream):
+    if decode_stream(fast) != list(stream):
         return result.fail("bitplane_decode_wrong")
-    decoded_tables = decode_stream(fast, use_bitplane=False)
-    if decoded_tables != list(stream):
-        return result.fail("table_decode_wrong")
-    decoded_serial = decode_stream(fast, use_tables=False)
-    if decoded_serial != list(stream):
+    if decode_stream_reference(fast) != list(stream):
         return result.fail("bit_serial_decode_wrong")
-    if strategy != "disjoint" and stream:
-        plan = fast.transformations()
-        stored = list(fast.encoded)
-        if decode_with_plan(stored, block_size, plan) != list(stream):
-            return result.fail("plan_bitplane_decode_wrong")
-        if decode_with_plan(
-            stored, block_size, plan, use_bitplane=False
-        ) != list(stream):
-            return result.fail("plan_table_decode_wrong")
-        if decode_with_plan(
-            stored, block_size, plan, use_tables=False
-        ) != list(stream):
-            return result.fail("plan_bit_serial_decode_wrong")
-        # Every available bitplane backend must agree bit-for-bit (on
-        # a numpy host this runs the pure big-int scan as well).
-        packed, length = bitplane.pack_validated(stored)
-        bounds = _segment_bounds_cached(length, block_size, True)
-        for backend in bitplane.available_backends():
-            scanned = bitplane.decode_plan_bitplane(
-                packed, length, bounds, plan, backend=backend
-            )
-            if bitplane.bits_list(scanned, length) != list(stream):
-                return result.fail(
-                    "bitplane_backend_decode_wrong", backend=backend
-                )
 
     # Coverage footprint: which codebook entries this stream resolved
     # through, which boundary/tail classes it ended on.
@@ -179,16 +148,14 @@ def check_program(words: list[int], block_size: int) -> CheckResult:
     result.cover("block_sizes", f"k={block_size}")
     try:
         fast = encode_basic_block(words, block_size)
-        reference = encode_basic_block(words, block_size, use_codebook=False)
+        reference = encode_basic_block_reference(words, block_size)
     except ReproError as err:
         return result.fail("program_encode_raised", error=repr(err))
     if fast != reference:
         return result.fail("program_encode_paths_diverge")
     if decode_basic_block(fast) != list(words):
         return result.fail("program_bitplane_decode_wrong")
-    if decode_basic_block(fast, use_bitplane=False) != list(words):
-        return result.fail("program_table_decode_wrong")
-    if decode_basic_block(fast, use_tables=False) != list(words):
+    if decode_basic_block_reference(fast) != list(words):
         return result.fail("program_bit_serial_decode_wrong")
 
     deployment = make_deployment([list(words)], block_size, parity=True)
@@ -219,7 +186,7 @@ def check_program(words: list[int], block_size: int) -> CheckResult:
     # The bulk decode_trace bitplane walk must match the per-fetch
     # walk on both output and architectural counters.
     walks = []
-    for use_bitplane in (True, False):
+    for bulk in (True, False):
         decoder = FetchDecoder(
             deployment.tt,
             deployment.bbit,
@@ -227,16 +194,19 @@ def check_program(words: list[int], block_size: int) -> CheckResult:
             encoded_region=deployment.encoded_region,
         )
         try:
-            decoded = decoder.decode_trace(
-                deployment.trace_for(0),
-                deployment.image.__getitem__,
-                finalize=True,
-                use_bitplane=use_bitplane,
-            )
+            if bulk:
+                decoded = decoder.decode_trace(
+                    deployment.trace_for(0),
+                    deployment.image.__getitem__,
+                    finalize=True,
+                )
+            else:
+                decoded = _fetch_all(decoder, deployment, 0)
+                decoder.finalize()
         except ReproError as err:
             return result.fail(
                 "decode_trace_raised",
-                bitplane=use_bitplane,
+                bitplane=bulk,
                 error=repr(err),
             )
         walks.append(
@@ -419,9 +389,9 @@ def _decode_code_bits(code: list[int], tau, history: int | None) -> list[int]:
 
 def sweep_codebook(block_size: int) -> CheckResult:
     """Every full-width block word through every codebook variant,
-    against the reference solver and all three decode directions
-    (bit-serial, suffix table, bitplane scan)."""
-    from repro.core.fastpath import decode_suffix_table, get_codebook
+    against the reference solver and both decode directions
+    (bit-serial, bitplane scan)."""
+    from repro.core.fastpath import get_codebook
 
     result = CheckResult()
     result.cover("block_sizes", f"k={block_size}")
@@ -478,16 +448,7 @@ def sweep_codebook(block_size: int) -> CheckResult:
                     variant=variant,
                     word=word_int,
                 )
-            table = decode_suffix_table(tau.func.truth_table, block_size - 1)
             first_decoded = code[0] if fixed is None else word[0]
-            decoded_body = table[first_decoded][code_int >> 1]
-            if (first_decoded | (decoded_body << 1)) != word_int:
-                return result.fail(
-                    "codebook_suffix_table_roundtrip_wrong",
-                    k=block_size,
-                    variant=variant,
-                    word=word_int,
-                )
             # Bitplane scan leg: the anchor position reproduces the
             # first decoded bit verbatim, so seeding it with the
             # overlap history models the constrained protocol exactly.
@@ -511,34 +472,21 @@ def sweep_codebook(block_size: int) -> CheckResult:
 
 def sweep_tau(block_size: int) -> CheckResult:
     """Every τ selector's decode, exhaustively, through every layer:
-    the compiled suffix tables and the bitplane doubling scan vs the
-    bit-serial recurrence for every (history, stored suffix), and the
-    hardware :class:`TTEntry` masked gate model vs per-line function
-    application on seeded words."""
-    from repro.core.fastpath import decode_suffix_table
-
+    the bitplane doubling scan vs the bit-serial recurrence for every
+    (history, stored suffix), and the hardware :class:`TTEntry` masked
+    gate model vs per-line function application on seeded words."""
     result = CheckResult()
     result.cover("block_sizes", f"k={block_size}")
     for transformation in OPTIMAL_SET:
         selector = transformation.selector
         func = transformation.func
         for suffix_len in range(1, block_size):
-            table = decode_suffix_table(func.truth_table, suffix_len)
             for history in (0, 1):
                 for stored in range(1 << suffix_len):
                     h, expected = history, 0
                     for i in range(suffix_len):
                         h = func((stored >> i) & 1, h)
                         expected |= h << i
-                    if table[history][stored] != expected:
-                        return result.fail(
-                            "suffix_table_diverges",
-                            k=block_size,
-                            selector=selector,
-                            suffix_len=suffix_len,
-                            history=history,
-                            stored=stored,
-                        )
                     scanned = bitplane.decode_plan_bitplane(
                         (stored << 1) | history,
                         suffix_len + 1,

@@ -13,8 +13,9 @@ universes (in the exhaustive-enumeration spirit of Chee et al.):
     universe deterministically; the gate demands 100% for k=4..7.
 ``tau_selectors``
     The eight hardware transformation selectors, per block size,
-    exercised through the *decode* direction (suffix-table vs
-    bit-serial vs TT-entry differential).  Gated at 100% for k=4..7.
+    exercised through the *decode* direction (bitplane scan and
+    TT-entry gate model vs the bit-serial recurrence).  Gated at 100%
+    for k=4..7.
 ``block_sizes``
     Which configured ``k`` values ran at all.
 ``boundary_residues``

@@ -6,6 +6,7 @@ property tests use ``fetch_word_streams``/``instruction_words``, plain
 tests take the seeded factory fixtures from ``conftest``.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,11 @@ from repro.baselines.bus_invert import (
     BusInvertEncoder,
     bus_invert_transitions,
 )
-from repro.baselines.frequency import FrequencyEncoder, FrequencyRemapper
+from repro.baselines.frequency import (
+    FrequencyEncoder,
+    FrequencyRemapper,
+    _code_candidates,
+)
 from repro.baselines.gray import gray_decode, gray_encode, gray_transitions
 from repro.baselines.t0 import (
     T0Coder,
@@ -196,6 +201,33 @@ class TestFrequencyRemapper:
     def test_capacity_respected(self):
         remapper = FrequencyRemapper(max_entries=4).fit(list(range(100)))
         assert len(remapper.mapping) == 4
+
+    def test_code_candidates_match_brute_force(self):
+        """The Gosper walk hands out exactly the codes the brute-force
+        popcount scan does, in the same order, and runs out at the
+        same count."""
+
+        def brute_force(width, count):
+            codes, weight = [], 0
+            while len(codes) < count:
+                codes.extend(
+                    c for c in range(1 << min(width, 20)) if c.bit_count() == weight
+                )
+                weight += 1
+                if weight > min(width, 20):
+                    raise ValueError("code space exhausted")
+            return codes[:count]
+
+        for width in range(0, 9):
+            for count in range((1 << width) + 2):
+                try:
+                    expected = brute_force(width, count)
+                except ValueError:
+                    with pytest.raises(ValueError, match="code space exhausted"):
+                        _code_candidates(width, count)
+                else:
+                    assert _code_candidates(width, count) == expected
+        assert _code_candidates(32, 300) == _code_candidates(20, 300)
 
     @given(fetch_word_streams())
     @settings(max_examples=100)

@@ -1,33 +1,28 @@
 """Property tests for the packed-bitplane decode core.
 
-The bitplane module re-implements three scalar decode paths (stream,
-plan, block) as parallel-prefix doubling scans; these tests pin the
-scans to the scalar references bit-for-bit across seeded streams,
-hypothesis-drawn inputs, every block size the paper studies (k=2..7),
-boundary/tail lengths, and both scan backends — plus the packing
-bridges (``pack_validated``/``bits_list``/``transpose_words``) and
-the forced no-numpy import fallback.
+The bitplane module is the production decoder: the paper's bit-serial
+decode recurrence (stream, plan, block) as parallel-prefix doubling
+scans.  These tests pin the scans to the bit-serial oracle
+(:mod:`repro.core.reference`) bit-for-bit across seeded streams,
+hypothesis-drawn inputs, every block size the paper studies (k=2..7)
+and boundary/tail lengths — plus the packing bridges
+(``pack_validated``/``bits_list``/``transpose_words``).
 """
 
 from __future__ import annotations
-
-import builtins
-import importlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import bitplane
-from repro.core.fastpath import decode_plan_int
 from repro.core.bitstream import pack_bits
 from repro.core.program_codec import decode_basic_block, encode_basic_block
-from repro.core.stream_codec import (
-    decode_stream,
-    decode_with_plan,
-    encode_stream,
-    segment_bounds,
+from repro.core.reference import (
+    decode_basic_block_reference,
+    decode_stream_reference,
 )
+from repro.core.stream_codec import decode_stream, encode_stream, segment_bounds
 from tests.strategies import (
     bit_streams,
     hw_block_sizes,
@@ -36,8 +31,6 @@ from tests.strategies import (
     seeded_stream,
     seeded_words,
 )
-
-ALL_BACKENDS = bitplane.available_backends()
 
 
 # ----------------------------------------------------------------------
@@ -107,12 +100,32 @@ class TestTranspose:
         assert bitplane.untranspose_words(0, 0) == []
 
     @given(
-        st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=9)
+        st.integers(min_value=1, max_value=32).flatmap(
+            lambda width: st.tuples(
+                st.just(width),
+                st.lists(
+                    st.integers(min_value=0, max_value=(1 << width) - 1),
+                    min_size=1,
+                    max_size=9,
+                ),
+            )
+        )
     )
-    def test_narrow_width(self, words):
-        # The non-32 width takes the pure-Python path even with numpy.
-        packed = bitplane.transpose_words(words, width=8)
-        assert bitplane.untranspose_words(packed, len(words), width=8) == words
+    def test_narrow_width(self, width_and_words):
+        width, words = width_and_words
+        n = len(words)
+        packed = bitplane.transpose_words(words, width=width)
+        assert packed < 1 << (width * n)
+        for lane in range(width):
+            for t in range(n):
+                assert (packed >> (lane * n + t)) & 1 == (words[t] >> lane) & 1
+        assert bitplane.untranspose_words(packed, n, width=width) == words
+
+    def test_width_above_32_rejected(self):
+        with pytest.raises(ValueError, match="width in 1..32"):
+            bitplane.transpose_words([1, 2], width=33)
+        with pytest.raises(ValueError, match="width in 1..32"):
+            bitplane.untranspose_words(0, 2, width=64)
 
 
 # ----------------------------------------------------------------------
@@ -134,31 +147,14 @@ class TestSolveFirstOrder:
             bit = ((const >> p) & 1) ^ (((coeff >> p) & 1) & prev)
             expected |= bit << p
             prev = bit
-        for backend in ALL_BACKENDS:
-            assert (
-                bitplane.solve_first_order(coeff, const, nbits, backend)
-                == expected
-            ), backend
+        assert bitplane.solve_first_order(coeff, const, nbits) == expected
 
     def test_zero_length(self):
         assert bitplane.solve_first_order(123, 456, 0) == 0
 
-    def test_backend_selection(self):
-        original = bitplane.get_backend()
-        try:
-            for backend in ALL_BACKENDS:
-                bitplane.set_backend(backend)
-                assert bitplane.get_backend() == backend
-        finally:
-            bitplane.set_backend(original)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown bitplane backend"):
-            bitplane.set_backend("simd512")
-
 
 # ----------------------------------------------------------------------
-# Stream/plan decode vs the scalar paths
+# Stream/plan decode vs the bit-serial oracle
 # ----------------------------------------------------------------------
 
 
@@ -170,14 +166,10 @@ class TestPlanDecode:
         plan = encoding.transformations()
         packed, length = bitplane.pack_validated(encoding.encoded)
         bounds = tuple(segment_bounds(length, block_size))
-        scalar = decode_plan_int(packed, length, bounds, plan)
-        for backend in ALL_BACKENDS:
-            assert (
-                bitplane.decode_plan_bitplane(
-                    packed, length, bounds, plan, backend=backend
-                )
-                == scalar
-            ), backend
+        scanned = bitplane.decode_plan_bitplane(packed, length, bounds, plan)
+        assert bitplane.bits_list(scanned, length) == decode_stream_reference(
+            encoding
+        )
 
     @given(bit_streams, hw_block_sizes)
     @settings(max_examples=150)
@@ -186,14 +178,11 @@ class TestPlanDecode:
         plan = encoding.transformations()
         packed, length = bitplane.pack_validated(encoding.encoded)
         bounds = tuple(segment_bounds(length, block_size, overlapped=False))
-        scalar = decode_plan_int(packed, length, bounds, plan, overlapped=False)
-        assert (
-            bitplane.decode_plan_bitplane(
-                packed, length, bounds, plan, overlapped=False
-            )
-            == scalar
+        scanned = bitplane.decode_plan_bitplane(
+            packed, length, bounds, plan, overlapped=False
         )
-        assert bitplane.bits_list(scalar, length) == stream
+        assert bitplane.bits_list(scanned, length) == stream
+        assert decode_stream_reference(encoding) == stream
 
     @pytest.mark.parametrize("block_size", range(2, 8))
     def test_boundary_and_tail_lengths(self, block_size):
@@ -222,17 +211,10 @@ class TestPlanDecode:
                 if seed % 2
                 else seeded_burst(f"long:{block_size}:{seed}", 800)
             )
-            encoding = encode_stream(stream, block_size)
-            assert decode_stream(encoding) == stream  # bitplane default
-            assert decode_stream(encoding, use_bitplane=False) == stream
-            assert decode_stream(encoding, use_tables=False) == stream
-            plan = encoding.transformations()
-            stored = list(encoding.encoded)
-            assert decode_with_plan(stored, block_size, plan) == stream
-            assert (
-                decode_with_plan(stored, block_size, plan, use_bitplane=False)
-                == stream
-            )
+            for strategy in ("greedy", "optimal", "disjoint"):
+                encoding = encode_stream(stream, block_size, strategy=strategy)
+                assert decode_stream(encoding) == stream
+                assert decode_stream_reference(encoding) == stream
 
 
 class TestBlockDecode:
@@ -240,24 +222,18 @@ class TestBlockDecode:
     @settings(max_examples=150, deadline=None)
     def test_matches_scalar_block_decode(self, words, block_size):
         encoding = encode_basic_block(words, block_size)
-        scalar = decode_basic_block(encoding, use_bitplane=False)
-        assert scalar == words
-        for backend in ALL_BACKENDS:
-            plans = tuple(
-                tuple(t.func.truth_table for t in plan)
-                for plan in encoding.segment_plans
+        assert decode_basic_block_reference(encoding) == words
+        plans = tuple(
+            tuple(t.func.truth_table for t in plan)
+            for plan in encoding.segment_plans
+        )
+        bounds = tuple(segment_bounds(len(words), block_size))
+        assert (
+            bitplane.decode_block_bitplane(
+                encoding.encoded_words, bounds, plans, width=encoding.width
             )
-            bounds = tuple(segment_bounds(len(words), block_size))
-            assert (
-                bitplane.decode_block_bitplane(
-                    encoding.encoded_words,
-                    bounds,
-                    plans,
-                    width=encoding.width,
-                    backend=backend,
-                )
-                == words
-            ), backend
+            == words
+        )
 
     @pytest.mark.parametrize("block_size", range(2, 8))
     def test_seeded_blocks_boundary_sizes(self, block_size):
@@ -265,74 +241,7 @@ class TestBlockDecode:
         # single-word block (pure anchors, no TT row).
         for count in (1, 2, block_size - 1, block_size, block_size + 1, 3 * block_size):
             words = seeded_words(f"block:{block_size}:{count}", count)
-            encoding = encode_basic_block(words, block_size)
-            assert decode_basic_block(encoding) == words
-            assert decode_basic_block(encoding, use_bitplane=False) == words
-            assert decode_basic_block(encoding, use_tables=False) == words
-
-
-# ----------------------------------------------------------------------
-# Forced no-numpy fallback
-# ----------------------------------------------------------------------
-
-
-def test_module_without_numpy(monkeypatch):
-    """Reload the module with ``import numpy`` failing: the bigint
-    backend must stand alone and the format-string transpose must
-    replace the packbits one, bit-for-bit."""
-    real_import = builtins.__import__
-
-    def no_numpy(name, *args, **kwargs):
-        if name == "numpy":
-            raise ImportError("numpy disabled for this test")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", no_numpy)
-    try:
-        importlib.reload(bitplane)
-        assert bitplane.available_backends() == ("bigint",)
-        assert bitplane.get_backend() == "bigint"
-        with pytest.raises(ValueError):
-            bitplane.set_backend("numpy")
-
-        words = seeded_words("no-numpy", 17)
-        packed = bitplane.transpose_words(words)
-        assert bitplane.untranspose_words(packed, len(words)) == words
-
-        stream = seeded_stream("no-numpy", 200)
-        for block_size in (2, 5, 7):
-            encoding = encode_stream(stream, block_size)
-            assert decode_stream(encoding) == stream
-            words = seeded_words(f"no-numpy:{block_size}", 11)
-            block = encode_basic_block(words, block_size)
-            assert decode_basic_block(block) == words
-    finally:
-        monkeypatch.setattr(builtins, "__import__", real_import)
-        importlib.reload(bitplane)
-
-    # Restored module must expose numpy again if the environment has it.
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        assert "numpy" in bitplane.available_backends()
-
-
-def test_transpose_fallback_matches_numpy_path():
-    """The format-string transpose and the packbits transpose are the
-    same function observably — cross-check them directly."""
-    numpy = pytest.importorskip("numpy")
-    del numpy
-    for seed in range(5):
-        words = seeded_words(f"xpose:{seed}", 3 + 7 * seed)
-        fast = bitplane.transpose_words(words)
-        rows = [format(w, "032b") for w in words]
-        slow = int(
-            "".join(
-                column[::-1]
-                for column in ("".join(c) for c in zip(*rows))
-            ),
-            2,
-        )
-        assert fast == slow
+            for strategy in ("greedy", "optimal", "disjoint"):
+                encoding = encode_basic_block(words, block_size, strategy=strategy)
+                assert decode_basic_block(encoding) == words
+                assert decode_basic_block_reference(encoding) == words

@@ -1,10 +1,11 @@
 """Cross-validation of the compiled codebook fast path against the
-seed :class:`BlockSolver` reference implementation.
+per-block :class:`BlockSolver` oracle (:mod:`repro.core.reference`).
 
 The contract is strict bit-identity: for any stream, block size and
 strategy, encoding through the codebook must produce a byte-identical
 :class:`StreamEncoding` (same stored bits, same segment/transformation
-plan) to the reference path, and both decoders must round-trip."""
+plan) to the oracle, and both the bitplane and the bit-serial decoder
+must round-trip."""
 
 import itertools
 
@@ -27,11 +28,11 @@ from repro.core.bitstream import (
     unpack_bits,
 )
 from repro.core.block_solver import BlockSolver
+from repro.core import bitplane
 from repro.core.boolfunc import TT_Y, BoolFunc
 from repro.core.fastpath import (
     CompiledCodebook,
     clear_codebook_cache,
-    decode_suffix_table,
     get_codebook,
 )
 from repro.core.program_codec import (
@@ -39,12 +40,13 @@ from repro.core.program_codec import (
     encode_basic_block,
     encode_basic_blocks,
 )
-from repro.core.stream_codec import (
-    StreamEncoder,
-    decode_stream,
-    decode_with_plan,
-    encode_stream,
+from repro.core.reference import (
+    decode_basic_block_reference,
+    decode_stream_reference,
+    encode_basic_block_reference,
+    encode_stream_reference,
 )
+from repro.core.stream_codec import decode_stream, encode_stream
 from repro.core.transformations import (
     ALL_TRANSFORMATIONS,
     OPTIMAL_SET,
@@ -117,37 +119,23 @@ class TestCodebookTables:
         with pytest.raises(ValueError):
             CompiledCodebook(1)
 
-    def test_decode_suffix_table_matches_chain(self):
-        for tt in range(16):
-            func = BoolFunc(tt)
-            table = decode_suffix_table(tt, 3)
-            for history in (0, 1):
-                for stored in range(8):
-                    h, out = history, 0
-                    for i in range(3):
-                        h = func((stored >> i) & 1, h)
-                        out |= h << i
-                    assert table[history][stored] == out
-
 
 class TestStreamBitIdentity:
     @given(streams, block_sizes, strategies)
     @settings(max_examples=300, deadline=None)
     def test_fast_matches_reference(self, stream, block_size, strategy):
         fast = encode_stream(stream, block_size, strategy=strategy)
-        reference = encode_stream(
-            stream, block_size, strategy=strategy, use_codebook=False
-        )
+        reference = encode_stream_reference(stream, block_size, strategy=strategy)
         assert fast == reference  # full dataclass identity
         assert decode_stream(fast) == stream
-        assert decode_stream(fast, use_tables=False) == stream
+        assert decode_stream_reference(fast) == stream
 
     @given(streams, block_sizes)
     @settings(max_examples=150, deadline=None)
     def test_full_16_set_matches(self, stream, block_size):
         fast = encode_stream(stream, block_size, ALL_TRANSFORMATIONS)
-        reference = encode_stream(
-            stream, block_size, ALL_TRANSFORMATIONS, use_codebook=False
+        reference = encode_stream_reference(
+            stream, block_size, ALL_TRANSFORMATIONS
         )
         assert fast == reference
 
@@ -159,38 +147,27 @@ class TestStreamBitIdentity:
             for strategy in ("greedy", "optimal", "disjoint"):
                 stream = [rng.randint(0, 1) for _ in range(400)]
                 fast = encode_stream(stream, block_size, strategy=strategy)
-                reference = encode_stream(
-                    stream, block_size, strategy=strategy, use_codebook=False
+                reference = encode_stream_reference(
+                    stream, block_size, strategy=strategy
                 )
                 assert fast == reference
                 assert decode_stream(fast) == stream
-                assert decode_stream(fast, use_tables=False) == stream
-                if strategy != "disjoint":
-                    plan = fast.transformations()
-                    assert (
-                        decode_with_plan(
-                            list(fast.encoded), block_size, plan
-                        )
-                        == stream
-                    )
-                    assert (
-                        decode_with_plan(
-                            list(fast.encoded),
-                            block_size,
-                            plan,
-                            use_tables=False,
-                        )
-                        == stream
-                    )
+                assert decode_stream_reference(fast) == stream
 
     @given(streams, block_sizes)
     @settings(max_examples=150, deadline=None)
     def test_plan_decode_fast_matches_reference(self, stream, block_size):
+        """Decoding from raw materials (stored bits plus the per-segment
+        tau plan, what a TT holds) through the bitplane scan agrees
+        with the bit-serial oracle."""
         encoding = encode_stream(stream, block_size)
-        stored = list(encoding.encoded)
-        plan = encoding.transformations()
-        assert decode_with_plan(stored, block_size, plan) == decode_with_plan(
-            stored, block_size, plan, use_tables=False
+        packed, length = bitplane.pack_validated(encoding.encoded)
+        bounds = [(seg.start, seg.length) for seg in encoding.segments]
+        scanned = bitplane.decode_plan_bitplane(
+            packed, length, bounds, encoding.transformations()
+        )
+        assert bitplane.bits_list(scanned, length) == decode_stream_reference(
+            encoding
         )
 
 
@@ -199,19 +176,17 @@ class TestProgramBitIdentity:
         for num_words, block_size in itertools.product((1, 2, 5, 17, 64), (2, 5, 7)):
             words = seeded_words((num_words, block_size, 99), num_words)
             fast = encode_basic_block(words, block_size)
-            reference = encode_basic_block(
-                words, block_size, use_codebook=False
-            )
+            reference = encode_basic_block_reference(words, block_size)
             assert fast == reference
             assert decode_basic_block(fast) == words
-            assert decode_basic_block(fast, use_tables=False) == words
+            assert decode_basic_block_reference(fast) == words
 
     def test_basic_block_strategies_match(self):
         words = seeded_words(7, 20)
-        for strategy in ("greedy", "optimal"):
+        for strategy in ("greedy", "optimal", "disjoint"):
             fast = encode_basic_block(words, 5, strategy=strategy)
-            reference = encode_basic_block(
-                words, 5, strategy=strategy, use_codebook=False
+            reference = encode_basic_block_reference(
+                words, 5, strategy=strategy
             )
             assert fast == reference
 
@@ -225,19 +200,10 @@ class TestProgramBitIdentity:
         singles = [encode_basic_block(words, 5) for words in blocks]
         assert batch == singles
 
-    def test_parallel_matches_serial(self):
-        blocks = seeded_blocks(32, 4, max_words=16)
-        serial = encode_basic_blocks(blocks, 5)
-        try:
-            parallel = encode_basic_blocks(blocks, 5, parallel=2)
-        except (OSError, PermissionError) as exc:  # pragma: no cover
-            pytest.skip(f"process pools unavailable here: {exc}")
-        assert parallel == serial
-
 
 class TestDegenerateSets:
     """A candidate set without identity/inversion cannot express every
-    block word; fast and reference paths must fail identically."""
+    block word; the fast path and the oracle must fail identically."""
 
     HISTORY_ONLY = (Transformation(BoolFunc(TT_Y)),)
 
@@ -246,28 +212,20 @@ class TestDegenerateSets:
         with pytest.raises(RuntimeError) as fast_error:
             encode_stream(stream, 3, self.HISTORY_ONLY)
         with pytest.raises(RuntimeError) as reference_error:
-            encode_stream(stream, 3, self.HISTORY_ONLY, use_codebook=False)
+            encode_stream_reference(stream, 3, self.HISTORY_ONLY)
         assert str(fast_error.value) == str(reference_error.value)
 
     def test_optimal_raises_clear_error_both_paths(self):
         stream = [0, 1, 1, 0, 1]
-        for use_codebook in (True, False):
+        for encode in (encode_stream, encode_stream_reference):
             with pytest.raises(RuntimeError, match="optimal DP state is empty"):
-                encode_stream(
-                    stream,
-                    3,
-                    self.HISTORY_ONLY,
-                    strategy="optimal",
-                    use_codebook=use_codebook,
-                )
+                encode(stream, 3, self.HISTORY_ONLY, strategy="optimal")
 
     def test_expressible_stream_still_encodes(self):
         # ~y alone expresses alternating streams; both paths agree.
         alternating = [0, 1] * 6
         tau_set = (Transformation(BoolFunc(0b0101)),)  # ~y
         fast = encode_stream(alternating, 4, tau_set)
-        reference = encode_stream(
-            alternating, 4, tau_set, use_codebook=False
-        )
+        reference = encode_stream_reference(alternating, 4, tau_set)
         assert fast == reference
         assert decode_stream(fast) == alternating

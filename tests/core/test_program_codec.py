@@ -13,7 +13,7 @@ from repro.core.program_codec import (
     encode_basic_block,
     tt_entries_required,
 )
-from repro.core.stream_codec import encode_stream
+from repro.core.stream_codec import encode_stream, segment_bounds
 
 word_lists = st.lists(
     st.integers(min_value=0, max_value=(1 << 32) - 1), min_size=1, max_size=30
@@ -37,6 +37,18 @@ class TestRoundTrip:
         assert encoding.encoded_words == (0xDEADBEEF,)
         assert encoding.num_segments == 1
         assert all(t.is_identity for t in encoding.segment_plans[0])
+
+    @pytest.mark.parametrize("count", [9, 12, 13, 20])
+    def test_disjoint_block_round_trip(self, count):
+        # Disjoint segments re-anchor at every start and share no
+        # boundary bit; decode must follow the encoding's own layout,
+        # whose segment count can differ from the overlapped one.
+        rng = random.Random(count)
+        words = [rng.getrandbits(32) for _ in range(count)]
+        encoding = encode_basic_block(words, 5, strategy="disjoint")
+        assert not encoding.overlapped
+        assert encoding.bounds == segment_bounds(count, 5, overlapped=False)
+        assert decode_basic_block(encoding) == words
 
 
 class TestTransitionAccounting:

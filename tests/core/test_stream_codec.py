@@ -1,15 +1,18 @@
 """Tests for chained overlapped-block stream encoding (Section 6)."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.analysis import random_streams
 from repro.core.bitstream import count_transitions
+from repro.core.program_codec import decode_basic_block, encode_basic_block
+from repro.core.reference import decode_stream_reference, encode_stream_reference
 from repro.core.stream_codec import (
     StreamEncoder,
     decode_stream,
-    decode_with_plan,
     encode_stream,
     segment_bounds,
 )
@@ -84,13 +87,11 @@ class TestRoundTrip:
     @given(streams, block_sizes)
     @settings(max_examples=150)
     def test_plan_decode_matches(self, stream, block_size):
-        # Decoding from raw TT materials (stored bits + tau plan) must
-        # agree with the structured decoder.
+        # The bit-serial oracle, walking the segment plan bit by bit,
+        # must agree with the bitplane decoder.
         encoding = encode_stream(stream, block_size)
-        decoded = decode_with_plan(
-            list(encoding.encoded), block_size, encoding.transformations()
-        )
-        assert decoded == stream
+        assert decode_stream_reference(encoding) == decode_stream(encoding)
+        assert decode_stream_reference(encoding) == stream
 
 
 class TestNeverWorse:
@@ -220,9 +221,10 @@ class TestEncoderConfiguration:
             )
 
     def test_plan_length_mismatch_rejected(self):
-        encoding = encode_stream([0, 1, 0, 1, 0, 1], 4)
-        with pytest.raises(ValueError):
-            decode_with_plan(list(encoding.encoded), 4, [])
+        encoding = encode_basic_block([0, 1, 0, 1, 0, 1], 4)
+        truncated = dataclasses.replace(encoding, segment_plans=())
+        with pytest.raises(ValueError, match="plan length 0 does not match"):
+            decode_basic_block(truncated)
 
     def test_optimal_empty_dp_state_has_clear_error(self):
         # A history-only candidate set leaves the optimal DP with no
@@ -232,14 +234,8 @@ class TestEncoderConfiguration:
         from repro.core.transformations import Transformation
 
         history_only = (Transformation(BoolFunc(TT_Y)),)
-        for use_codebook in (True, False):
+        for encode in (encode_stream, encode_stream_reference):
             with pytest.raises(
                 RuntimeError, match="optimal DP state is empty"
             ):
-                encode_stream(
-                    [0, 1, 1, 0, 1],
-                    3,
-                    history_only,
-                    strategy="optimal",
-                    use_codebook=use_codebook,
-                )
+                encode([0, 1, 1, 0, 1], 3, history_only, strategy="optimal")

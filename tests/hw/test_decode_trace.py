@@ -36,16 +36,26 @@ def _stats(decoder):
     }
 
 
+def _walk(deployment, trace, lookup, finalize, bulk):
+    """Decode ``trace`` on a fresh decoder, through ``decode_trace``
+    (``bulk``) or one :meth:`FetchDecoder.fetch` at a time."""
+    decoder = _decoder_for(deployment)
+    if bulk:
+        words = decoder.decode_trace(trace, lookup, finalize=finalize)
+    else:
+        words = [decoder.fetch(pc, lookup(pc)) for pc in trace]
+        if finalize:
+            decoder.finalize()
+    return words, decoder
+
+
 def _both_paths(deployment, trace, lookup=None, finalize=False):
     """Run the bulk and scalar walks on fresh decoders; return
     ((words, stats), (words, stats))."""
     lookup = lookup or deployment.image.__getitem__
     results = []
-    for use_bitplane in (True, False):
-        decoder = _decoder_for(deployment)
-        words = decoder.decode_trace(
-            trace, lookup, finalize=finalize, use_bitplane=use_bitplane
-        )
+    for bulk in (True, False):
+        words, decoder = _walk(deployment, trace, lookup, finalize, bulk)
         results.append((words, _stats(decoder)))
     return results
 
@@ -130,14 +140,9 @@ def test_mid_block_entry_raises_on_both_paths():
     # Enter at the second instruction: inside the encoded region but
     # with no BBIT hit.
     trace = deployment.trace_for(0)[1:]
-    for use_bitplane in (True, False):
-        decoder = _decoder_for(deployment)
+    for bulk in (True, False):
         with pytest.raises(DecodeFault, match="mid-block entry"):
-            decoder.decode_trace(
-                trace,
-                deployment.image.__getitem__,
-                use_bitplane=use_bitplane,
-            )
+            _walk(deployment, trace, deployment.image.__getitem__, False, bulk)
 
 
 def test_truncated_trace_finalize_parity():
@@ -154,15 +159,9 @@ def test_truncated_trace_finalize_parity():
     assert bulk_stats == scalar_stats
 
     messages = []
-    for use_bitplane in (True, False):
-        decoder = _decoder_for(deployment)
+    for bulk in (True, False):
         with pytest.raises(DecodeFault) as excinfo:
-            decoder.decode_trace(
-                trace,
-                deployment.image.__getitem__,
-                finalize=True,
-                use_bitplane=use_bitplane,
-            )
+            _walk(deployment, trace, deployment.image.__getitem__, True, bulk)
         messages.append(str(excinfo.value))
     assert messages[0] == messages[1]
 
@@ -184,32 +183,29 @@ def test_corrupted_image_decodes_identically(block_size):
     assert bulk != _golden(deployment, trace)
 
 
-def test_scalar_fallback_modes_bypass_bulk():
-    # use_bitplane=False and non-strict modes must not touch the bulk
-    # path; the decode still round-trips.
+def test_scalar_fallback_modes_bypass_bulk(monkeypatch):
+    # The recover and degraded modes must not touch the bulk path; the
+    # decode still round-trips.
     deployment = seeded_deployment("modes", 5)
     trace = deployment.trace_for(0)
     golden = _golden(deployment, trace)
 
-    decoder = _decoder_for(deployment)
-    assert (
-        decoder.decode_trace(
-            trace, deployment.image.__getitem__, use_bitplane=False
-        )
-        == golden
-    )
+    def no_bulk(self, addresses, lookup):
+        raise AssertionError("bulk walk used outside strict mode")
 
-    recover = FetchDecoder(
-        deployment.tt,
-        deployment.bbit,
-        deployment.block_size,
-        encoded_region=deployment.encoded_region,
-        mode="recover",
-        golden_lookup=deployment.golden_lookup,
-    )
-    assert (
-        recover.decode_trace(trace, deployment.image.__getitem__) == golden
-    )
+    monkeypatch.setattr(FetchDecoder, "_decode_trace_bitplane", no_bulk)
+    for mode in ("recover", "degraded"):
+        decoder = FetchDecoder(
+            deployment.tt,
+            deployment.bbit,
+            deployment.block_size,
+            encoded_region=deployment.encoded_region,
+            mode=mode,
+            golden_lookup=deployment.golden_lookup,
+        )
+        assert (
+            decoder.decode_trace(trace, deployment.image.__getitem__) == golden
+        )
 
 
 def test_reuse_across_traces_resets_cleanly():

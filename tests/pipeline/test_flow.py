@@ -112,6 +112,18 @@ class TestFlowVariants:
             optimal.encoded_transitions <= greedy.encoded_transitions
         )
 
+    def test_disjoint_cannot_be_deployed(self, mmul_setup):
+        # The TT/BBIT protocol is overlapped-only: a verified disjoint
+        # flow is refused up front, a measure-only one still runs.
+        with pytest.raises(ValueError, match="disjoint"):
+            EncodingFlow(block_size=5, strategy="disjoint")
+        program, trace = mmul_setup
+        result = EncodingFlow(
+            block_size=5, strategy="disjoint", verify_decode=False
+        ).run(program, trace, "mmul")
+        assert not result.decode_verified
+        assert result.encoded_transitions < result.baseline_transitions
+
     def test_run_workload_convenience(self):
         workload = build_workload("lu", n=8)
         result = EncodingFlow(block_size=5).run_workload(workload)

@@ -25,7 +25,6 @@ FAST_ARGS = ["--cases", "20", "--seed", "7", "--block-sizes", "4"]
 #: The codebook-entry mutation corrupts a k=5 entry, so its self-test
 #: must run k=5; the other mutations fire at any block size.
 MUTATION_ARGS = {
-    "suffix-table": FAST_ARGS,
     "codebook-entry": ["--cases", "20", "--seed", "7", "--block-sizes", "5"],
     "tt-decode": FAST_ARGS,
     "bitplane-scan": FAST_ARGS,
@@ -72,7 +71,6 @@ class TestCleanRun:
 @pytest.mark.parametrize(
     "mutation",
     [
-        "suffix-table",
         "codebook-entry",
         "tt-decode",
         "bitplane-scan",
@@ -148,7 +146,7 @@ class TestReplayEdgeCases:
                             "seed_key": "s",
                             "params": {"k": 4, "strategy": "greedy"},
                             "input": [1, 0, 1, 1, 0],
-                            "mismatch": {"kind": "table_decode_wrong"},
+                            "mismatch": {"kind": "bitplane_decode_wrong"},
                             "mutations": [],
                         }
                     ]

@@ -61,11 +61,11 @@ class TestRecords:
             "7:stream:3",
             {"k": 4, "strategy": "greedy"},
             [1, 0, 1],
-            {"kind": "table_decode_wrong"},
-            ("suffix-table",),
+            {"kind": "bitplane_decode_wrong"},
+            ("bitplane-scan",),
         )
         assert record["version"] == RECORD_VERSION
-        assert record["mutations"] == ["suffix-table"]
+        assert record["mutations"] == ["bitplane-scan"]
         assert record["input"] == [1, 0, 1]
 
     def test_replay_of_a_healthy_input_returns_none(self):

@@ -53,8 +53,11 @@ def test_serve_latency_under_chaos(record_result):
     bench_path = Path(OPTIONS.bench_path)
     assert bench_path.exists()
     bench = json.loads(bench_path.read_text())
-    assert bench["schema"] == "repro.serve.bench/1"
+    assert bench["schema"] == "repro.serve.bench/2"
     assert bench["jobs"] == 200
+    # v2 adds the telemetry plane's blocks on top of the v1 fields
+    for block in ("windows", "slo", "flight"):
+        assert block in bench, block
 
     latency = bench["latency_ms"]
     assert latency["count"] == report["summary"]["outcomes"].get(

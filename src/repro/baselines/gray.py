@@ -65,12 +65,12 @@ class GrayEncoder(Encoder):
         return gray_decode(word) & self._mask
 
     def encode(self, words: Sequence[int]) -> EncodedStream:
-        return EncodedStream(
-            self.scheme, self.width, [self.encode_word(w) for w in words]
-        )
+        table = {w: self.encode_word(w) for w in set(words)}
+        return EncodedStream(self.scheme, self.width, [table[w] for w in words])
 
     def decode(self, stream: EncodedStream) -> list[int]:
-        return [self.decode_word(w) for w in stream.driven]
+        table = {w: self.decode_word(w) for w in set(stream.driven)}
+        return [table[w] for w in stream.driven]
 
     def budget(self) -> HardwareBudget:
         return HardwareBudget(table_bits=0, extra_lines=0, stateful=False)

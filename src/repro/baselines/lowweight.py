@@ -103,11 +103,16 @@ class LowWeightCodeEncoder(Encoder):
     def fit(self, words: Sequence[int]) -> "LowWeightCodeEncoder":
         # steady-state differences only: the first transfer is free
         # under the shared convention, so d_0 = w_0 would skew ranks.
-        diffs = self._differences(words)[1:]
+        # Count each distinct difference once, then credit its count to
+        # the chunk value it carries at every position.
+        diff_counts = Counter(self._differences(words)[1:])
         size = 1 << CHUNK_WIDTH
-        for pos in range(self.num_chunks):
-            counts = Counter(self._chunks(d)[pos] for d in diffs)
-            ranked = sorted(range(size), key=lambda v: (-counts[v], v))
+        counts = [[0] * size for _ in range(self.num_chunks)]
+        for diff, count in diff_counts.items():
+            for pos, chunk in enumerate(self._chunks(diff)):
+                counts[pos][chunk] += count
+        for pos, chunk_counts in enumerate(counts):
+            ranked = sorted(range(size), key=lambda v: (-chunk_counts[v], v))
             table = [0] * size
             for rank, value in enumerate(ranked):
                 table[value] = CODEWORDS[rank]
@@ -121,31 +126,44 @@ class LowWeightCodeEncoder(Encoder):
             out |= self._tables[pos][chunk] << (pos * CODE_WIDTH)
         return out
 
+    def _difference(self, codeword: int) -> int:
+        """Invert :meth:`_codeword` chunk by chunk; raises on a
+        codeword outside some position's table."""
+        code_mask = (1 << CODE_WIDTH) - 1
+        diff = 0
+        for pos in range(self.num_chunks):
+            code = (codeword >> (pos * CODE_WIDTH)) & code_mask
+            try:
+                value = self._inverse[pos][code]
+            except KeyError:
+                raise EncodingError(
+                    f"invalid low-weight codeword {code:#07b} at chunk {pos}"
+                ) from None
+            diff |= value << (pos * CHUNK_WIDTH)
+        return diff
+
     def encode(self, words: Sequence[int]) -> EncodedStream:
+        diffs = self._differences(words)
+        codewords = {diff: self._codeword(diff) for diff in set(diffs)}
         stream = EncodedStream(self.scheme, self.num_chunks * CODE_WIDTH)
         driven = 0
-        for diff in self._differences(words):
-            driven ^= self._codeword(diff)
+        for diff in diffs:
+            driven ^= codewords[diff]
             stream.driven.append(driven)
         return stream
 
     def decode(self, stream: EncodedStream) -> list[int]:
+        # memoised per distinct codeword, filled in stream order so the
+        # first invalid codeword on the bus is the one reported
+        differences: Dict[int, int] = {}
         out: list[int] = []
         prev_driven = 0
         word = 0
-        code_mask = (1 << CODE_WIDTH) - 1
         for driven in stream.driven:
             codeword = driven ^ prev_driven
-            diff = 0
-            for pos in range(self.num_chunks):
-                code = (codeword >> (pos * CODE_WIDTH)) & code_mask
-                try:
-                    value = self._inverse[pos][code]
-                except KeyError:
-                    raise EncodingError(
-                        f"invalid low-weight codeword {code:#07b} at chunk {pos}"
-                    ) from None
-                diff |= value << (pos * CHUNK_WIDTH)
+            diff = differences.get(codeword)
+            if diff is None:
+                diff = differences[codeword] = self._difference(codeword)
             word ^= diff
             out.append(word)
             prev_driven = driven

@@ -32,6 +32,7 @@ decodes independently through the inverse tables.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Sequence, Tuple
 
 from repro.baselines.protocol import (
@@ -43,17 +44,6 @@ from repro.baselines.protocol import (
 )
 from repro.core.transitions import word_transitions
 from repro.errors import EncodingError
-
-
-def _pair_weights(values: Sequence[int]) -> Dict[Tuple[int, int], int]:
-    """Weighted transition graph: unordered pair -> adjacency count."""
-    weights: Dict[Tuple[int, int], int] = {}
-    for a, b in zip(values, values[1:]):
-        if a == b:
-            continue  # zero distance under any bijection
-        key = (a, b) if a < b else (b, a)
-        weights[key] = weights.get(key, 0) + 1
-    return weights
 
 
 def _incident_weight(value: int, weights: Dict[Tuple[int, int], int]) -> int:
@@ -69,7 +59,11 @@ def exact_assignment(
 
     ``distinct`` fixes the placement order; candidate codewords are
     tried in ascending order and the bound is the accumulated weighted
-    distance, so among all optima the result is deterministic.
+    distance, so the result is the lexicographically first optimum.
+    XOR-translating every codeword by one constant keeps every pairwise
+    distance, so translating that optimum by its first codeword gives
+    an optimum starting at code 0 that is no later in the order: the
+    first placed value only ever needs to try code 0.
     """
     n = len(distinct)
     codes = list(range(code_space))
@@ -95,7 +89,7 @@ def exact_assignment(
             best_cost[0] = cost
             best[0] = list(chosen)
             return
-        for code in codes:
+        for code in codes if i else (0,):
             if used[code]:
                 continue
             step = cost
@@ -187,12 +181,23 @@ class MemorylessCodebookEncoder(Encoder):
         return [(w >> shift) & self._sub_mask for w in words]
 
     def fit(self, words: Sequence[int]) -> "MemorylessCodebookEncoder":
+        # count each distinct consecutive word pair once, then project
+        # the pair counts onto every sub-bus
+        word_pairs = Counter(zip(words, words[1:]))
+        distinct_words = set(words)
         size = 1 << self.subbus_width
         for bus in range(self.num_subbuses):
-            values = self.subbus_values(words, bus)
-            weights = _pair_weights(values)
+            shift = bus * self.subbus_width
+            weights: Dict[Tuple[int, int], int] = {}
+            for (a, b), count in word_pairs.items():
+                u = (a >> shift) & self._sub_mask
+                v = (b >> shift) & self._sub_mask
+                if u == v:
+                    continue  # zero distance under any bijection
+                key = (u, v) if u < v else (v, u)
+                weights[key] = weights.get(key, 0) + count
             distinct = sorted(
-                set(values),
+                {(w >> shift) & self._sub_mask for w in distinct_words},
                 key=lambda v: (-_incident_weight(v, weights), v),
             )
             if len(distinct) <= self.max_exact:
@@ -236,12 +241,12 @@ class MemorylessCodebookEncoder(Encoder):
         return out
 
     def encode(self, words: Sequence[int]) -> EncodedStream:
-        return EncodedStream(
-            self.scheme, self.width, [self.encode_word(w) for w in words]
-        )
+        table = {w: self.encode_word(w) for w in set(words)}
+        return EncodedStream(self.scheme, self.width, [table[w] for w in words])
 
     def decode(self, stream: EncodedStream) -> list[int]:
-        return [self.decode_word(w) for w in stream.driven]
+        table = {w: self.decode_word(w) for w in set(stream.driven)}
+        return [table[w] for w in stream.driven]
 
     # -- metadata ------------------------------------------------------
     def budget(self) -> HardwareBudget:

@@ -1082,7 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--encoders",
         action="store_true",
         help="benchmark the encoder zoo instead (every registered "
-        "backend, fast count vs reference counter; BENCH_encoders.json)",
+        "backend, encode+count and reference counter; BENCH_encoders.json)",
     )
     p.set_defaults(func=_cmd_bench)
 

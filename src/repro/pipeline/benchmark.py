@@ -64,15 +64,11 @@ class BenchCase:
 
     @property
     def fast_per_second(self) -> float:
-        if self.fast_seconds == 0:
-            return float("inf")
-        return self.units_per_run / self.fast_seconds
+        return _rate(self.units_per_run, self.fast_seconds)
 
     @property
     def reference_per_second(self) -> float:
-        if self.reference_seconds == 0:
-            return float("inf")
-        return self.units_per_run / self.reference_seconds
+        return _rate(self.units_per_run, self.reference_seconds)
 
     def to_dict(self) -> dict:
         return {
@@ -118,12 +114,7 @@ class BenchReport:
         }
 
     def write(self, path: str | Path) -> Path:
-        from repro.runtime import atomic_write_text
-
-        path = Path(path)
-        # Atomic: a crash mid-write never leaves a truncated report.
-        atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
-        return path
+        return _write_report(path, self.to_dict())
 
     def format_table(self) -> str:
         header = (
@@ -140,6 +131,83 @@ class BenchReport:
             )
         lines.append(f"geomean speedup: {self.geomean_speedup:.1f}x")
         return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class EncoderBenchCase:
+    """One zoo backend timed two ways over the same words.
+
+    The two sides are different jobs, not a slow and a fast path of
+    one job, so no ratio is reported: ``encode_count`` encodes the
+    words and counts the packed driven stream's toggles
+    (``encoder.transitions``); ``reference_count`` is the scheme's
+    independent per-transfer counter from the verify campaign.
+    """
+
+    name: str
+    words: int
+    encode_count_seconds: float
+    reference_count_seconds: float
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "unit": "words",
+            "units_per_run": self.words,
+            "encode_count_seconds": self.encode_count_seconds,
+            "encode_count_per_second": _rate(self.words, self.encode_count_seconds),
+            "reference_count_seconds": self.reference_count_seconds,
+            "reference_count_per_second": _rate(
+                self.words, self.reference_count_seconds
+            ),
+        }
+
+
+@dataclass
+class EncoderBenchReport:
+    """Every zoo backend's case of one harness run plus its config."""
+
+    config: dict
+    cases: list[EncoderBenchCase]
+
+    def to_dict(self) -> dict:
+        return {
+            "generated_by": "repro.pipeline.benchmark",
+            "config": self.config,
+            "cases": [case.to_dict() for case in self.cases],
+        }
+
+    def write(self, path: str | Path) -> Path:
+        return _write_report(path, self.to_dict())
+
+    def format_table(self) -> str:
+        header = (
+            f"{'case':<22} {'encode+count s':>15} {'words/s':>12} "
+            f"{'reference s':>12} {'words/s':>12}"
+        )
+        lines = [header, "-" * len(header)]
+        for case in self.cases:
+            row = case.to_dict()
+            lines.append(
+                f"{case.name:<22} {case.encode_count_seconds:>15.5f} "
+                f"{row['encode_count_per_second']:>12,.0f} "
+                f"{case.reference_count_seconds:>12.5f} "
+                f"{row['reference_count_per_second']:>12,.0f}"
+            )
+        return "\n".join(lines)
+
+
+def _rate(units: float, seconds: float) -> float:
+    return float("inf") if seconds == 0 else units / seconds
+
+
+def _write_report(path: str | Path, payload: dict) -> Path:
+    from repro.runtime import atomic_write_text
+
+    path = Path(path)
+    # Atomic: a crash mid-write never leaves a truncated report.
+    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    return path
 
 
 def _best_time(
@@ -253,17 +321,16 @@ def run_encoder_zoo_benchmarks(
     num_words: int = 512,
     repeats: int = 3,
     seed: int = 1234,
-) -> BenchReport:
+) -> EncoderBenchReport:
     """Encoder-zoo throughput: one case per registered backend.
 
-    The "fast" path is the production one (``encoder.transitions``:
-    encode, then count packed toggles); the "reference" is the scheme's
-    independent per-transfer counter from the verify campaign.  Counts
-    are cross-checked for equality before timing, so — like the codec
-    harness — a run certifies correctness and throughput together.
-    Written to ``BENCH_encoders.json`` by ``repro bench --encoders``;
-    no speedup floor is asserted (both sides are pure Python), the file
-    tracks the per-backend encode rate across PRs.
+    Each case times the production ``encoder.transitions`` (encode,
+    then count packed toggles) and the scheme's independent reference
+    counter from the verify campaign on the same words.  The counts are
+    cross-checked for equality before timing, so a run certifies
+    correctness and throughput together.  Written to
+    ``BENCH_encoders.json`` by ``repro bench --encoders``; the file
+    tracks each backend's rates across PRs.
     """
     from repro.baselines.protocol import (
         make_encoder,
@@ -273,29 +340,28 @@ def run_encoder_zoo_benchmarks(
     from repro.verify.generators import hot_word_stream
 
     words = hot_word_stream(random.Random(f"bench:{seed}"), num_words)
-    cases: list[BenchCase] = []
+    cases: list[EncoderBenchCase] = []
     for scheme in registered_schemes():
         encoder = make_encoder(scheme).fit(words)
         if encoder.transitions(words) != reference_transitions(encoder, words):
             raise RuntimeError(
-                f"encoder_{scheme}: fast transition count diverged from "
+                f"encoder_{scheme}: encoded transition count diverged from "
                 "the reference counter"
             )
         name = f"encoder_{scheme.replace('-', '_')}"
         cases.append(
-            BenchCase(
+            EncoderBenchCase(
                 name=name,
-                unit="words",
-                units_per_run=len(words),
-                reference_seconds=_best_time(
-                    lambda: reference_transitions(encoder, words),
-                    repeats,
-                    f"bench.{name}.reference",
-                ),
-                fast_seconds=_best_time(
+                words=len(words),
+                encode_count_seconds=_best_time(
                     lambda: encoder.transitions(words),
                     repeats,
-                    f"bench.{name}.fast",
+                    f"bench.{name}.encode_count",
+                ),
+                reference_count_seconds=_best_time(
+                    lambda: reference_transitions(encoder, words),
+                    repeats,
+                    f"bench.{name}.reference_count",
                 ),
             )
         )
@@ -313,7 +379,7 @@ def run_encoder_zoo_benchmarks(
         "timestamp_unix": meta["timestamp_unix"],
         "run_id": _BENCH_TRACER.run_id,
     }
-    return BenchReport(config=config, cases=cases)
+    return EncoderBenchReport(config=config, cases=cases)
 
 
 def run_codec_benchmarks(

@@ -10,7 +10,8 @@ data bus, while T0/Gray are reported for the (separate) address bus."""
 from repro.baselines.bus_invert import bus_invert_transitions
 from repro.baselines.frequency import FrequencyRemapper
 from repro.baselines.gray import gray_transitions
-from repro.baselines.t0 import raw_address_transitions, t0_transitions
+from repro.baselines.t0 import t0_transitions
+from repro.core.transitions import word_transitions
 from repro.workloads.registry import BENCHMARK_ORDER
 
 
@@ -73,7 +74,7 @@ def test_baseline_comparison(benchmark, figure6_results, record_result):
     lines += [
         "",
         "address-bus context (mmul trace): "
-        f"raw={raw_address_transitions(trace)}, "
+        f"raw={word_transitions(trace)}, "
         f"t0={t0_transitions(trace)}, gray={gray_transitions(trace)}",
         "",
         "conclusion: the application-specific vertical encoding beats "

@@ -65,13 +65,6 @@ def t0_transitions(addresses: Sequence[int], width: int = 32, stride: int = 4) -
     return coder.transitions
 
 
-def raw_address_transitions(addresses: Sequence[int]) -> int:
-    """Unencoded address-bus transitions (the T0 baseline's baseline)."""
-    return sum(
-        (a ^ b).bit_count() for a, b in zip(addresses, addresses[1:])
-    )
-
-
 from repro.baselines.protocol import (  # noqa: E402  (adapter after legacy API)
     EncodedStream,
     Encoder,

@@ -137,11 +137,6 @@ def hamming(a: int, b: int) -> int:
     return (a ^ b).bit_count()
 
 
-def total_word_transitions(words: Sequence[int]) -> int:
-    """Total bus transitions when ``words`` are fetched in sequence."""
-    return sum(hamming(a, b) for a, b in zip(words, words[1:]))
-
-
 def per_line_word_transitions(words: Sequence[int], width: int = 32) -> list[int]:
     """Per-bus-line transition counts for a fetch sequence."""
     counts = [0] * width

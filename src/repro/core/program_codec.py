@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core import bitplane
-from repro.core.bitstream import total_word_transitions
 from repro.core.fastpath import (
     encode_disjoint_int,
     encode_greedy_int,
@@ -35,6 +34,7 @@ from repro.core.stream_codec import (
     check_strategy,
     segment_bounds,
 )
+from repro.core.transitions import word_transitions
 from repro.core.transformations import IDENTITY, OPTIMAL_SET, Transformation
 from repro.obs import OBS
 
@@ -85,12 +85,12 @@ class BlockEncoding:
     @property
     def original_transitions(self) -> int:
         """Bus transitions fetching the original block start-to-end."""
-        return total_word_transitions(self.original_words)
+        return word_transitions(self.original_words)
 
     @property
     def encoded_transitions(self) -> int:
         """Bus transitions fetching the encoded block start-to-end."""
-        return total_word_transitions(self.encoded_words)
+        return word_transitions(self.encoded_words)
 
     @property
     def reduction_percent(self) -> float:

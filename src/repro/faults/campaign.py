@@ -11,15 +11,11 @@ fault is injected for the strict and recover runs of a trial, so the
 per-model tables compare both hardening strategies on an identical
 fault population.
 
-Workers: with ``workers > 1`` cases fan out across processes, each
-future bounded by ``case_timeout``.  A timed-out case is retried
-serially under the same deadline (with seeded backoff between
-attempts); worker failures feed a circuit breaker
-(:class:`repro.runtime.CircuitBreaker`) that downgrades the campaign
-to serial with a warning after ``breaker_threshold`` consecutive
-failures instead of failing it — a robustness harness that dies of its
-own infrastructure would be an irony too far.  The serial path honors
-the *same* per-case deadline via :mod:`repro.runtime.deadline`.
+Workers: cases run one per task through the shared campaign runner
+(:func:`repro.runtime.pool.run_tasks`: pool, ``case_timeout``, circuit
+breaker, serial fallback).  The serial path (:func:`_run_case_serial`)
+honors the *same* per-case deadline via :mod:`repro.runtime.deadline`,
+with :data:`RETRY_ATTEMPTS` seeded-backoff attempts.
 
 Checkpointing: pass ``wal_path`` to journal every completed case to a
 JSONL write-ahead log; ``resume=True`` replays it, skipping finished
@@ -34,10 +30,8 @@ import hashlib
 import json
 import random
 import time
-import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from repro.errors import CampaignError, ReproError
@@ -58,17 +52,30 @@ from repro.faults.report import (
     CaseResult,
     FaultCampaignReport,
 )
-import repro.obs as obs
 from repro.hw.fetch_decoder import FetchDecoder
 from repro.obs import OBS
 from repro.runtime import (
     BackoffPolicy,
     CheckpointLog,
-    CircuitBreaker,
     DeadlineExceeded,
     retry_call,
+    run_tasks,
     run_with_deadline,
 )
+
+
+def _simulate(workload: str, workload_params: dict | None):
+    """Assemble and run a named workload, checking its result; returns
+    ``(program, trace)``."""
+    from repro.sim.cpu import run_program
+    from repro.workloads.registry import build_workload
+
+    wl = build_workload(workload, **(workload_params or {}))
+    program = wl.assemble()
+    cpu, trace = run_program(program)
+    if wl.verify is not None:
+        wl.verify(cpu)
+    return program, trace
 
 
 @dataclass
@@ -101,14 +108,8 @@ class DeploymentTarget:
         deployable state (the campaign's pipeline integration)."""
         from repro.pipeline.bundle import EncodingBundle
         from repro.pipeline.flow import EncodingFlow
-        from repro.sim.cpu import run_program
-        from repro.workloads.registry import build_workload
 
-        wl = build_workload(workload, **(workload_params or {}))
-        program = wl.assemble()
-        cpu, trace = run_program(program)
-        if wl.verify is not None:
-            wl.verify(cpu)
+        program, trace = _simulate(workload, workload_params)
         result = EncodingFlow(block_size=block_size).run(
             program, trace, workload
         )
@@ -119,16 +120,8 @@ class DeploymentTarget:
             )
         bundle = EncodingBundle.from_flow_result(program, result)
         bundle.validate()
-        return cls(
-            name=workload,
-            block_size=block_size,
-            text_base=program.text_base,
-            original_words=list(program.words),
-            encoded_words=list(bundle.encoded_words),
-            tt_entries=list(bundle.tt_entries),
-            bbit_entries=list(bundle.bbit_entries),
-            trace=list(trace),
-            parity=parity,
+        return cls._snapshot(
+            workload, block_size, parity, program, trace, bundle
         )
 
     @classmethod
@@ -143,25 +136,26 @@ class DeploymentTarget:
         snapshot the resulting mixed-scheme bundle — the target the
         ``scheme_tag_corruption`` model needs."""
         from repro.pipeline.selector import SchemeSelector
-        from repro.sim.cpu import run_program
-        from repro.workloads.registry import build_workload
 
-        wl = build_workload(workload, **(workload_params or {}))
-        program = wl.assemble()
-        cpu, trace = run_program(program)
-        if wl.verify is not None:
-            wl.verify(cpu)
-        result = SchemeSelector(block_size=block_size).run(
+        program, trace = _simulate(workload, workload_params)
+        bundle = SchemeSelector(block_size=block_size).run(
             program, trace, workload
-        )
-        bundle = result.bundle
+        ).bundle
         if not bundle.regions:
             raise CampaignError(
                 f"workload {workload!r} produced no tagged regions; "
                 "nothing for the scheme-tag injector to corrupt"
             )
+        return cls._snapshot(
+            f"{workload}-mixed", block_size, parity, program, trace, bundle
+        )
+
+    @classmethod
+    def _snapshot(
+        cls, name, block_size, parity, program, trace, bundle
+    ) -> "DeploymentTarget":
         return cls(
-            name=f"{workload}-mixed",
+            name=name,
             block_size=block_size,
             text_base=program.text_base,
             original_words=list(program.words),
@@ -223,12 +217,12 @@ def run_case(
 def _run_case(
     target: DeploymentTarget, model: FaultModel, seed: str, mode: str
 ) -> CaseResult:
+    # Every classification of this case shares its identity fields.
+    outcome = partial(CaseResult, target.name, model.name, seed, mode)
     state = target.materialise()
     record: InjectionRecord = model.inject(state, random.Random(seed))
     if not record.applicable:
-        return CaseResult(
-            target.name, model.name, seed, mode, NOT_APPLICABLE, record.detail
-        )
+        return outcome(NOT_APPLICABLE, record.detail)
     base = target.text_base
     image = state.image
     num_words = len(image)
@@ -265,34 +259,12 @@ def _run_case(
             # Recover/degraded modes promise never to raise on a
             # corrupted block; an escape is a harness bug, not a
             # detection.
-            return CaseResult(
-                target.name,
-                model.name,
-                seed,
-                mode,
-                CRASHED,
-                record.detail,
-                error=f"recover mode raised: {err!r}",
+            return outcome(
+                CRASHED, record.detail, error=f"recover mode raised: {err!r}"
             )
-        return CaseResult(
-            target.name,
-            model.name,
-            seed,
-            mode,
-            DETECTED,
-            record.detail,
-            error=str(err),
-        )
+        return outcome(DETECTED, record.detail, error=str(err))
     except Exception as err:  # noqa: BLE001 — campaign must classify, not die
-        return CaseResult(
-            target.name,
-            model.name,
-            seed,
-            mode,
-            CRASHED,
-            record.detail,
-            error=repr(err),
-        )
+        return outcome(CRASHED, record.detail, error=repr(err))
     expected = [target.original_words[(pc - base) >> 2] for pc in state.trace]
     if decoder.recovery_events:
         detail = dict(record.detail)
@@ -300,21 +272,15 @@ def _run_case(
         if decoder.degradations:
             detail["degradations"] = decoder.degradations
             detail["golden_served"] = decoder.golden_served_instructions
-        return CaseResult(
-            target.name, model.name, seed, mode, RECOVERED, detail
-        )
+        return outcome(RECOVERED, detail)
     if decoded != expected:
-        return CaseResult(
-            target.name, model.name, seed, mode, SILENT, record.detail
-        )
+        return outcome(SILENT, record.detail)
     corrections = state.tt.ecc_corrections + state.bbit.ecc_corrections
     if corrections:
         detail = dict(record.detail)
         detail["ecc_corrections"] = corrections
-        return CaseResult(
-            target.name, model.name, seed, mode, CORRECTED, detail
-        )
-    return CaseResult(target.name, model.name, seed, mode, MASKED, record.detail)
+        return outcome(CORRECTED, detail)
+    return outcome(MASKED, record.detail)
 
 
 # ----------------------------------------------------------------------
@@ -338,12 +304,6 @@ class CampaignConfig:
     workers: int | None = None
     case_timeout: float = 120.0
     workload_params: dict = field(default_factory=dict)
-    #: Consecutive worker failures (timeouts, pool breaks) before the
-    #: circuit breaker downgrades the campaign to serial execution.
-    breaker_threshold: int = 3
-    #: Attempts for the deadline-guarded serial re-run of a case whose
-    #: parallel future timed out (seeded backoff between attempts).
-    retry_attempts: int = 2
 
     def to_dict(self) -> dict:
         return {
@@ -375,6 +335,10 @@ class CampaignConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+#: Attempts for a deadline-guarded serial case (seeded backoff between
+#: them) before it is classified ``crashed``.
+RETRY_ATTEMPTS = 2
+
 _WORKER_TARGETS: dict[str, DeploymentTarget] = {}
 
 
@@ -383,21 +347,10 @@ def _worker_init(targets: list[DeploymentTarget]) -> None:
     _WORKER_TARGETS = {target.name: target for target in targets}
 
 
-def _worker_run_case(
-    target_name: str, model: FaultModel, seed: str, mode: str
-) -> tuple[CaseResult, dict | None]:
-    """Pool entry point: the case result plus (when instrumented) the
-    per-case telemetry delta from this worker's process-local
-    registry.  Without the delta, decoder/integrity metrics observed
-    inside pool workers die with the worker — the parent merges it so
-    ``repro faults --workers N --metrics`` reports the same families a
-    serial run would."""
-    capture = OBS.enabled
-    if capture:
-        obs.reset()
-    result = run_case(_WORKER_TARGETS[target_name], model, seed, mode)
-    delta = OBS.registry.export_delta() if capture else None
-    return result, delta
+def _worker_run_case(task: tuple[str, FaultModel, str, str]) -> CaseResult:
+    """Pool entry point: one case against this worker's targets."""
+    target_name, model, seed, mode = task
+    return run_case(_WORKER_TARGETS[target_name], model, seed, mode)
 
 
 def case_key(target_name: str, model: FaultModel, seed: str, mode: str) -> str:
@@ -411,7 +364,7 @@ def _run_case_serial(
     seed: str,
     mode: str,
     case_timeout: float,
-    retry_attempts: int = 1,
+    retry_attempts: int = RETRY_ATTEMPTS,
 ) -> CaseResult:
     """One case under a wall-clock deadline — the serial path's
     equivalent of ``future.result(timeout)`` — with seeded-backoff
@@ -437,7 +390,7 @@ def _run_case_serial(
         if OBS.enabled:
             OBS.registry.counter(
                 "faults.case_timeouts",
-                "campaign cases killed by the per-case timeout",
+                "cases killed by the per-case timeout",
             ).inc()
         return CaseResult(
             target.name,
@@ -448,103 +401,6 @@ def _run_case_serial(
             {},
             error=f"case timeout: {err}",
         )
-
-
-def _run_parallel(
-    targets: dict[str, DeploymentTarget],
-    tasks: list[tuple[str, FaultModel, str, str]],
-    config: CampaignConfig,
-    checkpoint: CheckpointLog | None = None,
-) -> list[CaseResult]:
-    case_timeout = config.case_timeout
-    breaker = CircuitBreaker(threshold=config.breaker_threshold)
-    results: dict[int, CaseResult] = {}
-    pool = ProcessPoolExecutor(
-        max_workers=config.workers,
-        initializer=_worker_init,
-        initargs=(list(targets.values()),),
-    )
-    downgrade: str | None = None
-    try:
-        futures = {
-            index: pool.submit(_worker_run_case, *task)
-            for index, task in enumerate(tasks)
-        }
-        for index, future in futures.items():
-            target_name, model, seed, mode = tasks[index]
-            try:
-                case_result, delta = future.result(timeout=case_timeout)
-                results[index] = case_result
-                if OBS.enabled and delta is not None:
-                    OBS.registry.merge_delta(delta)
-                breaker.record_success()
-            except FutureTimeoutError:
-                if OBS.enabled:
-                    OBS.registry.counter(
-                        "faults.case_timeouts",
-                        "campaign cases killed by the per-case timeout",
-                    ).inc()
-                # The timed-out case is re-run serially, under the
-                # same deadline the pool enforced.
-                results[index] = _run_case_serial(
-                    targets[target_name],
-                    model,
-                    seed,
-                    mode,
-                    case_timeout,
-                    config.retry_attempts,
-                )
-                if breaker.record_failure():
-                    downgrade = (
-                        f"{breaker.consecutive_failures} consecutive case "
-                        "timeout(s) tripped the circuit breaker"
-                    )
-            except BrokenExecutor as err:
-                if OBS.enabled:
-                    OBS.registry.counter(
-                        "faults.pool_breaks",
-                        "worker pools that died under the campaign",
-                    ).inc()
-                breaker.record_failure()
-                downgrade = f"worker pool broke: {err!r}"
-            if checkpoint is not None and index in results:
-                checkpoint.record(
-                    case_key(*tasks[index]), results[index].to_dict()
-                )
-            if downgrade is not None:
-                break
-    finally:
-        # Never block the campaign on a wedged worker.
-        pool.shutdown(wait=downgrade is None, cancel_futures=True)
-    if downgrade is not None:
-        if OBS.enabled:
-            OBS.registry.counter(
-                "faults.pool_downgrades",
-                "campaigns downgraded from parallel to serial",
-            ).inc()
-        warnings.warn(
-            f"fault campaign: {downgrade}; finishing the remaining "
-            f"{len(tasks) - len(results)} case(s) serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        for index, task in enumerate(tasks):
-            if index in results:
-                continue
-            target_name, model, seed, mode = task
-            # Serial fallback cases honor the same per-case deadline
-            # the pool enforced (historically they ran unbounded).
-            results[index] = _run_case_serial(
-                targets[target_name],
-                model,
-                seed,
-                mode,
-                case_timeout,
-                config.retry_attempts,
-            )
-            if checkpoint is not None:
-                checkpoint.record(case_key(*task), results[index].to_dict())
-    return [results[index] for index in range(len(tasks))]
 
 
 def run_campaign(
@@ -599,56 +455,52 @@ def run_campaign(
     checkpoint: CheckpointLog | None = None
     completed: dict[str, dict] = {}
     if wal_path is not None:
-        wal_file = Path(wal_path)
-        if not resume and wal_file.exists():
-            wal_file.unlink()
-        checkpoint = CheckpointLog(wal_file, run_key=config.run_key())
-        if resume:
-            completed = checkpoint.load()
+        checkpoint, completed = CheckpointLog.open_run(
+            wal_path, config.run_key(), resume
+        )
 
-    results: dict[int, CaseResult] = {}
-    pending: list[tuple[int, tuple[str, FaultModel, str, str]]] = []
-    for index, task in enumerate(tasks):
-        replayed = completed.get(case_key(*task))
-        if replayed is not None:
-            results[index] = CaseResult.from_dict(replayed)
-        else:
-            pending.append((index, task))
+    keys = [case_key(*task) for task in tasks]
+    pending = [task for task, key in zip(tasks, keys) if key not in completed]
+
+    def serial(task: tuple[str, FaultModel, str, str]) -> CaseResult:
+        name, model, seed, mode = task
+        return _run_case_serial(
+            by_name[name], model, seed, mode, config.case_timeout
+        )
+
+    def journal(index: int, result: CaseResult) -> None:
+        if checkpoint is not None:
+            checkpoint.record(case_key(*pending[index]), result.to_dict())
 
     try:
         with OBS.tracer.span(
             "faults.campaign",
             cases=len(tasks),
             workers=config.workers or 1,
-            resumed=len(results),
+            resumed=len(tasks) - len(pending),
         ):
-            if pending:
-                if config.workers and config.workers > 1:
-                    pending_tasks = [task for _, task in pending]
-                    ran = _run_parallel(
-                        by_name, pending_tasks, config, checkpoint
-                    )
-                    for (index, _), result in zip(pending, ran):
-                        results[index] = result
-                else:
-                    for index, task in pending:
-                        name, model, seed, mode = task
-                        results[index] = _run_case_serial(
-                            by_name[name],
-                            model,
-                            seed,
-                            mode,
-                            config.case_timeout,
-                            config.retry_attempts,
-                        )
-                        if checkpoint is not None:
-                            checkpoint.record(
-                                case_key(*task), results[index].to_dict()
-                            )
+            ran = run_tasks(
+                pending,
+                _worker_run_case,
+                serial,
+                workers=config.workers,
+                timeout=config.case_timeout,
+                prefix="faults",
+                noun="case",
+                initializer=_worker_init,
+                initargs=(targets,),
+                on_done=journal,
+            )
     finally:
         if checkpoint is not None:
             checkpoint.close()
-    cases = [results[index] for index in range(len(tasks))]
+    fresh = iter(ran)
+    cases = [
+        CaseResult.from_dict(completed[key])
+        if key in completed
+        else next(fresh)
+        for key in keys
+    ]
     if OBS.enabled:
         registry = OBS.registry
         for case in cases:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 from typing import Sequence
 
@@ -197,46 +198,34 @@ def run_sweep(
     checkpoint: CheckpointLog | None = None
     completed: dict[str, dict] = {}
     if wal_path is not None:
-        wal_file = Path(wal_path)
-        if not resume and wal_file.exists():
-            wal_file.unlink()
-        checkpoint = CheckpointLog(
-            wal_file,
-            run_key=_sweep_run_key(
+        checkpoint, completed = CheckpointLog.open_run(
+            wal_path,
+            _sweep_run_key(
                 items, block_sizes, tt_capacities, strategies, transformations
             ),
+            resume,
         )
-        if resume:
-            completed = checkpoint.load()
-
-    grid = [
-        SweepPoint(name, block_size, tt_capacity, strategy)
-        for name, _ in items
-        for block_size in block_sizes
-        for tt_capacity in tt_capacities
-        for strategy in strategies
-    ]
-    pending = {point for point in grid if point.label() not in completed}
 
     sweep = SweepResult()
     try:
         for name, params in items:
-            workload_points = [p for p in grid if p.workload == name]
-            for point in workload_points:
-                if point not in pending:
+            pending = []
+            for knobs in product(block_sizes, tt_capacities, strategies):
+                point = SweepPoint(name, *knobs)
+                if point.label() in completed:
                     sweep.points[point] = SweepRecord.from_dict(
                         completed[point.label()]
                     )
-            if not any(p in pending for p in workload_points):
+                else:
+                    pending.append(point)
+            if not pending:
                 continue  # whole grid journaled: skip the simulation
             workload = build_workload(name, **params)
             program = workload.assemble()
             cpu, trace = run_program(program, max_steps=max_steps)
             if workload.verify is not None:
                 workload.verify(cpu)
-            for point in workload_points:
-                if point not in pending:
-                    continue
+            for point in pending:
                 flow = EncodingFlow(
                     block_size=point.block_size,
                     tt_capacity=point.tt_capacity,

@@ -14,6 +14,10 @@ the whole run.  This package holds the harness-independent pieces:
     campaign resumes where it stopped, and atomic artifact writes
     (tmp + fsync + ``os.replace``) so a crash can never leave a
     truncated JSON report.
+``pool``
+    The one campaign runner (:func:`run_tasks`): an ordered task list
+    over a process pool with per-task timeouts, a breaker-driven
+    downgrade to serial, and worker telemetry merged into the parent.
 ``deadline``
     Per-task wall-clock deadlines that work in the serial path too
     (SIGALRM on a Unix main thread, a watchdog join elsewhere).
@@ -46,6 +50,7 @@ from repro.runtime.retry import (
     retry_call,
     retry_call_async,
 )
+from repro.runtime.pool import run_tasks
 
 __all__ = [
     "atomic_write_text",
@@ -58,6 +63,7 @@ __all__ = [
     "retry_call_async",
     "DeadlineExceeded",
     "run_with_deadline",
+    "run_tasks",
     "FaultPlan",
     "FaultSpec",
     "FaultyVFS",

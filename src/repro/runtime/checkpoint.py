@@ -134,6 +134,19 @@ class CheckpointLog:
         #: the replay would mistake the first record for the header.
         self._needs_header = False
 
+    @classmethod
+    def open_run(
+        cls, path: Path | str, run_key: str, resume: bool
+    ) -> tuple["CheckpointLog", dict[str, dict]]:
+        """Open a run's WAL: ``(log, completed)``.  A fresh run
+        discards any log at ``path`` (appending under another run's
+        header would poison the next resume); a resume replays it."""
+        path = Path(path)
+        if not resume and path.exists():
+            path.unlink()
+        log = cls(path, run_key=run_key)
+        return log, log.load() if resume else {}
+
     @property
     def vfs(self) -> StorageVFS:
         """The VFS this log runs on: pinned at first open so one log

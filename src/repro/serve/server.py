@@ -224,11 +224,10 @@ class EncodingServer:
         self._queue = asyncio.Queue(maxsize=self.config.queue_depth)
         self._register_metric_families()
         if self.config.wal_path is not None:
-            self._wal = CheckpointLog(
-                self.config.wal_path, run_key=self.config.run_key()
+            self._wal, replayed = CheckpointLog.open_run(
+                self.config.wal_path, self.config.run_key(), self.config.resume
             )
             if self.config.resume:
-                replayed = self._wal.load()
                 self.stats["replayed_available"] = len(replayed)
             # Take the append lock now, not at the first journal write:
             # a WAL another live server owns must refuse *here*, before

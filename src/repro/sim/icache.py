@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.bitstream import total_word_transitions
+from repro.core.transitions import word_transitions
 
 
 @dataclass
@@ -129,7 +129,7 @@ def simulate_cache_buses(
                 if 0 <= word_index < limit:
                     refill_words.append(image[word_index])
     return CacheBusReport(
-        cpu_side_transitions=total_word_transitions(cpu_words),
-        refill_transitions=total_word_transitions(refill_words),
+        cpu_side_transitions=word_transitions(cpu_words),
+        refill_transitions=word_transitions(refill_words),
         stats=cache.stats,
     )

@@ -19,12 +19,11 @@ A run has two halves:
   fetch-like word streams through the encoder zoo), each fully
   determined by ``random.Random(f"{seed}:{kind}:{case_id}")``.
 
-Random cases fan out across a process pool in chunks (mirroring the
-fault campaign's runner): chunk timeouts re-run serially, pool breaks
-feed a :class:`repro.runtime.CircuitBreaker` that downgrades the rest
-of the run to serial instead of failing it.  The pool initializer
-re-arms any injected mutation so self-test divergences fire in every
-worker, not just the parent.
+Random cases fan out in chunks of :data:`CHUNK_SIZE` through the
+shared campaign runner (:func:`repro.runtime.pool.run_tasks`, the
+fault campaign's loop too: timeouts, circuit breaker, serial
+fallback, worker telemetry).  The pool initializer re-arms any
+injected mutation so self-test divergences fire in every worker.
 
 Divergences never raise: each is shrunk
 (:mod:`repro.verify.counterexample`) and recorded in the report.
@@ -34,13 +33,11 @@ from __future__ import annotations
 
 import random
 import time
-import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import asdict, dataclass
+from functools import partial
 
 from repro.obs import OBS
-from repro.runtime import CircuitBreaker
+from repro.runtime import run_tasks
 from repro.verify import checks
 from repro.verify.counterexample import (
     make_record,
@@ -75,6 +72,10 @@ KIND_PATTERN = (
     "encoders",
 )
 
+#: Randomised cases per pool task; a run fans out only when it has
+#: more than one chunk.
+CHUNK_SIZE = 25
+
 
 @dataclass(frozen=True)
 class VerifyConfig:
@@ -92,9 +93,7 @@ class VerifyConfig:
     max_block_words: int = 28
     sweeps: bool = True
     workers: int = 0
-    chunk_size: int = 25
     chunk_timeout: float = 120.0
-    breaker_threshold: int = 3
     mutation: str | None = None
     max_counterexamples: int = 25
     shrink_budget: int = 300
@@ -210,95 +209,39 @@ def run_case(config: VerifyConfig, case_id: int) -> dict:
     return case
 
 
-# ----------------------------------------------------------------------
-# Process fan-out (the fault campaign's pool pattern, chunked)
-# ----------------------------------------------------------------------
-
-_WORKER_CONFIG: VerifyConfig | None = None
-
-
-def _worker_init(config: VerifyConfig) -> None:
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = config
-    # Self-test mutations must corrupt every process that decodes,
-    # or pool runs would report fewer divergences than serial ones.
-    apply_mutation(config.mutation)
-
-
-def _worker_run_chunk(case_ids: list[int]) -> list[dict]:
-    assert _WORKER_CONFIG is not None
-    return [run_case(_WORKER_CONFIG, case_id) for case_id in case_ids]
-
-
-def _run_cases_parallel(config: VerifyConfig) -> list[dict]:
-    chunks = [
-        list(range(start, min(start + config.chunk_size, config.cases)))
-        for start in range(0, config.cases, config.chunk_size)
-    ]
-    breaker = CircuitBreaker(threshold=config.breaker_threshold)
-    results: dict[int, list[dict]] = {}
-    pool = ProcessPoolExecutor(
-        max_workers=config.workers,
-        initializer=_worker_init,
-        initargs=(config,),
-    )
-    downgrade: str | None = None
-    try:
-        futures = {
-            index: pool.submit(_worker_run_chunk, chunk)
-            for index, chunk in enumerate(chunks)
-        }
-        for index, future in futures.items():
-            try:
-                results[index] = future.result(timeout=config.chunk_timeout)
-                breaker.record_success()
-            except FutureTimeoutError:
-                if OBS.enabled:
-                    OBS.registry.counter(
-                        "verify.chunk_timeouts",
-                        "verification chunks killed by the timeout",
-                    ).inc()
-                results[index] = [
-                    run_case(config, case_id) for case_id in chunks[index]
-                ]
-                if breaker.record_failure():
-                    downgrade = (
-                        f"{breaker.consecutive_failures} consecutive chunk "
-                        "timeout(s) tripped the circuit breaker"
-                    )
-            except BrokenExecutor as err:
-                if OBS.enabled:
-                    OBS.registry.counter(
-                        "verify.pool_breaks",
-                        "worker pools that died under verification",
-                    ).inc()
-                breaker.record_failure()
-                downgrade = f"worker pool broke: {err!r}"
-            if downgrade is not None:
-                break
-    finally:
-        pool.shutdown(wait=downgrade is None, cancel_futures=True)
-    if downgrade is not None:
-        if OBS.enabled:
-            OBS.registry.counter(
-                "verify.pool_downgrades",
-                "verification runs downgraded from parallel to serial",
-            ).inc()
-        warnings.warn(
-            f"verify campaign: {downgrade}; finishing the remaining "
-            f"{len(chunks) - len(results)} chunk(s) serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        for index, chunk in enumerate(chunks):
-            if index not in results:
-                results[index] = [run_case(config, case_id) for case_id in chunk]
-    return [case for index in sorted(results) for case in results[index]]
+def _run_chunk(config: VerifyConfig, case_ids: list[int]) -> list[dict]:
+    """One pool task: a chunk of consecutive randomised cases."""
+    return [run_case(config, case_id) for case_id in case_ids]
 
 
 # ----------------------------------------------------------------------
 # The campaign
 # ----------------------------------------------------------------------
+
+
+def _sweep_runs(config: VerifyConfig):
+    """Every exhaustive sweep run: ``(name, seed key, params, run)``."""
+    for name, sweep in (
+        ("sweep_codebook", checks.sweep_codebook),
+        ("sweep_tau", checks.sweep_tau),
+        ("sweep_boundary", checks.sweep_boundary),
+    ):
+        for block_size in config.block_sizes:
+            yield (
+                name,
+                f"{config.seed}:{name}:k={block_size}",
+                {"k": block_size},
+                partial(sweep, block_size),
+            )
+    # The encoder-zoo sweep is block-size independent: one run covers
+    # every registered backend's canonical streams and table
+    # invariants.
+    yield (
+        "sweep_encoders",
+        f"{config.seed}:sweep_encoders",
+        {},
+        checks.sweep_encoder_tables,
+    )
 
 
 def _run_sweeps(
@@ -308,63 +251,40 @@ def _run_sweeps(
     counterexample records)."""
     kinds: dict[str, dict[str, int]] = {}
     counterexamples: list[dict] = []
-    sweeps = (
-        ("sweep_codebook", checks.sweep_codebook),
-        ("sweep_tau", checks.sweep_tau),
-        ("sweep_boundary", checks.sweep_boundary),
-    )
-    for name, sweep in sweeps:
+    for name, seed_key, params, run in _sweep_runs(config):
         counts = kinds.setdefault(name, {"run": 0, "failed": 0})
-        for block_size in config.block_sizes:
-            result = sweep(block_size)
-            counts["run"] += 1
-            tracker.merge(result.coverage_lists())
-            if not result.ok:
-                counts["failed"] += 1
-                counterexamples.append(
-                    make_record(
-                        name,
-                        f"{config.seed}:{name}:k={block_size}",
-                        {"k": block_size},
-                        None,
-                        result.mismatch,
-                        applied_mutations(),
-                    )
+        result = run()
+        counts["run"] += 1
+        tracker.merge(result.coverage_lists())
+        if not result.ok:
+            counts["failed"] += 1
+            counterexamples.append(
+                make_record(
+                    name,
+                    seed_key,
+                    params,
+                    None,
+                    result.mismatch,
+                    applied_mutations(),
                 )
-            if OBS.enabled:
-                OBS.registry.counter(
-                    "verify.sweeps",
-                    "exhaustive verification sweeps executed",
-                    sweep=name,
-                    outcome="ok" if result.ok else "mismatch",
-                ).inc()
-    # The encoder-zoo sweep is block-size independent: one run covers
-    # every registered backend's canonical streams and table
-    # invariants.
-    counts = kinds.setdefault("sweep_encoders", {"run": 0, "failed": 0})
-    result = checks.sweep_encoder_tables()
-    counts["run"] += 1
-    tracker.merge(result.coverage_lists())
-    if not result.ok:
-        counts["failed"] += 1
-        counterexamples.append(
-            make_record(
-                "sweep_encoders",
-                f"{config.seed}:sweep_encoders",
-                {},
-                None,
-                result.mismatch,
-                applied_mutations(),
             )
-        )
-    if OBS.enabled:
-        OBS.registry.counter(
-            "verify.sweeps",
-            "exhaustive verification sweeps executed",
-            sweep="sweep_encoders",
-            outcome="ok" if result.ok else "mismatch",
-        ).inc()
+        if OBS.enabled:
+            OBS.registry.counter(
+                "verify.sweeps",
+                "exhaustive verification sweeps executed",
+                sweep=name,
+                outcome="ok" if result.ok else "mismatch",
+            ).inc()
     return kinds, counterexamples
+
+
+def _mismatch_row(record: dict) -> dict:
+    """The report's one-line summary of a counterexample record."""
+    return {
+        "kind": record["kind"],
+        "seed_key": record["seed_key"],
+        "mismatch": record["mismatch"]["kind"],
+    }
 
 
 def run_verify(config: VerifyConfig) -> VerifyReport:
@@ -383,24 +303,30 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
         if config.sweeps:
             with OBS.tracer.span("verify.sweeps"):
                 kinds, sweep_counterexamples = _run_sweeps(config, tracker)
-            for record in sweep_counterexamples:
-                mismatches.append(
-                    {
-                        "kind": record["kind"],
-                        "seed_key": record["seed_key"],
-                        "mismatch": record["mismatch"]["kind"],
-                    }
-                )
-                counterexamples.append(record)
+            mismatches.extend(map(_mismatch_row, sweep_counterexamples))
+            counterexamples.extend(sweep_counterexamples)
 
         with OBS.tracer.span("verify.cases", cases=config.cases):
-            if config.workers > 1 and config.cases > config.chunk_size:
-                cases = _run_cases_parallel(config)
-            else:
-                cases = [
-                    run_case(config, case_id)
-                    for case_id in range(config.cases)
-                ]
+            chunks = [
+                list(range(start, min(start + CHUNK_SIZE, config.cases)))
+                for start in range(0, config.cases, CHUNK_SIZE)
+            ]
+            run = partial(_run_chunk, config)
+            ran = run_tasks(
+                chunks,
+                run,
+                run,
+                workers=config.workers if len(chunks) > 1 else 0,
+                timeout=config.chunk_timeout,
+                prefix="verify",
+                noun="chunk",
+                # Self-test mutations must corrupt every process that
+                # decodes, or pool runs would report fewer divergences
+                # than serial ones.
+                initializer=apply_mutation,
+                initargs=(config.mutation,),
+            )
+            cases = [case for chunk in ran for case in chunk]
 
     for case in cases:
         counts = kinds.setdefault(case["kind"], {"run": 0, "failed": 0})
@@ -415,13 +341,7 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
             ).inc()
         if not case["ok"]:
             counts["failed"] += 1
-            mismatches.append(
-                {
-                    "kind": case["kind"],
-                    "seed_key": case["seed_key"],
-                    "mismatch": case["counterexample"]["mismatch"]["kind"],
-                }
-            )
+            mismatches.append(_mismatch_row(case["counterexample"]))
             if len(counterexamples) < config.max_counterexamples:
                 counterexamples.append(case["counterexample"])
 

@@ -21,12 +21,8 @@ from repro.baselines.frequency import (
     _code_candidates,
 )
 from repro.baselines.gray import gray_decode, gray_encode, gray_transitions
-from repro.baselines.t0 import (
-    T0Coder,
-    T0Encoder,
-    raw_address_transitions,
-    t0_transitions,
-)
+from repro.baselines.t0 import T0Coder, T0Encoder, t0_transitions
+from repro.core.transitions import word_transitions
 
 from tests.strategies import fetch_word_streams, instruction_words
 
@@ -117,7 +113,7 @@ class TestT0:
 
     def test_t0_beats_raw_on_sequential(self):
         addresses = [0x400000 + 4 * i for i in range(64)]
-        assert t0_transitions(addresses) < raw_address_transitions(addresses)
+        assert t0_transitions(addresses) < word_transitions(addresses)
 
     def test_frozen_counter(self):
         coder = T0Coder()

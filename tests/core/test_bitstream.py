@@ -13,10 +13,10 @@ from repro.core.bitstream import (
     per_line_word_transitions,
     stream_to_int,
     to_paper_string,
-    total_word_transitions,
     validate_bits,
     word_column,
 )
+from repro.core.transitions import word_transitions
 
 bits = st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=64)
 words32 = st.lists(
@@ -115,7 +115,7 @@ class TestWordTransitions:
 
     def test_total_matches_per_line(self):
         words = [0xDEADBEEF, 0x0, 0xFFFFFFFF, 0x12345678]
-        assert total_word_transitions(words) == sum(
+        assert word_transitions(words) == sum(
             per_line_word_transitions(words)
         )
 
@@ -124,4 +124,4 @@ class TestWordTransitions:
         expected = sum(
             count_transitions(word_column(words, b)) for b in range(32)
         )
-        assert total_word_transitions(words) == expected
+        assert word_transitions(words) == expected

@@ -20,6 +20,7 @@ from repro.faults import (
 )
 from repro.faults import campaign as campaign_module
 from repro.faults.report import OUTCOMES
+from repro.runtime import pool as pool_module
 
 
 def _synthetic_target(num_blocks=2, block_len=10, block_size=5, seed=11):
@@ -177,9 +178,7 @@ class TestWorkerDowngrade:
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(
-            campaign_module, "ProcessPoolExecutor", _BrokenPool
-        )
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", _BrokenPool)
         config = _small_config(trials=1, workers=4)
         with pytest.warns(RuntimeWarning, match="finishing the remaining"):
             report = run_campaign(config, targets=[_synthetic_target()])
@@ -206,10 +205,8 @@ class TestWorkerDowngrade:
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(campaign_module, "ProcessPoolExecutor", _HungPool)
-        config = _small_config(
-            trials=1, workers=2, case_timeout=30.0, breaker_threshold=3
-        )
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", _HungPool)
+        config = _small_config(trials=1, workers=2, case_timeout=30.0)
         with pytest.warns(RuntimeWarning, match="circuit breaker"):
             report = run_campaign(config, targets=[_synthetic_target()])
         # Timed-out futures are re-run serially under the same

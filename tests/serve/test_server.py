@@ -224,6 +224,22 @@ class TestWalReplay:
         assert resumed[0]["outcome"] == "ok"
         assert resumed[0]["payload"]["block_size"] == 4
 
+    def test_fresh_run_discards_stale_wal(self, tmp_path):
+        wal = tmp_path / "serve.wal"
+        wal.write_text('{"run_key":"stale"}\n{"key":"x","result":{}}\n')
+        config = ServeConfig(workers=1, wal_path=str(wal), batch_key="b")
+        first, _ = _serve(_jobs(2), config)
+        assert [r["outcome"] for r in first] == ["ok", "ok"]
+        assert '"stale"' not in wal.read_text()
+        # The fresh journal is this run's own: a resume replays it.
+        _, server = _serve(
+            _jobs(2),
+            ServeConfig(
+                workers=1, wal_path=str(wal), resume=True, batch_key="b"
+            ),
+        )
+        assert server.stats["replayed"] == 2
+
 
 class TestRunKey:
     def test_execution_knobs_stay_out_of_the_run_key(self):

@@ -1,6 +1,11 @@
 """Campaign scheduling, determinism, and the aggregated report."""
 
+from dataclasses import replace
+
 import pytest
+
+import repro.obs as obs
+from repro.obs import OBS
 
 from repro.verify.campaign import (
     KIND_PATTERN,
@@ -13,6 +18,9 @@ from repro.verify.campaign import (
 
 #: A small, fast configuration: one gated block size, serial.
 SMALL = VerifyConfig(cases=20, seed=11, block_sizes=(4,))
+
+#: Just over two chunks of randomised cases: enough to fan out.
+VERIFY_FANOUT = VerifyConfig(cases=60, seed=11, block_sizes=(4,))
 
 
 class TestScheduling:
@@ -86,17 +94,36 @@ class TestRunVerify:
         assert not report.check_ok
 
     def test_parallel_run_matches_serial(self):
-        serial = run_verify(SMALL)
-        parallel = run_verify(
-            VerifyConfig(
-                cases=20,
-                seed=11,
-                block_sizes=(4,),
-                workers=2,
-                chunk_size=5,
-            )
-        )
+        # More than one 25-case chunk, so the run really fans out.
+        serial = run_verify(VERIFY_FANOUT)
+        parallel = run_verify(replace(VERIFY_FANOUT, workers=2))
         assert parallel.mismatches == serial.mismatches == []
         assert parallel.kinds == serial.kinds
         assert parallel.coverage == serial.coverage
         assert parallel.check_ok
+
+    def test_parallel_run_keeps_worker_telemetry(self):
+        """Metrics recorded inside pool workers reach the parent: a
+        fanned-out run reports the same families as a serial one."""
+
+        def observed(workers: int) -> tuple[list[str], int]:
+            obs.enable()
+            obs.reset()
+            try:
+                run_verify(
+                    replace(VERIFY_FANOUT, sweeps=False, workers=workers)
+                )
+                registry = OBS.registry
+                return (
+                    registry.family_names(),
+                    registry.counter("codec.words_encoded").value,
+                )
+            finally:
+                obs.disable()
+                obs.reset()
+
+        serial_families, serial_words = observed(0)
+        parallel_families, parallel_words = observed(2)
+        assert "codec.words_encoded" in serial_families
+        assert parallel_families == serial_families
+        assert parallel_words == serial_words > 0

@@ -31,7 +31,6 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 from repro.errors import CampaignError, ReproError
@@ -64,20 +63,6 @@ from repro.runtime import (
 )
 
 
-def _simulate(workload: str, workload_params: dict | None):
-    """Assemble and run a named workload, checking its result; returns
-    ``(program, trace)``."""
-    from repro.sim.cpu import run_program
-    from repro.workloads.registry import build_workload
-
-    wl = build_workload(workload, **(workload_params or {}))
-    program = wl.assemble()
-    cpu, trace = run_program(program)
-    if wl.verify is not None:
-        wl.verify(cpu)
-    return program, trace
-
-
 @dataclass
 class DeploymentTarget:
     """A picklable snapshot of one deployed workload: everything a
@@ -108,8 +93,14 @@ class DeploymentTarget:
         deployable state (the campaign's pipeline integration)."""
         from repro.pipeline.bundle import EncodingBundle
         from repro.pipeline.flow import EncodingFlow
+        from repro.sim.cpu import run_program
+        from repro.workloads.registry import build_workload
 
-        program, trace = _simulate(workload, workload_params)
+        wl = build_workload(workload, **(workload_params or {}))
+        program = wl.assemble()
+        cpu, trace = run_program(program)
+        if wl.verify is not None:
+            wl.verify(cpu)
         result = EncodingFlow(block_size=block_size).run(
             program, trace, workload
         )
@@ -120,8 +111,16 @@ class DeploymentTarget:
             )
         bundle = EncodingBundle.from_flow_result(program, result)
         bundle.validate()
-        return cls._snapshot(
-            workload, block_size, parity, program, trace, bundle
+        return cls(
+            name=workload,
+            block_size=block_size,
+            text_base=program.text_base,
+            original_words=list(program.words),
+            encoded_words=list(bundle.encoded_words),
+            tt_entries=list(bundle.tt_entries),
+            bbit_entries=list(bundle.bbit_entries),
+            trace=list(trace),
+            parity=parity,
         )
 
     @classmethod
@@ -136,26 +135,25 @@ class DeploymentTarget:
         snapshot the resulting mixed-scheme bundle — the target the
         ``scheme_tag_corruption`` model needs."""
         from repro.pipeline.selector import SchemeSelector
+        from repro.sim.cpu import run_program
+        from repro.workloads.registry import build_workload
 
-        program, trace = _simulate(workload, workload_params)
-        bundle = SchemeSelector(block_size=block_size).run(
+        wl = build_workload(workload, **(workload_params or {}))
+        program = wl.assemble()
+        cpu, trace = run_program(program)
+        if wl.verify is not None:
+            wl.verify(cpu)
+        result = SchemeSelector(block_size=block_size).run(
             program, trace, workload
-        ).bundle
+        )
+        bundle = result.bundle
         if not bundle.regions:
             raise CampaignError(
                 f"workload {workload!r} produced no tagged regions; "
                 "nothing for the scheme-tag injector to corrupt"
             )
-        return cls._snapshot(
-            f"{workload}-mixed", block_size, parity, program, trace, bundle
-        )
-
-    @classmethod
-    def _snapshot(
-        cls, name, block_size, parity, program, trace, bundle
-    ) -> "DeploymentTarget":
         return cls(
-            name=name,
+            name=f"{workload}-mixed",
             block_size=block_size,
             text_base=program.text_base,
             original_words=list(program.words),
@@ -217,12 +215,12 @@ def run_case(
 def _run_case(
     target: DeploymentTarget, model: FaultModel, seed: str, mode: str
 ) -> CaseResult:
-    # Every classification of this case shares its identity fields.
-    outcome = partial(CaseResult, target.name, model.name, seed, mode)
     state = target.materialise()
     record: InjectionRecord = model.inject(state, random.Random(seed))
     if not record.applicable:
-        return outcome(NOT_APPLICABLE, record.detail)
+        return CaseResult(
+            target.name, model.name, seed, mode, NOT_APPLICABLE, record.detail
+        )
     base = target.text_base
     image = state.image
     num_words = len(image)
@@ -259,12 +257,34 @@ def _run_case(
             # Recover/degraded modes promise never to raise on a
             # corrupted block; an escape is a harness bug, not a
             # detection.
-            return outcome(
-                CRASHED, record.detail, error=f"recover mode raised: {err!r}"
+            return CaseResult(
+                target.name,
+                model.name,
+                seed,
+                mode,
+                CRASHED,
+                record.detail,
+                error=f"recover mode raised: {err!r}",
             )
-        return outcome(DETECTED, record.detail, error=str(err))
+        return CaseResult(
+            target.name,
+            model.name,
+            seed,
+            mode,
+            DETECTED,
+            record.detail,
+            error=str(err),
+        )
     except Exception as err:  # noqa: BLE001 — campaign must classify, not die
-        return outcome(CRASHED, record.detail, error=repr(err))
+        return CaseResult(
+            target.name,
+            model.name,
+            seed,
+            mode,
+            CRASHED,
+            record.detail,
+            error=repr(err),
+        )
     expected = [target.original_words[(pc - base) >> 2] for pc in state.trace]
     if decoder.recovery_events:
         detail = dict(record.detail)
@@ -272,15 +292,21 @@ def _run_case(
         if decoder.degradations:
             detail["degradations"] = decoder.degradations
             detail["golden_served"] = decoder.golden_served_instructions
-        return outcome(RECOVERED, detail)
+        return CaseResult(
+            target.name, model.name, seed, mode, RECOVERED, detail
+        )
     if decoded != expected:
-        return outcome(SILENT, record.detail)
+        return CaseResult(
+            target.name, model.name, seed, mode, SILENT, record.detail
+        )
     corrections = state.tt.ecc_corrections + state.bbit.ecc_corrections
     if corrections:
         detail = dict(record.detail)
         detail["ecc_corrections"] = corrections
-        return outcome(CORRECTED, detail)
-    return outcome(MASKED, record.detail)
+        return CaseResult(
+            target.name, model.name, seed, mode, CORRECTED, detail
+        )
+    return CaseResult(target.name, model.name, seed, mode, MASKED, record.detail)
 
 
 # ----------------------------------------------------------------------
@@ -364,13 +390,12 @@ def _run_case_serial(
     seed: str,
     mode: str,
     case_timeout: float,
-    retry_attempts: int = RETRY_ATTEMPTS,
 ) -> CaseResult:
     """One case under a wall-clock deadline — the serial path's
     equivalent of ``future.result(timeout)`` — with seeded-backoff
     retries on expiry and a ``crashed`` classification if every
     attempt times out."""
-    policy = BackoffPolicy(max_attempts=max(1, retry_attempts))
+    policy = BackoffPolicy(max_attempts=RETRY_ATTEMPTS)
 
     def attempt():
         return run_with_deadline(

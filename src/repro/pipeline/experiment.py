@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from itertools import product
 from pathlib import Path
 from typing import Sequence
 
@@ -206,26 +205,34 @@ def run_sweep(
             resume,
         )
 
+    grid = [
+        SweepPoint(name, block_size, tt_capacity, strategy)
+        for name, _ in items
+        for block_size in block_sizes
+        for tt_capacity in tt_capacities
+        for strategy in strategies
+    ]
+    pending = {point for point in grid if point.label() not in completed}
+
     sweep = SweepResult()
     try:
         for name, params in items:
-            pending = []
-            for knobs in product(block_sizes, tt_capacities, strategies):
-                point = SweepPoint(name, *knobs)
-                if point.label() in completed:
+            workload_points = [p for p in grid if p.workload == name]
+            for point in workload_points:
+                if point not in pending:
                     sweep.points[point] = SweepRecord.from_dict(
                         completed[point.label()]
                     )
-                else:
-                    pending.append(point)
-            if not pending:
+            if not any(p in pending for p in workload_points):
                 continue  # whole grid journaled: skip the simulation
             workload = build_workload(name, **params)
             program = workload.assemble()
             cpu, trace = run_program(program, max_steps=max_steps)
             if workload.verify is not None:
                 workload.verify(cpu)
-            for point in pending:
+            for point in workload_points:
+                if point not in pending:
+                    continue
                 flow = EncodingFlow(
                     block_size=point.block_size,
                     tt_capacity=point.tt_capacity,

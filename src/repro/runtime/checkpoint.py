@@ -140,12 +140,59 @@ class CheckpointLog:
     ) -> tuple["CheckpointLog", dict[str, dict]]:
         """Open a run's WAL: ``(log, completed)``.  A fresh run
         discards any log at ``path`` (appending under another run's
-        header would poison the next resume); a resume replays it."""
-        path = Path(path)
-        if not resume and path.exists():
-            path.unlink()
+        header would poison the next resume); a resume replays it.
+
+        Raises :class:`CheckpointLockError` when a live writer still
+        holds the log: discarding it would silently orphan that
+        writer's journal."""
         log = cls(path, run_key=run_key)
-        return log, log.load() if resume else {}
+        if resume:
+            return log, log.load()
+        if log.vfs.exists(log.path):
+            log._discard()
+        return log, {}
+
+    def _discard(self) -> None:
+        """Unlink the log at :attr:`path`, holding its lock meanwhile
+        so a log another writer owns is refused, not deleted."""
+        vfs = self.vfs
+        try:
+            handle = vfs.open_append(self.path)
+        except SimulatedCrash:
+            raise
+        except OSError as err:
+            raise storage_error_for(err, "open", self.path) from err
+        self._lock(handle)
+        try:
+            vfs.unlink(self.path)
+        except SimulatedCrash:
+            raise
+        except OSError as err:
+            if isinstance(err, StorageError):
+                raise
+            raise storage_error_for(err, "unlink", self.path) from err
+        finally:
+            try:
+                vfs.close(handle)
+            except OSError:
+                pass
+
+    def _lock(self, handle) -> None:
+        """Take the exclusive WAL lock on ``handle``; on contention
+        close it and raise :class:`CheckpointLockError`."""
+        try:
+            self.vfs.lock_exclusive(handle)
+        except OSError:
+            try:
+                self.vfs.close(handle)
+            except OSError:
+                pass
+            raise CheckpointLockError(
+                f"checkpoint log {self.path} is already locked by "
+                "another writer; two writers on one WAL would "
+                "interleave records (resume the existing run or "
+                "point this one at its own --wal path)"
+            ) from None
 
     @property
     def vfs(self) -> StorageVFS:
@@ -230,19 +277,7 @@ class CheckpointLog:
             raise
         except OSError as err:
             raise storage_error_for(err, op, self.path) from err
-        try:
-            vfs.lock_exclusive(lock_handle)
-        except OSError:
-            try:
-                vfs.close(lock_handle)
-            except OSError:
-                pass
-            raise CheckpointLockError(
-                f"checkpoint log {self.path} is already locked by "
-                "another writer; two writers on one WAL would "
-                "interleave records (resume the existing run or "
-                "point this one at its own --wal path)"
-            ) from None
+        self._lock(lock_handle)
         try:
             fresh = vfs.size(self.path) == 0
             if not fresh:

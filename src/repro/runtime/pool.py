@@ -21,7 +21,6 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any, Callable, Sequence, TypeVar
 
-import repro.obs as obs
 from repro.obs import OBS
 from repro.runtime.retry import CircuitBreaker
 
@@ -37,10 +36,12 @@ def _call_with_delta(
     worker: Callable[[T], R], task: T
 ) -> tuple[R, dict | None]:
     """Pool entry point: the worker's result plus (when instrumented)
-    the metrics it recorded, which would otherwise die with it."""
+    the metrics it recorded, which would otherwise die with it.  Only
+    the registry is reset: the tracer keeps the span stream the worker
+    inherited, so ``--trace-jsonl`` sees worker spans too."""
     capture = OBS.enabled
     if capture:
-        obs.reset()
+        OBS.registry.reset()
     result = worker(task)
     return result, OBS.registry.export_delta() if capture else None
 

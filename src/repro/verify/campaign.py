@@ -219,31 +219,6 @@ def _run_chunk(config: VerifyConfig, case_ids: list[int]) -> list[dict]:
 # ----------------------------------------------------------------------
 
 
-def _sweep_runs(config: VerifyConfig):
-    """Every exhaustive sweep run: ``(name, seed key, params, run)``."""
-    for name, sweep in (
-        ("sweep_codebook", checks.sweep_codebook),
-        ("sweep_tau", checks.sweep_tau),
-        ("sweep_boundary", checks.sweep_boundary),
-    ):
-        for block_size in config.block_sizes:
-            yield (
-                name,
-                f"{config.seed}:{name}:k={block_size}",
-                {"k": block_size},
-                partial(sweep, block_size),
-            )
-    # The encoder-zoo sweep is block-size independent: one run covers
-    # every registered backend's canonical streams and table
-    # invariants.
-    yield (
-        "sweep_encoders",
-        f"{config.seed}:sweep_encoders",
-        {},
-        checks.sweep_encoder_tables,
-    )
-
-
 def _run_sweeps(
     config: VerifyConfig, tracker: CoverageTracker
 ) -> tuple[dict[str, dict[str, int]], list[dict]]:
@@ -251,40 +226,63 @@ def _run_sweeps(
     counterexample records)."""
     kinds: dict[str, dict[str, int]] = {}
     counterexamples: list[dict] = []
-    for name, seed_key, params, run in _sweep_runs(config):
+    sweeps = (
+        ("sweep_codebook", checks.sweep_codebook),
+        ("sweep_tau", checks.sweep_tau),
+        ("sweep_boundary", checks.sweep_boundary),
+    )
+    for name, sweep in sweeps:
         counts = kinds.setdefault(name, {"run": 0, "failed": 0})
-        result = run()
-        counts["run"] += 1
-        tracker.merge(result.coverage_lists())
-        if not result.ok:
-            counts["failed"] += 1
-            counterexamples.append(
-                make_record(
-                    name,
-                    seed_key,
-                    params,
-                    None,
-                    result.mismatch,
-                    applied_mutations(),
+        for block_size in config.block_sizes:
+            result = sweep(block_size)
+            counts["run"] += 1
+            tracker.merge(result.coverage_lists())
+            if not result.ok:
+                counts["failed"] += 1
+                counterexamples.append(
+                    make_record(
+                        name,
+                        f"{config.seed}:{name}:k={block_size}",
+                        {"k": block_size},
+                        None,
+                        result.mismatch,
+                        applied_mutations(),
+                    )
                 )
+            if OBS.enabled:
+                OBS.registry.counter(
+                    "verify.sweeps",
+                    "exhaustive verification sweeps executed",
+                    sweep=name,
+                    outcome="ok" if result.ok else "mismatch",
+                ).inc()
+    # The encoder-zoo sweep is block-size independent: one run covers
+    # every registered backend's canonical streams and table
+    # invariants.
+    counts = kinds.setdefault("sweep_encoders", {"run": 0, "failed": 0})
+    result = checks.sweep_encoder_tables()
+    counts["run"] += 1
+    tracker.merge(result.coverage_lists())
+    if not result.ok:
+        counts["failed"] += 1
+        counterexamples.append(
+            make_record(
+                "sweep_encoders",
+                f"{config.seed}:sweep_encoders",
+                {},
+                None,
+                result.mismatch,
+                applied_mutations(),
             )
-        if OBS.enabled:
-            OBS.registry.counter(
-                "verify.sweeps",
-                "exhaustive verification sweeps executed",
-                sweep=name,
-                outcome="ok" if result.ok else "mismatch",
-            ).inc()
+        )
+    if OBS.enabled:
+        OBS.registry.counter(
+            "verify.sweeps",
+            "exhaustive verification sweeps executed",
+            sweep="sweep_encoders",
+            outcome="ok" if result.ok else "mismatch",
+        ).inc()
     return kinds, counterexamples
-
-
-def _mismatch_row(record: dict) -> dict:
-    """The report's one-line summary of a counterexample record."""
-    return {
-        "kind": record["kind"],
-        "seed_key": record["seed_key"],
-        "mismatch": record["mismatch"]["kind"],
-    }
 
 
 def run_verify(config: VerifyConfig) -> VerifyReport:
@@ -303,8 +301,15 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
         if config.sweeps:
             with OBS.tracer.span("verify.sweeps"):
                 kinds, sweep_counterexamples = _run_sweeps(config, tracker)
-            mismatches.extend(map(_mismatch_row, sweep_counterexamples))
-            counterexamples.extend(sweep_counterexamples)
+            for record in sweep_counterexamples:
+                mismatches.append(
+                    {
+                        "kind": record["kind"],
+                        "seed_key": record["seed_key"],
+                        "mismatch": record["mismatch"]["kind"],
+                    }
+                )
+                counterexamples.append(record)
 
         with OBS.tracer.span("verify.cases", cases=config.cases):
             chunks = [
@@ -341,7 +346,13 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
             ).inc()
         if not case["ok"]:
             counts["failed"] += 1
-            mismatches.append(_mismatch_row(case["counterexample"]))
+            mismatches.append(
+                {
+                    "kind": case["kind"],
+                    "seed_key": case["seed_key"],
+                    "mismatch": case["counterexample"]["mismatch"]["kind"],
+                }
+            )
             if len(counterexamples) < config.max_counterexamples:
                 counterexamples.append(case["counterexample"])
 

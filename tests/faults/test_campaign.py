@@ -234,7 +234,7 @@ class TestWorkerDowngrade:
             lambda *args, **kwargs: time_module.sleep(5.0),
         )
         result = _run_case_serial(
-            target, TTSelectorFlip(), "s:0", "strict", 0.05, retry_attempts=1
+            target, TTSelectorFlip(), "s:0", "strict", 0.05
         )
         assert result.outcome == "crashed"
         assert "deadline" in result.error

@@ -38,6 +38,28 @@ class TestWalContention:
             CheckpointLog(wal, run_key="run").record("b", {})
         first.close()
 
+    def test_fresh_open_run_refuses_a_held_log(self, tmp_path):
+        wal = tmp_path / "contended.wal"
+        owner = CheckpointLog(wal, run_key="run")
+        owner.record("a", {"v": 1})
+        with pytest.raises(CheckpointLockError):
+            CheckpointLog.open_run(wal, "other", resume=False)
+        # The owner's inode is still the one at the path.
+        owner.record("b", {"v": 2})
+        owner.close()
+        assert set(CheckpointLog(wal, run_key="run").load()) == {"a", "b"}
+
+    def test_fresh_open_run_discards_an_unheld_log(self, tmp_path):
+        wal = tmp_path / "stale.wal"
+        stale = CheckpointLog(wal, run_key="stale")
+        stale.record("a", {})
+        stale.close()
+        log, completed = CheckpointLog.open_run(wal, "run", resume=False)
+        assert completed == {} and not wal.exists()
+        log.record("b", {})
+        log.close()
+        assert set(CheckpointLog(wal, run_key="run").load()) == {"b"}
+
     def test_lock_released_on_close(self, tmp_path):
         wal = tmp_path / "handover.wal"
         first = CheckpointLog(wal, run_key="run")

@@ -1,5 +1,6 @@
 """The shared campaign runner: fan-out, downgrade, journaling hook."""
 
+import json
 import warnings
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -20,6 +21,11 @@ def _square(task: int) -> int:
 def _counted_square(task: int) -> int:
     OBS.registry.counter("test.worker_calls").inc()
     return task * task
+
+
+def _traced_square(task: int) -> int:
+    with OBS.tracer.span("test.worker_span", task=task):
+        return task * task
 
 
 class _FakeFuture:
@@ -181,3 +187,28 @@ class TestRealPool:
             obs.reset()
         assert results == [0, 1, 4, 9]
         assert calls == 4
+
+    def test_worker_spans_reach_the_trace_stream(self, tmp_path):
+        trace = tmp_path / "spans.jsonl"
+        obs.reset()
+        obs.enable(jsonl_path=str(trace))
+        try:
+            run_tasks(
+                list(range(4)),
+                _traced_square,
+                _traced_square,
+                workers=2,
+                timeout=60.0,
+                prefix="test",
+                noun="item",
+            )
+        finally:
+            obs.disable()
+            obs.reset()
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        tasks = sorted(
+            event["attrs"]["task"]
+            for event in events
+            if event.get("name") == "test.worker_span"
+        )
+        assert tasks == [0, 1, 2, 3]

@@ -9,6 +9,7 @@ import asyncio
 import pytest
 
 from repro.pipeline.cache import BundleCache
+from repro.runtime import CheckpointLockError
 from repro.serve.jobs import deterministic_result, parse_request
 from repro.serve.server import EncodingServer, ServeConfig
 from repro.serve.worker import _compute
@@ -232,6 +233,26 @@ class TestWalReplay:
         assert [r["outcome"] for r in first] == ["ok", "ok"]
         assert '"stale"' not in wal.read_text()
         # The fresh journal is this run's own: a resume replays it.
+        _, server = _serve(
+            _jobs(2),
+            ServeConfig(
+                workers=1, wal_path=str(wal), resume=True, batch_key="b"
+            ),
+        )
+        assert server.stats["replayed"] == 2
+
+    def test_fresh_run_refuses_a_wal_a_live_server_holds(self, tmp_path):
+        wal = tmp_path / "serve.wal"
+        config = ServeConfig(workers=1, wal_path=str(wal), batch_key="b")
+
+        async def _run():
+            async with EncodingServer(config) as owner:
+                with pytest.raises(CheckpointLockError):
+                    await EncodingServer(config).start()
+                await owner.run_batch(_jobs(2))
+
+        asyncio.run(_run())
+        # The intruder discarded nothing: the owner's journal resumes.
         _, server = _serve(
             _jobs(2),
             ServeConfig(

@@ -9,19 +9,13 @@ codebook encode, bitplane decode) against its oracle in
 cross-checks the two for bit-identity before timing.  Writes the
 machine-readable report to ``BENCH_codec.json``.
 
-Run:  python examples/codec_throughput.py [--repeats N] [--whole-program]
-
-``--whole-program`` additionally times a whole-program encode (the
-mmul workload).
+Run:  python examples/codec_throughput.py [--repeats N]
 """
 
 import argparse
 from pathlib import Path
 
-from repro.pipeline.benchmark import (
-    run_codec_benchmarks,
-    workload_encode_benchmark,
-)
+from repro.pipeline.benchmark import run_codec_benchmarks
 
 
 def main() -> int:
@@ -34,11 +28,6 @@ def main() -> int:
         "--json",
         default=str(Path(__file__).resolve().parent.parent / "BENCH_codec.json"),
     )
-    parser.add_argument(
-        "--whole-program",
-        action="store_true",
-        help="also time a whole-program encode of the mmul workload",
-    )
     args = parser.parse_args()
 
     report = run_codec_benchmarks(
@@ -50,10 +39,6 @@ def main() -> int:
     print(report.format_table())
     path = report.write(args.json)
     print(f"\nwrote {path}")
-
-    if args.whole_program:
-        timing = workload_encode_benchmark(block_size=args.block_size)
-        print(f"\nwhole-program encode (mmul): {timing['serial_seconds']:.3f} s")
     return 0
 
 

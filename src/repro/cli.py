@@ -66,16 +66,16 @@ def _obs_begin(args: argparse.Namespace) -> bool:
     return True
 
 
-def _obs_finish(
-    args: argparse.Namespace, command: str, seed: int | None = None
-) -> None:
-    """Snapshot the enabled observability state into ``args.report``."""
+def _obs_finish(path: str, command: str, seed: int | None = None) -> None:
+    """Snapshot the enabled observability state into the run report at
+    ``path`` (``args.report``, or ``args.run_report`` for commands
+    whose ``--report`` is the campaign report itself)."""
     from repro import obs
 
     report = obs.collect_report(command=command, seed=seed)
-    path = report.write(args.report)
+    written = report.write(path)
     obs.OBS.tracer.close_jsonl()
-    print(f"wrote {path}")
+    print(f"wrote {written}")
 
 
 def _cmd_codebook(args: argparse.Namespace) -> int:
@@ -154,7 +154,9 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     if args.select_per_region:
         code = _encode_select_per_region(args, workload, program, trace)
         if observed:
-            _obs_finish(args, command=f"repro encode {name} --select-per-region")
+            _obs_finish(
+                args.report, command=f"repro encode {name} --select-per-region"
+            )
         return code
     flow = EncodingFlow(
         block_size=args.block_size,
@@ -181,7 +183,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     # the CLI and the service vouch for each other result-for-result.
     print(f"bundle:        sha256 {bundle_digest} ({args.strategy} strategy)")
     if observed:
-        _obs_finish(args, command=f"repro encode {name}")
+        _obs_finish(args.report, command=f"repro encode {name}")
     return 0
 
 
@@ -423,7 +425,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     path = report.write(args.json, deterministic=args.deterministic)
     print(f"wrote {path}")
     if observed:
-        _obs_finish(args, command="repro faults", seed=config.seed)
+        _obs_finish(args.report, command="repro faults", seed=config.seed)
     if args.check and not report.protected_ok():
         print(
             "FAIL: a parity-protected or protocol fault model shows "
@@ -458,7 +460,9 @@ def _cmd_faults_storage(args: argparse.Namespace) -> int:
     path = report.write(args.json)
     print(f"wrote {path}")
     if observed:
-        _obs_finish(args, command="repro faults --storage", seed=args.seed)
+        _obs_finish(
+            args.report, command="repro faults --storage", seed=args.seed
+        )
     if args.check and not report.storage_ok():
         print(
             "FAIL: a durability surface lost an acknowledged record, "
@@ -533,11 +537,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if data is None:
         return 2
     metrics = data["metrics"]
-    if getattr(args, "openmetrics", False):
-        from repro.obs.export import render_openmetrics
-
-        print(render_openmetrics(metrics), end="")
-    elif args.json:
+    if args.json:
         print(json.dumps(metrics, indent=1))
     else:
         meta = data.get("meta", {})
@@ -708,7 +708,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     path = report.write(args.report, deterministic=args.deterministic)
     print(f"wrote {path}")
     if observed:
-        _obs_finish_to(args.run_report, command="repro verify", seed=config.seed)
+        _obs_finish(args.run_report, command="repro verify", seed=config.seed)
     if args.check and not report.check_ok:
         print(
             f"FAIL: {report.mismatch_count} differential mismatch(es), "
@@ -762,10 +762,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             report_path=args.report,
             bench_path=args.bench_json,
-            openmetrics_path=args.openmetrics,
-            flight_path=args.flight_record,
-            rebuild_storm_threshold=args.flight_threshold,
-            slo_latency_target_s=args.slo_target,
         )
         report, problems = run_selftest(options)
         summary = report["summary"]
@@ -790,12 +786,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         print(f"wrote {args.report}")
         print(f"wrote {args.bench_json}")
-        if args.openmetrics:
-            print(f"wrote {args.openmetrics}")
         for problem in problems:
             print(f"PROBLEM: {problem}", file=sys.stderr)
         if observed:
-            _obs_finish_to(
+            _obs_finish(
                 args.run_report, command="repro serve --selftest", seed=args.seed
             )
         if problems:
@@ -836,9 +830,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         wal_path=args.wal,
         resume=args.resume,
         batch_key=batch_key,
-        flight_path=args.flight_record,
-        rebuild_storm_threshold=args.flight_threshold,
-        slo_latency_target_s=args.slo_target,
     )
 
     async def _run_batch():
@@ -874,72 +865,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     atomic_write_text(args.report, json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.report}")
     if observed:
-        _obs_finish_to(args.run_report, command="repro serve", seed=args.seed)
+        _obs_finish(args.run_report, command="repro serve", seed=args.seed)
     errors = outcome_counts.get("error", 0)
     if args.check and errors:
         print(f"FAIL: {errors} job(s) ended outcome 'error'", file=sys.stderr)
         return 1
     return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    import asyncio
-    import json
-
-    from repro.serve.client import ServeClient
-    from repro.serve.server import format_status
-
-    host, _, port_text = args.connect.rpartition(":")
-    host = host or "127.0.0.1"
-    try:
-        port = int(port_text)
-    except ValueError:
-        print(
-            f"top: --connect must be HOST:PORT, got {args.connect!r}",
-            file=sys.stderr,
-        )
-        return 2
-
-    async def watch() -> int:
-        shown = 0
-        async with ServeClient(host, port) as client:
-            while True:
-                response = await client.control("status")
-                status = response.get("status")
-                if not isinstance(status, dict):
-                    print(
-                        f"top: unexpected response: {json.dumps(response)}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                if not args.no_clear and shown:
-                    # ANSI clear+home, plain text otherwise: works in
-                    # any terminal and stays pipe-friendly.
-                    print("\x1b[2J\x1b[H", end="")
-                print(format_status(status), end="", flush=True)
-                shown += 1
-                if args.iterations and shown >= args.iterations:
-                    return 0
-                await asyncio.sleep(args.interval)
-
-    try:
-        return asyncio.run(watch())
-    except KeyboardInterrupt:
-        return 0
-    except (ConnectionError, OSError) as err:
-        print(f"top: cannot reach {host}:{port}: {err}", file=sys.stderr)
-        return 2
-
-
-def _obs_finish_to(path: str, command: str, seed: int | None = None) -> None:
-    """Like :func:`_obs_finish` but with an explicit report path, for
-    commands whose ``--report`` means something else."""
-    from repro import obs
-
-    report = obs.collect_report(command=command, seed=seed)
-    written = report.write(path)
-    obs.OBS.tracer.close_jsonl()
-    print(f"wrote {written}")
 
 
 def _add_obs_arguments(p: argparse.ArgumentParser) -> None:
@@ -1429,67 +1360,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also stream one JSON span event per line to PATH",
     )
-    p.add_argument(
-        "--openmetrics",
-        default=None,
-        metavar="PATH",
-        help="selftest: scrape the live /metrics endpoint (or the "
-        "in-process equivalent) once and write the exposition to PATH",
-    )
-    p.add_argument(
-        "--flight-record",
-        default="FLIGHT_serve.jsonl",
-        metavar="PATH",
-        help="flight-recorder dump file for breaker/rebuild/SIGTERM "
-        "incidents (appended, one JSON event per line)",
-    )
-    p.add_argument(
-        "--flight-threshold",
-        type=int,
-        default=3,
-        metavar="N",
-        help="pool rebuilds within the storm window that trigger a "
-        "flight dump",
-    )
-    p.add_argument(
-        "--slo-target",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="per-job latency target the SLO tracker counts against",
-    )
     p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "top",
-        help="live status view of a running serve endpoint",
-    )
-    p.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="serve endpoint to poll (e.g. 127.0.0.1:7521)",
-    )
-    p.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="refresh interval",
-    )
-    p.add_argument(
-        "--iterations",
-        type=int,
-        default=0,
-        metavar="N",
-        help="stop after N refreshes (0 = run until interrupted)",
-    )
-    p.add_argument(
-        "--no-clear",
-        action="store_true",
-        help="append refreshes instead of clearing the screen",
-    )
-    p.set_defaults(func=_cmd_top)
 
     p = sub.add_parser(
         "metrics", help="metric families from a RUN_report.json"
@@ -1502,11 +1373,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--json", action="store_true", help="dump the raw metrics object"
-    )
-    p.add_argument(
-        "--openmetrics",
-        action="store_true",
-        help="render the families as OpenMetrics text exposition",
     )
     p.add_argument(
         "--check",

@@ -91,14 +91,14 @@ class VerifyError(ReproError, RuntimeError):
 class StorageError(ReproError, OSError):
     """A durability syscall (write/flush/fsync/replace/unlink) on one
     of the storage surfaces — the WAL, an atomic report write, the
-    bundle disk cache, a flight-record dump — failed.
+    bundle disk cache — failed.
 
     Dual-inherits :class:`OSError` so every pre-existing ``except
-    OSError`` degradation path (the bundle cache, the flight dump
-    guard) keeps working, while new callers can route on the typed
-    subclass (``repro serve`` degrades on :class:`StorageFullError`
-    and nothing else).  ``errno`` is preserved from the underlying
-    failure when there is one."""
+    OSError`` degradation path (the bundle cache) keeps working, while
+    new callers can route on the typed subclass (``repro serve``
+    degrades on :class:`StorageFullError` and nothing else).
+    ``errno`` is preserved from the underlying failure when there is
+    one."""
 
     def __init__(self, message: str, errno: int | None = None):
         super().__init__(message)

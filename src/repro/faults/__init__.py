@@ -18,7 +18,7 @@ faults`` for the CLI entry point.
     ``FAULTS_report.json`` writer.
 ``storage``
     The ALICE-style crash-consistency checker over the *durability*
-    surfaces (WAL, atomic report writes, disk cache, flight dumps):
+    surfaces (WAL, atomic report writes, disk cache):
     record the syscall trace, simulate a crash at every prefix, replay
     recovery, assert no acknowledged state is lost (``repro faults
     --storage``).

@@ -5,7 +5,7 @@ the durability syscalls injectable; this module uses that seam to
 *prove* the crash-consistency contracts instead of assuming them:
 
 1. run a durability workload (WAL appends, an atomic report write, a
-   cache put, a flight dump) against :class:`MemoryVFS`, which
+   cache put) against :class:`MemoryVFS`, which
    executes it on an in-memory filesystem **and records the syscall
    trace**;
 2. simulate a crash after *every* syscall prefix.  The simulator
@@ -22,9 +22,7 @@ the durability syscalls injectable; this module uses that seam to
    * **atomic writes** (reports, cache entries): the file is a
      complete old version or a complete new version, never torn;
    * **cache**: a reader serves the exact entry or a quarantined
-     miss, never a mutated one;
-   * **flight record**: every complete JSONL line parses (only the
-     unterminated tail may be torn).
+     miss, never a mutated one.
 
 A second sweep drives the *non-crash* fault models — EIO on
 write/fsync, ENOSPC mid-write, torn appends — at every injectable
@@ -108,7 +106,7 @@ class MemoryVFS(StorageVFS):
     observes, and records every durability syscall as an op tuple so
     the crash simulator can re-derive all possible durable states.
     All writes are appends — exactly the access pattern of every
-    durability surface in the system (fresh temp files and WAL/flight
+    durability surface in the system (fresh temp files and WAL
     appends)."""
 
     name = "memory"
@@ -603,81 +601,6 @@ def _faults_report_surface() -> _Surface:
     )
 
 
-def _flight_surface() -> _Surface:
-    from repro.obs.flight import FlightRecorder
-
-    target = "out/flight.jsonl"
-
-    def run(vfs: StorageVFS, ctx: dict) -> None:
-        clock_box = {"t": 0.0}
-
-        def clock() -> float:
-            clock_box["t"] += 10.0
-            return clock_box["t"]
-
-        recorder = FlightRecorder(capacity=16, clock=clock, vfs=vfs)
-        ctx["recorder"] = recorder
-        for i in range(5):
-            recorder.record("tick", n=i)
-        recorder.dump(target, reason="breaker_open")
-        recorder.record("tick", n=5)
-        recorder.dump(target, reason="sigterm")
-
-    def check(content: bytes | None, ops_executed: int, ctx: dict):
-        if content is ABSENT or content == b"":
-            return None  # nothing dumped yet — nothing to tear
-        lines = content.split(b"\n")
-        complete, tail = lines[:-1], lines[-1]
-        for index, line in enumerate(complete):
-            if not line:
-                continue
-            try:
-                json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as err:
-                return f"complete flight line {index} unparseable: {err}"
-        return None
-
-    def check_live(vfs: StorageVFS, ctx: dict):
-        # The live-file invariant after *fault* runs is looser than
-        # the post-crash one: a failed dump legitimately leaves one
-        # torn (but newline-terminated) fragment that JSONL readers
-        # skip.  What must hold: every dump the recorder counted as
-        # written has an intact, parseable header in the file (no
-        # glued-onto-torn-bytes corruption), and the in-memory ring
-        # survived the failure.
-        recorder = ctx.get("recorder")
-        content = vfs.read_bytes(target) if vfs.exists(target) else ABSENT
-        if content not in (ABSENT, b"") and recorder is not None:
-            headers = 0
-            for line in content.split(b"\n")[:-1]:
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line.decode("utf-8"))
-                except (ValueError, UnicodeDecodeError):
-                    continue  # a torn fragment; readers skip it
-                if isinstance(obj, dict) and obj.get("event") == "flight_dump":
-                    headers += 1
-            if headers < recorder.dumps_written:
-                return (
-                    f"{recorder.dumps_written} dumps acked but only "
-                    f"{headers} intact headers in the record"
-                )
-        if recorder is not None and len(recorder.tail(100)) == 0:
-            return "flight ring emptied by a failed dump"
-        return None
-
-    return _Surface(
-        name="flight_dump",
-        initial={},
-        run=run,
-        audited=target,
-        check=check,
-        check_live=check_live,
-        on_fault="degrade",
-    )
-
-
 def _surfaces(seed: int) -> list[_Surface]:
     return [
         _wal_surface(seed),
@@ -685,7 +608,6 @@ def _surfaces(seed: int) -> list[_Surface]:
         _repeated_atomic_surface(),
         _cache_surface(),
         _faults_report_surface(),
-        _flight_surface(),
     ]
 
 
@@ -904,10 +826,6 @@ def run_storage_campaign(
             "cache.corrupt_entries",
             "disk-cache entries that failed validation and were "
             "quarantined",
-        )
-        OBS.registry.counter(
-            "flight.dump_errors",
-            "flight-record dumps that failed to reach disk",
         )
     report = StorageCampaignReport(
         config={

@@ -52,16 +52,7 @@ from repro.obs.report import (
     missing_families,
     validate_run_report,
 )
-from repro.obs.export import render_openmetrics, synthetic_gauge_family
-from repro.obs.flight import FlightRecorder
-from repro.obs.slo import SLOPolicy, SLOTracker
 from repro.obs.tracing import NOOP_SPAN, Span, TraceContext, Tracer, new_run_id
-from repro.obs.window import (
-    WINDOW_SPECS,
-    RollingCounter,
-    RollingHistogram,
-    TelemetryWindows,
-)
 
 __all__ = [
     "OBS",
@@ -86,15 +77,6 @@ __all__ = [
     "load_run_report",
     "missing_families",
     "validate_run_report",
-    "WINDOW_SPECS",
-    "RollingCounter",
-    "RollingHistogram",
-    "TelemetryWindows",
-    "SLOPolicy",
-    "SLOTracker",
-    "FlightRecorder",
-    "render_openmetrics",
-    "synthetic_gauge_family",
 ]
 
 

@@ -73,25 +73,21 @@ EXPECTED_SERVE_FAMILIES = (
     "serve.jobs_deadline_exceeded",
     "serve.queue_depth",
     "serve.job_seconds",
-    # PR 8 telemetry plane: cross-process delta merge + SLO layer.
+    # Cross-process delta merge and span stitching.
     "serve.telemetry_deltas_merged",
     "serve.worker_spans_adopted",
     "serve.pool_rebuilds",
-    "slo.jobs_observed",
-    "slo.bad_jobs",
-    "slo.burn_rate",
     # PR 9 storage hardening: the ENOSPC degradation path.
     "serve.storage_degraded",
 )
 
 #: Metric families a ``repro faults --storage --metrics`` run must
 #: populate — the storage campaign pre-registers every one, so even a
-#: sweep whose cache/flight legs found nothing exposes the family (the
-#: canary for a silently skipped leg).
+#: sweep whose cache leg found nothing exposes the family (the canary
+#: for a silently skipped leg).
 EXPECTED_STORAGE_FAMILIES = (
     "storage.injected_faults",
     "cache.corrupt_entries",
-    "flight.dump_errors",
 )
 
 

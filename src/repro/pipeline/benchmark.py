@@ -472,25 +472,3 @@ def run_codec_benchmarks(
     }
     return BenchReport(config=config, cases=cases)
 
-
-def workload_encode_benchmark(
-    workload_name: str = "mmul",
-    block_size: int = 5,
-    repeats: int = 1,
-) -> dict:
-    """Whole-program encode timing on a real workload.  Heavier than
-    the codec cases; not part of the default report."""
-    from repro.pipeline.flow import EncodingFlow
-    from repro.sim.cpu import run_program
-    from repro.workloads.registry import build_workload
-
-    workload = build_workload(workload_name)
-    program = workload.assemble()
-    _cpu, trace = run_program(program)
-    serial = _best_time(
-        lambda: EncodingFlow(block_size=block_size, verify_decode=False).run(
-            program, trace, workload_name
-        ),
-        repeats,
-    )
-    return {"workload": workload_name, "serial_seconds": serial}

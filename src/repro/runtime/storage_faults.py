@@ -1,10 +1,9 @@
 """Seeded storage-fault injection: the durability-syscall shim.
 
 Every durability surface in the system — the checkpoint WAL, atomic
-report writes, the bundle disk cache, flight-record dumps — used to
-call ``os``/``io`` directly, which made "the disk never fails" an
-untested axiom.  This module turns those call sites into an
-*injectable* seam:
+report writes, the bundle disk cache — used to call ``os``/``io``
+directly, which made "the disk never fails" an untested axiom.  This
+module turns those call sites into an *injectable* seam:
 
 * :class:`StorageVFS` is the real implementation **and** the
   interface: a thin, syscall-shaped veneer over ``os.open`` /
@@ -20,7 +19,7 @@ untested axiom.  This module turns those call sites into an
 * the process-global active VFS (:func:`get_vfs` /
   :func:`install_vfs` / :func:`active_vfs`) is what
   ``atomic_write_text``, :class:`~repro.runtime.CheckpointLog`, the
-  bundle cache and the flight recorder default to, so one
+  bundle cache default to, so one
   ``install_vfs(FaultyVFS(...))`` — or the ``REPRO_STORAGE_FAULTS``
   environment spec, for subprocess tests — puts the whole process's
   storage plane under fault injection.

@@ -35,69 +35,10 @@ async def _handle_connection(server, reader, writer) -> None:
             writer.write((json.dumps(response) + "\n").encode())
             await writer.drain()
 
-    async def answer_control(seq, what) -> None:
-        """Observability side-channel: answered by the server inline
-        (no queue slot, no WAL entry) so a scrape works even when the
-        job queue is saturated or the pool is broken."""
-        if what == "metrics":
-            response = {
-                "_seq": seq,
-                "control": "metrics",
-                "openmetrics": server.openmetrics(),
-            }
-        elif what == "status":
-            response = {
-                "_seq": seq,
-                "control": "status",
-                "status": server.status(),
-            }
-        else:
-            response = {
-                "_seq": seq,
-                "control": str(what),
-                "error": f"unknown control request {what!r}",
-            }
-        async with write_lock:
-            writer.write((json.dumps(response) + "\n").encode())
-            await writer.drain()
-
-    async def serve_http_get(line: bytes) -> None:
-        """A plain HTTP/1.0 scrape (``curl``, Prometheus) on the same
-        port: answer one GET and close the connection."""
-        parts = line.decode("latin-1", "replace").split()
-        path = parts[1] if len(parts) > 1 else "/"
-        if path in ("/metrics", "/metrics/"):
-            status_line = "HTTP/1.0 200 OK"
-            body = server.openmetrics()
-            content_type = (
-                "application/openmetrics-text; version=1.0.0; charset=utf-8"
-            )
-        elif path in ("/status", "/status/"):
-            status_line = "HTTP/1.0 200 OK"
-            body = json.dumps(server.status(), indent=1) + "\n"
-            content_type = "application/json"
-        else:
-            status_line = "HTTP/1.0 404 Not Found"
-            body = "try /metrics or /status\n"
-            content_type = "text/plain"
-        payload = (
-            f"{status_line}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body.encode())}\r\n"
-            "Connection: close\r\n"
-            "\r\n" + body
-        )
-        async with write_lock:
-            writer.write(payload.encode())
-            await writer.drain()
-
     try:
         while True:
             line = await reader.readline()
             if not line:
-                break
-            if line.startswith(b"GET "):
-                await serve_http_get(line)
                 break
             try:
                 raw = json.loads(line)
@@ -106,13 +47,6 @@ async def _handle_connection(server, reader, writer) -> None:
                 # result (and keep whatever correlation we can't have).
                 raw = {"_undecodable": line.decode("utf-8", "replace")}
             seq = raw.get("_seq") if isinstance(raw, dict) else None
-            if isinstance(raw, dict) and "_control" in raw:
-                task = asyncio.ensure_future(
-                    answer_control(seq, raw.get("_control"))
-                )
-                inflight.add(task)
-                task.add_done_callback(inflight.discard)
-                continue
             task = asyncio.ensure_future(answer(seq, raw))
             inflight.add(task)
             task.add_done_callback(inflight.discard)
@@ -219,11 +153,6 @@ class ServeClient:
             await asyncio.sleep(response.get("retry_after_s", 0.05))
             response = await self._roundtrip(request)
         return response
-
-    async def control(self, what: str = "status") -> dict:
-        """Fetch a live observability view (``status`` or ``metrics``)
-        over the job connection — what `repro top` polls."""
-        return await self._roundtrip({"_control": what})
 
     async def close(self) -> None:
         if self._pump is not None:

@@ -72,13 +72,6 @@ class SelftestOptions:
     retry_attempts: int = 4
     breaker_threshold: int = 5
     breaker_cooldown_s: float = 2.0
-    #: Telemetry-plane artifacts: a one-shot OpenMetrics scrape taken
-    #: at the end of the run (over the live TCP endpoint when the
-    #: transport is tcp) and the flight-record destination.
-    openmetrics_path: str | None = None
-    flight_path: str | None = None
-    rebuild_storm_threshold: int = 3
-    slo_latency_target_s: float = 2.0
 
     def batch_key(self) -> str:
         """The WAL identity of this generated batch: everything that
@@ -197,29 +190,9 @@ def verify_results(
     return problems
 
 
-async def _scrape_openmetrics(port: int) -> str:
-    """Fetch /metrics over plain HTTP from the live TCP endpoint —
-    the same bytes a Prometheus scraper would see."""
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    try:
-        writer.write(b"GET /metrics HTTP/1.0\r\n\r\n")
-        await writer.drain()
-        data = await reader.read()
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-    text = data.decode("utf-8", "replace")
-    if "\r\n\r\n" in text:
-        return text.split("\r\n\r\n", 1)[1]
-    return text
-
-
 async def _drive_tcp(
-    server: EncodingServer, requests: list[dict], scrape: bool = False
-) -> tuple[list[dict], str | None]:
+    server: EncodingServer, requests: list[dict]
+) -> list[dict]:
     """One TCP client per tenant, each submitting its jobs
     concurrently — the many-concurrent-clients load shape."""
     tcp = await start_tcp_server(server)
@@ -229,7 +202,6 @@ async def _drive_tcp(
         tenant = raw.get("tenant", "?")
         by_tenant.setdefault(tenant, []).append((index, raw))
     results: list[dict | None] = [None] * len(requests)
-    scraped: str | None = None
 
     async def tenant_session(jobs: list[tuple[int, dict]]) -> None:
         async with ServeClient("127.0.0.1", port) as client:
@@ -242,20 +214,13 @@ async def _drive_tcp(
         await asyncio.gather(
             *(tenant_session(jobs) for jobs in by_tenant.values())
         )
-        if scrape:
-            # Scrape while the server (and everything merged from its
-            # workers) is still live — the acceptance evidence that
-            # the endpoint works, not a post-mortem reconstruction.
-            scraped = await _scrape_openmetrics(port)
     finally:
         tcp.close()
         await tcp.wait_closed()
-    return results, scraped  # type: ignore[return-value]
+    return results  # type: ignore[return-value]
 
 
-async def _run(
-    options: SelftestOptions,
-) -> tuple[list[dict], EncodingServer, str | None]:
+async def _run(options: SelftestOptions) -> tuple[list[dict], EncodingServer]:
     config = ServeConfig(
         workers=options.workers,
         queue_depth=options.queue_depth,
@@ -268,33 +233,22 @@ async def _run(
         wal_path=options.wal_path,
         resume=options.resume,
         batch_key=options.batch_key(),
-        flight_path=options.flight_path,
-        rebuild_storm_threshold=options.rebuild_storm_threshold,
-        slo_latency_target_s=options.slo_latency_target_s,
     )
     requests = generate_requests(options)
-    scrape = options.openmetrics_path is not None
-    scraped: str | None = None
     async with EncodingServer(config) as server:
         if options.transport == "tcp":
-            results, scraped = await _drive_tcp(
-                server, requests, scrape=scrape
-            )
+            results = await _drive_tcp(server, requests)
         else:
             results = await server.run_batch(requests)
-            if scrape:
-                scraped = server.openmetrics()
-    return results, server, scraped
+    return results, server
 
 
 def run_selftest(options: SelftestOptions) -> tuple[dict, list[str]]:
     """Run the whole harness; returns (report dict, problems)."""
     requests = generate_requests(options)
     started = time.monotonic()
-    results, server, scraped = asyncio.run(_run(options))
+    results, server = asyncio.run(_run(options))
     wall_s = time.monotonic() - started
-    if options.openmetrics_path and scraped is not None:
-        atomic_write_text(options.openmetrics_path, scraped)
 
     problems = verify_results(requests, results)
 
@@ -351,14 +305,12 @@ def _bench_report(
     results: list[dict],
     wall_s: float,
 ) -> dict:
-    """BENCH_serve.json v2: the v1 tail-latency and failure-handling
-    block, byte-compatible, plus the telemetry plane's rolling windows
-    and per-tenant SLO verdicts."""
+    """BENCH_serve.json: tail latency + failure-handling counters."""
     ordered = sorted(server.latencies)
     as_ms = lambda v: None if v is None else round(v * 1000.0, 3)  # noqa: E731
     return {
         "generated_by": "repro serve --selftest",
-        "schema": "repro.serve.bench/2",
+        "schema": "repro.serve.bench/1",
         "config": {
             "seed": options.seed,
             "tenants": options.tenants,
@@ -383,8 +335,4 @@ def _bench_report(
             "max": as_ms(ordered[-1]) if ordered else None,
         },
         "stats": dict(server.stats),
-        # v2 additions (everything above is byte-compatible with v1).
-        "windows": server.windows.snapshot(),
-        "slo": server.slo.snapshot(),
-        "flight": server.flight.snapshot(),
     }

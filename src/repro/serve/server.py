@@ -30,7 +30,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -38,10 +37,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import StorageError, StorageFullError
 from repro.obs import OBS
-from repro.obs.export import render_openmetrics, synthetic_gauge_family
-from repro.obs.flight import FlightRecorder
-from repro.obs.slo import DEFAULT_TENANT, SLOPolicy, SLOTracker
-from repro.obs.window import TelemetryWindows
 from repro.runtime import (
     BackoffPolicy,
     CheckpointLog,
@@ -72,7 +67,6 @@ SERVE_METRIC_FAMILIES = (
     ),
     ("serve.queue_depth", "gauge", "jobs waiting for a dispatcher"),
     ("serve.job_seconds", "histogram", "admission-to-completion latency"),
-    # PR 8 telemetry plane.
     (
         "serve.telemetry_deltas_merged",
         "counter",
@@ -84,10 +78,6 @@ SERVE_METRIC_FAMILIES = (
         "worker spans stitched into the server trace",
     ),
     ("serve.pool_rebuilds", "counter", "worker pools replaced after a crash"),
-    ("slo.jobs_observed", "counter", "jobs graded against the SLO policy"),
-    ("slo.bad_jobs", "counter", "jobs that consumed error budget"),
-    ("slo.burn_rate", "gauge", "worst-window SLO budget burn, by tenant"),
-    # PR 9 storage hardening.
     (
         "serve.storage_degraded",
         "counter",
@@ -129,16 +119,6 @@ class ServeConfig:
     #: Caller-supplied batch identity folded into the WAL run key
     #: (the selftest passes a digest of its generation parameters).
     batch_key: str = ""
-    #: Flight-record destination; ``None`` disables dumps (the ring
-    #: still records, so ``status()`` can always show recent events).
-    flight_path: str | None = None
-    #: Pool rebuilds within ``rebuild_storm_window_s`` that count as a
-    #: storm and trigger a flight dump.
-    rebuild_storm_threshold: int = 3
-    rebuild_storm_window_s: float = 30.0
-    #: Per-tenant SLO policy knob surfaced on the CLI; the rest of the
-    #: policy keeps its defaults.
-    slo_latency_target_s: float = 2.0
     backoff: BackoffPolicy = field(
         default_factory=lambda: BackoffPolicy(
             base=0.02, factor=2.0, cap=0.25, max_attempts=4
@@ -204,17 +184,6 @@ class EncodingServer:
         #: Admission-to-completion latencies (seconds) for the bench
         #: summary; mirrors the serve.job_seconds histogram.
         self.latencies: list[float] = []
-        #: The always-on telemetry plane: rolling windows, per-tenant
-        #: SLO grading, and the flight recorder.  Like ``stats``, these
-        #: live independently of the OBS switch so `repro top` and the
-        #: bench report work on an uninstrumented server.
-        self.windows = TelemetryWindows()
-        self.slo = SLOTracker(
-            SLOPolicy(latency_target_s=self.config.slo_latency_target_s)
-        )
-        self.flight = FlightRecorder()
-        self._rebuild_times: list[float] = []
-        self._sigterm_installed = False
 
     # -- lifecycle -----------------------------------------------------
 
@@ -238,41 +207,10 @@ class EncodingServer:
             asyncio.ensure_future(self._dispatch_loop())
             for _ in range(self.config.workers)
         ]
-        if self.config.flight_path is not None:
-            # Dump the flight record on SIGTERM, then let the default
-            # disposition run its course — an operator kill should
-            # leave a diagnosis behind, not change shutdown semantics.
-            try:
-                asyncio.get_running_loop().add_signal_handler(
-                    signal.SIGTERM, self._on_sigterm
-                )
-                self._sigterm_installed = True
-            except (NotImplementedError, RuntimeError, ValueError):
-                self._sigterm_installed = False
         self._started = True
-        self.flight.record(
-            "server_start",
-            workers=self.config.workers,
-            queue_depth=self.config.queue_depth,
-            resume=self.config.resume,
-        )
         return self
 
-    def _on_sigterm(self) -> None:
-        self.flight.record("sigterm")
-        self._dump_flight("sigterm")
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        os.kill(os.getpid(), signal.SIGTERM)
-
     async def stop(self) -> None:
-        if self._sigterm_installed:
-            try:
-                asyncio.get_running_loop().remove_signal_handler(
-                    signal.SIGTERM
-                )
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass
-            self._sigterm_installed = False
         for task in self._dispatchers:
             task.cancel()
         for task in self._dispatchers:
@@ -294,10 +232,8 @@ class EncodingServer:
                         self._wal.record(pending_key, pending_result)
                         self._journal_backlog.pop(0)
                 except StorageError:
-                    self.flight.record(
-                        "storage_backlog_dropped",
-                        records=len(self._journal_backlog),
-                    )
+                    # Still full: the backlog dies with this process.
+                    pass
             self._wal.close()
         self._started = False
 
@@ -319,24 +255,8 @@ class EncodingServer:
         if OBS.enabled:
             OBS.registry.counter(name, help_, **labels).inc()
 
-    # -- flight recorder -----------------------------------------------
-
-    def _dump_flight(self, reason: str, extra: dict | None = None) -> None:
-        if self.config.flight_path is None:
-            return
-        try:
-            self.flight.dump(self.config.flight_path, reason, extra)
-        except OSError:
-            # A full disk must not take the serve path down with it.
-            pass
-
     def _note_breaker_open(self) -> None:
         self.stats["breaker_opens"] += 1
-        self.flight.record(
-            "breaker_open",
-            consecutive_failures=self._breaker.consecutive_failures,
-        )
-        self._dump_flight("breaker_open")
 
     # -- process pool --------------------------------------------------
 
@@ -366,26 +286,6 @@ class EncodingServer:
         self._build_pool()
         self.stats["pool_rebuilds"] += 1
         self._count("serve.pool_rebuilds", "worker pools replaced after a crash")
-        now = time.monotonic()
-        self._rebuild_times = [
-            t
-            for t in self._rebuild_times
-            if now - t <= self.config.rebuild_storm_window_s
-        ]
-        self._rebuild_times.append(now)
-        self.flight.record(
-            "pool_rebuild",
-            generation=self._pool_generation,
-            rebuilds_in_window=len(self._rebuild_times),
-        )
-        if len(self._rebuild_times) >= self.config.rebuild_storm_threshold:
-            self._dump_flight(
-                "pool_rebuild_storm",
-                {
-                    "rebuilds_in_window": len(self._rebuild_times),
-                    "window_s": self.config.rebuild_storm_window_s,
-                },
-            )
         if old is not None:
             old.shutdown(wait=False, cancel_futures=True)
 
@@ -429,9 +329,6 @@ class EncodingServer:
         if self._queue.full():
             self.stats["shed"] += 1
             self._count("serve.jobs_shed", "jobs refused: queue at depth limit")
-            self.flight.record(
-                "job_shed", tenant=request.tenant, job_id=request.job_id
-            )
             retry_after = round(
                 0.05 * (1.0 + self._queue.qsize() / self.config.workers), 3
             )
@@ -677,7 +574,7 @@ class EncodingServer:
             return
         if not OBS.enabled:
             return
-        merged = OBS.registry.merge_delta(telemetry.get("metrics"))
+        OBS.registry.merge_delta(telemetry.get("metrics"))
         adopted = OBS.tracer.adopt_spans(telemetry.get("spans"))
         OBS.registry.counter(
             "serve.telemetry_deltas_merged",
@@ -688,9 +585,6 @@ class EncodingServer:
                 "serve.worker_spans_adopted",
                 "worker spans stitched into the server trace",
             ).inc(adopted)
-        self.flight.record(
-            "telemetry_merge", series=merged, spans=adopted
-        )
 
     # -- completion ----------------------------------------------------
 
@@ -713,39 +607,12 @@ class EncodingServer:
         if admitted_at is not None:
             latency = time.monotonic() - admitted_at
             self.latencies.append(latency)
-            ok = outcome == "ok"
-            tenant = result.get("tenant") or DEFAULT_TENANT
-            self.windows.observe(latency, ok=ok)
-            self.slo.observe(tenant, latency, ok)
-            self.flight.record(
-                "job_finish",
-                key=key,
-                tenant=tenant,
-                outcome=outcome,
-                latency_ms=round(latency * 1000.0, 3),
-            )
             if OBS.enabled:
                 OBS.registry.histogram(
                     "serve.job_seconds",
                     "admission-to-completion latency",
                     kind=result.get("kind") or "unknown",
                 ).observe(latency)
-                OBS.registry.counter(
-                    "slo.jobs_observed",
-                    "jobs graded against the SLO policy",
-                    tenant=tenant,
-                ).inc()
-                if not ok:
-                    OBS.registry.counter(
-                        "slo.bad_jobs",
-                        "jobs that consumed error budget",
-                        tenant=tenant,
-                    ).inc()
-                OBS.registry.gauge(
-                    "slo.burn_rate",
-                    "worst-window SLO budget burn, by tenant",
-                    tenant=tenant,
-                ).set(self.slo.verdict(tenant)["burn_rate"])
         if self._wal is not None:
             self._journal(key, deterministic_result(result))
 
@@ -754,12 +621,11 @@ class EncodingServer:
 
         ENOSPC on the WAL must not take the serve path down — the job
         already finished; only its durability is at risk.  The result
-        joins an in-memory backlog, a ``storage_degraded`` flight event
-        fires once, and every later completion retries the whole
-        backlog in order — so the moment space returns, journaling
-        re-arms and catches up with nothing lost from this process.
-        (A subsequent *kill* while degraded does lose the backlog; the
-        flight record and ``status()`` say exactly that was the state.)
+        joins an in-memory backlog, ``storage_degraded`` counts once per
+        episode, and every later completion retries the whole backlog
+        in order — so the moment space returns, journaling re-arms and
+        catches up with nothing lost from this process.  (A subsequent
+        *kill* while degraded does lose the backlog.)
         """
         self._journal_backlog.append((key, result))
         try:
@@ -767,7 +633,7 @@ class EncodingServer:
                 pending_key, pending_result = self._journal_backlog[0]
                 self._wal.record(pending_key, pending_result)
                 self._journal_backlog.pop(0)
-        except StorageFullError as err:
+        except StorageFullError:
             if not self._wal_degraded:
                 self._wal_degraded = True
                 self.stats["storage_degraded"] += 1
@@ -776,81 +642,10 @@ class EncodingServer:
                     "transitions to memory-only journaling on a full "
                     "WAL device",
                 )
-                self.flight.record(
-                    "storage_degraded",
-                    error=str(err),
-                    backlog=len(self._journal_backlog),
-                )
-                self._dump_flight("storage_degraded")
             return
         if self._wal_degraded:
             self._wal_degraded = False
             self.stats["storage_recovered"] += 1
-            self.flight.record("storage_recovered")
-
-    # -- live views ----------------------------------------------------
-
-    def status(self) -> dict:
-        """One JSON-ready snapshot of everything `repro top` shows."""
-        return {
-            "stats": dict(self.stats),
-            "queue_depth": self._queue.qsize() if self._queue else 0,
-            "pool_generation": self._pool_generation,
-            "breaker": {
-                "state": self._breaker.state,
-                "consecutive_failures": self._breaker.consecutive_failures,
-            },
-            "windows": self.windows.snapshot(),
-            "slo": self.slo.snapshot(),
-            "flight": self.flight.snapshot(),
-            "storage": {
-                "wal_degraded": self._wal_degraded,
-                "journal_backlog": len(self._journal_backlog),
-            },
-        }
-
-    def _window_families(self) -> dict:
-        """The windowed rates and SLO burns as snapshot-form gauge
-        families, so they render on /metrics next to the registry."""
-        win = self.windows.snapshot()
-        rate, errs, p99 = [], [], []
-        for label, data in win.items():
-            rate.append(({"window": label}, data["rate_per_s"]))
-            errs.append(({"window": label}, data["error_rate"]))
-            if data["latency"]["p99_ms"] is not None:
-                p99.append(({"window": label}, data["latency"]["p99_ms"]))
-        families = {
-            "serve.window_rate_per_s": synthetic_gauge_family(
-                rate, "job throughput over the trailing window"
-            ),
-            "serve.window_error_rate": synthetic_gauge_family(
-                errs, "failed-job fraction over the trailing window"
-            ),
-        }
-        if p99:
-            families["serve.window_latency_p99_ms"] = synthetic_gauge_family(
-                p99, "rolling p99 admission-to-completion latency"
-            )
-        burns = [
-            ({"tenant": tenant}, verdict["burn_rate"])
-            for tenant, verdict in self.slo.verdicts().items()
-        ]
-        if burns:
-            families["slo.burn_rate"] = synthetic_gauge_family(
-                burns, "worst-window SLO budget burn, by tenant"
-            )
-        return families
-
-    def openmetrics(self) -> str:
-        """The OpenMetrics exposition for this server: the process
-        registry (when instrumented — including everything merged from
-        workers) plus the always-on windowed/SLO families."""
-        merged = dict(OBS.registry.snapshot()) if OBS.enabled else {}
-        for name, family in self._window_families().items():
-            # The registry's own family (e.g. slo.burn_rate under
-            # --metrics) wins over the synthetic twin.
-            merged.setdefault(name, family)
-        return render_openmetrics(merged)
 
     # -- batch helper --------------------------------------------------
 
@@ -872,63 +667,3 @@ class EncodingServer:
 
         return list(await asyncio.gather(*(one(raw) for raw in requests)))
 
-
-def format_status(status: dict) -> str:
-    """Render a :meth:`EncodingServer.status` snapshot as the
-    plain-text screen `repro top` refreshes."""
-    stats = status.get("stats", {})
-    breaker = status.get("breaker", {})
-    lines = [
-        "repro serve — live status",
-        (
-            f"queue={status.get('queue_depth', 0)}"
-            f" pool_gen={status.get('pool_generation', 0)}"
-            f" breaker={breaker.get('state', '?')}"
-            f" fails={breaker.get('consecutive_failures', 0)}"
-        ),
-        (
-            f"jobs: accepted={stats.get('accepted', 0)}"
-            f" completed={stats.get('completed', 0)}"
-            f" shed={stats.get('shed', 0)}"
-            f" retried={stats.get('retried', 0)}"
-            f" errors={stats.get('errors', 0)}"
-            f" deadline={stats.get('deadline_exceeded', 0)}"
-            f" rebuilds={stats.get('pool_rebuilds', 0)}"
-        ),
-        "",
-        "window   jobs      rate/s    err%      p50ms     p99ms",
-    ]
-    for label, data in (status.get("windows") or {}).items():
-        latency = data.get("latency", {})
-        p50 = latency.get("p50_ms")
-        p99 = latency.get("p99_ms")
-        lines.append(
-            f"{label:<8} {data.get('jobs', 0):<9g}"
-            f" {data.get('rate_per_s', 0.0):<9.3f}"
-            f" {100.0 * data.get('error_rate', 0.0):<9.2f}"
-            f" {'-' if p50 is None else format(p50, '<9.2f')}"
-            f" {'-' if p99 is None else format(p99, '<9.2f')}"
-        )
-    slo = status.get("slo") or {}
-    tenants = slo.get("tenants") or {}
-    if tenants:
-        lines.append("")
-        lines.append("tenant        status   burn     1m-burn  5m-burn")
-        for tenant, verdict in tenants.items():
-            windows = verdict.get("windows", {})
-            one_m = (windows.get("1m") or {}).get("burn_rate", 0.0)
-            five_m = (windows.get("5m") or {}).get("burn_rate", 0.0)
-            lines.append(
-                f"{tenant:<13} {verdict.get('status', '?'):<8}"
-                f" {verdict.get('burn_rate', 0.0):<8.3f}"
-                f" {one_m:<8.3f} {five_m:<8.3f}"
-            )
-    flight = status.get("flight") or {}
-    if flight:
-        lines.append("")
-        lines.append(
-            f"flight: recorded={flight.get('events_recorded', 0)}"
-            f" retained={flight.get('events_retained', 0)}"
-            f" dumps={flight.get('dumps_written', 0)}"
-        )
-    return "\n".join(lines) + "\n"

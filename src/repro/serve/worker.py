@@ -63,13 +63,14 @@ def pool_worker_init(parent_pid: int) -> None:
     hold the write end open) — without this they would idle as
     orphans indefinitely.
 
-    Fork children also inherit the server's asyncio signal plumbing:
-    its wakeup fd is the *server loop's* self-pipe, and SIGTERM may be
-    trapped by the loop's no-op trampoline.  Left in place, a child
-    SIGTERMed during broken-pool cleanup would both survive the
-    terminate *and* relay the signal number into the parent's pipe —
-    the server would then run its own SIGTERM handler for a signal
-    that was never sent to it.  Reset both before doing anything."""
+    Fork children also inherit the parent's asyncio signal plumbing:
+    when the embedding loop has a signal handler, its wakeup fd is the
+    *parent loop's* self-pipe, and SIGTERM may be trapped by the loop's
+    no-op trampoline.  Left in place, a child SIGTERMed during
+    broken-pool cleanup would both survive the terminate *and* relay
+    the signal number into the parent's pipe — the parent would then
+    run its SIGTERM handler for a signal that was never sent to it.
+    Reset both before doing anything."""
 
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)

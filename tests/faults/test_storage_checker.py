@@ -153,7 +153,6 @@ class TestCampaign:
             "atomic_write_repeated",
             "cache_put",
             "faults_report",
-            "flight_dump",
         } <= surfaces
         models = {row["model"] for row in report.matrix}
         assert {"crash-every-prefix", "eio", "enospc", "torn"} <= models

@@ -108,16 +108,24 @@ class TestWalContention:
             import multiprocessing, os, sys, time
             from repro.runtime import CheckpointLog
 
+            def orphan(pid_path):
+                # The target runs after the at-fork hook, so once this
+                # file exists the inherited lock has been dropped.  The
+                # pid goes to a file: the child inherits stdout, so a
+                # pipe would not reach EOF until the child dies too.
+                with open(pid_path + ".tmp", "w") as handle:
+                    handle.write(str(os.getpid()))
+                os.replace(pid_path + ".tmp", pid_path)
+                time.sleep(60.0)
+
             log = CheckpointLog(sys.argv[1], run_key="run")
             log.record("a", {"v": 1})
             child = multiprocessing.get_context("fork").Process(
-                target=time.sleep, args=(60.0,), daemon=False
+                target=orphan, args=(sys.argv[2],), daemon=False
             )
             child.start()
-            # The pid goes to a file: the child inherits stdout, so a
-            # pipe would not reach EOF until the child dies too.
-            with open(sys.argv[2], "w") as handle:
-                handle.write(str(child.pid))
+            while not os.path.exists(sys.argv[2]):
+                time.sleep(0.01)
             os._exit(0)  # parent dies holding the lock; child lives on
             """
         )

@@ -21,7 +21,6 @@ from repro.errors import (
     StorageSyncError,
     StorageWriteError,
 )
-from repro.obs.flight import FlightRecorder
 from repro.runtime.checkpoint import CheckpointLog, atomic_write_text
 from repro.runtime.storage_faults import (
     ENV_SPEC,
@@ -251,46 +250,3 @@ class TestPlanMechanics:
         with pytest.raises(StorageError):
             atomic_write_text(tmp_path / "x.json", "hello")
 
-
-class TestFlightDumpHardening:
-    def test_failed_dump_counts_and_keeps_the_ring(self, tmp_path):
-        recorder = FlightRecorder(
-            capacity=8,
-            vfs=FaultyVFS(
-                FaultPlan(specs=[FaultSpec(op="write", kind="eio", always=True)])
-            ),
-        )
-        recorder.record("tick", n=1)
-        assert recorder.dump(tmp_path / "f.jsonl", reason="test") is False
-        assert recorder.dump_errors == 1
-        assert len(recorder.tail(10)) == 1  # ring intact
-        snapshot = recorder.snapshot()
-        assert snapshot["dump_errors"] == 1
-        assert snapshot["dumps_written"] == 0
-
-    def test_failed_dump_does_not_burn_the_rate_limit(self, tmp_path):
-        clock = {"t": 0.0}
-        plan = FaultPlan(specs=[FaultSpec(op="write", kind="eio", always=True)])
-        recorder = FlightRecorder(
-            capacity=8, clock=lambda: clock["t"], vfs=FaultyVFS(plan)
-        )
-        recorder.record("tick")
-        assert recorder.dump(tmp_path / "f.jsonl", reason="r") is False
-        # Same instant, same reason: a *successful* first dump would be
-        # rate-limited here; the failed one must not be.
-        plan.disarm()
-        assert recorder.dump(tmp_path / "f.jsonl", reason="r") is True
-
-    def test_dump_repairs_a_torn_boundary_before_appending(self, tmp_path):
-        import json
-
-        path = tmp_path / "f.jsonl"
-        path.write_bytes(b'{"event": "flight_dump", "torn": ')  # no newline
-        recorder = FlightRecorder(capacity=8)
-        recorder.record("tick")
-        assert recorder.dump(path, reason="r") is True
-        lines = path.read_bytes().split(b"\n")
-        # Torn fragment newline-terminated, every later line parses.
-        assert lines[0] == b'{"event": "flight_dump", "torn": '
-        for line in lines[1:-1]:
-            json.loads(line)

@@ -63,18 +63,20 @@ class TestHarness:
         written = json.loads(report_path.read_text())
         assert written["summary"] == report["summary"]
         bench = json.loads(bench_path.read_text())
-        assert bench["schema"] == "repro.serve.bench/2"
-        # Every v1 field survives unchanged under the v2 schema...
+        assert bench["schema"] == "repro.serve.bench/1"
+        assert set(bench) == {
+            "generated_by",
+            "schema",
+            "config",
+            "jobs",
+            "wall_s",
+            "throughput_jobs_per_s",
+            "latency_ms",
+            "stats",
+        }
         assert bench["jobs"] == 24
         assert bench["latency_ms"]["count"] > 0
         assert bench["latency_ms"]["p99"] >= bench["latency_ms"]["p50"]
-        # ...and v2 appends the rolling-window / SLO / flight views.
-        assert bench["windows"]["1m"]["jobs"] > 0
-        assert bench["windows"]["1m"]["latency"]["p99_ms"] is not None
-        assert "policy" in bench["slo"]
-        for verdict in bench["slo"]["tenants"].values():
-            assert verdict["status"] in ("idle", "ok", "warn", "breach")
-        assert bench["flight"]["events_recorded"] > 0
 
     def test_tcp_transport_reaches_the_same_results(self):
         seed = 9

@@ -8,7 +8,7 @@ compares; the application-specific encoding must win clearly on the
 data bus, while T0/Gray are reported for the (separate) address bus."""
 
 from repro.baselines.bus_invert import bus_invert_transitions
-from repro.baselines.frequency import FrequencyRemapper
+from repro.baselines.frequency import FrequencyEncoder
 from repro.baselines.gray import gray_transitions
 from repro.baselines.t0 import t0_transitions
 from repro.core.transitions import word_transitions
@@ -30,13 +30,13 @@ def test_baseline_comparison(benchmark, figure6_results, record_result):
             program, trace = traces[name]
             words = _word_stream(program, trace)
             ours = results[name][5]
-            remapper = FrequencyRemapper(max_entries=64).fit(words)
+            dictionary = FrequencyEncoder(max_entries=64).fit(words)
             rows[name] = {
                 "baseline": ours.baseline_transitions,
                 "ours": ours.encoded_transitions,
                 "bus_invert": bus_invert_transitions(words),
-                "dictionary": remapper.transitions(words),
-                "dictionary_bits": remapper.dictionary_bits,
+                "dictionary": dictionary.transitions(words),
+                "dictionary_bits": dictionary.budget().table_bits,
             }
         return rows
 

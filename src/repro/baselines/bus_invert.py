@@ -9,75 +9,9 @@ line itself, which we count, as the original paper does).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-
-@dataclass
-class BusInvertCoder:
-    """Stateful bus-invert encoder for a ``width``-bit bus."""
-
-    width: int = 32
-
-    def __post_init__(self) -> None:
-        self._mask = (1 << self.width) - 1
-        self.reset()
-
-    def reset(self, initial_word: int = 0) -> None:
-        self._bus = initial_word & self._mask
-        self._invert_line = 0
-        self.transitions = 0
-        self.transfers = 0
-
-    def send(self, word: int) -> tuple[int, int]:
-        """Encode one transfer; returns (driven word, invert bit) and
-        accumulates the transition count including the invert line."""
-        word &= self._mask
-        plain = (word ^ self._bus).bit_count()
-        inverted_word = word ^ self._mask
-        inverted = (inverted_word ^ self._bus).bit_count()
-        if inverted < plain:
-            driven, invert = inverted_word, 1
-            cost = inverted
-        else:
-            driven, invert = word, 0
-            cost = plain
-        cost += invert ^ self._invert_line
-        self.transitions += cost
-        self.transfers += 1
-        self._bus = driven
-        self._invert_line = invert
-        return driven, invert
-
-    def send_all(self, words: Iterable[int]) -> int:
-        """Encode a word sequence; returns total transitions."""
-        for word in words:
-            self.send(word)
-        return self.transitions
-
-    @staticmethod
-    def decode(driven: int, invert: int, width: int = 32) -> int:
-        """Receiver side: undo the optional inversion."""
-        mask = (1 << width) - 1
-        return (driven ^ mask) if invert else (driven & mask)
-
-
-def bus_invert_transitions(words: Sequence[int], width: int = 32) -> int:
-    """Transitions (bus lines + invert line) for a fetch word stream.
-
-    The first word is driven from an all-zero bus, mirroring how the
-    other counters in this package treat sequence starts; relative
-    comparisons are unaffected.
-    """
-    if not words:
-        return 0
-    coder = BusInvertCoder(width)
-    coder.reset(initial_word=words[0])
-    coder.send_all(words[1:])
-    return coder.transitions
-
-
-from repro.baselines.protocol import (  # noqa: E402  (adapter after legacy API)
+from repro.baselines.protocol import (
     EncodedStream,
     Encoder,
     HardwareBudget,
@@ -88,11 +22,13 @@ from repro.baselines.protocol import (  # noqa: E402  (adapter after legacy API)
 
 @register_encoder
 class BusInvertEncoder(Encoder):
-    """:class:`BusInvertCoder` behind the common Encoder protocol.
+    """Stateful bus-invert codec for a ``width``-bit bus.
 
     The invert line is packed into bit ``width`` of each driven value,
     so ``EncodedStream.transitions`` counts data-line and invert-line
-    toggles together, exactly as :func:`bus_invert_transitions` does.
+    toggles together.  The first word is driven plain from a bus that
+    already holds it, mirroring how the other counters in this package
+    treat sequence starts.
     """
 
     scheme = "bus-invert"
@@ -103,28 +39,56 @@ class BusInvertEncoder(Encoder):
         self._mask = (1 << width) - 1
 
     def encode(self, words: Sequence[int]) -> EncodedStream:
-        stream = EncodedStream(self.scheme, self.width + 1)
-        if not words:
-            return stream
-        coder = BusInvertCoder(self.width)
-        coder.reset(initial_word=words[0])
-        stream.driven.append(words[0] & self._mask)
-        for word in words[1:]:
-            driven, invert = coder.send(word)
-            stream.driven.append((invert << self.width) | driven)
-        return stream
+        width, mask, invert = self.width, self._mask, 1 << self.width
+        driven = []
+        bus = words[0] & mask if words else 0
+        for word in words:
+            word &= mask
+            # Inverting costs width - d data toggles instead of d.
+            if 2 * (word ^ bus).bit_count() > width:
+                bus = word ^ mask
+                driven.append(invert | bus)
+            else:
+                bus = word
+                driven.append(bus)
+        return EncodedStream(self.scheme, width + 1, driven)
 
     def decode(self, stream: EncodedStream) -> list[int]:
-        out = []
-        for packed in stream.driven:
-            invert = (packed >> self.width) & 1
-            out.append(BusInvertCoder.decode(packed & self._mask, invert, self.width))
-        return out
+        width, mask = self.width, self._mask
+        return [
+            (packed & mask) ^ mask if (packed >> width) & 1 else packed & mask
+            for packed in stream.driven
+        ]
 
     def budget(self) -> HardwareBudget:
         return HardwareBudget(table_bits=0, extra_lines=1, stateful=True)
 
 
+def bus_invert_transitions(words: Sequence[int], width: int = 32) -> int:
+    """Transitions (data lines + invert line) of a word stream under
+    bus-invert, counted transfer by transfer from the scheme's
+    definition: a word whose Hamming distance from the lines currently
+    driven exceeds half the bus is sent complemented with the invert
+    line high, otherwise it is sent as is with the invert line low.
+    The first word is already on the lines (invert low) and costs
+    nothing."""
+    mask = (1 << width) - 1
+    total = 0
+    lines = None
+    invert_line = 0
+    for word in words:
+        word &= mask
+        if lines is None:
+            lines = word
+            continue
+        distance = (word ^ lines).bit_count()
+        invert = 1 if distance > width / 2 else 0
+        sent = (mask - word) if invert else word
+        total += (sent ^ lines).bit_count() + (invert != invert_line)
+        lines, invert_line = sent, invert
+    return total
+
+
 @register_reference_counter("bus-invert")
 def _bus_invert_reference(encoder: Encoder, words: Sequence[int]) -> int:
-    return bus_invert_transitions(list(words), encoder.width)
+    return bus_invert_transitions(words, encoder.width)

@@ -14,8 +14,15 @@ argues against, which the comparison benches quantify.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Sequence
+
+from repro.baselines.protocol import (
+    EncodedStream,
+    Encoder,
+    HardwareBudget,
+    register_encoder,
+    register_reference_counter,
+)
 
 
 def _code_candidates(width: int, count: int) -> list[int]:
@@ -40,72 +47,18 @@ def _code_candidates(width: int, count: int) -> list[int]:
     return codes
 
 
-@dataclass
-class FrequencyRemapper:
-    """A dictionary-based re-encoder for a closed set of words.
-
-    ``fit`` learns the mapping from a training trace; ``transitions``
-    evaluates a (possibly different) trace under it.  Words outside
-    the learned dictionary fall back to their original encoding, with
-    one extra *escape* line toggling (modelling the miss signal a real
-    implementation needs).
-    """
-
-    width: int = 32
-    max_entries: int = 256
-    mapping: dict[int, int] = field(default_factory=dict)
-
-    def fit(self, words: Sequence[int]) -> "FrequencyRemapper":
-        counts = Counter(words)
-        ranked = [w for w, _ in counts.most_common(self.max_entries)]
-        codes = _code_candidates(self.width, len(ranked))
-        self.mapping = dict(zip(ranked, codes))
-        return self
-
-    def encode(self, word: int) -> tuple[int, int]:
-        """Returns (driven word, escape bit)."""
-        code = self.mapping.get(word)
-        if code is None:
-            return word, 1
-        return code, 0
-
-    def transitions(self, words: Sequence[int]) -> int:
-        """Bus transitions (word lines + escape line) over a trace."""
-        total = 0
-        prev_word = None
-        prev_escape = 0
-        for word in words:
-            driven, escape = self.encode(word)
-            if prev_word is not None:
-                total += (driven ^ prev_word).bit_count()
-                total += escape ^ prev_escape
-            prev_word, prev_escape = driven, escape
-        return total
-
-    @property
-    def dictionary_bits(self) -> int:
-        """Storage the dictionary costs (the paper's Section 3
-        objection): two full words per entry."""
-        return len(self.mapping) * 2 * self.width
-
-
-from repro.baselines.protocol import (  # noqa: E402  (adapter after legacy API)
-    EncodedStream,
-    Encoder,
-    HardwareBudget,
-    register_encoder,
-    register_reference_counter,
-)
-
-
 @register_encoder
 class FrequencyEncoder(Encoder):
-    """:class:`FrequencyRemapper` behind the common Encoder protocol.
+    """A dictionary-based re-encoder for a closed set of words.
 
-    The escape line (asserted for words outside the learned
-    dictionary) is packed into bit ``width`` of each driven value.
-    Because of that extra line the scheme is a bus codec, not an
-    image-deployable recoder, even though its mapping is stateless.
+    ``fit`` learns ``mapping`` (word -> code) from a training trace;
+    ``encode`` drives a (possibly different) trace under it.  Words
+    outside the learned dictionary fall back to their original
+    encoding with one extra *escape* line asserted (modelling the miss
+    signal a real implementation needs), packed into bit ``width`` of
+    each driven value.  Because of that extra line the scheme is a bus
+    codec, not an image-deployable recoder, even though its mapping is
+    stateless.
     """
 
     scheme = "frequency"
@@ -115,34 +68,39 @@ class FrequencyEncoder(Encoder):
         self.width = width
         self.max_entries = max_entries
         self._mask = (1 << width) - 1
-        self._remapper = FrequencyRemapper(width=width, max_entries=max_entries)
+        self.mapping: dict[int, int] = {}
         self._inverse: dict[int, int] = {}
 
+    def _set_mapping(self, mapping: dict[int, int]) -> None:
+        self.mapping = mapping
+        self._inverse = {code: word for word, code in mapping.items()}
+
     def fit(self, words: Sequence[int]) -> "FrequencyEncoder":
-        self._remapper.fit(list(words))
-        self._inverse = {code: word for word, code in self._remapper.mapping.items()}
+        ranked = [w for w, _ in Counter(words).most_common(self.max_entries)]
+        self._set_mapping(dict(zip(ranked, _code_candidates(self.width, len(ranked)))))
         return self
 
     def encode(self, words: Sequence[int]) -> EncodedStream:
-        stream = EncodedStream(self.scheme, self.width + 1)
+        mask, mapping, escape = self._mask, self.mapping, 1 << self.width
+        driven = []
         for word in words:
-            driven, escape = self._remapper.encode(word & self._mask)
-            stream.driven.append((escape << self.width) | driven)
-        return stream
+            word &= mask
+            code = mapping.get(word)
+            driven.append(escape | word if code is None else code)
+        return EncodedStream(self.scheme, self.width + 1, driven)
 
     def decode(self, stream: EncodedStream) -> list[int]:
-        out = []
-        for packed in stream.driven:
-            escape = (packed >> self.width) & 1
-            driven = packed & self._mask
-            out.append(driven if escape else self._inverse[driven])
-        return out
+        width, mask, inverse = self.width, self._mask, self._inverse
+        return [
+            packed & mask if (packed >> width) & 1 else inverse[packed & mask]
+            for packed in stream.driven
+        ]
 
     def to_config(self) -> dict:
         return {
             "width": self.width,
             "max_entries": self.max_entries,
-            "mapping": sorted(self._remapper.mapping.items()),
+            "mapping": sorted(self.mapping.items()),
         }
 
     @classmethod
@@ -151,16 +109,32 @@ class FrequencyEncoder(Encoder):
             width=int(config.get("width", 32)),
             max_entries=int(config.get("max_entries", 256)),
         )
-        enc._remapper.mapping = {int(w): int(c) for w, c in config.get("mapping", [])}
-        enc._inverse = {code: word for word, code in enc._remapper.mapping.items()}
+        enc._set_mapping({int(w): int(c) for w, c in config.get("mapping", [])})
         return enc
 
     def budget(self) -> HardwareBudget:
+        """The dictionary costs two full words per entry — the
+        storage the paper's Section 3 argues against."""
         return HardwareBudget(
-            table_bits=self._remapper.dictionary_bits, extra_lines=1, stateful=False
+            table_bits=len(self.mapping) * 2 * self.width, extra_lines=1, stateful=False
         )
 
 
 @register_reference_counter("frequency")
 def _frequency_reference(encoder: Encoder, words: Sequence[int]) -> int:
-    return encoder._remapper.transitions(list(words))
+    """Transfer-by-transfer count from the scheme's definition: a word
+    in the dictionary puts its code on the data lines with the escape
+    line low, any other word goes out raw with the escape line high."""
+    mask = (1 << encoder.width) - 1
+    total = 0
+    previous = None
+    for word in words:
+        word &= mask
+        if word in encoder.mapping:
+            data, escape = encoder.mapping[word], 0
+        else:
+            data, escape = word, 1
+        if previous is not None:
+            total += (data ^ previous[0]).bit_count() + (escape ^ previous[1])
+        previous = (data, escape)
+    return total

@@ -8,6 +8,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.baselines.protocol import (
+    EncodedStream,
+    Encoder,
+    HardwareBudget,
+    register_encoder,
+    register_reference_counter,
+)
+
 
 def gray_encode(value: int) -> int:
     """Binary-reflected Gray code of ``value``."""
@@ -31,15 +39,6 @@ def gray_transitions(addresses: Sequence[int], stride: int = 4) -> int:
     """
     codes = [gray_encode(a // stride) for a in addresses]
     return sum((a ^ b).bit_count() for a, b in zip(codes, codes[1:]))
-
-
-from repro.baselines.protocol import (  # noqa: E402  (adapter after legacy API)
-    EncodedStream,
-    Encoder,
-    HardwareBudget,
-    register_encoder,
-    register_reference_counter,
-)
 
 
 @register_encoder

@@ -189,13 +189,10 @@ def register_reference_counter(
 
 
 def reference_transitions(encoder: Encoder, words: Sequence[int]) -> int:
-    """Independent transition count for ``encoder`` on ``words``.
-
-    Falls back to decode-then-recount when no scheme-specific reference
-    is registered: re-encode a roundtripped copy and count with the
-    shared helper.
-    """
+    """Independent transition count for ``encoder`` on ``words``.  A
+    scheme without a registered counter is an error: re-running
+    ``encode`` would only count the fast path twice."""
     fn = _REFERENCE_COUNTERS.get(encoder.scheme)
-    if fn is not None:
-        return fn(encoder, words)
-    return word_transitions(encoder.encode(list(words)).driven)
+    if fn is None:
+        raise EncodingError(f"scheme {encoder.scheme!r} has no reference transition counter")
+    return fn(encoder, words)

@@ -8,64 +8,9 @@ increment line is asserted; otherwise the raw address is driven.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-
-@dataclass
-class T0Coder:
-    """Stateful T0 encoder for an address bus."""
-
-    width: int = 32
-    stride: int = 4  # instruction word size
-
-    def __post_init__(self) -> None:
-        self._mask = (1 << self.width) - 1
-        self.reset()
-
-    def reset(self, initial_address: int = 0) -> None:
-        self._bus = initial_address & self._mask
-        self._expected = (initial_address + self.stride) & self._mask
-        self._inc_line = 0
-        self.transitions = 0
-        self.transfers = 0
-        self.frozen_transfers = 0
-
-    def send(self, address: int) -> tuple[int, int]:
-        """Encode one address; returns (bus value, increment bit)."""
-        address &= self._mask
-        if address == self._expected:
-            inc = 1
-            driven = self._bus  # bus frozen
-            self.frozen_transfers += 1
-        else:
-            inc = 0
-            driven = address
-        self.transitions += (driven ^ self._bus).bit_count()
-        self.transitions += inc ^ self._inc_line
-        self._bus = driven
-        self._inc_line = inc
-        self._expected = (address + self.stride) & self._mask
-        self.transfers += 1
-        return driven, inc
-
-    def send_all(self, addresses: Iterable[int]) -> int:
-        for address in addresses:
-            self.send(address)
-        return self.transitions
-
-
-def t0_transitions(addresses: Sequence[int], width: int = 32, stride: int = 4) -> int:
-    """Total transitions for an address stream under T0."""
-    if not addresses:
-        return 0
-    coder = T0Coder(width, stride)
-    coder.reset(initial_address=addresses[0])
-    coder.send_all(addresses[1:])
-    return coder.transitions
-
-
-from repro.baselines.protocol import (  # noqa: E402  (adapter after legacy API)
+from repro.baselines.protocol import (
     EncodedStream,
     Encoder,
     HardwareBudget,
@@ -76,7 +21,7 @@ from repro.baselines.protocol import (  # noqa: E402  (adapter after legacy API)
 
 @register_encoder
 class T0Encoder(Encoder):
-    """:class:`T0Coder` behind the common Encoder protocol.
+    """Stateful T0 codec for an address bus.
 
     The increment line is packed into bit ``width`` of each driven
     value.  Decoding is a stateful walk: when the increment bit is set
@@ -93,28 +38,27 @@ class T0Encoder(Encoder):
         self._mask = (1 << width) - 1
 
     def encode(self, words: Sequence[int]) -> EncodedStream:
-        stream = EncodedStream(self.scheme, self.width + 1)
-        if not words:
-            return stream
-        coder = T0Coder(self.width, self.stride)
-        coder.reset(initial_address=words[0])
-        stream.driven.append(words[0] & self._mask)
-        for word in words[1:]:
-            driven, inc = coder.send(word)
-            stream.driven.append((inc << self.width) | driven)
-        return stream
+        mask, stride, inc = self._mask, self.stride, 1 << self.width
+        driven = []
+        bus = expected = None
+        for word in words:
+            word &= mask
+            if word == expected:
+                driven.append(inc | bus)  # bus frozen
+            else:
+                bus = word
+                driven.append(bus)
+            expected = (word + stride) & mask
+        return EncodedStream(self.scheme, self.width + 1, driven)
 
     def decode(self, stream: EncodedStream) -> list[int]:
+        mask, stride = self._mask, self.stride
         out: list[int] = []
         for packed in stream.driven:
-            if not out:
-                out.append(packed & self._mask)
-                continue
-            inc = (packed >> self.width) & 1
-            if inc:
-                out.append((out[-1] + self.stride) & self._mask)
+            if out and (packed >> self.width) & 1:
+                out.append((out[-1] + stride) & mask)
             else:
-                out.append(packed & self._mask)
+                out.append(packed & mask)
         return out
 
     def to_config(self) -> dict:
@@ -130,6 +74,33 @@ class T0Encoder(Encoder):
         return HardwareBudget(table_bits=0, extra_lines=1, stateful=True)
 
 
+def t0_transitions(addresses: Sequence[int], width: int = 32, stride: int = 4) -> int:
+    """Transitions (address lines + increment line) of an address
+    stream under T0, counted transfer by transfer from the scheme's
+    definition: an address that is its predecessor plus ``stride``
+    leaves the address lines as they are and holds the increment line
+    high; any other address is driven onto the lines with the
+    increment line low.  The first address is already on the lines
+    (increment low) and costs nothing."""
+    mask = (1 << width) - 1
+    total = 0
+    previous = lines = None
+    increment_line = 0
+    for address in addresses:
+        address &= mask
+        if previous is None:
+            previous = lines = address
+            continue
+        sequential = address == (previous + stride) & mask
+        if not sequential:
+            total += (address ^ lines).bit_count()
+            lines = address
+        total += sequential != increment_line
+        increment_line = int(sequential)
+        previous = address
+    return total
+
+
 @register_reference_counter("t0")
 def _t0_reference(encoder: Encoder, words: Sequence[int]) -> int:
-    return t0_transitions(list(words), encoder.width, getattr(encoder, "stride", 4))
+    return t0_transitions(words, encoder.width, encoder.stride)

@@ -6,20 +6,42 @@ suite cross-checks against networkx's ``immediate_dominators``.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import Hashable, Mapping, Sequence
 
 
-def immediate_dominators(graph: nx.DiGraph, entry) -> dict:
-    """Immediate dominator of every node reachable from ``entry``.
+def postorder(succ: Mapping[Hashable, Sequence[Hashable]], entry) -> list:
+    """Nodes reachable from ``entry`` in depth-first post-order."""
+    order = []
+    seen = {entry}
+    stack = [(entry, iter(succ.get(entry, ())))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, iter(succ.get(child, ()))))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
+
+
+def immediate_dominators(succ: Mapping[Hashable, Sequence[Hashable]], entry) -> dict:
+    """Immediate dominator of every node reachable from ``entry`` in
+    the graph given by its successor lists.
 
     The entry maps to itself.  Unreachable nodes are absent.
     """
-    if entry not in graph:
+    if entry not in succ:
         raise KeyError(f"entry {entry!r} not in graph")
 
-    order = list(nx.dfs_postorder_nodes(graph, entry))
+    order = postorder(succ, entry)
     index = {node: i for i, node in enumerate(order)}
-    reverse_postorder = list(reversed(order))
+    preds: dict = {node: [] for node in order}
+    for node in order:
+        for child in succ.get(node, ()):
+            preds[child].append(node)
 
     idom: dict = {entry: entry}
 
@@ -34,12 +56,10 @@ def immediate_dominators(graph: nx.DiGraph, entry) -> dict:
     changed = True
     while changed:
         changed = False
-        for node in reverse_postorder:
+        for node in reversed(order):
             if node == entry:
                 continue
-            candidates = [
-                p for p in graph.predecessors(node) if p in idom
-            ]
+            candidates = [p for p in preds[node] if p in idom]
             if not candidates:
                 continue
             new_idom = candidates[0]
@@ -61,13 +81,3 @@ def dominates(idom: dict, a, b) -> bool:
         if parent is None or parent == node:
             return node == a
         node = parent
-
-
-def dominator_tree(idom: dict) -> nx.DiGraph:
-    """The dominator tree as a digraph (edges idom -> node)."""
-    tree = nx.DiGraph()
-    for node, parent in idom.items():
-        tree.add_node(node)
-        if node != parent:
-            tree.add_edge(parent, node)
-    return tree

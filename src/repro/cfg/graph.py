@@ -1,34 +1,36 @@
-"""Control-flow graph built on networkx."""
+"""Control-flow graph: basic blocks plus dict-of-lists adjacency."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.cfg.basic_blocks import BasicBlock, build_basic_blocks
+from repro.cfg.dominators import postorder
 from repro.isa.assembler import Program
 
 
 @dataclass
 class ControlFlowGraph:
-    """A program's CFG: blocks keyed by start address + a digraph."""
+    """A program's CFG: blocks keyed by start address, plus successor
+    and predecessor lists per block (edges deduplicated, in block
+    order)."""
 
     program: Program
     blocks: dict[int, BasicBlock]
-    graph: nx.DiGraph
+    succ: dict[int, list[int]]
+    pred: dict[int, list[int]]
     entry: int
 
     @classmethod
     def build(cls, program: Program) -> "ControlFlowGraph":
         blocks = build_basic_blocks(program)
-        graph = nx.DiGraph()
-        graph.add_nodes_from(blocks)
-        for start, block in blocks.items():
-            for successor in block.successors:
-                graph.add_edge(start, successor)
+        succ = {start: list(dict.fromkeys(b.successors)) for start, b in blocks.items()}
+        pred: dict[int, list[int]] = {start: [] for start in blocks}
+        for start, targets in succ.items():
+            for target in targets:
+                pred[target].append(start)
         entry = program.entry if program.entry in blocks else program.text_base
-        return cls(program=program, blocks=blocks, graph=graph, entry=entry)
+        return cls(program=program, blocks=blocks, succ=succ, pred=pred, entry=entry)
 
     def block_of(self, address: int) -> BasicBlock:
         """The basic block containing an instruction address."""
@@ -47,15 +49,9 @@ class ControlFlowGraph:
 
     def reachable_blocks(self) -> set[int]:
         """Blocks reachable from the entry through static edges."""
-        if self.entry not in self.graph:
+        if self.entry not in self.succ:
             return set()
-        return set(nx.descendants(self.graph, self.entry)) | {self.entry}
-
-    def successors(self, start: int) -> list[int]:
-        return list(self.graph.successors(start))
-
-    def predecessors(self, start: int) -> list[int]:
-        return list(self.graph.predecessors(start))
+        return set(postorder(self.succ, self.entry))
 
     def __len__(self) -> int:
         return len(self.blocks)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.cfg.dominators import dominates, immediate_dominators
 from repro.cfg.graph import ControlFlowGraph
 
@@ -39,12 +37,13 @@ class NaturalLoop:
 
 def find_back_edges(cfg: ControlFlowGraph) -> list[tuple[int, int]]:
     """Edges ``u -> v`` with ``v`` dominating ``u``."""
-    idom = immediate_dominators(cfg.graph, cfg.entry)
-    back_edges = []
-    for u, v in cfg.graph.edges:
-        if u in idom and v in idom and dominates(idom, v, u):
-            back_edges.append((u, v))
-    return back_edges
+    idom = immediate_dominators(cfg.succ, cfg.entry)
+    return [
+        (u, v)
+        for u, targets in cfg.succ.items()
+        for v in targets
+        if u in idom and v in idom and dominates(idom, v, u)
+    ]
 
 
 def find_natural_loops(cfg: ControlFlowGraph) -> list[NaturalLoop]:
@@ -58,7 +57,7 @@ def find_natural_loops(cfg: ControlFlowGraph) -> list[NaturalLoop]:
             node = stack.pop()
             if node == header:
                 continue
-            for predecessor in cfg.graph.predecessors(node):
+            for predecessor in cfg.pred[node]:
                 if predecessor not in body:
                     body.add(predecessor)
                     stack.append(predecessor)
@@ -94,17 +93,3 @@ def blocks_in_any_loop(loops: list[NaturalLoop]) -> set[int]:
         result |= loop.body
     return result
 
-
-def loop_forest(loops: list[NaturalLoop]) -> nx.DiGraph:
-    """Loop-nesting forest: edge outer-header -> inner-header for
-    immediate nesting."""
-    forest = nx.DiGraph()
-    for loop in loops:
-        forest.add_node(loop.header)
-    for inner in loops:
-        parents = [o for o in loops if inner.is_nested_in(o)]
-        if not parents:
-            continue
-        immediate = min(parents, key=lambda o: len(o.body))
-        forest.add_edge(immediate.header, inner.header)
-    return forest

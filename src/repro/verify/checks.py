@@ -618,7 +618,8 @@ def sweep_encoder_tables(schemes: tuple[str, ...] | None = None) -> CheckResult:
     """Deterministic exhaustive half for the encoder zoo.
 
     * every backend: roundtrip + differential count over canonical
-      seeded streams (hot-loop-like small alphabets and uniform words);
+      streams (hot-loop-like small alphabets, uniform words and
+      sequential fetch addresses);
     * memoryless: a fitted 4-line sub-bus maps all 16 values
       bijectively, and the exact assignment matches brute force over
       all injective placements on a canonical narrow profile;
@@ -647,6 +648,8 @@ def sweep_encoder_tables(schemes: tuple[str, ...] | None = None) -> CheckResult:
         [0xDEADBEEF] * 8 + [0x00FF00FF, 0xFF00FF00] * 4,
         [],
         [0x12345678],
+        # Fetch addresses: two sequential runs split by a branch.
+        [0x400000 + 4 * i for i in range(16)] + [0x400100 + 4 * i for i in range(8)],
     ]
     for words in canonical:
         sub = check_encoders(words, schemes=schemes)

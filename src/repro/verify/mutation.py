@@ -103,6 +103,48 @@ def _mutate_lowweight_codeword() -> None:
     lowweight.CODEWORDS[6] = 0b11111
 
 
+def _patch_encode(cls, driven_for) -> None:
+    """Replace ``cls.encode`` so its stream drives
+    ``driven_for(encoder, words)``.  Each rewrite below still decodes,
+    so only the scheme's independent reference counter can catch it."""
+    real = cls.encode
+
+    def corrupted(self, words):
+        stream = real(self, words)
+        stream.driven = driven_for(self, words)
+        return stream
+
+    cls.encode = corrupted
+
+
+def _mutate_bus_invert_decision() -> None:
+    """Bus-invert never inverts: every word goes out plain with the
+    invert line low.  Caught by any transfer that should invert."""
+    from repro.baselines.bus_invert import BusInvertEncoder
+
+    _patch_encode(BusInvertEncoder, lambda enc, words: [w & enc._mask for w in words])
+
+
+def _mutate_t0_freeze() -> None:
+    """T0 never freezes the bus: every address is driven raw with the
+    increment line low.  Caught by the encoder sweep's sequential
+    address stream."""
+    from repro.baselines.t0 import T0Encoder
+
+    _patch_encode(T0Encoder, lambda enc, words: [w & enc._mask for w in words])
+
+
+def _mutate_frequency_escape() -> None:
+    """Frequency escapes every word, as if the dictionary were empty.
+    Caught by any stream with a dictionary hit after its first word."""
+    from repro.baselines.frequency import FrequencyEncoder
+
+    _patch_encode(
+        FrequencyEncoder,
+        lambda enc, words: [(1 << enc.width) | (w & enc._mask) for w in words],
+    )
+
+
 MUTATIONS: dict[str, tuple[str, object]] = {
     "codebook-entry": (
         "one compiled anchored codebook entry stores a flipped code bit",
@@ -123,6 +165,18 @@ MUTATIONS: dict[str, tuple[str, object]] = {
     "lowweight-codeword": (
         "low-weight codeword table entry rewritten to weight 5",
         _mutate_lowweight_codeword,
+    ),
+    "bus-invert-decision": (
+        "bus-invert encode never inverts",
+        _mutate_bus_invert_decision,
+    ),
+    "t0-freeze": (
+        "T0 encode never freezes the bus on a sequential address",
+        _mutate_t0_freeze,
+    ),
+    "frequency-escape": (
+        "frequency encode escapes every word",
+        _mutate_frequency_escape,
     ),
 }
 

@@ -10,19 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.bus_invert import (
-    BusInvertCoder,
-    BusInvertEncoder,
-    bus_invert_transitions,
-)
-from repro.baselines.frequency import (
-    FrequencyEncoder,
-    FrequencyRemapper,
-    _code_candidates,
-)
+from repro.baselines.bus_invert import BusInvertEncoder, bus_invert_transitions
+from repro.baselines.frequency import FrequencyEncoder, _code_candidates
 from repro.baselines.gray import gray_decode, gray_encode, gray_transitions
-from repro.baselines.t0 import T0Coder, T0Encoder, t0_transitions
-from repro.core.transitions import word_transitions
+from repro.baselines.t0 import T0Encoder, t0_transitions
+from repro.core.transitions import per_transfer_transitions, word_transitions
 
 from tests.strategies import fetch_word_streams, instruction_words
 
@@ -31,38 +23,30 @@ MASK32 = (1 << 32) - 1
 
 class TestBusInvert:
     def test_inversion_triggers_above_half(self):
-        coder = BusInvertCoder(width=8)
-        coder.reset(initial_word=0x00)
-        driven, invert = coder.send(0xFF)  # distance 8 > 4 -> invert
-        assert invert == 1
-        assert driven == 0x00
+        stream = BusInvertEncoder(width=8).encode([0x00, 0xFF])
+        # distance 8 > 4 -> drive 0x00 with the invert line (bit 8) high
+        assert stream.driven == [0x00, 0x100]
         # 0 bus transitions + 1 invert-line transition
-        assert coder.transitions == 1
+        assert stream.transitions() == 1
+        assert bus_invert_transitions([0x00, 0xFF], width=8) == 1
 
     def test_no_inversion_below_half(self):
-        coder = BusInvertCoder(width=8)
-        coder.reset(initial_word=0x00)
-        driven, invert = coder.send(0x03)
-        assert invert == 0 and driven == 0x03
-        assert coder.transitions == 2
+        stream = BusInvertEncoder(width=8).encode([0x00, 0x03])
+        assert stream.driven == [0x00, 0x03]
+        assert stream.transitions() == 2
+        assert bus_invert_transitions([0x00, 0x03], width=8) == 2
 
     def test_decode_restores(self, seeded_words):
-        coder = BusInvertCoder(width=8)
-        for word in [w & 0xFF for w in seeded_words("bi-decode", 100)]:
-            driven, invert = coder.send(word)
-            assert BusInvertCoder.decode(driven, invert, width=8) == word
+        encoder = BusInvertEncoder(width=8)
+        words = [w & 0xFF for w in seeded_words("bi-decode", 100)]
+        assert encoder.decode(encoder.encode(words)) == words
 
     @given(instruction_words)
     @settings(max_examples=100)
     def test_worst_case_bound(self, words):
         # Per transfer: at most width/2 line transitions + 1 invert.
-        coder = BusInvertCoder(width=32)
-        coder.reset(initial_word=words[0])
-        before = 0
-        for word in words[1:]:
-            coder.send(word)
-            assert coder.transitions - before <= 17
-            before = coder.transitions
+        stream = BusInvertEncoder(width=32).encode(words)
+        assert all(t <= 17 for t in per_transfer_transitions(stream.driven))
 
     @given(fetch_word_streams())
     @settings(max_examples=100)
@@ -95,7 +79,6 @@ class TestBusInvert:
             if prev_driven is not None:
                 distance = (word ^ prev_driven).bit_count()
                 assert invert == (1 if distance > 16 else 0)
-            assert BusInvertCoder.decode(driven, invert, width=32) == word
             prev_driven = driven
         assert encoder.decode(stream) == [w & MASK32 for w in words]
 
@@ -116,12 +99,9 @@ class TestT0:
         assert t0_transitions(addresses) < word_transitions(addresses)
 
     def test_frozen_counter(self):
-        coder = T0Coder()
-        coder.reset(0x100)
-        coder.send(0x104)
-        coder.send(0x108)
-        coder.send(0x200)
-        assert coder.frozen_transfers == 2
+        stream = T0Encoder().encode([0x100, 0x104, 0x108, 0x200])
+        # Frozen transfers drive the increment line (bit 32) high.
+        assert [(packed >> 32) & 1 for packed in stream.driven] == [0, 1, 1, 0]
 
     def test_empty(self):
         assert t0_transitions([]) == 0
@@ -171,32 +151,31 @@ class TestGray:
         assert gray_transitions(addresses) == 99
 
 
-class TestFrequencyRemapper:
+class TestFrequency:
     def test_fit_assigns_small_codes_to_frequent_words(self):
         words = [0xAAAAAAAA] * 100 + [0x55555555] * 50 + [0x12345678] * 10
-        remapper = FrequencyRemapper().fit(words)
-        code_a, escape_a = remapper.encode(0xAAAAAAAA)
-        assert escape_a == 0
-        assert code_a == 0  # most frequent gets the all-zero code
+        encoder = FrequencyEncoder().fit(words)
+        # The most frequent word gets the all-zero code, escape low.
+        assert encoder.mapping[0xAAAAAAAA] == 0
+        assert encoder.encode([0xAAAAAAAA]).driven == [0]
 
     def test_unknown_word_escapes(self):
-        remapper = FrequencyRemapper().fit([1, 2, 3])
-        word, escape = remapper.encode(0xDEAD)
-        assert word == 0xDEAD and escape == 1
+        encoder = FrequencyEncoder().fit([1, 2, 3])
+        assert encoder.encode([0xDEAD]).driven == [(1 << 32) | 0xDEAD]
 
     def test_transitions_reduced_on_skewed_stream(self, seeded_hot_words):
         words = seeded_hot_words("freq-skew", 2000, alphabet=4, noise=0.0)
-        remapper = FrequencyRemapper().fit(words)
+        encoder = FrequencyEncoder().fit(words)
         raw = sum((a ^ b).bit_count() for a, b in zip(words, words[1:]))
-        assert remapper.transitions(words) < raw
+        assert encoder.transitions(words) < raw
 
     def test_dictionary_cost_reported(self):
-        remapper = FrequencyRemapper(max_entries=8).fit(list(range(20)))
-        assert remapper.dictionary_bits == 8 * 64
+        encoder = FrequencyEncoder(max_entries=8).fit(list(range(20)))
+        assert encoder.budget().table_bits == 8 * 64
 
     def test_capacity_respected(self):
-        remapper = FrequencyRemapper(max_entries=4).fit(list(range(100)))
-        assert len(remapper.mapping) == 4
+        encoder = FrequencyEncoder(max_entries=4).fit(list(range(100)))
+        assert len(encoder.mapping) == 4
 
     def test_code_candidates_match_brute_force(self):
         """The Gosper walk hands out exactly the codes the brute-force
@@ -232,7 +211,7 @@ class TestFrequencyRemapper:
         distinct hot words get distinct codes, no code collides with
         another, so the escape-tagged channel decodes uniquely."""
         encoder = FrequencyEncoder().fit(words)
-        mapping = encoder._remapper.mapping
+        mapping = encoder.mapping
         codes = list(mapping.values())
         assert len(set(mapping)) == len(mapping)
         assert len(set(codes)) == len(codes)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
+from repro.baselines import protocol
 from repro.baselines.protocol import (
     ENCODER_REGISTRY,
     HardwareBudget,
@@ -36,6 +37,25 @@ class TestRegistry:
     def test_registry_maps_scheme_to_class(self):
         for scheme, cls in ENCODER_REGISTRY.items():
             assert cls.scheme == scheme
+
+    def test_every_scheme_has_its_own_reference_counter(self):
+        assert tuple(sorted(protocol._REFERENCE_COUNTERS)) == registered_schemes()
+
+    def test_reference_without_counter_raises(self):
+        class Unregistered(protocol.Encoder):
+            scheme = "unregistered"
+
+            def encode(self, words):
+                return protocol.EncodedStream(self.scheme, 32, list(words))
+
+            def decode(self, stream):
+                return list(stream.driven)
+
+            def budget(self):
+                return HardwareBudget()
+
+        with pytest.raises(EncodingError, match="no reference transition counter"):
+            reference_transitions(Unregistered(), [1, 2, 3])
 
 
 @pytest.mark.parametrize("scheme", registered_schemes())

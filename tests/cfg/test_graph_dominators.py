@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cfg.dominators import dominates, dominator_tree, immediate_dominators
+from repro.cfg.dominators import dominates, immediate_dominators
 from repro.cfg.graph import ControlFlowGraph
 from repro.isa.assembler import TEXT_BASE, assemble
 
@@ -29,7 +29,8 @@ def nested_cfg():
 
 class TestControlFlowGraph:
     def test_nodes_match_blocks(self, nested_cfg):
-        assert set(nested_cfg.graph.nodes) == set(nested_cfg.blocks)
+        assert list(nested_cfg.succ) == list(nested_cfg.blocks)
+        assert list(nested_cfg.pred) == list(nested_cfg.blocks)
 
     def test_entry(self, nested_cfg):
         assert nested_cfg.entry == TEXT_BASE
@@ -46,35 +47,50 @@ class TestControlFlowGraph:
         assert nested_cfg.reachable_blocks() == set(nested_cfg.blocks)
 
     def test_successor_predecessor_symmetry(self, nested_cfg):
-        for node in nested_cfg.graph.nodes:
-            for succ in nested_cfg.successors(node):
-                assert node in nested_cfg.predecessors(succ)
+        for node in nested_cfg.blocks:
+            for succ in nested_cfg.succ[node]:
+                assert node in nested_cfg.pred[succ]
+        for node in nested_cfg.blocks:
+            for pred in nested_cfg.pred[node]:
+                assert node in nested_cfg.succ[pred]
+
+    def test_edges_deduplicated(self):
+        # A branch to the next instruction has the same target and
+        # fall-through; the graph keeps one edge.
+        cfg = ControlFlowGraph.build(
+            assemble(".text\nmain: beq $0, $0, next\nnext: li $v0, 10\nsyscall\n")
+        )
+        entry = cfg.entry
+        assert cfg.blocks[entry].successors == [entry + 4, entry + 4]
+        assert cfg.succ[entry] == [entry + 4]
+        assert cfg.pred[entry + 4] == [entry]
 
 
 class TestDominators:
     def test_entry_dominates_everything(self, nested_cfg):
-        idom = immediate_dominators(nested_cfg.graph, nested_cfg.entry)
+        idom = immediate_dominators(nested_cfg.succ, nested_cfg.entry)
         for node in idom:
             assert dominates(idom, nested_cfg.entry, node)
 
     def test_matches_networkx(self, nested_cfg):
         # networkx >= 3.6 omits the start node from its result.
         entry = nested_cfg.entry
-        ours = immediate_dominators(nested_cfg.graph, entry)
-        theirs = nx.immediate_dominators(nested_cfg.graph, entry)
+        ours = immediate_dominators(nested_cfg.succ, entry)
+        graph = nx.DiGraph(
+            [(u, v) for u, targets in nested_cfg.succ.items() for v in targets]
+        )
+        theirs = nx.immediate_dominators(graph, entry)
         assert {k: v for k, v in ours.items() if k != entry} == dict(theirs)
 
     def test_diamond(self):
-        graph = nx.DiGraph(
-            [("entry", "a"), ("entry", "b"), ("a", "join"), ("b", "join")]
-        )
+        graph = {"entry": ["a", "b"], "a": ["join"], "b": ["join"], "join": []}
         idom = immediate_dominators(graph, "entry")
         assert idom["join"] == "entry"
         assert idom["a"] == "entry"
         assert not dominates(idom, "a", "join")
 
     def test_chain(self):
-        graph = nx.DiGraph([("a", "b"), ("b", "c")])
+        graph = {"a": ["b"], "b": ["c"], "c": []}
         idom = immediate_dominators(graph, "a")
         assert idom == {"a": "a", "b": "a", "c": "b"}
         assert dominates(idom, "a", "c")
@@ -82,20 +98,19 @@ class TestDominators:
         assert not dominates(idom, "c", "b")
 
     def test_unreachable_nodes_absent(self):
-        graph = nx.DiGraph([("a", "b")])
-        graph.add_node("island")
+        graph = {"a": ["b"], "b": [], "island": ["b"]}
         idom = immediate_dominators(graph, "a")
         assert "island" not in idom
 
     def test_missing_entry_raises(self):
         with pytest.raises(KeyError):
-            immediate_dominators(nx.DiGraph([("a", "b")]), "zzz")
+            immediate_dominators({"a": ["b"], "b": []}, "zzz")
 
     def test_dominator_tree_shape(self):
-        graph = nx.DiGraph([("a", "b"), ("b", "c"), ("a", "c")])
+        graph = {"a": ["b", "c"], "b": ["c"], "c": []}
         idom = immediate_dominators(graph, "a")
-        tree = dominator_tree(idom)
-        assert set(tree.edges) == {("a", "b"), ("a", "c")}
+        tree = {(parent, node) for node, parent in idom.items() if node != parent}
+        assert tree == {("a", "b"), ("a", "c")}
 
     @given(st.integers(min_value=0, max_value=2**31), st.integers(2, 12))
     @settings(max_examples=50, deadline=None)
@@ -103,12 +118,10 @@ class TestDominators:
         rng = nx.gnp_random_graph(
             n, 0.35, seed=seed, directed=True
         )
-        graph = nx.DiGraph()
-        graph.add_nodes_from(rng.nodes)
-        graph.add_edges_from(rng.edges)
+        succ = {node: list(rng.successors(node)) for node in rng.nodes}
         entry = 0
         # Only compare over nodes reachable from the entry; networkx
         # >= 3.6 omits the start node from its result.
-        ours = immediate_dominators(graph, entry)
-        theirs = nx.immediate_dominators(graph, entry)
+        ours = immediate_dominators(succ, entry)
+        theirs = nx.immediate_dominators(rng, entry)
         assert {k: v for k, v in ours.items() if k != entry} == dict(theirs)

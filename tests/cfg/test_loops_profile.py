@@ -9,7 +9,6 @@ from repro.cfg.loops import (
     find_back_edges,
     find_natural_loops,
     innermost_loops,
-    loop_forest,
     loop_nesting_depths,
 )
 from repro.cfg.profile import profile_trace
@@ -81,11 +80,12 @@ class TestLoopDetection:
 
     def test_loop_forest(self, setup):
         program, cfg, trace, profile, loops = setup
-        forest = loop_forest(loops)
-        assert (
-            program.address_of("outer"),
-            program.address_of("inner"),
-        ) in forest.edges
+        by_header = {loop.header: loop for loop in loops}
+        outer = by_header[program.address_of("outer")]
+        inner = by_header[program.address_of("inner")]
+        # The inner loop nests directly in the outer one.
+        assert inner.is_nested_in(outer)
+        assert loop_nesting_depths(loops)[inner.header] == 2
 
     def test_straight_line_has_no_loops(self):
         program = assemble(".text\nmain: nop\nli $v0, 10\nsyscall\n")

@@ -32,6 +32,9 @@ MUTATION_ARGS = {
     # sweep_encoders leg, so the fast args suffice.
     "memoryless-codebook": FAST_ARGS,
     "lowweight-codeword": FAST_ARGS,
+    "bus-invert-decision": FAST_ARGS,
+    "t0-freeze": FAST_ARGS,
+    "frequency-escape": FAST_ARGS,
 }
 
 
@@ -76,6 +79,9 @@ class TestCleanRun:
         "bitplane-scan",
         "memoryless-codebook",
         "lowweight-codeword",
+        "bus-invert-decision",
+        "t0-freeze",
+        "frequency-escape",
     ],
 )
 class TestMutationSelfTest:

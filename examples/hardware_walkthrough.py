@@ -96,7 +96,7 @@ def main() -> None:
     decoder = FetchDecoder(tt, bbit, BLOCK_SIZE)
     base_addr = program.text_base
     print(f"{'pc':>10s} {'stored':>9s} {'decoded':>9s}  instruction")
-    for pc in trace[:16]:
+    for pc in trace.expand()[:16]:
         stored = image[(pc - base_addr) >> 2]
         decoded = decoder.fetch(pc, stored)
         marker = " " if stored == decoded else "*"

@@ -28,6 +28,7 @@ from repro.hw.peripheral import (
 from repro.isa.assembler import assemble
 from repro.sim.bus import count_trace_transitions
 from repro.sim.cpu import Cpu
+from repro.sim.tracer import FetchTrace
 
 BLOCK_SIZE = 5
 MAX_PAIRS = 128
@@ -119,7 +120,7 @@ def main() -> None:
     peripheral = EncodingLoaderPeripheral()
     cpu = Cpu(program)
     cpu.memory.add_mmio(peripheral.region())
-    trace: list[int] = []
+    trace = FetchTrace()
     cpu.run(trace=trace)
     print(
         f"target: ran {cpu.steps} instructions, dot product = "

@@ -9,11 +9,11 @@ program code" (Section 6).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.cfg.graph import ControlFlowGraph
+from repro.sim.tracer import FetchTrace
 
 
 @dataclass
@@ -49,10 +49,12 @@ class BlockProfile:
 
 
 def profile_trace(
-    cfg: ControlFlowGraph, addresses: Sequence[int]
+    cfg: ControlFlowGraph, addresses: Iterable[int]
 ) -> BlockProfile:
-    """Build a :class:`BlockProfile` from a fetch trace."""
-    per_address = Counter(addresses)
+    """Build a :class:`BlockProfile` from a fetch trace (its per-address
+    counts come from the trace's distinct runs, not from its fetches)."""
+    trace = FetchTrace.of(addresses)
+    per_address = trace.fetch_counts()
     entry_counts: dict[int, int] = {}
     fetch_counts: dict[int, int] = {}
     for start, block in cfg.blocks.items():
@@ -64,5 +66,5 @@ def profile_trace(
         cfg=cfg,
         entry_counts=entry_counts,
         fetch_counts=fetch_counts,
-        total_fetches=len(addresses),
+        total_fetches=len(trace),
     )

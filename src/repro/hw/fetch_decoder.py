@@ -62,7 +62,9 @@ uncorrectable (double-bit or worse) corruption surfaces here.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.core import bitplane
 from repro.core.stream_codec import _segment_bounds_cached
@@ -71,6 +73,7 @@ from repro.errors import DecodeFault, SchemeTagError, TableIntegrityError
 from repro.hw.bbit import BasicBlockIdentificationTable
 from repro.hw.tt import TransformationTable
 from repro.obs import OBS
+from repro.sim.tracer import FetchTrace
 
 __all__ = ["FetchDecoder", "DecodeFault", "SchemeTagError", "TableIntegrityError"]
 
@@ -517,49 +520,54 @@ class FetchDecoder:
 
     def decode_trace(
         self,
-        addresses: list[int],
+        addresses: Iterable[int],
         stored_image_lookup,
         finalize: bool = False,
     ) -> list[int]:
         """Decode a full fetch trace.  ``stored_image_lookup`` maps a
         PC to the stored (possibly encoded) word.  ``finalize=True``
         additionally treats end-of-trace as end-of-stream, flagging a
-        truncation that leaves a block half-decoded.
+        truncation that leaves a block half-decoded.  A plain PC list
+        is converted once with :meth:`FetchTrace.from_addresses`.
 
-        In strict mode (with no demoted blocks) full sequential
-        basic-block occurrences decode in bulk through the lane-packed
-        bitplane scan, bit-identical to the per-fetch walk; anything
-        irregular — partial occurrences, BBIT misses, mid-block
-        entries — falls back to :meth:`fetch` so protocol faults and
-        table integrity errors surface exactly as they would
-        instruction by instruction.  The recover and degraded modes,
-        whose per-fetch fault contracts are the point, always take the
-        scalar walk.  Architectural counters
-        (``decoded_instructions``, ``tt_reads``, BBIT probes) are kept
-        identical on both paths; only the *internal* table-row read
-        volume differs (the bulk path reads each TT row once per block
-        occurrence instead of once per instruction, so
-        ``TransformationTable.parity_checks`` advances more slowly).
+        In strict mode (with no demoted blocks and no zoo regions) the
+        walk reads the trace as maximal sequential runs.  A
+        non-sequential fetch always leaves the engine idle, so each
+        distinct run decodes once, from the idle state, and every later
+        occurrence reuses its words; its architectural counters
+        (``decoded_instructions``, ``passthrough_instructions``,
+        ``tt_reads`` and the BBIT's ``lookups``, ``hits`` and
+        ``parity_checks``) are scaled by its occurrence count, so they
+        equal the per-fetch walk's.  Inside a run, full basic-block
+        occurrences decode through the lane-packed bitplane scan, and
+        partial ones through :meth:`fetch`, so protocol faults and
+        table integrity errors surface at the same fetch, with the same
+        message, as they would instruction by instruction.  Only the
+        tables' *internal* row-read volume differs
+        (``TransformationTable.reads`` and ``parity_checks`` advance
+        once per distinct block).  The recover and degraded modes,
+        whose per-fetch fault contracts are the point, and mixed-scheme
+        traces always take the per-fetch walk over the expanded trace.
         """
         self.reset()
+        trace = FetchTrace.of(addresses)
         baseline = self._table_baseline() if OBS.enabled else None
         with OBS.tracer.span(
-            "decoder.decode_trace", mode=self.mode, fetches=len(addresses)
+            "decoder.decode_trace", mode=self.mode, fetches=len(trace)
         ):
             if (
                 self.mode == "strict"
                 and not self.degraded_region
                 # mixed-scheme traces interleave zoo regions with TT
-                # blocks; the scalar walk owns that dispatch.
+                # blocks; the per-fetch walk owns that dispatch.
                 and not self.region_schemes
             ):
                 decoded = self._decode_trace_bitplane(
-                    addresses, stored_image_lookup
+                    trace, stored_image_lookup
                 )
             else:
                 decoded = [
-                    self.fetch(pc, stored_image_lookup(pc))
-                    for pc in addresses
+                    self.fetch(pc, stored_image_lookup(pc)) for pc in trace
                 ]
             if finalize:
                 self.finalize()
@@ -567,24 +575,99 @@ class FetchDecoder:
             self.publish_metrics(baseline)
         return decoded
 
+    def _counters(self) -> tuple[int, ...]:
+        """The architectural counters a strict run advances."""
+        bbit = self.bbit
+        return (
+            self.decoded_instructions,
+            self.passthrough_instructions,
+            self.tt_reads,
+            bbit.lookups,
+            bbit.hits,
+            bbit.parity_checks,
+        )
+
     def _decode_trace_bitplane(
-        self, addresses: list[int], stored_image_lookup
+        self, trace: FetchTrace, stored_image_lookup
     ) -> list[int]:
-        """Strict-mode bulk walk: one bitplane scan per clean
-        sequential block occurrence, scalar :meth:`fetch` for
-        everything else.  Repeated occurrences of an unchanged block
-        (hot loops) reuse the decoded words via a per-trace memo keyed
-        on the stored words themselves."""
+        """Strict-mode walk over the trace's runs, decoding each
+        distinct run once (see :meth:`decode_trace`).
+
+        A SEC-DED correction can re-key a BBIT row and so change how a
+        later occurrence of an already-decoded run decodes; the per-run
+        memo starts over whenever the BBIT corrects a row."""
         out: list[int] = []
-        memo: dict[tuple, list[int]] = {}
+        extend = out.extend
+        memo: dict[tuple[int, int], _RunDecode] = {}
+        decodes: list[_RunDecode] = []
+        blocks: dict[tuple, list[int]] = {}
+        bbit = self.bbit
+        corrections = bbit.ecc_corrections
+        done = None
+        for run in zip(trace.starts, trace.lengths):
+            done = memo.get(run)
+            if done is None:
+                before = self._counters()
+                words = self._decode_run(run, stored_image_lookup, blocks)
+                delta = tuple(
+                    now - then for now, then in zip(self._counters(), before)
+                )
+                active = self._active
+                done = _RunDecode(
+                    words,
+                    delta,
+                    None if active is None else dataclasses.replace(active),
+                    self._expected_pc,
+                    self._history_word,
+                )
+                decodes.append(done)
+                if bbit.ecc_corrections != corrections:
+                    corrections = bbit.ecc_corrections
+                    memo = {}
+                memo[run] = done
+            else:
+                done.repeats += 1
+            extend(done.words)
+        for decode in decodes:
+            if decode.repeats:
+                decoded, passthrough, tt_reads, lookups, hits, checks = (
+                    decode.repeats * d for d in decode.counters
+                )
+                self.decoded_instructions += decoded
+                self.passthrough_instructions += passthrough
+                self.tt_reads += tt_reads
+                bbit.lookups += lookups
+                bbit.hits += hits
+                bbit.parity_checks += checks
+        if done is not None:
+            # Leave the engine where the trace's last run left it.
+            self._active = (
+                None if done.active is None else dataclasses.replace(done.active)
+            )
+            self._expected_pc = done.expected_pc
+            self._history_word = done.history_word
+        return out
+
+    def _decode_run(
+        self,
+        run: tuple[int, int],
+        stored_image_lookup,
+        blocks: dict[tuple, list[int]],
+    ) -> list[int]:
+        """Decode one maximal sequential run from the idle engine:
+        one bitplane scan per full basic-block occurrence (memoised in
+        ``blocks`` on the stored words), :meth:`fetch` for the rest."""
+        start, length = run
+        self._active = None
+        self._expected_pc = None
+        out: list[int] = []
         block_size = self.block_size
-        index = 0
-        total = len(addresses)
-        while index < total:
-            pc = addresses[index]
-            if self._active is not None or self._passthrough_run:
+        end = start + 4 * length
+        pc = start
+        while pc < end:
+            if self._active is not None:
                 out.append(self.fetch(pc, stored_image_lookup(pc)))
-                index += 1
+                pc += 4
                 continue
             # Engine idle: probe the BBIT exactly as fetch() would
             # (strict-mode integrity errors propagate from the probe).
@@ -598,20 +681,12 @@ class FetchDecoder:
                 self.passthrough_instructions += 1
                 self._expected_pc = None
                 out.append(stored_image_lookup(pc))
-                index += 1
+                pc += 4
                 continue
             count = entry.num_instructions
-            if (
-                count < 2
-                or index + count > total
-                or any(
-                    addresses[index + j] != pc + 4 * j
-                    for j in range(1, count)
-                )
-            ):
+            if count < 2 or pc + 4 * count > end:
                 # Partial or truncated occurrence: hand the block to
-                # the scalar engine without re-probing the BBIT.
-                self._passthrough_run = False
+                # the per-fetch engine without re-probing the BBIT.
                 self._active = _ActiveBlock(
                     base_tt_index=entry.tt_index,
                     start_pc=pc,
@@ -620,14 +695,11 @@ class FetchDecoder:
                 )
                 self._expected_pc = pc
                 out.append(self.fetch(pc, stored_image_lookup(pc)))
-                index += 1
+                pc += 4
                 continue
-            stored = [
-                stored_image_lookup(addresses[index + j])
-                for j in range(count)
-            ]
+            stored = [stored_image_lookup(pc + 4 * j) for j in range(count)]
             key = (entry.tt_index, pc, tuple(stored))
-            decoded_words = memo.get(key)
+            decoded_words = blocks.get(key)
             if decoded_words is None:
                 num_segments = (count - 2) // (block_size - 1) + 1
                 plans = []
@@ -650,7 +722,7 @@ class FetchDecoder:
                         tuple(plans),
                         width=len(plans[0]),
                     )
-                memo[key] = decoded_words
+                blocks[key] = decoded_words
             out.extend(decoded_words)
             # Architectural accounting identical to the per-fetch
             # walk: one TT read per non-anchor instruction, history =
@@ -659,5 +731,18 @@ class FetchDecoder:
             self.tt_reads += count - 1
             self._history_word = decoded_words[-1]
             self._expected_pc = None
-            index += count
+            pc += 4 * count
         return out
+
+
+@dataclass
+class _RunDecode:
+    """One distinct run's decode: its words, the counters it advanced,
+    the engine state it left, and its later occurrences."""
+
+    words: list[int]
+    counters: tuple[int, ...]
+    active: _ActiveBlock | None
+    expected_pc: int | None
+    history_word: int
+    repeats: int = 0

@@ -232,8 +232,9 @@ def _trace_decode_case(
     :class:`~repro.pipeline.flow.EncodingFlow` deploys them, then the
     *actual* simulator fetch trace replayed through the decoder.  The
     reference is the same engine walked one :meth:`FetchDecoder.fetch`
-    at a time; the bulk path's per-trace block memoization is in play,
-    as it is in production, because a real trace re-fetches its hot
+    at a time over the expanded trace; the bulk path reads the
+    simulator's run-length trace and decodes each distinct run once, as
+    it does in production, because a real trace re-fetches its hot
     loops."""
     from repro.cfg.graph import ControlFlowGraph
     from repro.cfg.hotspot import select_hot_blocks
@@ -291,7 +292,7 @@ def _trace_decode_case(
         decoder = FetchDecoder(
             tt, bbit, block_size, encoded_region=encoded_region
         )
-        return decoder.decode_trace(fetches, _lookup)
+        return decoder.decode_trace(trace, _lookup)
 
     def _decode_per_fetch() -> list[int]:
         decoder = FetchDecoder(

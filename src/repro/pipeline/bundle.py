@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import BundleFormatError
 from repro.hw.bbit import BasicBlockIdentificationTable, BBITEntry
@@ -535,7 +535,7 @@ class EncodingBundle:
         image digest match)."""
         return _digest(program.words) == self.original_digest
 
-    def deploy_and_check(self, program, trace: Sequence[int]) -> bool:
+    def deploy_and_check(self, program, trace: Iterable[int]) -> bool:
         """Full loader path: validate, rebuild tables, decode the
         trace through the hardware model, compare with the original
         program.  Mixed-scheme bundles additionally arm the decoder
@@ -557,7 +557,7 @@ class EncodingBundle:
         )
         base = self.text_base
         decoded = decoder.decode_trace(
-            list(trace), lambda pc: self.encoded_words[(pc - base) >> 2]
+            trace, lambda pc: self.encoded_words[(pc - base) >> 2]
         )
         original = [program.words[(pc - base) >> 2] for pc in trace]
         return decoded == original

@@ -22,7 +22,7 @@ about (TT entries used, coverage of the hot region).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.hotspot import (
@@ -42,6 +42,7 @@ from repro.hw.tt import TransformationTable
 from repro.isa.assembler import Program
 from repro.obs import OBS
 from repro.sim.bus import count_trace_transitions, per_line_trace_transitions
+from repro.sim.tracer import FetchTrace
 from repro.workloads.common import Workload
 
 
@@ -82,6 +83,22 @@ class FlowResult:
         return self.encoded_transitions / 1e6
 
 
+def _restores(program: Program, trace: FetchTrace, decoded: list[int]) -> bool:
+    """Whether ``decoded`` is ``program``'s words over ``trace``,
+    compared one run occurrence at a time (a slice compare per run)."""
+    if len(decoded) != len(trace):
+        return False
+    words = program.words
+    base = program.text_base
+    offset = 0
+    for start, length in zip(trace.starts, trace.lengths):
+        first = (start - base) >> 2
+        if decoded[offset : offset + length] != words[first : first + length]:
+            return False
+        offset += length
+    return True
+
+
 class EncodingFlow:
     """Configurable end-to-end encoder + measurement pipeline."""
 
@@ -116,9 +133,10 @@ class EncodingFlow:
     # ------------------------------------------------------------------
 
     def run(
-        self, program: Program, trace: Sequence[int], name: str = "program"
+        self, program: Program, trace: Iterable[int], name: str = "program"
     ) -> FlowResult:
         """Encode ``program``'s hot blocks and measure over ``trace``."""
+        trace = FetchTrace.of(trace)
         span = OBS.tracer.span(
             "flow.run", workload=name, k=self.block_size, fetches=len(trace)
         )
@@ -188,12 +206,9 @@ class EncodingFlow:
                     )
                     base = program.text_base
                     decoded = decoder.decode_trace(
-                        list(trace), lambda pc: image[(pc - base) >> 2]
+                        trace, lambda pc: image[(pc - base) >> 2]
                     )
-                    original = [
-                        program.words[(pc - base) >> 2] for pc in trace
-                    ]
-                    if decoded != original:
+                    if not _restores(program, trace, decoded):
                         raise DecodeVerificationError(
                             f"{name}: hardware decode failed to restore the "
                             "instruction stream"
@@ -263,7 +278,7 @@ class EncodingFlow:
         return self.run(program, trace, name=workload.name)
 
     def per_line_breakdown(
-        self, program: Program, trace: Sequence[int], result: FlowResult
+        self, program: Program, trace: Iterable[int], result: FlowResult
     ) -> tuple[list[int], list[int]]:
         """Per-bus-line transitions (baseline, encoded) for a result."""
         return (

@@ -20,7 +20,7 @@ benefit can be weighed against the reprogramming cost the paper calls
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.hotspot import select_hot_blocks
@@ -34,6 +34,7 @@ from repro.hw.peripheral import programming_words
 from repro.hw.tt import TransformationTable
 from repro.isa.assembler import Program
 from repro.sim.bus import count_trace_transitions
+from repro.sim.tracer import FetchTrace
 
 
 @dataclass
@@ -157,8 +158,9 @@ class RegionalEncodingFlow:
         self.transformations = tuple(transformations)
 
     def run(
-        self, program: Program, trace: Sequence[int], name: str = "program"
+        self, program: Program, trace: Iterable[int], name: str = "program"
     ) -> RegionalResult:
+        trace = FetchTrace.of(trace)
         cfg = ControlFlowGraph.build(program)
         profile = profile_trace(cfg, trace)
         plans = plan_regions(

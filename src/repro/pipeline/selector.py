@@ -27,7 +27,7 @@ construction — and the accompanying tests measure it anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.baselines.protocol import (
     ENCODER_REGISTRY,
@@ -44,6 +44,7 @@ from repro.obs import OBS
 from repro.pipeline.bundle import EncodingBundle, _digest
 from repro.pipeline.regional import RegionPlan, plan_regions
 from repro.sim.bus import count_trace_transitions
+from repro.sim.tracer import FetchTrace
 
 #: scheme tags that are not encoder-zoo backends
 SCHEME_TTBBIT = "ttbbit"
@@ -118,7 +119,7 @@ class SelectorResult:
 def _region_runs(
     cfg: ControlFlowGraph,
     plans: Sequence[RegionPlan],
-    trace: Sequence[int],
+    trace: FetchTrace,
 ) -> Dict[int, List[List[int]]]:
     """Maximal consecutive stretches of the trace inside each region,
     as lists of fetch addresses, keyed by region header."""
@@ -128,7 +129,8 @@ def _region_runs(
             block_to_header[start] = plan.header
     # one block lookup per distinct PC, not per fetch
     header_of = {
-        pc: block_to_header.get(cfg.block_of(pc).start) for pc in set(trace)
+        pc: block_to_header.get(cfg.block_of(pc).start)
+        for pc in trace.fetch_counts()
     }
     runs: Dict[int, List[List[int]]] = {plan.header: [] for plan in plans}
     current: int | None = None
@@ -171,8 +173,9 @@ class SchemeSelector:
     # ------------------------------------------------------------------
 
     def run(
-        self, program: Program, trace: Sequence[int], name: str = "program"
+        self, program: Program, trace: Iterable[int], name: str = "program"
     ) -> SelectorResult:
+        trace = FetchTrace.of(trace)
         with OBS.tracer.span(
             "selector.run", workload=name, fetches=len(trace)
         ):
@@ -195,7 +198,7 @@ class SchemeSelector:
         return result
 
     def _run(
-        self, program: Program, trace: Sequence[int], name: str
+        self, program: Program, trace: Iterable[int], name: str
     ) -> SelectorResult:
         cfg = ControlFlowGraph.build(program)
         profile = profile_trace(cfg, trace)

@@ -1,10 +1,12 @@
 """In-order functional processor simulator (SimpleScalar substitute).
 
-``memory`` is a paged byte-addressable store, ``cpu`` an in-order
-one-instruction-at-a-time interpreter matching the paper's baseline
-("a typical embedded processor front-end, which fetches and executes
-instructions in order and one at a time"), ``tracer`` captures the
-fetch address stream, and ``bus`` turns fetch traces plus memory
+``memory`` is a paged byte-addressable store; ``cpu`` an in-order
+interpreter matching the paper's baseline ("a typical embedded
+processor front-end, which fetches and executes instructions in order
+and one at a time") that compiles and executes one basic block at a
+time; ``tracer`` holds the fetch stream as a run-length
+:class:`FetchTrace` of maximal sequential runs, with per-address,
+per-edge and per-run counts; and ``bus`` turns those counts plus memory
 images into bit-transition and energy numbers.
 """
 

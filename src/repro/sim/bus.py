@@ -3,49 +3,58 @@
 Power on a bus line is proportional to its toggle count times the line
 capacitance (the paper's premise, after [1]).  This module counts bit
 transitions over a fetch trace for an arbitrary memory image — the
-baseline image or the power-encoded one — using numpy so multi-million
-fetch traces are cheap.
+baseline image or the power-encoded one.  Any memoryless image toggles
+the same lines every time the same pair of addresses is fetched back
+to back, so a trace's transitions are
+``sum(count(a, b) * popcount(w[a] ^ w[b]))`` over its distinct
+consecutive pairs (:meth:`~repro.sim.tracer.FetchTrace.edge_counts`):
+a few dozen pairs per trace instead of one XOR per fetch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Mapping, Sequence
 
 from repro.isa.assembler import Program
+from repro.sim.tracer import FetchTrace
 
 
-def _trace_words(
+def _pair_toggles(
     program: Program,
-    addresses: Sequence[int],
-    image: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Vector of bus words for a fetch trace.
+    addresses: Iterable[int],
+    image: Sequence[int] | None,
+) -> list[tuple[int, int]]:
+    """``(occurrences, w[a] ^ w[b])`` for each distinct consecutive
+    fetch pair ``(a, b)``.
 
     ``image`` overrides the program's stored words (same layout); use
     it for the power-encoded memory image.
     """
-    words = np.asarray(image if image is not None else program.words, dtype=np.uint32)
-    index = (np.asarray(addresses, dtype=np.int64) - program.text_base) >> 2
-    if index.size and (index.min() < 0 or index.max() >= words.size):
-        raise ValueError("trace contains addresses outside the text image")
-    return words[index]
+    trace = FetchTrace.of(addresses)
+    words = image if image is not None else program.words
+    base = program.text_base
+    size = len(words)
+    for start, length in trace.run_counts():
+        first = (start - base) >> 2
+        if first < 0 or first + length > size:
+            raise ValueError("trace contains addresses outside the text image")
+    return [
+        (times, words[(a - base) >> 2] ^ words[(b - base) >> 2])
+        for (a, b), times in trace.edge_counts().items()
+    ]
 
 
 def count_trace_transitions(
     program: Program,
-    addresses: Sequence[int],
+    addresses: Iterable[int],
     image: Sequence[int] | None = None,
 ) -> int:
     """Total bit transitions on the instruction bus over a trace."""
-    fetched = _trace_words(program, addresses, image)
-    if fetched.size < 2:
-        total = 0
-    else:
-        toggles = np.bitwise_xor(fetched[1:], fetched[:-1])
-        total = int(np.bitwise_count(toggles).sum())
+    total = sum(
+        times * toggles.bit_count()
+        for times, toggles in _pair_toggles(program, addresses, image)
+    )
     from repro.obs import OBS
 
     if OBS.enabled:
@@ -63,19 +72,17 @@ def count_trace_transitions(
 
 def per_line_trace_transitions(
     program: Program,
-    addresses: Sequence[int],
+    addresses: Iterable[int],
     image: Sequence[int] | None = None,
     width: int = 32,
 ) -> list[int]:
     """Per-bus-line transition counts over a trace."""
-    fetched = _trace_words(program, addresses, image)
-    if fetched.size < 2:
-        return [0] * width
-    toggles = np.bitwise_xor(fetched[1:], fetched[:-1])
-    return [
-        int(((toggles >> np.uint32(bit)) & np.uint32(1)).sum())
-        for bit in range(width)
-    ]
+    per_line = [0] * width
+    for times, toggles in _pair_toggles(program, addresses, image):
+        for bit in range(width):
+            if toggles >> bit & 1:
+                per_line[bit] += times
+    return per_line
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,7 @@ class BusModel:
     def trace_energy(
         self,
         program: Program,
-        addresses: Sequence[int],
+        addresses: Iterable[int],
         image: Sequence[int] | None = None,
     ) -> float:
         return self.energy_joules(

@@ -1,10 +1,19 @@
-"""In-order functional CPU interpreter.
+"""In-order functional CPU interpreter, compiled per basic block.
 
 The paper's baseline is "a typical embedded processor front-end, which
 fetches and executes instructions in order and one at a time"; this
-interpreter models exactly that.  Instructions are pre-compiled into
-Python closures once per program so multi-million-instruction
-workloads run in seconds.
+interpreter models exactly that, but executes a basic block at a time.
+The first time control reaches an address, the straight-line stretch
+from there to the next control transfer or syscall is generated as one
+Python function: the block's instructions as plain statements on the
+register lists, ending in a ``return`` of the next PC.  Dispatch is one
+dict lookup per block (a miss is the text-bounds check), and the fetch
+trace grows by one ``(entry_pc, length)`` per maximal sequential run
+(:class:`~repro.sim.tracer.FetchTrace`), not one PC per fetch.
+
+:meth:`Cpu.step` executes one instruction through a per-instruction
+closure.  It shares no code with the block compiler and is the oracle
+the differential tests hold :meth:`Cpu.run` to.
 
 Architectural simplifications (documented in DESIGN.md): no branch
 delay slots (``jal`` links to ``pc + 4``), and each FP register holds
@@ -24,6 +33,7 @@ from repro.isa.assembler import STACK_TOP, Program
 from repro.isa.instruction import Instruction
 from repro.isa.registers import A0, GP, RA, SP, V0
 from repro.sim.memory import Memory
+from repro.sim.tracer import FetchTrace
 
 MASK32 = 0xFFFFFFFF
 
@@ -58,7 +68,10 @@ class Cpu:
         # reads of code (rare, but legal) behave.
         for i, word in enumerate(program.words):
             self.memory.write_u32(program.text_base + 4 * i, word)
-        self._compiled = [self._compile(inst) for inst in program.instructions]
+        #: entry PC -> (block function, instruction count)
+        self._blocks: dict[int, tuple[Callable[[], int], int]] = {}
+        #: per-instruction closures for :meth:`step`, built on first use
+        self._compiled: list[Callable[["Cpu"], None]] | None = None
 
     # ------------------------------------------------------------------
     # Execution
@@ -67,52 +80,108 @@ class Cpu:
     def run(
         self,
         max_steps: int = 100_000_000,
-        trace: list[int] | None = None,
+        trace: FetchTrace | None = None,
     ) -> int:
         """Run until exit; returns the executed instruction count.
 
-        ``trace``, when given, receives every fetched PC in order —
-        the raw material for the bus transition measurements.
+        ``trace``, when given, receives the fetch stream as one
+        ``(entry_pc, length)`` run per maximal stretch of sequential
+        fetches — the raw material for the bus transition measurements.
+        On a fault the trace, :attr:`steps` and :attr:`pc` stop at the
+        faulting instruction, as :meth:`step` would leave them.
         """
-        base = self.program.text_base
-        end = self.program.text_end
-        compiled = self._compiled
-        steps = 0
-        pc = self.pc
-        if trace is None:
+        blocks = self._blocks
+        starts: list[int] = []
+        lengths: list[int] = []
+        pc = run_start = run_end = self.pc
+        run_length = steps = count = 0
+        block = None
+        try:
             while self.running:
                 if steps >= max_steps:
-                    self.pc = pc
                     raise CpuError(f"exceeded {max_steps} steps")
-                if pc < base or pc >= end or pc & 3:
-                    raise CpuError(f"PC out of text: {pc:#010x}")
-                self.pc = pc
-                compiled[(pc - base) >> 2](self)
-                pc = self.pc
-                steps += 1
-        else:
-            append = trace.append
-            while self.running:
-                if steps >= max_steps:
-                    self.pc = pc
-                    raise CpuError(f"exceeded {max_steps} steps")
-                if pc < base or pc >= end or pc & 3:
-                    raise CpuError(f"PC out of text: {pc:#010x}")
-                append(pc)
-                self.pc = pc
-                compiled[(pc - base) >> 2](self)
-                pc = self.pc
-                steps += 1
-        self.steps += steps
+                entry = blocks.get(pc)
+                if entry is None:
+                    entry = blocks[pc] = self._compile_block(pc)
+                if steps + entry[1] > max_steps:
+                    # The limit lands inside this block: run its prefix.
+                    entry = self._compile_block(pc, max_steps - steps)
+                block, count = entry
+                if pc != run_end:
+                    if run_length:
+                        starts.append(run_start)
+                        lengths.append(run_length)
+                    run_start = pc
+                    run_length = 0
+                run_length += count
+                run_end = pc + 4 * count
+                steps += count
+                pc = block()
+                block = None
+        except BaseException as err:
+            if block is not None:
+                # The fault came from inside the block: the faulting
+                # instruction was fetched but did not complete.
+                done = _completed_before_fault(err, block)
+                undone = count - done
+                steps -= undone
+                run_length -= undone - 1
+                pc += 4 * done
+            raise
+        finally:
+            if run_length:
+                starts.append(run_start)
+                lengths.append(run_length)
+            if trace is not None:
+                trace.append_runs(starts, lengths)
+            self.pc = pc
+            self.steps += steps
         return steps
 
     def step(self) -> None:
-        """Execute a single instruction (slow path, for tests)."""
+        """Execute a single instruction (the oracle for :meth:`run`)."""
         base = self.program.text_base
         if self.pc < base or self.pc >= self.program.text_end or self.pc & 3:
             raise CpuError(f"PC out of text: {self.pc:#010x}")
+        if self._compiled is None:
+            self._compiled = [
+                self._compile(inst) for inst in self.program.instructions
+            ]
         self._compiled[(self.pc - base) >> 2](self)
         self.steps += 1
+
+    def _compile_block(
+        self, pc: int, limit: int | None = None
+    ) -> tuple[Callable[[], int], int]:
+        """The block function entered at ``pc`` (at most ``limit``
+        instructions) and its instruction count."""
+        program = self.program
+        base = program.text_base
+        if pc < base or pc >= program.text_end or pc & 3:
+            raise CpuError(f"PC out of text: {pc:#010x}")
+        first = (pc - base) >> 2
+        last = len(program.instructions)
+        if limit is not None:
+            last = min(last, first + limit)
+        body: list[str] = []
+        #: body line -> offset of the instruction it belongs to
+        owners: list[int] = []
+        exit_pc = ""
+        for index in range(first, last):
+            statements, exit_pc = _emit(
+                program.instructions[index], base + 4 * index
+            )
+            body.extend(statements)
+            owners.extend([index - first] * len(statements))
+            if exit_pc:
+                break
+        count = index - first + 1
+        owners.append(count - 1)  # the return line
+        if not exit_pc:
+            exit_pc = str(pc + 4 * count)
+        block = _build_block(self, body, exit_pc)
+        block.owners = owners
+        return block, count
 
     # ------------------------------------------------------------------
     # System calls
@@ -535,15 +604,15 @@ def run_program(
     program: Program,
     max_steps: int = 100_000_000,
     with_trace: bool = True,
-) -> tuple[Cpu, list[int]]:
+) -> tuple[Cpu, FetchTrace]:
     """Assemble-and-go helper: run ``program`` and return the CPU state
-    plus the fetch trace (list of PCs)."""
+    plus its fetch trace (empty when ``with_trace`` is false)."""
     from repro.obs import OBS
 
     cpu = Cpu(program)
-    trace: list[int] = [] if with_trace else None  # type: ignore[assignment]
+    trace = FetchTrace()
     with OBS.tracer.span("sim.run", instructions=len(program.words)) as span:
-        cpu.run(max_steps=max_steps, trace=trace)
+        cpu.run(max_steps=max_steps, trace=trace if with_trace else None)
         span.set(steps=cpu.steps)
     if OBS.enabled:
         OBS.registry.counter(
@@ -551,5 +620,197 @@ def run_program(
         ).inc(cpu.steps)
         OBS.registry.counter(
             "sim.fetches", "fetch addresses captured into traces"
-        ).inc(len(trace) if with_trace else 0)
-    return cpu, (trace if with_trace else [])
+        ).inc(len(trace))
+    return cpu, trace
+
+
+# ----------------------------------------------------------------------
+# Block compilation
+# ----------------------------------------------------------------------
+
+#: The block function's signature: the CPU, its register lists and the
+#: memory accessors are bound as defaults, so the body reads them as
+#: locals.
+_BLOCK_HEAD = """def block(c=c, R=c.regs, F=c.fregs, sqrt=sqrt,
+          rd8=mem.read_u8, rds8=mem.read_s8, rd16=mem.read_u16,
+          rds16=mem.read_s16, rd32=mem.read_u32, wr8=mem.write_u8,
+          wr16=mem.write_u16, wr32=mem.write_u32, rdf32=mem.read_f32,
+          wrf32=mem.write_f32, rdf64=mem.read_f64, wrf64=mem.write_f64):
+"""
+#: 1-based source line of a block function's first body statement
+_FIRST_BODY_LINE = _BLOCK_HEAD.count("\n") + 1
+
+
+def _build_block(cpu: Cpu, body: list[str], exit_pc: str) -> Callable[[], int]:
+    source = (
+        _BLOCK_HEAD
+        + "".join(f"    {line}\n" for line in body)
+        + f"    return {exit_pc}\n"
+    )
+    namespace = {"c": cpu, "mem": cpu.memory, "sqrt": math.sqrt}
+    exec(compile(source, "<basic block>", "exec"), namespace)
+    return namespace["block"]
+
+
+def _completed_before_fault(err: BaseException, block: Callable) -> int:
+    """How many of ``block``'s instructions completed before ``err``
+    was raised inside it, read off the block frame's line number."""
+    tb = err.__traceback__
+    while tb is not None and tb.tb_frame.f_code is not block.__code__:
+        tb = tb.tb_next
+    if tb is None:
+        return 0
+    return block.owners[tb.tb_lineno - _FIRST_BODY_LINE]
+
+
+def _signed_src(reg: int) -> str:
+    return f"((R[{reg}] ^ 0x80000000) - 0x80000000)"
+
+
+def _address_src(rs: int, imm: int) -> str:
+    return f"(R[{rs}] + {imm}) & 0xFFFFFFFF" if imm else f"R[{rs}]"
+
+
+#: ``name -> expression`` for ALU results written to ``rd``
+_R_ALU = {
+    "add": "(R[{rs}] + R[{rt}]) & 0xFFFFFFFF",
+    "addu": "(R[{rs}] + R[{rt}]) & 0xFFFFFFFF",
+    "sub": "(R[{rs}] - R[{rt}]) & 0xFFFFFFFF",
+    "subu": "(R[{rs}] - R[{rt}]) & 0xFFFFFFFF",
+    "and": "R[{rs}] & R[{rt}]",
+    "or": "R[{rs}] | R[{rt}]",
+    "xor": "R[{rs}] ^ R[{rt}]",
+    "nor": "~(R[{rs}] | R[{rt}]) & 0xFFFFFFFF",
+    "slt": "1 if (R[{rs}] ^ 0x80000000) < (R[{rt}] ^ 0x80000000) else 0",
+    "sltu": "1 if R[{rs}] < R[{rt}] else 0",
+    "sll": "(R[{rt}] << {shamt}) & 0xFFFFFFFF",
+    "srl": "R[{rt}] >> {shamt}",
+    "sra": "({srt} >> {shamt}) & 0xFFFFFFFF",
+    "sllv": "(R[{rt}] << (R[{rs}] & 31)) & 0xFFFFFFFF",
+    "srlv": "R[{rt}] >> (R[{rs}] & 31)",
+    "srav": "({srt} >> (R[{rs}] & 31)) & 0xFFFFFFFF",
+    "mfhi": "c.hi",
+    "mflo": "c.lo",
+}
+
+#: ``name -> expression`` for immediate-form results written to ``rt``
+_I_ALU = {
+    "addi": "(R[{rs}] + {imm_s}) & 0xFFFFFFFF",
+    "addiu": "(R[{rs}] + {imm_s}) & 0xFFFFFFFF",
+    "slti": "1 if (R[{rs}] ^ 0x80000000) < {imm_biased} else 0",
+    "sltiu": "1 if R[{rs}] < {imm_wrapped} else 0",
+    "andi": "R[{rs}] & {imm_u}",
+    "ori": "R[{rs}] | {imm_u}",
+    "xori": "R[{rs}] ^ {imm_u}",
+    "lui": "{upper}",
+    "lw": "rd32({addr})",
+    "lb": "rds8({addr}) & 0xFFFFFFFF",
+    "lbu": "rd8({addr})",
+    "lh": "rds16({addr}) & 0xFFFFFFFF",
+    "lhu": "rd16({addr})",
+    "mfc1": "int(F[{fs}]) & 0xFFFFFFFF",
+}
+
+#: ``name -> statement`` for everything that writes no integer register
+_STATEMENTS = {
+    "mthi": "c.hi = R[{rs}]",
+    "mtlo": "c.lo = R[{rs}]",
+    "sw": "wr32({addr}, R[{rt}])",
+    "sb": "wr8({addr}, R[{rt}])",
+    "sh": "wr16({addr}, R[{rt}])",
+    "ldc1": "F[{ft}] = rdf64({addr})",
+    "sdc1": "wrf64({addr}, F[{ft}])",
+    "lwc1": "F[{ft}] = rdf32({addr})",
+    "swc1": "wrf32({addr}, F[{ft}])",
+    "add.d": "F[{fd}] = F[{fs}] + F[{ft}]",
+    "sub.d": "F[{fd}] = F[{fs}] - F[{ft}]",
+    "mul.d": "F[{fd}] = F[{fs}] * F[{ft}]",
+    "div.d": "F[{fd}] = F[{fs}] / F[{ft}]",
+    "sqrt.d": "F[{fd}] = sqrt(F[{fs}])",
+    "abs.d": "F[{fd}] = abs(F[{fs}])",
+    "mov.d": "F[{fd}] = F[{fs}]",
+    "neg.d": "F[{fd}] = -F[{fs}]",
+    "cvt.w.d": "F[{fd}] = float(int(F[{fs}]))",
+    "cvt.d.w": "F[{fd}] = float(F[{fs}])",
+    "c.eq.d": "c.fcc = F[{fs}] == F[{ft}]",
+    "c.lt.d": "c.fcc = F[{fs}] < F[{ft}]",
+    "c.le.d": "c.fcc = F[{fs}] <= F[{ft}]",
+    "mtc1": "F[{fs}] = float({srt})",
+}
+
+#: ``name -> condition`` for conditional branches
+_CONDITIONS = {
+    "beq": "R[{rs}] == R[{rt}]",
+    "bne": "R[{rs}] != R[{rt}]",
+    "blez": "(R[{rs}] ^ 0x80000000) <= 0x80000000",
+    "bgtz": "(R[{rs}] ^ 0x80000000) > 0x80000000",
+    "bltz": "R[{rs}] >= 0x80000000",
+    "bgez": "R[{rs}] < 0x80000000",
+    "bc1t": "c.fcc",
+    "bc1f": "not c.fcc",
+}
+
+
+def _emit(inst: Instruction, pc: int) -> tuple[list[str], str]:
+    """Python statements for one instruction at ``pc``, plus the
+    next-PC expression when it ends the block ("" when it falls
+    through)."""
+    name = inst.name
+    rd, rs, rt = inst.get("rd"), inst.get("rs"), inst.get("rt")
+    imm_u = inst.get("imm")
+    imm_s = inst.simm
+    fields = {
+        "rd": rd,
+        "rs": rs,
+        "rt": rt,
+        "fd": inst.get("fd"),
+        "fs": inst.get("fs"),
+        "ft": inst.get("ft"),
+        "shamt": inst.get("shamt"),
+        "imm_u": imm_u,
+        "imm_s": imm_s,
+        "imm_biased": imm_s + 0x80000000,
+        "imm_wrapped": imm_s & MASK32,
+        "upper": (imm_u << 16) & MASK32,
+        "srt": _signed_src(rt),
+        "addr": _address_src(rs, imm_s),
+    }
+    if name in _R_ALU:
+        lines = [f"R[{rd}] = " + _R_ALU[name].format(**fields)]
+        return (lines + ["R[0] = 0"] if rd == 0 else lines), ""
+    if name in _I_ALU:
+        lines = [f"R[{rt}] = " + _I_ALU[name].format(**fields)]
+        return (lines + ["R[0] = 0"] if rt == 0 else lines), ""
+    if name in _STATEMENTS:
+        return [_STATEMENTS[name].format(**fields)], ""
+    if name in ("mult", "multu"):
+        a, b = (_signed_src(rs), _signed_src(rt)) if name == "mult" else (f"R[{rs}]", f"R[{rt}]")
+        return [
+            f"p = {a} * {b}",
+            "c.lo = p & 0xFFFFFFFF",
+            "c.hi = (p >> 32) & 0xFFFFFFFF",
+        ], ""
+    if name in ("div", "divu"):
+        a, b = (_signed_src(rs), _signed_src(rt)) if name == "div" else (f"R[{rs}]", f"R[{rt}]")
+        return [
+            f"a = {a}",
+            f"b = {b}",
+            "if b == 0: c.lo = c.hi = 0",
+            "else: q = int(a / b); c.lo = q & 0xFFFFFFFF; c.hi = (a - q * b) & 0xFFFFFFFF",
+        ], ""
+    if name == "syscall":
+        return [f"c.pc = {pc}", "c._syscall()"], str(pc + 4)
+    if name in _CONDITIONS:
+        taken = pc + 4 + 4 * imm_s
+        condition = _CONDITIONS[name].format(**fields)
+        return [], f"{taken} if {condition} else {pc + 4}"
+    if name == "j":
+        return [], str(inst.get("target") << 2)
+    if name == "jal":
+        return [f"R[{RA}] = {(pc + 4) & MASK32}"], str(inst.get("target") << 2)
+    if name == "jr":
+        return [], f"R[{rs}]"
+    if name == "jalr":
+        link = rd if rd else RA
+        return [f"R[{link}] = {(pc + 4) & MASK32}"], f"R[{rs}]"
+    raise CpuError(f"no handler for instruction {name!r}")

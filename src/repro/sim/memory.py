@@ -12,6 +12,10 @@ PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
 
+_U32 = struct.Struct("<I")
+_F32 = struct.Struct("<f")
+_F64 = struct.Struct("<d")
+
 
 class MmioRegion:
     """A memory-mapped peripheral window.
@@ -97,7 +101,9 @@ class Memory:
             view = view[chunk:]
 
     # ------------------------------------------------------------------
-    # Typed access (little-endian)
+    # Typed access (little-endian).  The 32- and 64-bit accessors take
+    # one page through struct when the value does not straddle a page
+    # boundary, and the byte loop otherwise.
     # ------------------------------------------------------------------
 
     def read_u8(self, address: int) -> int:
@@ -119,8 +125,7 @@ class Memory:
                 return region.read(address)
         page_off = address & PAGE_MASK
         if page_off <= PAGE_SIZE - 4:
-            page = self._page(address)
-            return int.from_bytes(page[page_off : page_off + 4], "little")
+            return _U32.unpack_from(self._page(address), page_off)[0]
         return int.from_bytes(self.read_bytes(address, 4), "little")
 
     def write_u32(self, address: int, value: int) -> None:
@@ -130,11 +135,10 @@ class Memory:
                 region.write(address, value)
                 return
         page_off = address & PAGE_MASK
-        data = (value & 0xFFFFFFFF).to_bytes(4, "little")
         if page_off <= PAGE_SIZE - 4:
-            self._page(address)[page_off : page_off + 4] = data
+            _U32.pack_into(self._page(address), page_off, value & 0xFFFFFFFF)
         else:
-            self.write_bytes(address, data)
+            self.write_bytes(address, (value & 0xFFFFFFFF).to_bytes(4, "little"))
 
     def read_s8(self, address: int) -> int:
         value = self.read_u8(address)
@@ -145,16 +149,30 @@ class Memory:
         return value - 0x10000 if value & 0x8000 else value
 
     def read_f64(self, address: int) -> float:
-        return struct.unpack("<d", self.read_bytes(address, 8))[0]
+        page_off = address & PAGE_MASK
+        if page_off <= PAGE_SIZE - 8:
+            return _F64.unpack_from(self._page(address), page_off)[0]
+        return _F64.unpack(self.read_bytes(address, 8))[0]
 
     def write_f64(self, address: int, value: float) -> None:
-        self.write_bytes(address, struct.pack("<d", value))
+        page_off = address & PAGE_MASK
+        if page_off <= PAGE_SIZE - 8:
+            _F64.pack_into(self._page(address), page_off, value)
+        else:
+            self.write_bytes(address, _F64.pack(value))
 
     def read_f32(self, address: int) -> float:
-        return struct.unpack("<f", self.read_bytes(address, 4))[0]
+        page_off = address & PAGE_MASK
+        if page_off <= PAGE_SIZE - 4:
+            return _F32.unpack_from(self._page(address), page_off)[0]
+        return _F32.unpack(self.read_bytes(address, 4))[0]
 
     def write_f32(self, address: int, value: float) -> None:
-        self.write_bytes(address, struct.pack("<f", value))
+        page_off = address & PAGE_MASK
+        if page_off <= PAGE_SIZE - 4:
+            _F32.pack_into(self._page(address), page_off, value)
+        else:
+            self.write_bytes(address, _F32.pack(value))
 
     def read_cstring(self, address: int, limit: int = 4096) -> str:
         out = bytearray()

@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.isa.assembler import Program
 from repro.isa.opcodes import CONDITIONAL_BRANCHES, CONTROL_TRANSFER
+from repro.sim.tracer import FetchTrace
 
 
 @dataclass(frozen=True)
@@ -63,37 +64,37 @@ def _category(name: str) -> str:
     return "alu"
 
 
-def instruction_mix(program: Program, addresses: Sequence[int]) -> InstructionMix:
+def instruction_mix(program: Program, addresses: Iterable[int]) -> InstructionMix:
     """Categorise every dynamic instruction in a fetch trace."""
-    fetch_counts = Counter(addresses)
+    trace = FetchTrace.of(addresses)
     by_mnemonic: Counter = Counter()
     by_category: Counter = Counter()
     base = program.text_base
-    for address, count in fetch_counts.items():
+    for address, count in trace.fetch_counts().items():
         name = program.instructions[(address - base) >> 2].name
         by_mnemonic[name] += count
         by_category[_category(name)] += count
     return InstructionMix(
-        total=len(addresses),
+        total=len(trace),
         by_mnemonic=dict(by_mnemonic),
         by_category=dict(by_category),
     )
 
 
 def branch_statistics(
-    program: Program, addresses: Sequence[int]
+    program: Program, addresses: Iterable[int]
 ) -> dict[str, float]:
     """Dynamic branch counts and taken rate (a fall-through successor
     at address+4 counts as not-taken)."""
     base = program.text_base
     branches = 0
     taken = 0
-    for current, nxt in zip(addresses, addresses[1:]):
+    for (current, nxt), count in FetchTrace.of(addresses).edge_counts().items():
         name = program.instructions[(current - base) >> 2].name
         if name in CONDITIONAL_BRANCHES:
-            branches += 1
+            branches += count
             if nxt != current + 4:
-                taken += 1
+                taken += count
     return {
         "branches": branches,
         "taken": taken,
@@ -115,7 +116,7 @@ def word_entropy_bits(words: Sequence[int]) -> float:
     )
 
 
-def static_dynamic_ratio(program: Program, addresses: Sequence[int]) -> float:
+def static_dynamic_ratio(program: Program, addresses: Iterable[int]) -> float:
     """Dynamic fetches per static instruction — loop dominance in one
     number ("a relatively short sequence of instructions is
     repetitively executed", Section 4)."""

@@ -14,7 +14,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 MAGIC = b"RPTR"
 FORMAT_VERSION = 1
@@ -51,7 +51,7 @@ class TraceHeader:
 
 
 def dump_trace(
-    addresses: Sequence[int],
+    addresses: Iterable[int],
     name: str = "trace",
     text_base: int = 0,
     level: int = 6,
@@ -97,7 +97,7 @@ def load_trace(blob: bytes) -> tuple[TraceHeader, list[int]]:
 
 
 def save_trace_file(
-    path, addresses: Sequence[int], name: str = "trace", text_base: int = 0
+    path, addresses: Iterable[int], name: str = "trace", text_base: int = 0
 ) -> int:
     """Write a trace to disk; returns the byte size on disk."""
     blob = dump_trace(addresses, name=name, text_base=text_base)

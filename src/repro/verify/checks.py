@@ -183,25 +183,28 @@ def check_program(words: list[int], block_size: int) -> CheckResult:
             return result.fail("decoder_spurious_recovery", mode=mode)
         result.cover("decoder_transitions", f"clean:{mode}")
 
-    # The bulk decode_trace bitplane walk must match the per-fetch
-    # walk on both output and architectural counters.
+    # The bulk decode_trace walk (per distinct run, counters scaled by
+    # occurrences) must match the per-fetch walk on both output and
+    # architectural counters, BBIT probes included, over a trace that
+    # revisits the block.
+    trace = deployment.trace_for(0) * 2
     walks = []
+    bbit = deployment.bbit
     for bulk in (True, False):
         decoder = FetchDecoder(
             deployment.tt,
-            deployment.bbit,
+            bbit,
             block_size,
             encoded_region=deployment.encoded_region,
         )
+        lookups, hits = bbit.lookups, bbit.hits
         try:
             if bulk:
                 decoded = decoder.decode_trace(
-                    deployment.trace_for(0),
-                    deployment.image.__getitem__,
-                    finalize=True,
+                    trace, deployment.image.__getitem__, finalize=True
                 )
             else:
-                decoded = _fetch_all(decoder, deployment, 0)
+                decoded = [decoder.fetch(pc, deployment.image[pc]) for pc in trace]
                 decoder.finalize()
         except ReproError as err:
             return result.fail(
@@ -210,9 +213,16 @@ def check_program(words: list[int], block_size: int) -> CheckResult:
                 error=repr(err),
             )
         walks.append(
-            (decoded, decoder.decoded_instructions, decoder.tt_reads)
+            (
+                decoded,
+                decoder.decoded_instructions,
+                decoder.passthrough_instructions,
+                decoder.tt_reads,
+                bbit.lookups - lookups,
+                bbit.hits - hits,
+            )
         )
-    if walks[0][0] != list(words):
+    if walks[0][0] != list(words) * 2:
         return result.fail("decode_trace_bitplane_output_wrong")
     if walks[0] != walks[1]:
         return result.fail("decode_trace_paths_diverge")

@@ -11,9 +11,12 @@ interleavings, passthrough gaps, truncation, and corrupted images.
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.errors import DecodeFault
+from repro.errors import DecodeFault, ReproError, TableIntegrityError
 from repro.hw.fetch_decoder import FetchDecoder
+from repro.sim.tracer import FetchTrace
 from tests.strategies import rng_for, seeded_deployment
 
 BLOCK_SIZES = (2, 4, 5, 7)
@@ -218,3 +221,127 @@ def test_reuse_across_traces_resets_cleanly():
         assert decoder.decode_trace(
             trace, deployment.image.__getitem__
         ) == _golden(deployment, trace)
+
+
+# ----------------------------------------------------------------------
+# Per-run decode over FetchTrace input: random walks over the blocks
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def block_walks(draw, num_blocks: int = 4):
+    """(block size, [(block, fetched prefix length)]): a walk that
+    revisits blocks, leaves some early and re-enters others."""
+    block_size = draw(st.sampled_from(BLOCK_SIZES))
+    pieces = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=num_blocks - 1),
+                st.integers(min_value=1, max_value=24),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    return block_size, pieces
+
+
+_WALK_DEPLOYMENTS = {}
+
+
+def _walk_deployment(block_size):
+    if block_size not in _WALK_DEPLOYMENTS:
+        _WALK_DEPLOYMENTS[block_size] = seeded_deployment(
+            f"runs:{block_size}", block_size, 4
+        )
+    return _WALK_DEPLOYMENTS[block_size]
+
+
+def _pcs(deployment, pieces):
+    trace = []
+    for which, cut in pieces:
+        trace.extend(deployment.trace_for(which)[:cut])
+    return trace
+
+
+def _outcome(deployment, trace, finalize, bulk):
+    """Output (or raised fault) and counters of one walk, BBIT probes
+    taken as this walk's share of the shared table's counters."""
+    bbit = deployment.bbit
+    lookups, hits = bbit.lookups, bbit.hits
+    try:
+        words, decoder = _walk(
+            deployment, trace, deployment.image.__getitem__, finalize, bulk
+        )
+    except ReproError as err:
+        return (type(err), str(err))
+    return (
+        words,
+        _stats(decoder),
+        bbit.lookups - lookups,
+        bbit.hits - hits,
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(block_walks())
+def test_fetch_trace_decode_matches_per_fetch_walk(walk):
+    block_size, pieces = walk
+    deployment = _walk_deployment(block_size)
+    pcs = _pcs(deployment, pieces)
+    trace = FetchTrace.from_addresses(pcs)
+    bulk = _outcome(deployment, trace, False, True)
+    scalar = _outcome(deployment, pcs, False, False)
+    assert bulk == scalar
+    assert bulk[0] == _golden(deployment, pcs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_walks(), st.data())
+def test_fetch_trace_decode_faults_match_per_fetch_walk(walk, data):
+    block_size, pieces = walk
+    deployment = _walk_deployment(block_size)
+    pcs = _pcs(deployment, pieces)
+    which = data.draw(st.integers(min_value=0, max_value=3))
+    full = deployment.trace_for(which)
+    fault = data.draw(st.sampled_from(("mid_block", "truncated")))
+    if fault == "mid_block":
+        # Enter a block at its second instruction (not straight after
+        # its first, which would continue the block).
+        assume(pcs[-1] != full[0])
+        pcs = pcs + full[1:]
+    else:
+        # End the stream one instruction short of a block's end.
+        pcs = pcs + full[:-1]
+    trace = FetchTrace.from_addresses(pcs)
+    bulk = _outcome(deployment, trace, True, True)
+    scalar = _outcome(deployment, pcs, True, False)
+    assert bulk == scalar
+    assert isinstance(bulk[0], type) and issubclass(bulk[0], DecodeFault)
+
+
+def test_repeated_last_run_leaves_its_own_engine_state():
+    # The trace ends on a repeat of its first run, after a different
+    # run in between: the engine must finish in the state that repeat
+    # leaves (one instruction short of the block's end), not in the
+    # state of the last distinct run decoded.
+    deployment = _walk_deployment(5)
+    full = deployment.trace_for(0)
+    pcs = full[:-1] + full[:1] + full[:-1]
+    bulk = _outcome(deployment, FetchTrace.from_addresses(pcs), True, True)
+    scalar = _outcome(deployment, pcs, True, False)
+    assert bulk == scalar
+    assert bulk[0] is DecodeFault
+    assert "has 1 instruction(s) undecoded" in bulk[1]
+
+
+@pytest.mark.parametrize("block_size", BLOCK_SIZES)
+def test_quarantined_bbit_row_raises_identically(block_size):
+    deployment = seeded_deployment(f"quarantine:{block_size}", block_size, 3)
+    deployment.bbit.quarantined.add(deployment.bases[2])
+    pcs = (deployment.trace_for(0) + deployment.trace_for(1)) * 3
+    pcs += deployment.trace_for(2) + deployment.trace_for(0)
+    bulk = _outcome(deployment, FetchTrace.from_addresses(pcs), False, True)
+    scalar = _outcome(deployment, pcs, False, False)
+    assert bulk == scalar
+    assert bulk[0] is TableIntegrityError

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.transformations import ALL_TRANSFORMATIONS
+from repro.errors import DecodeVerificationError
+from repro.hw.fetch_decoder import FetchDecoder
 from repro.pipeline.flow import EncodingFlow
 from repro.sim.bus import count_trace_transitions
 from repro.sim.cpu import run_program
@@ -24,6 +26,30 @@ class TestFlowBasics:
         result = EncodingFlow(block_size=5).run(program, trace, "mmul")
         assert result.decode_verified
         assert result.selected_blocks
+
+    def test_verify_gate_checks_every_run_occurrence(self, mmul_setup, monkeypatch):
+        # A wrong word in a *repeat* of a run (not its first occurrence)
+        # must still fail the decode-verified gate.
+        program, trace = mmul_setup
+        runs = list(zip(trace.starts, trace.lengths))
+        seen = set()
+        offset = repeat_offset = 0
+        for run in runs:
+            if run in seen:
+                repeat_offset = offset
+            seen.add(run)
+            offset += run[1]
+        assert repeat_offset
+        decode_trace = FetchDecoder.decode_trace
+
+        def corrupt_a_repeat(self, *args, **kwargs):
+            decoded = decode_trace(self, *args, **kwargs)
+            decoded[repeat_offset] ^= 1
+            return decoded
+
+        monkeypatch.setattr(FetchDecoder, "decode_trace", corrupt_a_repeat)
+        with pytest.raises(DecodeVerificationError, match="restore"):
+            EncodingFlow(block_size=5).run(program, trace, "mmul")
 
     def test_reduction_is_positive_and_sane(self, mmul_setup):
         program, trace = mmul_setup

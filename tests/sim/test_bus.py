@@ -103,27 +103,29 @@ class TestEnergyModel:
 
 class TestFetchTrace:
     def test_record(self, looped_program):
-        trace = FetchTrace.record(looped_program)
-        assert trace.addresses[0] == looped_program.entry
-        assert len(trace) > 0
+        cpu, trace = run_program(looped_program)
+        assert isinstance(trace, FetchTrace)
+        assert trace.expand()[0] == looped_program.entry
+        assert len(trace) == cpu.steps
 
     def test_fetch_counts(self, looped_program):
-        trace = FetchTrace.record(looped_program)
+        cpu, trace = run_program(looped_program)
         loop = looped_program.address_of("loop")
         assert trace.fetch_counts()[loop] == 4
 
     def test_words_align_with_addresses(self, looped_program):
-        trace = FetchTrace.record(looped_program)
-        words = trace.words()
+        cpu, trace = run_program(looped_program)
+        words = [looped_program.word_at(a) for a in trace.expand()]
         assert len(words) == len(trace)
-        assert words[0] == looped_program.word_at(trace.addresses[0])
+        assert words[0] == looped_program.word_at(trace.expand()[0])
 
     def test_edge_counts(self, looped_program):
-        trace = FetchTrace.record(looped_program)
+        cpu, trace = run_program(looped_program)
         loop = looped_program.address_of("loop")
         # back edge (bnez -> loop) taken 3 times
         assert trace.edge_counts()[(loop + 4, loop)] == 3
 
     def test_coverage_full(self, looped_program):
-        trace = FetchTrace.record(looped_program)
-        assert trace.coverage() == 1.0
+        cpu, trace = run_program(looped_program)
+        text = range(looped_program.text_base, looped_program.text_end, 4)
+        assert set(trace.fetch_counts()) == set(text)

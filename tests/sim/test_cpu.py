@@ -251,7 +251,7 @@ class TestTrace:
         program = assemble(source)
         cpu, trace = run_program(program)
         assert len(trace) == cpu.steps
-        assert trace[0] == program.entry
+        assert trace.expand()[0] == program.entry
         # loop body (2 instructions) runs 3 times
         loop = program.address_of("loop")
-        assert trace.count(loop) == 3
+        assert trace.expand().count(loop) == 3

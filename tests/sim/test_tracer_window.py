@@ -1,6 +1,7 @@
 """Remaining tracer coverage: the window helper and edge cases."""
 
 from repro.isa.assembler import assemble
+from repro.sim.bus import count_trace_transitions, per_line_trace_transitions
 from repro.sim.tracer import FetchTrace, window
 
 
@@ -18,15 +19,14 @@ class TestWindow:
 
 class TestEmptyTrace:
     def test_empty_statistics(self):
-        program = assemble(".text\nmain: li $v0, 10\nsyscall\n")
-        trace = FetchTrace(program=program, addresses=[])
+        trace = FetchTrace()
         assert len(trace) == 0
-        assert trace.words() == []
-        assert trace.coverage() == 0.0
+        assert trace.expand() == []
+        assert not trace.run_counts()
         assert not trace.fetch_counts()
         assert not trace.edge_counts()
 
     def test_empty_program_coverage(self):
         program = assemble("")
-        trace = FetchTrace(program=program, addresses=[])
-        assert trace.coverage() == 0.0
+        assert count_trace_transitions(program, FetchTrace()) == 0
+        assert per_line_trace_transitions(program, FetchTrace()) == [0] * 32

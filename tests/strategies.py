@@ -39,6 +39,7 @@ __all__ = [
     "encode_strategies",
     "instruction_words",
     "fetch_word_streams",
+    "fetch_pc_lists",
     "rng_for",
     "seeded_stream",
     "seeded_words",
@@ -83,6 +84,26 @@ def fetch_word_streams(draw, max_length: int = 100):
     alphabet = draw(st.integers(min_value=1, max_value=8))
     noise = draw(st.sampled_from((0.0, 0.1, 0.3)))
     return hot_word_stream(random.Random(seed), length, alphabet, noise)
+
+
+@st.composite
+def fetch_pc_lists(
+    draw, text_words: int = 48, base: int = 0x400000, max_runs: int = 24
+):
+    """Fetch-trace-like PC lists over a ``text_words``-word text
+    segment at ``base``: sequential runs (straight-line code) joined
+    by jumps, where a run often repeats an earlier one (a loop)."""
+    runs: list[tuple[int, int]] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_runs))):
+        if runs and draw(st.booleans()):
+            runs.append(draw(st.sampled_from(runs)))
+            continue
+        first = draw(st.integers(min_value=0, max_value=text_words - 1))
+        length = draw(st.integers(min_value=1, max_value=text_words - first))
+        runs.append((first, length))
+    return [
+        base + 4 * (first + i) for first, length in runs for i in range(length)
+    ]
 
 
 # ----------------------------------------------------------------------

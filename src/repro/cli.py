@@ -224,13 +224,7 @@ def _encode_select_per_region(args, workload, program, trace) -> int:
             f"saves {choice.savings}; {choice.fetches} fetches)"
         )
         print(f"    candidates: {ranked}")
-    best_single = min(
-        (
-            result.single_scheme_transitions(scheme)
-            for scheme in {s for c in result.choices for s in c.candidates}
-        ),
-        default=result.baseline_transitions,
-    )
+    best_single = result.best_single_transitions()
     print(
         f"transitions:   {result.baseline_transitions} -> "
         f"{result.mixed_transitions} mixed "

@@ -12,12 +12,14 @@ schemes are apples to apples by construction.
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import xor
 from typing import Sequence
 
 
 def word_transitions(words: Sequence[int]) -> int:
     """Total bit toggles across consecutive words (first word free)."""
-    return sum((a ^ b).bit_count() for a, b in zip(words, words[1:]))
+    return sum(map(int.bit_count, map(xor, words, islice(words, 1, None))))
 
 
 def per_transfer_transitions(words: Sequence[int]) -> list[int]:

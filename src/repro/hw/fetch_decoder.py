@@ -530,24 +530,27 @@ class FetchDecoder:
         truncation that leaves a block half-decoded.  A plain PC list
         is converted once with :meth:`FetchTrace.from_addresses`.
 
-        In strict mode (with no demoted blocks and no zoo regions) the
-        walk reads the trace as maximal sequential runs.  A
-        non-sequential fetch always leaves the engine idle, so each
-        distinct run decodes once, from the idle state, and every later
-        occurrence reuses its words; its architectural counters
-        (``decoded_instructions``, ``passthrough_instructions``,
+        In strict mode (with no demoted blocks) the walk reads the
+        trace as maximal sequential runs.  A non-sequential fetch always
+        leaves the engine idle, and so does a fetch from a region tagged
+        with an encoder-zoo scheme (served word by word, with no engine
+        state), so each distinct run decodes once, from the idle state,
+        and every later occurrence reuses its words; its architectural
+        counters (``decoded_instructions``,
+        ``passthrough_instructions``, ``scheme_decoded_instructions``,
         ``tt_reads`` and the BBIT's ``lookups``, ``hits`` and
         ``parity_checks``) are scaled by its occurrence count, so they
         equal the per-fetch walk's.  Inside a run, full basic-block
-        occurrences decode through the lane-packed bitplane scan, and
-        partial ones through :meth:`fetch`, so protocol faults and
-        table integrity errors surface at the same fetch, with the same
-        message, as they would instruction by instruction.  Only the
-        tables' *internal* row-read volume differs
+        occurrences decode through the lane-packed bitplane scan, zoo
+        region fetches through their word decoder, and partial blocks
+        through :meth:`fetch`, so protocol faults, unknown scheme tags
+        and table integrity errors surface at the same fetch, with the
+        same message, as they would instruction by instruction.  Only
+        the tables' *internal* row-read volume differs
         (``TransformationTable.reads`` and ``parity_checks`` advance
-        once per distinct block).  The recover and degraded modes,
-        whose per-fetch fault contracts are the point, and mixed-scheme
-        traces always take the per-fetch walk over the expanded trace.
+        once per distinct block).  Only the recover and degraded modes,
+        whose per-fetch fault contracts are the point, take the
+        per-fetch walk over the expanded trace.
         """
         self.reset()
         trace = FetchTrace.of(addresses)
@@ -555,13 +558,7 @@ class FetchDecoder:
         with OBS.tracer.span(
             "decoder.decode_trace", mode=self.mode, fetches=len(trace)
         ):
-            if (
-                self.mode == "strict"
-                and not self.degraded_region
-                # mixed-scheme traces interleave zoo regions with TT
-                # blocks; the per-fetch walk owns that dispatch.
-                and not self.region_schemes
-            ):
+            if self.mode == "strict" and not self.degraded_region:
                 decoded = self._decode_trace_bitplane(
                     trace, stored_image_lookup
                 )
@@ -581,6 +578,7 @@ class FetchDecoder:
         return (
             self.decoded_instructions,
             self.passthrough_instructions,
+            self.scheme_decoded_instructions,
             self.tt_reads,
             bbit.lookups,
             bbit.hits,
@@ -630,11 +628,18 @@ class FetchDecoder:
             extend(done.words)
         for decode in decodes:
             if decode.repeats:
-                decoded, passthrough, tt_reads, lookups, hits, checks = (
-                    decode.repeats * d for d in decode.counters
-                )
+                (
+                    decoded,
+                    passthrough,
+                    scheme_decoded,
+                    tt_reads,
+                    lookups,
+                    hits,
+                    checks,
+                ) = (decode.repeats * d for d in decode.counters)
                 self.decoded_instructions += decoded
                 self.passthrough_instructions += passthrough
+                self.scheme_decoded_instructions += scheme_decoded
                 self.tt_reads += tt_reads
                 bbit.lookups += lookups
                 bbit.hits += hits
@@ -648,6 +653,15 @@ class FetchDecoder:
             self._history_word = done.history_word
         return out
 
+    def _enters_zoo_region(self, pc: int, count: int) -> bool:
+        """Whether the block at ``pc`` runs into a zoo-tagged address
+        (which :meth:`fetch` serves outside the TT engine)."""
+        schemes = self.region_schemes
+        return any(
+            schemes.get(addr, SCHEME_TTBBIT) != SCHEME_TTBBIT
+            for addr in range(pc + 4, pc + 4 * count, 4)
+        )
+
     def _decode_run(
         self,
         run: tuple[int, int],
@@ -656,17 +670,26 @@ class FetchDecoder:
     ) -> list[int]:
         """Decode one maximal sequential run from the idle engine:
         one bitplane scan per full basic-block occurrence (memoised in
-        ``blocks`` on the stored words), :meth:`fetch` for the rest."""
+        ``blocks`` on the stored words), the region's word decoder for
+        zoo-tagged fetches, :meth:`fetch` for the rest."""
         start, length = run
         self._active = None
         self._expected_pc = None
         out: list[int] = []
         block_size = self.block_size
+        schemes = self.region_schemes
         end = start + 4 * length
         pc = start
         while pc < end:
             if self._active is not None:
                 out.append(self.fetch(pc, stored_image_lookup(pc)))
+                pc += 4
+                continue
+            scheme = schemes.get(pc) if schemes else None
+            if scheme is not None and scheme != SCHEME_TTBBIT:
+                out.append(
+                    self._fetch_scheme_region(pc, stored_image_lookup(pc), scheme)
+                )
                 pc += 4
                 continue
             # Engine idle: probe the BBIT exactly as fetch() would
@@ -684,7 +707,11 @@ class FetchDecoder:
                 pc += 4
                 continue
             count = entry.num_instructions
-            if count < 2 or pc + 4 * count > end:
+            if (
+                count < 2
+                or pc + 4 * count > end
+                or (schemes and self._enters_zoo_region(pc, count))
+            ):
                 # Partial or truncated occurrence: hand the block to
                 # the per-fetch engine without re-probing the BBIT.
                 self._active = _ActiveBlock(

@@ -541,6 +541,7 @@ class EncodingBundle:
         program.  Mixed-scheme bundles additionally arm the decoder
         with the per-region scheme tags and their word decoders."""
         from repro.hw.fetch_decoder import FetchDecoder
+        from repro.sim.tracer import FetchTrace
 
         if not self.verify_against(program):
             raise BundleFormatError(
@@ -555,9 +556,9 @@ class EncodingBundle:
             region_schemes=self.region_scheme_map() or None,
             scheme_word_decoders=self.scheme_word_decoders() or None,
         )
+        trace = FetchTrace.of(trace)
         base = self.text_base
         decoded = decoder.decode_trace(
             trace, lambda pc: self.encoded_words[(pc - base) >> 2]
         )
-        original = [program.words[(pc - base) >> 2] for pc in trace]
-        return decoded == original
+        return trace.matches(decoded, program.words, base)

@@ -267,13 +267,7 @@ class SelectorSummary:
     def to_rows(self) -> list[dict]:
         rows = []
         for result in self.results:
-            best_single = min(
-                (
-                    result.single_scheme_transitions(scheme)
-                    for scheme in self._schemes(result)
-                ),
-                default=result.baseline_transitions,
-            )
+            best_single = result.best_single_transitions()
             rows.append(
                 {
                     "workload": result.name,
@@ -288,13 +282,6 @@ class SelectorSummary:
                 }
             )
         return rows
-
-    @staticmethod
-    def _schemes(result) -> list[str]:
-        from repro.baselines.protocol import registered_schemes
-        from repro.pipeline.selector import SCHEME_RAW, SCHEME_TTBBIT
-
-        return [SCHEME_TTBBIT, SCHEME_RAW, *registered_schemes()]
 
     def format_markdown(self) -> str:
         lines = [

@@ -83,22 +83,6 @@ class FlowResult:
         return self.encoded_transitions / 1e6
 
 
-def _restores(program: Program, trace: FetchTrace, decoded: list[int]) -> bool:
-    """Whether ``decoded`` is ``program``'s words over ``trace``,
-    compared one run occurrence at a time (a slice compare per run)."""
-    if len(decoded) != len(trace):
-        return False
-    words = program.words
-    base = program.text_base
-    offset = 0
-    for start, length in zip(trace.starts, trace.lengths):
-        first = (start - base) >> 2
-        if decoded[offset : offset + length] != words[first : first + length]:
-            return False
-        offset += length
-    return True
-
-
 class EncodingFlow:
     """Configurable end-to-end encoder + measurement pipeline."""
 
@@ -208,7 +192,7 @@ class EncodingFlow:
                     decoded = decoder.decode_trace(
                         trace, lambda pc: image[(pc - base) >> 2]
                     )
-                    if not _restores(program, trace, decoded):
+                    if not trace.matches(decoded, program.words, base):
                         raise DecodeVerificationError(
                             f"{name}: hardware decode failed to restore the "
                             "instruction stream"

@@ -27,6 +27,7 @@ construction — and the accompanying tests measure it anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, groupby
 from typing import Dict, Iterable, List, Sequence
 
 from repro.baselines.protocol import (
@@ -37,7 +38,6 @@ from repro.baselines.protocol import (
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.profile import profile_trace
 from repro.core.program_codec import encode_basic_block
-from repro.core.transitions import word_transitions
 from repro.errors import DecodeVerificationError, EncodingError
 from repro.isa.assembler import Program
 from repro.obs import OBS
@@ -115,39 +115,99 @@ class SelectorResult:
             total += choice.raw_transitions if cost is None else cost
         return total
 
+    def best_single_transitions(self) -> int:
+        """The cheapest :meth:`single_scheme_transitions` over every
+        scheme some region was costed under (the baseline when the
+        program has no hot region): the never-worse gate's bound."""
+        schemes = {scheme for c in self.choices for scheme in c.candidates}
+        return min(
+            (self.single_scheme_transitions(scheme) for scheme in schemes),
+            default=self.baseline_transitions,
+        )
 
-def _region_runs(
-    cfg: ControlFlowGraph,
-    plans: Sequence[RegionPlan],
-    trace: FetchTrace,
+
+def _region_pairs(
+    trace: FetchTrace, header_of: Dict[int, int]
+) -> Dict[int, List[tuple[int, int, int]]]:
+    """Intra-region traffic as ``(from_pc, to_pc, count)`` per region
+    header: the trace's consecutive fetch pairs whose both ends lie in
+    the region.  Consecutive fetches in one region always belong to the
+    same region stretch, so these are exactly the pairs a walk of the
+    region's stretches would see."""
+    pairs: Dict[int, List[tuple[int, int, int]]] = {}
+    for (a, b), count in trace.edge_counts().items():
+        header = header_of.get(a)
+        if header is not None and header == header_of.get(b):
+            pairs.setdefault(header, []).append((a, b, count))
+    return pairs
+
+
+def _pairs_cost(pairs: List[tuple[int, int, int]], value_of) -> int:
+    """Σ count · popcount(value_of[a] ^ value_of[b]) over ``pairs``."""
+    return sum(
+        count * (value_of[a] ^ value_of[b]).bit_count() for a, b, count in pairs
+    )
+
+
+def _region_streams(
+    trace: FetchTrace, header_of: Dict[int, int], words: List[int], base: int
 ) -> Dict[int, List[List[int]]]:
     """Maximal consecutive stretches of the trace inside each region,
-    as lists of fetch addresses, keyed by region header."""
-    block_to_header: Dict[int, int] = {}
-    for plan in plans:
-        for start in plan.blocks:
-            block_to_header[start] = plan.header
-    # one block lookup per distinct PC, not per fetch
-    header_of = {
-        pc: block_to_header.get(cfg.block_of(pc).start)
-        for pc in trace.fetch_counts()
-    }
-    runs: Dict[int, List[List[int]]] = {plan.header: [] for plan in plans}
-    current: int | None = None
-    for pc in trace:
-        header = header_of[pc]
-        if header is None:
-            current = None
-            continue
-        if header != current:
-            runs[header].append([])
-            current = header
-        runs[header][-1].append(pc)
-    return runs
+    as lists of original words in fetch order, keyed by region header.
+
+    Each distinct trace run is cut once into its per-region word
+    slices; every occurrence then extends the streams by those slices.
+    A stretch continues across a jump only when the fetches on both
+    sides of it lie in the same region."""
+    pieces_of: Dict[tuple[int, int], List[tuple[int | None, List[int]]]] = {}
+    for start, length in trace.run_counts():
+        pieces = pieces_of[start, length] = []
+        first = (start - base) >> 2
+        for header, pcs in groupby(
+            range(start, start + 4 * length, 4), header_of.get
+        ):
+            count = len(list(pcs))
+            pieces.append((header, words[first : first + count]))
+            first += count
+    streams: Dict[int, List[List[int]]] = {}
+    current = None
+    for run in zip(trace.starts, trace.lengths):
+        pieces = pieces_of[run]
+        for index, (header, slice_words) in enumerate(pieces):
+            if header is None:
+                continue
+            stretches = streams.setdefault(header, [])
+            if index == 0 and header == current:
+                stretches[-1].extend(slice_words)
+            else:
+                stretches.append(list(slice_words))
+        current = pieces[-1][0]
+    return streams
 
 
-def _runs_cost(run_words: List[List[int]]) -> int:
-    return sum(word_transitions(words) for words in run_words)
+def _stream_cost(encoder, stretches: List[List[int]]) -> int | None:
+    """A bus codec's cost: every region stretch is encoded, decoded and
+    compared in fetch order (its state carries from word to word).
+    ``None`` when any stretch misdecodes."""
+    cost = 0
+    for stretch in stretches:
+        stream = encoder.encode(stretch)
+        if encoder.decode(stream) != stretch:
+            return None
+        cost += stream.transitions()
+    return cost
+
+
+def _elementwise_cost(encoder, pairs, word_of: Dict[int, int]) -> int | None:
+    """A stateless backend's cost from its driven value per distinct
+    word: its ``encode``/``decode`` act word by word, so checking the
+    distinct words checks every fetch.  ``None`` when any misdecodes."""
+    distinct = list(dict.fromkeys(word_of.values()))
+    stream = encoder.encode(distinct)
+    if encoder.decode(stream) != distinct:
+        return None
+    driven = dict(zip(distinct, stream.driven))
+    return _pairs_cost(pairs, {pc: driven[word] for pc, word in word_of.items()})
 
 
 class SchemeSelector:
@@ -198,7 +258,7 @@ class SchemeSelector:
         return result
 
     def _run(
-        self, program: Program, trace: Iterable[int], name: str
+        self, program: Program, trace: FetchTrace, name: str
     ) -> SelectorResult:
         cfg = ControlFlowGraph.build(program)
         profile = profile_trace(cfg, trace)
@@ -210,8 +270,16 @@ class SchemeSelector:
             bbit_capacity=self.bbit_capacity,
         )
         base = program.text_base
-        original_of = lambda pc: program.words[(pc - base) >> 2]
-        runs_by_header = _region_runs(cfg, plans, trace)
+        words = program.words
+        header_of = {
+            pc: plan.header
+            for plan in plans
+            for start in plan.blocks
+            for pc in range(start, cfg.blocks[start].end, 4)
+        }
+        fetch_counts = trace.fetch_counts()
+        pairs_by_header = _region_pairs(trace, header_of)
+        streams_by_header = _region_streams(trace, header_of, words, base)
 
         baseline = count_trace_transitions(program, trace)
         image = list(program.words)
@@ -222,10 +290,12 @@ class SchemeSelector:
         intra_raw_total = 0
 
         for plan in plans:
-            runs = runs_by_header[plan.header]
-            run_words = [[original_of(pc) for pc in run] for run in runs]
-            region_words = [word for words in run_words for word in words]
-            raw_cost = _runs_cost(run_words)
+            pcs = [pc for pc in fetch_counts if header_of.get(pc) == plan.header]
+            pairs = pairs_by_header.get(plan.header, [])
+            stretches = streams_by_header.get(plan.header, [])
+            region_words = list(chain.from_iterable(stretches))
+            word_of = {pc: words[(pc - base) >> 2] for pc in pcs}
+            raw_cost = _pairs_cost(pairs, word_of)
             intra_raw_total += raw_cost
             candidates: Dict[str, int | None] = {SCHEME_RAW: raw_cost}
 
@@ -233,8 +303,8 @@ class SchemeSelector:
             tt_patch = self._encode_ttbbit(cfg, program, plan)
             if tt_patch is not None:
                 patched, _, _ = tt_patch
-                candidates[SCHEME_TTBBIT] = _runs_cost(
-                    [[patched[(pc - base) >> 2] for pc in run] for run in runs]
+                candidates[SCHEME_TTBBIT] = _pairs_cost(
+                    pairs, {pc: patched[(pc - base) >> 2] for pc in pcs}
                 )
             else:
                 candidates[SCHEME_TTBBIT] = None
@@ -243,21 +313,19 @@ class SchemeSelector:
             encoders = {}
             for scheme in self.schemes:
                 encoder = make_encoder(scheme).fit(region_words)
-                if not encoder.budget().fits(
+                budget = encoder.budget()
+                if not budget.fits(
                     self.budget.max_table_bits, self.budget.max_extra_lines
                 ):
                     candidates[scheme] = None
                     continue
-                cost = 0
-                ok = True
-                for words in run_words:
-                    stream = encoder.encode(words)
-                    if encoder.decode(stream) != words:
-                        ok = False  # never select a scheme that misdecodes
-                        break
-                    cost += stream.transitions()
-                candidates[scheme] = cost if ok else None
-                if ok:
+                if budget.stateful:
+                    cost = _stream_cost(encoder, stretches)
+                else:
+                    cost = _elementwise_cost(encoder, pairs, word_of)
+                # never select a scheme that misdecodes (cost None)
+                candidates[scheme] = cost
+                if cost is not None:
                     encoders[scheme] = encoder
 
             # --- choose: first strict minimum in deterministic order -
@@ -276,7 +344,7 @@ class SchemeSelector:
                 transitions=best_cost,
                 raw_transitions=raw_cost,
                 candidates=candidates,
-                fetches=sum(len(run) for run in runs),
+                fetches=sum(fetch_counts[pc] for pc in pcs),
             )
 
             # --- commit the winner into the image/bundle -------------

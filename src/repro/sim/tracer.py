@@ -7,7 +7,8 @@ stores it as the sequence of its *maximal sequential runs*: one
 addresses.  The nine registry traces hold 21k-120k fetches but only
 484-13,824 runs, and 5-15 distinct ones, so
 consumers that need counts (profiling, transition measurement, the
-strict decode walk) read them per distinct run instead of per fetch.
+strict decode walk, the per-region selector) read them per distinct
+run instead of per fetch.
 Consumers that need every fetch iterate it or call :meth:`expand`.
 """
 
@@ -100,6 +101,20 @@ class FetchTrace:
         for start, length in zip(self.starts, self.lengths):
             extend(range(start, start + 4 * length, 4))
         return out
+
+    def matches(self, decoded: list[int], words: list[int], base: int) -> bool:
+        """Whether ``decoded`` is the image ``words`` (based at ``base``)
+        read over this trace, compared one run occurrence at a time
+        (a slice compare per run, never a per-fetch list)."""
+        if len(decoded) != self._fetches:
+            return False
+        offset = 0
+        for start, length in zip(self.starts, self.lengths):
+            first = (start - base) >> 2
+            if decoded[offset : offset + length] != words[first : first + length]:
+                return False
+            offset += length
+        return True
 
     # ------------------------------------------------------------------
     # Counts (per distinct run)

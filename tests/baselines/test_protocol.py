@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from repro.baselines import protocol
 from repro.baselines.protocol import (
     ENCODER_REGISTRY,
+    EncodedStream,
     HardwareBudget,
     encoder_from_config,
     make_encoder,
@@ -132,3 +133,36 @@ def test_every_backend_roundtrips_any_fetch_stream(words):
     for scheme in registered_schemes():
         encoder = make_encoder(scheme).fit(words)
         assert encoder.decode(encoder.encode(words)) == expected, scheme
+
+
+STATELESS = tuple(
+    scheme
+    for scheme in registered_schemes()
+    if not make_encoder(scheme).budget().stateful
+)
+
+
+def test_stateless_backends_are_the_word_recoders():
+    assert STATELESS == ("frequency", "gray", "memoryless")
+
+
+@given(fetch_word_streams(max_length=60))
+@settings(max_examples=40, deadline=None)
+def test_stateless_backends_encode_and_decode_elementwise(words):
+    """A backend whose budget says ``stateful=False`` maps each word on
+    its own: the stream's driven values are the per-word encodings and
+    its decode is the per-word decode.  The selector relies on this to
+    cost such a backend from one driven value per distinct word and to
+    decode-check only the distinct words."""
+    for scheme in STATELESS:
+        encoder = make_encoder(scheme).fit(words)
+        assert not encoder.budget().stateful
+        stream = encoder.encode(words)
+        assert stream.driven == [
+            encoder.encode([word]).driven[0] for word in words
+        ], scheme
+        decoded = encoder.decode(stream)
+        assert decoded == [
+            encoder.decode(EncodedStream(stream.scheme, stream.width, [value]))[0]
+            for value in stream.driven
+        ], scheme

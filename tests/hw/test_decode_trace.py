@@ -14,10 +14,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DecodeFault, ReproError, TableIntegrityError
-from repro.hw.fetch_decoder import FetchDecoder
+from repro.baselines.memoryless import MemorylessCodebookEncoder
+from repro.core.program_codec import encode_basic_block
+from repro.errors import (
+    DecodeFault,
+    ReproError,
+    SchemeTagError,
+    TableIntegrityError,
+)
+from repro.hw.bbit import BasicBlockIdentificationTable, BBITEntry
+from repro.hw.fetch_decoder import SCHEME_TTBBIT, FetchDecoder
+from repro.hw.tt import TransformationTable
 from repro.sim.tracer import FetchTrace
-from tests.strategies import rng_for, seeded_deployment
+from tests.strategies import rng_for, seeded_blocks, seeded_deployment
 
 BLOCK_SIZES = (2, 4, 5, 7)
 
@@ -35,6 +44,7 @@ def _stats(decoder):
     return {
         "decoded": decoder.decoded_instructions,
         "passthrough": decoder.passthrough_instructions,
+        "scheme_decoded": decoder.scheme_decoded_instructions,
         "tt_reads": decoder.tt_reads,
     }
 
@@ -187,16 +197,22 @@ def test_corrupted_image_decodes_identically(block_size):
 
 
 def test_scalar_fallback_modes_bypass_bulk(monkeypatch):
-    # The recover and degraded modes must not touch the bulk path; the
-    # decode still round-trips.
+    # Only the recover and degraded modes skip the bulk path (the
+    # decode still round-trips); strict mixed-scheme traces, whose zoo
+    # regions are served word by word, take it.
     deployment = seeded_deployment("modes", 5)
     trace = deployment.trace_for(0)
     golden = _golden(deployment, trace)
+    bulk_walk = FetchDecoder._decode_trace_bitplane
+    bulk_modes = []
 
-    def no_bulk(self, addresses, lookup):
-        raise AssertionError("bulk walk used outside strict mode")
+    def strict_only(self, addresses, lookup):
+        if self.mode != "strict":
+            raise AssertionError("bulk walk used outside strict mode")
+        bulk_modes.append(bool(self.region_schemes))
+        return bulk_walk(self, addresses, lookup)
 
-    monkeypatch.setattr(FetchDecoder, "_decode_trace_bitplane", no_bulk)
+    monkeypatch.setattr(FetchDecoder, "_decode_trace_bitplane", strict_only)
     for mode in ("recover", "degraded"):
         decoder = FetchDecoder(
             deployment.tt,
@@ -209,6 +225,13 @@ def test_scalar_fallback_modes_bypass_bulk(monkeypatch):
         assert (
             decoder.decode_trace(trace, deployment.image.__getitem__) == golden
         )
+    assert bulk_modes == []
+    mixed = _mixed_deployment(5)
+    pcs = list(mixed.golden)
+    assert mixed.decoder().decode_trace(pcs, mixed.stored.__getitem__) == [
+        mixed.golden[pc] for pc in pcs
+    ]
+    assert bulk_modes == [True]
 
 
 def test_reuse_across_traces_resets_cleanly():
@@ -345,3 +368,175 @@ def test_quarantined_bbit_row_raises_identically(block_size):
     scalar = _outcome(deployment, pcs, False, False)
     assert bulk == scalar
     assert bulk[0] is TableIntegrityError
+
+
+# ----------------------------------------------------------------------
+# Mixed-scheme traces: TT/BBIT, zoo and plain code in one walk
+# ----------------------------------------------------------------------
+
+
+class _MixedDeployment:
+    """One contiguous image holding, in address order, a TT/BBIT block,
+    a region recoded by a fitted memoryless codebook, a second TT/BBIT
+    block, a bus-invert region (stored raw, passed through) and
+    unencoded code, so sequential runs cross every kind of boundary."""
+
+    BASE = 0x400000
+
+    def __init__(self, block_size: int):
+        tt_a, zoo, tt_b, codec, plain = seeded_blocks(
+            f"mixed:{block_size}", 5, min_words=3
+        )
+        self.block_size = block_size
+        self.tt = TransformationTable(capacity=64, parity=True)
+        self.bbit = BasicBlockIdentificationTable(capacity=4, parity=True)
+        recoder = MemorylessCodebookEncoder().fit(zoo)
+        self.decoders = {"memoryless": recoder.decode_word, "bus-invert": None}
+        self.golden: dict[int, int] = {}
+        self.stored: dict[int, int] = {}
+        self.encoded_region: set[int] = set()
+        self.region_schemes: dict[int, str] = {}
+        #: (first pc, length, scheme tag or None) per segment
+        self.segments: list[tuple[int, int, str | None]] = []
+        pc = self.BASE
+        for words, tag in (
+            (tt_a, SCHEME_TTBBIT),
+            (zoo, "memoryless"),
+            (tt_b, SCHEME_TTBBIT),
+            (codec, "bus-invert"),
+            (plain, None),
+        ):
+            pcs = range(pc, pc + 4 * len(words), 4)
+            if tag == SCHEME_TTBBIT:
+                encoding = encode_basic_block(words, block_size)
+                index = self.tt.allocate(encoding)
+                self.bbit.install(
+                    BBITEntry(pc=pc, tt_index=index, num_instructions=len(words))
+                )
+                stored = encoding.encoded_words
+                self.encoded_region.update(pcs)
+            elif tag == "memoryless":
+                stored = [recoder.encode_word(word) for word in words]
+            else:
+                stored = words
+            self.golden.update(zip(pcs, words))
+            self.stored.update(zip(pcs, stored))
+            if tag is not None:
+                self.region_schemes.update(dict.fromkeys(pcs, tag))
+            self.segments.append((pc, len(words), tag))
+            pc += 4 * len(words)
+        self.end = pc
+
+    def decoder(self, region_schemes=None) -> FetchDecoder:
+        return FetchDecoder(
+            self.tt,
+            self.bbit,
+            self.block_size,
+            encoded_region=set(self.encoded_region),
+            region_schemes=region_schemes or self.region_schemes,
+            scheme_word_decoders=self.decoders,
+        )
+
+
+_MIXED_DEPLOYMENTS = {}
+
+
+def _mixed_deployment(block_size):
+    if block_size not in _MIXED_DEPLOYMENTS:
+        _MIXED_DEPLOYMENTS[block_size] = _MixedDeployment(block_size)
+    return _MIXED_DEPLOYMENTS[block_size]
+
+
+@st.composite
+def mixed_walks(draw):
+    """(deployment, PC list): sequential runs that start at a segment's
+    first PC (or anywhere inside a zoo or plain segment) and run for a
+    drawn length, possibly across segment boundaries."""
+    deployment = _mixed_deployment(draw(st.sampled_from(BLOCK_SIZES)))
+    pcs: list[int] = []
+    for _ in range(draw(st.integers(min_value=1, max_value=25))):
+        first, length, tag = draw(st.sampled_from(deployment.segments))
+        if tag != SCHEME_TTBBIT:
+            first += 4 * draw(st.integers(min_value=0, max_value=length - 1))
+        span = (deployment.end - first) // 4
+        count = draw(st.integers(min_value=1, max_value=span))
+        pcs.extend(range(first, first + 4 * count, 4))
+    return deployment, pcs
+
+
+def _mixed_outcome(deployment, trace, bulk, finalize=False, region_schemes=None):
+    """Output (or raised fault), counters and BBIT probes of one walk."""
+    decoder = deployment.decoder(region_schemes)
+    bbit = deployment.bbit
+    lookups, hits = bbit.lookups, bbit.hits
+    lookup = deployment.stored.__getitem__
+    try:
+        if bulk:
+            words = decoder.decode_trace(trace, lookup, finalize=finalize)
+        else:
+            words = [decoder.fetch(pc, lookup(pc)) for pc in trace]
+            if finalize:
+                decoder.finalize()
+    except ReproError as err:
+        return (type(err), str(err))
+    return words, _stats(decoder), bbit.lookups - lookups, bbit.hits - hits
+
+
+@settings(max_examples=120, deadline=None)
+@given(mixed_walks(), st.booleans())
+def test_mixed_scheme_decode_matches_per_fetch_walk(walk, finalize):
+    deployment, pcs = walk
+    trace = FetchTrace.from_addresses(pcs)
+    bulk = _mixed_outcome(deployment, trace, True, finalize)
+    scalar = _mixed_outcome(deployment, pcs, False, finalize)
+    assert bulk == scalar
+    if isinstance(bulk[0], list):
+        assert bulk[0] == [deployment.golden[pc] for pc in pcs]
+    else:
+        # only a trace ending inside a TT/BBIT block may fault
+        assert finalize and bulk[0] is DecodeFault
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_walks(), st.data())
+def test_unknown_scheme_tag_raises_at_the_same_fetch(walk, data):
+    deployment, pcs = walk
+    victim = data.draw(
+        st.sampled_from(
+            [segment for segment in deployment.segments if segment[2]]
+        )
+    )
+    first, length, _ = victim
+    region_schemes = dict(deployment.region_schemes)
+    region_schemes.update(
+        dict.fromkeys(range(first, first + 4 * length, 4), "no-such-scheme")
+    )
+    pcs = pcs + [first]
+    trace = FetchTrace.from_addresses(pcs)
+    bulk = _mixed_outcome(deployment, trace, True, region_schemes=region_schemes)
+    scalar = _mixed_outcome(deployment, pcs, False, region_schemes=region_schemes)
+    assert bulk == scalar
+    assert bulk[0] is SchemeTagError
+    faulting = next(pc for pc in pcs if pc in range(first, first + 4 * length, 4))
+    assert bulk[1] == (
+        f"unknown region scheme tag 'no-such-scheme' at {faulting:#010x}"
+    )
+
+
+@pytest.mark.parametrize("block_size", BLOCK_SIZES)
+def test_zoo_tag_inside_a_tt_block_matches_per_fetch_walk(block_size):
+    # A zoo tag on the tail of a TT/BBIT block takes those fetches out
+    # of the TT engine; the bulk walk must not decode the block whole.
+    deployment = _mixed_deployment(block_size)
+    first, length, _ = deployment.segments[0]
+    region_schemes = dict(deployment.region_schemes)
+    region_schemes.update(
+        dict.fromkeys(range(first + 4 * (length - 2), first + 4 * length, 4), "bus-invert")
+    )
+    pcs = list(range(first, deployment.end, 4)) * 2
+    bulk = _mixed_outcome(
+        deployment, FetchTrace.from_addresses(pcs), True, region_schemes=region_schemes
+    )
+    scalar = _mixed_outcome(deployment, pcs, False, region_schemes=region_schemes)
+    assert bulk == scalar
+    assert bulk[1]["passthrough"] > 0

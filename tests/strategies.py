@@ -47,6 +47,7 @@ __all__ = [
     "seeded_deployment",
     "seeded_hot_words",
     "generate_program",
+    "generate_phased_program",
 ]
 
 # ----------------------------------------------------------------------
@@ -202,4 +203,41 @@ def generate_program(seed: int, num_blocks: int = 8, fuel: int = 400) -> str:
         "quit:   li $v0, 10",
         "        syscall",
     ]
+    return "\n".join(lines)
+
+
+def generate_phased_program(
+    seed: int, num_loops: int = 3, calls: int = 8
+) -> str:
+    """A random terminating program whose hot loops are entered again
+    and again: a straight-line ``main`` calls loop subroutines in a
+    seeded order with glue code between the calls, and each loop body
+    branches on its counter's low bit, so every loop region is left
+    and re-entered and its traffic splits into many stretches."""
+    rng = random.Random(seed)
+
+    def alu(count: int) -> list[str]:
+        return [
+            f"        {rng.choice(ALU_OPS)} {rng.choice(REGS)}, "
+            f"{rng.choice(REGS)}, {rng.choice(REGS)}"
+            for _ in range(count)
+        ]
+
+    lines = ["        .text", "main:   li $t0, 3", "        li $t1, 5"]
+    for _ in range(calls):
+        lines += alu(rng.randint(0, 3))
+        lines.append(f"        jal loop{rng.randrange(num_loops)}")
+    lines += ["        li $v0, 10", "        syscall"]
+    for loop in range(num_loops):
+        lines.append(f"loop{loop}: li $s0, {rng.randint(2, 12)}")
+        lines.append(f"top{loop}:")
+        lines += alu(rng.randint(1, 6))
+        lines.append("        andi $s1, $s0, 1")
+        lines.append(f"        beq $s1, $zero, skip{loop}")
+        lines += alu(rng.randint(1, 4))
+        lines.append(f"skip{loop}:")
+        lines += alu(rng.randint(0, 3))
+        lines.append("        addiu $s0, $s0, -1")
+        lines.append(f"        bgtz $s0, top{loop}")
+        lines.append("        jr $ra")
     return "\n".join(lines)

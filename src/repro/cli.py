@@ -126,24 +126,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     from repro.sim.cpu import run_program
     from repro.workloads.registry import build_workload
 
-    name = args.workload_opt or args.workload
-    if name is None:
-        print(
-            "encode: a workload is required (positional or --workload)",
-            file=sys.stderr,
-        )
-        return 2
-    if (
-        args.workload_opt
-        and args.workload
-        and args.workload_opt != args.workload
-    ):
-        print(
-            f"encode: conflicting workloads {args.workload!r} and "
-            f"--workload {args.workload_opt!r}",
-            file=sys.stderr,
-        )
-        return 2
+    name = args.workload
     observed = _obs_begin(args)
     workload = build_workload(name)
     program = workload.assemble()
@@ -505,7 +488,7 @@ def _load_report_or_complain(path: str) -> dict | None:
     except FileNotFoundError:
         print(
             f"no run report at {path}; produce one with "
-            "`repro encode --workload fir --metrics`",
+            "`repro encode fir --metrics`",
             file=sys.stderr,
         )
         return None
@@ -921,19 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="run the flow on one benchmark")
     p.add_argument(
-        "workload",
-        nargs="?",
-        default=None,
-        choices=ENCODABLE_WORKLOADS,
-        help="workload to encode (or use --workload)",
-    )
-    p.add_argument(
-        "--workload",
-        dest="workload_opt",
-        default=None,
-        choices=ENCODABLE_WORKLOADS,
-        metavar="NAME",
-        help="workload to encode (alias for the positional)",
+        "workload", choices=ENCODABLE_WORKLOADS, help="workload to encode"
     )
     p.add_argument("-k", "--block-size", type=int, default=5)
     p.add_argument("--tt-entries", type=int, default=16)

@@ -40,19 +40,12 @@ Like every SEC-DED implementation, three or more flipped bits may
 alias to a "correctable" single-bit pattern — the guarantee covers
 one- and two-bit upsets, which is the standard soft-error budget the
 scrubber's sweep cadence is provisioned against.
-
-The legacy FNV-1a fold is kept (:func:`fold_words`) for callers that
-only need a cheap detection word.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
-
-_FNV_OFFSET = 0x811C9DC5
-_FNV_PRIME = 0x01000193
-_MASK32 = 0xFFFFFFFF
+from typing import Sequence
 
 #: Serialised field widths (bits).
 TT_SELECTOR_BITS = 3
@@ -64,21 +57,6 @@ BBIT_LENGTH_BITS = 32
 CLEAN = "clean"
 CORRECTED = "corrected"
 UNCORRECTABLE = "uncorrectable"
-
-
-def fold_words(values: Iterable[int]) -> int:
-    """FNV-1a over a field sequence; order- and position-sensitive.
-
-    Legacy detection-only digest (the pre-SEC-DED parity word)."""
-    acc = _FNV_OFFSET
-    for value in values:
-        acc = ((acc ^ (value & _MASK32)) * _FNV_PRIME) & _MASK32
-        # Wider-than-32-bit fields (PCs on a 64-bit host) fold their
-        # high halves too, so no corruption hides above bit 31.
-        high = value >> 32
-        if high:
-            acc = ((acc ^ (high & _MASK32)) * _FNV_PRIME) & _MASK32
-    return acc
 
 
 # ----------------------------------------------------------------------

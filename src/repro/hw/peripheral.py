@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from repro.core.program_codec import BlockEncoding
 from repro.hw.bbit import BasicBlockIdentificationTable, BBITEntry
-from repro.hw.tt import TransformationTable, TTEntry
+from repro.hw.tt import TransformationTable, TTEntry, tt_rows
 from repro.sim.memory import MmioRegion
 
 REG_TT_INDEX = 0x00
@@ -199,14 +199,9 @@ def programming_words(
     tt_index = tt_base_index
     for pc, encoding in encodings:
         base_for_block = tt_index
-        bounds = encoding.bounds
-        for row, (start, seg_len) in zip(encoding.selectors(), bounds):
-            sel0, sel1, sel2, extra = _pack_selectors(list(row))
-            is_tail = start + seg_len >= len(encoding.original_words)
-            count = (
-                (seg_len if start == 0 else seg_len - 1) if is_tail else 0
-            )
-            flags = (1 if is_tail else 0) | (count << 8) | (extra << 16)
+        for row in tt_rows(encoding):
+            sel0, sel1, sel2, extra = _pack_selectors(list(row.selectors))
+            flags = int(row.end) | (row.count << 8) | (extra << 16)
             stores += [
                 (REG_TT_INDEX, tt_index),
                 (REG_TT_SEL0, sel0),

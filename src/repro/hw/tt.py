@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.program_codec import BlockEncoding
-from repro.errors import TableCapacityError, TableIntegrityError
+from repro.errors import EncodingError, TableCapacityError, TableIntegrityError
 from repro.hw import integrity
 from repro.obs import OBS
 
@@ -277,28 +277,15 @@ class TransformationTable:
             raise ValueError(
                 f"encoding width {encoding.width} != table width {self.width}"
             )
-        selector_rows = encoding.selectors()
-        if len(selector_rows) > self.free_entries:
+        rows = tt_rows(encoding)
+        if len(rows) > self.free_entries:
             raise TableCapacityError(
-                f"need {len(selector_rows)} entries, only "
+                f"need {len(rows)} entries, only "
                 f"{self.free_entries} free of {self.capacity}"
             )
         base = len(self.entries)
-        bounds = encoding.bounds
-        for row, (start, seg_len) in zip(selector_rows, bounds):
-            is_tail = start + seg_len >= len(encoding.original_words)
-            self.install(
-                TTEntry(
-                    selectors=tuple(row),
-                    end=is_tail,
-                    # Instructions decoded under this entry: the tail
-                    # segment's non-overlap positions (every position
-                    # for a single-segment block).
-                    count=(seg_len if start == 0 else seg_len - 1)
-                    if is_tail
-                    else 0,
-                )
-            )
+        for row in rows:
+            self.install(row)
         return base
 
     def entry(self, index: int) -> TTEntry:
@@ -308,6 +295,33 @@ class TransformationTable:
         """Physical SRAM bits: per entry, 3 selector bits per line plus
         the E bit plus the CT field."""
         return self.capacity * (3 * self.width + 1 + ct_bits)
+
+
+def tt_rows(encoding: BlockEncoding) -> list[TTEntry]:
+    """A basic block's TT rows, one per segment, in table order.
+
+    Each row carries the segment's per-line selectors; the tail
+    segment's row sets E and counts in CT the instructions decoded
+    under it (its non-overlap positions, every position for a
+    single-segment block).  Raises :class:`~repro.errors.EncodingError`
+    for an encoding the fetch decoder cannot restore: disjoint
+    segments, or a transformation outside the optimal 8-set."""
+    if not encoding.overlapped:
+        raise EncodingError(
+            "the TT/BBIT fetch decoder restores overlapped blocks only; "
+            "a disjoint encoding has no table programming"
+        )
+    try:
+        selector_rows = encoding.selectors()
+    except ValueError as err:
+        raise EncodingError(str(err)) from err
+    length = len(encoding.original_words)
+    rows = []
+    for row, (start, seg_len) in zip(selector_rows, encoding.bounds):
+        is_tail = start + seg_len >= length
+        count = (seg_len if start == 0 else seg_len - 1) if is_tail else 0
+        rows.append(TTEntry(selectors=tuple(row), end=is_tail, count=count))
+    return rows
 
 
 def selectors_from_sequence(rows: Sequence[Sequence[int]]) -> list[TTEntry]:

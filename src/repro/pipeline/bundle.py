@@ -17,9 +17,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from repro.core.program_codec import BlockEncoding
 from repro.errors import BundleFormatError
 from repro.hw.bbit import BasicBlockIdentificationTable, BBITEntry
-from repro.hw.tt import TransformationTable, TTEntry
+from repro.hw.tt import TransformationTable, TTEntry, tt_rows
 from repro.obs import OBS
 
 FORMAT_VERSION = 1
@@ -50,6 +51,28 @@ def _digest(words: Sequence[int]) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def table_programming(
+    encodings: Iterable[tuple[int, BlockEncoding]], tt_base: int = 0
+) -> tuple[list[dict], list[dict]]:
+    """The bundle's TT and BBIT entries for ``(block start, encoding)``
+    pairs, the first block's rows landing at TT index ``tt_base``."""
+    tt_entries: list[dict] = []
+    bbit_entries: list[dict] = []
+    for start, encoding in encodings:
+        bbit_entries.append(
+            {
+                "pc": start,
+                "tt_index": tt_base + len(tt_entries),
+                "num_instructions": len(encoding),
+            }
+        )
+        tt_entries.extend(
+            {"selectors": list(row.selectors), "end": row.end, "count": row.count}
+            for row in tt_rows(encoding)
+        )
+    return tt_entries, bbit_entries
+
+
 @dataclass
 class EncodingBundle:
     """Everything a loader needs to deploy one encoded program."""
@@ -77,63 +100,28 @@ class EncodingBundle:
 
     @classmethod
     def from_flow_result(cls, program, result) -> "EncodingBundle":
-        """Build a bundle from a :class:`~repro.pipeline.flow.FlowResult`.
+        """Build a bundle from a :class:`~repro.pipeline.flow.FlowResult`:
+        its encoded image plus the table programming of the very
+        encodings the flow patched into that image.
 
-        Re-derives the table programming from the result's selected
-        blocks (the flow's own TT/BBIT are transient).
-        """
-        from repro.cfg.graph import ControlFlowGraph
-        from repro.core.program_codec import encode_basic_block
-
+        Raises :class:`~repro.errors.EncodingError` for a result the
+        TT/BBIT hardware cannot decode (disjoint segments, or a
+        transformation outside the optimal 8-set)."""
         with OBS.tracer.span(
             "bundle.build",
             workload=result.name,
-            blocks=len(result.selected_blocks),
+            blocks=len(result.encodings),
         ):
-            cfg = ControlFlowGraph.build(program)
+            tt_entries, bbit_entries = table_programming(result.encodings)
             bundle = cls(
                 name=result.name,
                 block_size=result.block_size,
                 text_base=program.text_base,
                 encoded_words=list(result.encoded_image),
                 original_digest=_digest(program.words),
+                tt_entries=tt_entries,
+                bbit_entries=bbit_entries,
             )
-            tt_index = 0
-            for start in result.selected_blocks:
-                block = cfg.blocks[start]
-                length = (
-                    result.plan.encoded_length(start, len(block))
-                    if result.plan is not None
-                    else len(block)
-                )
-                encoding = encode_basic_block(
-                    block.words[:length], result.block_size
-                )
-                bounds = encoding.bounds
-                base_index = tt_index
-                for row, (seg_start, seg_len) in zip(
-                    encoding.selectors(), bounds
-                ):
-                    is_tail = seg_start + seg_len >= length
-                    bundle.tt_entries.append(
-                        {
-                            "selectors": list(row),
-                            "end": is_tail,
-                            "count": (
-                                (seg_len if seg_start == 0 else seg_len - 1)
-                                if is_tail
-                                else 0
-                            ),
-                        }
-                    )
-                    tt_index += 1
-                bundle.bbit_entries.append(
-                    {
-                        "pc": start,
-                        "tt_index": base_index,
-                        "num_instructions": length,
-                    }
-                )
         if OBS.enabled:
             OBS.registry.counter(
                 "bundle.builds", "firmware bundles materialised", workload=result.name

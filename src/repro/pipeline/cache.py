@@ -37,8 +37,9 @@ from repro.obs import OBS
 from repro.runtime import atomic_write_text
 from repro.runtime.storage_faults import StorageVFS, get_vfs
 
-#: On-disk entry envelope version (v2 added the content digest).
-DISK_FORMAT_VERSION = 2
+#: On-disk entry envelope version (v2 added the content digest; v3
+#: retires entries whose optimal-strategy bundles held greedy TT rows).
+DISK_FORMAT_VERSION = 3
 
 
 def workload_fingerprint(words: list[int]) -> str:

@@ -8,11 +8,13 @@ Section 4's operational overview, end to end:
 4. vertically encode each selected block (per bus line, chained
    overlapped blocks) and patch the encoded words into the program
    memory image;
-5. program the TT and BBIT, then replay the fetch trace through the
-   behavioural fetch decoder and check every instruction is restored
-   bit-exactly;
-6. count bus transitions for the baseline image and the encoded image
-   over the same trace.
+5. count bus transitions for the baseline image and the encoded image
+   over the same trace;
+6. build the deployable :class:`~repro.pipeline.bundle.EncodingBundle`
+   (encoded image plus TT/BBIT programming) from those encodings and
+   check it through the loader path
+   (:meth:`~repro.pipeline.bundle.EncodingBundle.deploy_and_check`):
+   every fetch of the trace must decode bit-exactly.
 
 The result carries everything Figure 6 reports (total transitions,
 reduction percentage) plus the bookkeeping the hardware sections talk
@@ -28,19 +30,16 @@ from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.hotspot import (
     DEFAULT_BBIT_ENTRIES,
     DEFAULT_TT_ENTRIES,
-    SelectionPlan,
     select_hot_blocks,
 )
 from repro.cfg.loops import find_natural_loops
 from repro.cfg.profile import profile_trace
-from repro.core.program_codec import encode_basic_blocks
+from repro.core.program_codec import BlockEncoding, encode_basic_blocks
 from repro.core.transformations import OPTIMAL_SET, Transformation
 from repro.errors import DecodeVerificationError
-from repro.hw.bbit import BasicBlockIdentificationTable, BBITEntry
-from repro.hw.fetch_decoder import FetchDecoder
-from repro.hw.tt import TransformationTable
 from repro.isa.assembler import Program
 from repro.obs import OBS
+from repro.pipeline.bundle import EncodingBundle
 from repro.sim.bus import count_trace_transitions, per_line_trace_transitions
 from repro.sim.tracer import FetchTrace
 from repro.workloads.common import Workload
@@ -61,7 +60,11 @@ class FlowResult:
     hot_coverage: float  # fetch fraction inside encoded blocks
     decode_verified: bool
     encoded_image: list[int] = field(repr=False, default_factory=list)
-    plan: SelectionPlan | None = field(repr=False, default=None)
+    #: ``(block start, encoding)`` for every encoded block, in TT
+    #: order: the source of the bundle's table programming.
+    encodings: list[tuple[int, BlockEncoding]] = field(
+        repr=False, default_factory=list
+    )
 
     @property
     def reduction_percent(self) -> float:
@@ -95,7 +98,6 @@ class EncodingFlow:
         strategy: str = "greedy",
         loops_only: bool = True,
         verify_decode: bool = True,
-        parity_protect: bool = False,
     ):
         if strategy == "disjoint" and verify_decode:
             raise ValueError(
@@ -110,9 +112,6 @@ class EncodingFlow:
         self.strategy = strategy
         self.loops_only = loops_only
         self.verify_decode = verify_decode
-        #: Arm per-row parity words on the TT/BBIT this flow programs
-        #: (the hardened deploy path; see docs/robustness.md).
-        self.parity_protect = parity_protect
 
     # ------------------------------------------------------------------
 
@@ -139,14 +138,6 @@ class EncodingFlow:
                     loops_only=self.loops_only,
                 )
 
-            tt = TransformationTable(
-                self.tt_capacity, parity=self.parity_protect
-            )
-            bbit = BasicBlockIdentificationTable(
-                self.bbit_capacity, parity=self.parity_protect
-            )
-            image = list(program.words)
-            encoded_region: set[int] = set()
             # Long blocks against a nearly-full TT encode a prefix only;
             # the E/CT tail ends decoding there and the rest of the block
             # stays plain in memory.
@@ -157,67 +148,57 @@ class EncodingFlow:
             with OBS.tracer.span(
                 "flow.encode", workload=name, blocks=len(plan.selected)
             ):
-                encodings = encode_basic_blocks(
-                    [
-                        cfg.blocks[start].words[: lengths[start]]
-                        for start in plan.selected
-                    ],
-                    self.block_size,
-                    transformations=self.transformations,
-                    strategy=self.strategy,
+                encodings = list(
+                    zip(
+                        plan.selected,
+                        encode_basic_blocks(
+                            [
+                                cfg.blocks[start].words[: lengths[start]]
+                                for start in plan.selected
+                            ],
+                            self.block_size,
+                            transformations=self.transformations,
+                            strategy=self.strategy,
+                        ),
+                    )
                 )
             with OBS.tracer.span("flow.deploy", workload=name):
-                for start, encoding in zip(plan.selected, encodings):
-                    length = lengths[start]
-                    base_index = tt.allocate(encoding)
-                    bbit.install(
-                        BBITEntry(
-                            pc=start,
-                            tt_index=base_index,
-                            num_instructions=length,
-                        )
-                    )
+                image = list(program.words)
+                for start, encoding in encodings:
                     first = program.index_of(start)
-                    for offset, word in enumerate(encoding.encoded_words):
-                        image[first + offset] = word
-                    encoded_region.update(range(start, start + 4 * length, 4))
-
-            decode_verified = False
-            if self.verify_decode and plan.selected:
-                with OBS.tracer.span("flow.verify_decode", workload=name):
-                    decoder = FetchDecoder(
-                        tt, bbit, self.block_size, encoded_region=encoded_region
-                    )
-                    base = program.text_base
-                    decoded = decoder.decode_trace(
-                        trace, lambda pc: image[(pc - base) >> 2]
-                    )
-                    if not trace.matches(decoded, program.words, base):
-                        raise DecodeVerificationError(
-                            f"{name}: hardware decode failed to restore the "
-                            "instruction stream"
-                        )
-                    decode_verified = True
+                    image[first : first + len(encoding)] = encoding.encoded_words
 
             with OBS.tracer.span("flow.measure", workload=name):
                 baseline = count_trace_transitions(program, trace)
                 encoded = count_trace_transitions(program, trace, image)
+            result = FlowResult(
+                name=name,
+                block_size=self.block_size,
+                baseline_transitions=baseline,
+                encoded_transitions=encoded,
+                trace_length=len(trace),
+                selected_blocks=list(plan.selected),
+                tt_entries_used=plan.tt_entries_used,
+                tt_capacity=self.tt_capacity,
+                hot_coverage=profile.coverage_of(plan.selected),
+                decode_verified=False,
+                encoded_image=image,
+                encodings=encodings,
+            )
+
+            if self.verify_decode and plan.selected:
+                # The loader path every consumer of the bundle takes.
+                with OBS.tracer.span("flow.verify_decode", workload=name):
+                    bundle = EncodingBundle.from_flow_result(program, result)
+                    if not bundle.deploy_and_check(program, trace):
+                        raise DecodeVerificationError(
+                            f"{name}: hardware decode failed to restore the "
+                            "instruction stream"
+                        )
+                    result.decode_verified = True
         if OBS.enabled:
             self._publish_metrics(name, plan, baseline, encoded, profile)
-        return FlowResult(
-            name=name,
-            block_size=self.block_size,
-            baseline_transitions=baseline,
-            encoded_transitions=encoded,
-            trace_length=len(trace),
-            selected_blocks=list(plan.selected),
-            tt_entries_used=plan.tt_entries_used,
-            tt_capacity=self.tt_capacity,
-            hot_coverage=profile.coverage_of(plan.selected),
-            decode_verified=decode_verified,
-            encoded_image=image,
-            plan=plan,
-        )
+        return result
 
     def _publish_metrics(
         self, name: str, plan, baseline: int, encoded: int, profile

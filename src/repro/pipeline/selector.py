@@ -41,7 +41,7 @@ from repro.core.program_codec import encode_basic_block
 from repro.errors import DecodeVerificationError, EncodingError
 from repro.isa.assembler import Program
 from repro.obs import OBS
-from repro.pipeline.bundle import EncodingBundle, _digest
+from repro.pipeline.bundle import EncodingBundle, _digest, table_programming
 from repro.pipeline.regional import RegionPlan, plan_regions
 from repro.sim.bus import count_trace_transitions
 from repro.sim.tracer import FetchTrace
@@ -302,7 +302,7 @@ class SchemeSelector:
             # --- the paper's TT/BBIT scheme --------------------------
             tt_patch = self._encode_ttbbit(cfg, program, plan)
             if tt_patch is not None:
-                patched, _, _ = tt_patch
+                patched, _ = tt_patch
                 candidates[SCHEME_TTBBIT] = _pairs_cost(
                     pairs, {pc: patched[(pc - base) >> 2] for pc in pcs}
                 )
@@ -349,32 +349,26 @@ class SchemeSelector:
 
             # --- commit the winner into the image/bundle -------------
             if best_scheme == SCHEME_TTBBIT:
-                patched, region_tt, region_bbit = tt_patch  # type: ignore[misc]
-                tt_base = len(tt_entries)
+                _, encoded_blocks = tt_patch  # type: ignore[misc]
+                region_tt, region_bbit = table_programming(
+                    encoded_blocks, tt_base=len(tt_entries)
+                )
                 tt_entries.extend(region_tt)
-                blocks_meta = []
-                for entry in region_bbit:
-                    bbit_entries.append(
-                        {
-                            "pc": entry["pc"],
-                            "tt_index": entry["tt_index"] + tt_base,
-                            "num_instructions": entry["num_instructions"],
-                        }
-                    )
-                    blocks_meta.append(
-                        {
-                            "pc": entry["pc"],
-                            "num_instructions": entry["num_instructions"],
-                        }
-                    )
-                    first = program.index_of(entry["pc"])
-                    for offset in range(entry["num_instructions"]):
-                        image[first + offset] = patched[first + offset]
+                bbit_entries.extend(region_bbit)
+                for start, encoding in encoded_blocks:
+                    first = program.index_of(start)
+                    image[first : first + len(encoding)] = encoding.encoded_words
                 regions_meta.append(
                     {
                         "header": plan.header,
                         "scheme": SCHEME_TTBBIT,
-                        "blocks": blocks_meta,
+                        "blocks": [
+                            {
+                                "pc": entry["pc"],
+                                "num_instructions": entry["num_instructions"],
+                            }
+                            for entry in region_bbit
+                        ],
                     }
                 )
             else:
@@ -437,42 +431,20 @@ class SchemeSelector:
         self, cfg: ControlFlowGraph, program: Program, plan: RegionPlan
     ):
         """Encode the region's selected blocks with the paper's scheme;
-        returns (patched image copy, tt entry dicts, bbit entry dicts)
+        returns (patched image copy, ``(block start, encoding)`` pairs)
         or None when the region selected no encodable blocks."""
         if not plan.selected:
             return None
         patched = list(program.words)
-        tt_entries: List[dict] = []
-        bbit_entries: List[dict] = []
-        tt_index = 0
+        encoded_blocks = []
         for start in plan.selected:
-            block = cfg.blocks[start]
-            length = plan.lengths[start]
-            encoding = encode_basic_block(block.words[:length], self.block_size)
-            base_index = tt_index
-            for row, (seg_start, seg_len) in zip(
-                encoding.selectors(), encoding.bounds
-            ):
-                is_tail = seg_start + seg_len >= length
-                tt_entries.append(
-                    {
-                        "selectors": list(row),
-                        "end": is_tail,
-                        "count": (
-                            (seg_len if seg_start == 0 else seg_len - 1)
-                            if is_tail
-                            else 0
-                        ),
-                    }
-                )
-                tt_index += 1
-            bbit_entries.append(
-                {"pc": start, "tt_index": base_index, "num_instructions": length}
+            encoding = encode_basic_block(
+                cfg.blocks[start].words[: plan.lengths[start]], self.block_size
             )
             first = program.index_of(start)
-            for offset, word in enumerate(encoding.encoded_words):
-                patched[first + offset] = word
-        return patched, tt_entries, bbit_entries
+            patched[first : first + len(encoding)] = encoding.encoded_words
+            encoded_blocks.append((start, encoding))
+        return patched, encoded_blocks
 
 
 def select_for_workload(

@@ -15,7 +15,6 @@ Consumers that need every fetch iterate it or call :meth:`expand`.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
 from typing import Iterable, Iterator
 
 
@@ -157,8 +156,3 @@ class FetchTrace:
             counts.update(zip(lasts, self.starts[1:]))
             self._cache["edges"] = counts
         return counts
-
-
-def window(addresses: Sequence[int], start: int, length: int) -> Iterable[int]:
-    """A slice helper for inspecting trace regions in examples."""
-    return addresses[start : start + length]

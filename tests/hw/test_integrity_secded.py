@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from repro.hw import integrity
 from repro.hw.integrity import (
     CLEAN,
     CORRECTED,
@@ -139,8 +138,3 @@ class TestRowSerialisation:
         assert base != bbit_row_data(0x400004, 2, 9)
         assert base != bbit_row_data(0x400000, 3, 9)
         assert base != bbit_row_data(0x400000, 2, 10)
-
-    def test_legacy_fold_words_still_available(self):
-        assert integrity.fold_words([1, 2, 3]) != integrity.fold_words(
-            [3, 2, 1]
-        )

@@ -30,12 +30,11 @@ def _isolated_obs():
 
 @pytest.fixture(scope="module")
 def encode_report(tmp_path_factory):
-    """One instrumented ``repro encode --workload fir --metrics`` run."""
+    """One instrumented ``repro encode fir --metrics`` run."""
     path = tmp_path_factory.mktemp("obs") / "RUN_report.json"
     code = main(
         [
             "encode",
-            "--workload",
             "fir",
             "--metrics",
             "--report",
@@ -138,12 +137,10 @@ class TestTraceCommand:
 
 class TestEncodeArguments:
     def test_workload_required(self, capsys):
-        assert main(["encode"]) == 2
-        assert "workload is required" in capsys.readouterr().err
-
-    def test_conflicting_workloads_rejected(self, capsys):
-        assert main(["encode", "mmul", "--workload", "fft"]) == 2
-        assert "conflicting workloads" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["encode"])
+        assert exit_info.value.code == 2
+        assert "workload" in capsys.readouterr().err
 
     def test_positional_still_works(self, capsys):
         assert main(["encode", "fir"]) == 0

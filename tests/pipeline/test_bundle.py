@@ -1,9 +1,12 @@
 """Tests for firmware bundle serialisation and deployment."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.core.transformations import ALL_TRANSFORMATIONS
+from repro.errors import EncodingError
 from repro.pipeline.bundle import EncodingBundle
 from repro.pipeline.flow import EncodingFlow
 from repro.sim.cpu import run_program
@@ -104,3 +107,68 @@ class TestDeployment:
         bundle = EncodingBundle.from_flow_result(program, result)
         assert bundle.tt_entries == []
         assert bundle.deploy_and_check(program, trace)
+
+
+REGISTRY_WORKLOADS = ("mmul", "sor", "ej", "fft", "tri", "lu", "fir", "iir", "conv2d")
+
+
+@pytest.fixture(scope="module")
+def registry_runs():
+    """(program, trace) per registry workload at its default size."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            program = build_workload(name).assemble()
+            cpu, trace = run_program(program)
+            runs[name] = program, trace
+        return runs[name]
+
+    return run
+
+
+class TestOptimalBundles:
+    @pytest.mark.parametrize("k", (4, 5, 6, 7))
+    @pytest.mark.parametrize("name", REGISTRY_WORKLOADS)
+    def test_optimal_bundle_deploys_bit_exact(self, registry_runs, name, k):
+        # The bundle's TT rows must come from the optimal encodings the
+        # image holds, not from a greedy re-encode of the same blocks.
+        program, trace = registry_runs(name)
+        result = EncodingFlow(block_size=k, strategy="optimal").run(
+            program, trace, name
+        )
+        bundle = EncodingBundle.from_flow_result(program, result)
+        assert bundle.deploy_and_check(program, trace) is True
+
+
+class TestNonDeployableResults:
+    @pytest.fixture(scope="class")
+    def mmul(self):
+        program = build_workload("mmul", n=6).assemble()
+        cpu, trace = run_program(program)
+        return program, trace
+
+    def test_disjoint_result_refused(self, mmul):
+        program, trace = mmul
+        result = EncodingFlow(
+            block_size=5, strategy="disjoint", verify_decode=False
+        ).run(program, trace, "mmul")
+        assert result.encodings
+        with pytest.raises(EncodingError, match="overlapped"):
+            EncodingBundle.from_flow_result(program, result)
+
+    def test_transformation_outside_the_8_set_refused(self, mmul):
+        program, trace = mmul
+        result = EncodingFlow(block_size=5).run(program, trace, "mmul")
+        start, encoding = result.encodings[0]
+        outside = next(t for t in ALL_TRANSFORMATIONS if t.selector is None)
+        first_plan = (outside,) + encoding.segment_plans[0][1:]
+        result.encodings[0] = (
+            start,
+            dataclasses.replace(
+                encoding,
+                segment_plans=(first_plan,) + encoding.segment_plans[1:],
+            ),
+        )
+        with pytest.raises(EncodingError, match="8-set"):
+            EncodingBundle.from_flow_result(program, result)

@@ -12,7 +12,7 @@ from repro.pipeline.cache import BundleCache
 from repro.runtime import CheckpointLockError
 from repro.serve.jobs import deterministic_result, parse_request
 from repro.serve.server import EncodingServer, ServeConfig
-from repro.serve.worker import _compute
+from repro.serve.worker import _compute, serial_execute
 
 #: One fast job template (tens of milliseconds end to end).
 FIR = {
@@ -74,6 +74,23 @@ class TestBatchResults:
         assert results[1]["outcome"] == "malformed"
         assert "kind" in results[1]["error"]
         assert server.stats["malformed"] == 1
+
+
+class TestOptimalDecodeVerify:
+    def test_tri_k5_optimal_bundle_verifies(self):
+        # The served bundle carries the optimal encodings' own TT rows,
+        # so its loader replay restores every fetch.
+        wire = {
+            "tenant": "t0",
+            "job_id": "opt",
+            "kind": "decode_verify",
+            "workload": "tri",
+            "block_size": 5,
+            "strategy": "optimal",
+        }
+        result = serial_execute(wire, attempt=0, cache_dir=None)
+        assert result["outcome"] == "ok"
+        assert result["payload"]["verified"] is True
 
 
 class TestAdmissionControl:

@@ -1,20 +1,8 @@
-"""Remaining tracer coverage: the window helper and edge cases."""
+"""Remaining tracer coverage: empty-trace edge cases."""
 
 from repro.isa.assembler import assemble
 from repro.sim.bus import count_trace_transitions, per_line_trace_transitions
-from repro.sim.tracer import FetchTrace, window
-
-
-class TestWindow:
-    def test_slice_semantics(self):
-        addresses = list(range(0, 100, 4))
-        assert list(window(addresses, 2, 3)) == [8, 12, 16]
-
-    def test_clamped_at_end(self):
-        assert list(window([4, 8], 1, 10)) == [8]
-
-    def test_empty(self):
-        assert list(window([], 0, 5)) == []
+from repro.sim.tracer import FetchTrace
 
 
 class TestEmptyTrace:

@@ -28,7 +28,8 @@ class BusInvertEncoder(Encoder):
     so ``EncodedStream.transitions`` counts data-line and invert-line
     toggles together.  The first word is driven plain from a bus that
     already holds it, mirroring how the other counters in this package
-    treat sequence starts.
+    treat sequence starts.  Its state is the last driven value: the
+    next transfer's decision and toggles need nothing else.
     """
 
     scheme = "bus-invert"
@@ -38,10 +39,14 @@ class BusInvertEncoder(Encoder):
         self.width = width
         self._mask = (1 << width) - 1
 
-    def encode(self, words: Sequence[int]) -> EncodedStream:
+    def encode(self, words: Sequence[int], state: int | None = None) -> EncodedStream:
+        """``state`` is the last driven value, invert line included."""
         width, mask, invert = self.width, self._mask, 1 << self.width
         driven = []
-        bus = words[0] & mask if words else 0
+        if state is not None:
+            bus = state & mask
+        else:
+            bus = words[0] & mask if words else 0
         for word in words:
             word &= mask
             # Inverting costs width - d data toggles instead of d.
@@ -51,14 +56,24 @@ class BusInvertEncoder(Encoder):
             else:
                 bus = word
                 driven.append(bus)
-        return EncodedStream(self.scheme, width + 1, driven)
+        return EncodedStream(
+            self.scheme,
+            width + 1,
+            driven,
+            entry=state,
+            exit=self.state_after(driven[-1], words[-1]) if words else state,
+        )
 
-    def decode(self, stream: EncodedStream) -> list[int]:
+    def decode(self, stream: EncodedStream, state: int | None = None) -> list[int]:
+        # each transfer decodes on its own: the invert line says it all
         width, mask = self.width, self._mask
         return [
             (packed & mask) ^ mask if (packed >> width) & 1 else packed & mask
             for packed in stream.driven
         ]
+
+    def state_after(self, driven: int, word: int) -> int:
+        return driven
 
     def budget(self) -> HardwareBudget:
         return HardwareBudget(table_bits=0, extra_lines=1, stateful=True)

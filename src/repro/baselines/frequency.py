@@ -20,6 +20,7 @@ from repro.baselines.protocol import (
     EncodedStream,
     Encoder,
     HardwareBudget,
+    TrafficCounts,
     register_encoder,
     register_reference_counter,
 )
@@ -75,8 +76,10 @@ class FrequencyEncoder(Encoder):
         self.mapping = mapping
         self._inverse = {code: word for word, code in mapping.items()}
 
-    def fit(self, words: Sequence[int]) -> "FrequencyEncoder":
-        ranked = [w for w, _ in Counter(words).most_common(self.max_entries)]
+    def fit(self, words: Sequence[int] | TrafficCounts) -> "FrequencyEncoder":
+        # most_common breaks count ties by first transfer
+        counts = Counter(TrafficCounts.of(words).words)
+        ranked = [w for w, _ in counts.most_common(self.max_entries)]
         self._set_mapping(dict(zip(ranked, _code_candidates(self.width, len(ranked)))))
         return self
 

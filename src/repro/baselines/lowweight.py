@@ -29,6 +29,7 @@ from repro.baselines.protocol import (
     EncodedStream,
     Encoder,
     HardwareBudget,
+    TrafficCounts,
     register_encoder,
     register_reference_counter,
 )
@@ -91,8 +92,7 @@ class LowWeightCodeEncoder(Encoder):
             (word >> (pos * CHUNK_WIDTH)) & mask for pos in range(self.num_chunks)
         ]
 
-    def _differences(self, words: Sequence[int]) -> list[int]:
-        prev = 0
+    def _differences(self, words: Sequence[int], prev: int = 0) -> list[int]:
         diffs = []
         for word in words:
             word &= self._mask
@@ -100,12 +100,17 @@ class LowWeightCodeEncoder(Encoder):
             prev = word
         return diffs
 
-    def fit(self, words: Sequence[int]) -> "LowWeightCodeEncoder":
+    def fit(
+        self, words: Sequence[int] | TrafficCounts
+    ) -> "LowWeightCodeEncoder":
         # steady-state differences only: the first transfer is free
         # under the shared convention, so d_0 = w_0 would skew ranks.
         # Count each distinct difference once, then credit its count to
         # the chunk value it carries at every position.
-        diff_counts = Counter(self._differences(words)[1:])
+        mask = self._mask
+        diff_counts: Counter = Counter()
+        for (a, b), count in TrafficCounts.of(words).pairs.items():
+            diff_counts[(a ^ b) & mask] += count
         size = 1 << CHUNK_WIDTH
         counts = [[0] * size for _ in range(self.num_chunks)]
         for diff, count in diff_counts.items():
@@ -142,23 +147,32 @@ class LowWeightCodeEncoder(Encoder):
             diff |= value << (pos * CHUNK_WIDTH)
         return diff
 
-    def encode(self, words: Sequence[int]) -> EncodedStream:
-        diffs = self._differences(words)
+    def encode(self, words: Sequence[int], state: int | None = None) -> EncodedStream:
+        """``state`` is the last word.  A continued stream restarts its
+        driven value at 0 (``entry``): toggles and decode depend only on
+        consecutive driven values' XOR, the codeword."""
+        diffs = self._differences(words, 0 if state is None else state)
         codewords = {diff: self._codeword(diff) for diff in set(diffs)}
-        stream = EncodedStream(self.scheme, self.num_chunks * CODE_WIDTH)
-        driven = 0
+        driven = []
+        value = 0
         for diff in diffs:
-            driven ^= codewords[diff]
-            stream.driven.append(driven)
-        return stream
+            value ^= codewords[diff]
+            driven.append(value)
+        return EncodedStream(
+            self.scheme,
+            self.num_chunks * CODE_WIDTH,
+            driven,
+            entry=None if state is None else 0,
+            exit=self.state_after(driven[-1], words[-1]) if words else state,
+        )
 
-    def decode(self, stream: EncodedStream) -> list[int]:
+    def decode(self, stream: EncodedStream, state: int | None = None) -> list[int]:
         # memoised per distinct codeword, filled in stream order so the
         # first invalid codeword on the bus is the one reported
         differences: Dict[int, int] = {}
         out: list[int] = []
         prev_driven = 0
-        word = 0
+        word = 0 if state is None else state
         for driven in stream.driven:
             codeword = driven ^ prev_driven
             diff = differences.get(codeword)
@@ -168,6 +182,9 @@ class LowWeightCodeEncoder(Encoder):
             out.append(word)
             prev_driven = driven
         return out
+
+    def state_after(self, driven: int, word: int) -> int:
+        return word & self._mask
 
     def budget(self) -> HardwareBudget:
         size = 1 << CHUNK_WIDTH

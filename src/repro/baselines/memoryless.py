@@ -32,13 +32,13 @@ decodes independently through the inverse tables.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Sequence, Tuple
 
 from repro.baselines.protocol import (
     EncodedStream,
     Encoder,
     HardwareBudget,
+    TrafficCounts,
     register_encoder,
     register_reference_counter,
 )
@@ -180,11 +180,12 @@ class MemorylessCodebookEncoder(Encoder):
         shift = bus * self.subbus_width
         return [(w >> shift) & self._sub_mask for w in words]
 
-    def fit(self, words: Sequence[int]) -> "MemorylessCodebookEncoder":
-        # count each distinct consecutive word pair once, then project
-        # the pair counts onto every sub-bus
-        word_pairs = Counter(zip(words, words[1:]))
-        distinct_words = set(words)
+    def fit(
+        self, words: Sequence[int] | TrafficCounts
+    ) -> "MemorylessCodebookEncoder":
+        # project the consecutive word-pair counts onto every sub-bus
+        counts = TrafficCounts.of(words)
+        word_pairs, distinct_words = counts.pairs, counts.words
         size = 1 << self.subbus_width
         for bus in range(self.num_subbuses):
             shift = bus * self.subbus_width

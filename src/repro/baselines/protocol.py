@@ -7,6 +7,8 @@ the per-region selector, the verify campaign, and the fault campaign
 can treat them uniformly:
 
 * ``fit(words)``       — profile-driven backends learn their tables
+                         from the :class:`TrafficCounts` of a word
+                         sequence (or of a trace region)
 * ``encode(words)``    — produce an :class:`EncodedStream` of driven
                          bus values (data lines plus any extra
                          signalling lines, packed into one int per
@@ -27,7 +29,12 @@ Two families exist and the distinction matters for deployment:
   and its correctness is checked by trace-order roundtrips.
 
 The first transfer of any stream is free (no previous bus state),
-matching :mod:`repro.core.transitions` and the trace counters.
+matching :mod:`repro.core.transitions` and the trace counters.  A bus
+codec can also pick a stream up mid-way: ``encode(words, state)`` and
+``decode(stream, state)`` continue from the state an earlier stream
+reports as its ``exit``, and the continued stream counts the toggles
+of its first transfer against the lines that state left driven, so
+cutting a stream into pieces never changes its cost.
 """
 
 from __future__ import annotations
@@ -35,8 +42,9 @@ from __future__ import annotations
 import abc
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Dict, Sequence
+from typing import Any, Callable, ClassVar, Dict, Hashable, Sequence, Tuple
 
 from repro.core.transitions import word_transitions
 from repro.errors import EncodingError
@@ -60,20 +68,47 @@ class HardwareBudget:
         return self.table_bits <= max_table_bits and self.extra_lines <= max_extra_lines
 
 
+@dataclass(frozen=True)
+class TrafficCounts:
+    """Everything a ``fit`` reads from its traffic: how often each word
+    is transferred, in order of its first transfer (frequency's tie
+    order), and how often each ordered word pair is transferred back
+    to back."""
+
+    words: Dict[int, int]
+    pairs: Dict[Tuple[int, int], int]
+
+    @classmethod
+    def of(cls, words: Sequence[int] | TrafficCounts) -> TrafficCounts:
+        """``words`` itself if it is already counted, else its counts."""
+        if isinstance(words, cls):
+            return words
+        return cls(Counter(words), Counter(zip(words, words[1:])))
+
+
 @dataclass
 class EncodedStream:
     """Driven bus values for one transfer sequence.
 
     ``width`` is the total number of driven lines (data + extra); each
     entry of ``driven`` packs all lines of one transfer into an int.
+    ``entry`` is the value the lines held before the first transfer
+    (``None``: a fresh stream, whose first transfer is free) and
+    ``exit`` the codec state to continue from (``None`` for stateless
+    schemes).
     """
 
     scheme: str
     width: int
     driven: list[int] = field(default_factory=list)
+    entry: int | None = None
+    exit: Hashable = None
 
     def transitions(self) -> int:
-        return word_transitions(self.driven)
+        total = word_transitions(self.driven)
+        if self.entry is not None and self.driven:
+            total += (self.entry ^ self.driven[0]).bit_count()
+        return total
 
 
 class Encoder(abc.ABC):
@@ -86,17 +121,27 @@ class Encoder(abc.ABC):
 
     width: int = 32
 
-    def fit(self, words: Sequence[int]) -> "Encoder":
-        """Learn profile-driven tables from ``words``; returns self."""
+    def fit(self, words: Sequence[int] | TrafficCounts) -> "Encoder":
+        """Learn profile-driven tables from ``words`` (a sequence or its
+        :class:`TrafficCounts`); returns self."""
         return self
 
     @abc.abstractmethod
     def encode(self, words: Sequence[int]) -> EncodedStream:
-        """Encode a word sequence into driven bus values."""
+        """Encode a word sequence into driven bus values.  A bus codec
+        takes an optional second argument, the ``state`` to continue
+        from (an earlier stream's ``exit``)."""
 
     @abc.abstractmethod
     def decode(self, stream: EncodedStream) -> list[int]:
-        """Recover the original words from a driven stream."""
+        """Recover the original words from a driven stream.  A bus
+        codec takes the ``state`` the stream was encoded from as an
+        optional second argument."""
+
+    def state_after(self, driven: int, word: int) -> Hashable:
+        """A bus codec's state once ``driven`` carried ``word``: the
+        least its next transfer needs.  Stateless schemes have none."""
+        return None
 
     @abc.abstractmethod
     def budget(self) -> HardwareBudget:

@@ -26,7 +26,8 @@ class T0Encoder(Encoder):
     The increment line is packed into bit ``width`` of each driven
     value.  Decoding is a stateful walk: when the increment bit is set
     the receiver regenerates ``previous + stride`` locally, otherwise
-    it takes the driven value verbatim.
+    it takes the driven value verbatim.  Its state is the last driven
+    value (the frozen bus and the increment line) and the last address.
     """
 
     scheme = "t0"
@@ -37,10 +38,17 @@ class T0Encoder(Encoder):
         self.stride = stride
         self._mask = (1 << width) - 1
 
-    def encode(self, words: Sequence[int]) -> EncodedStream:
+    def encode(
+        self, words: Sequence[int], state: tuple[int, int] | None = None
+    ) -> EncodedStream:
+        """``state`` is ``(last driven value, last address)``."""
         mask, stride, inc = self._mask, self.stride, 1 << self.width
         driven = []
-        bus = expected = None
+        if state is None:
+            bus = expected = None
+        else:
+            bus = state[0] & mask
+            expected = (state[1] + stride) & mask
         for word in words:
             word &= mask
             if word == expected:
@@ -49,17 +57,30 @@ class T0Encoder(Encoder):
                 bus = word
                 driven.append(bus)
             expected = (word + stride) & mask
-        return EncodedStream(self.scheme, self.width + 1, driven)
+        return EncodedStream(
+            self.scheme,
+            self.width + 1,
+            driven,
+            entry=None if state is None else state[0],
+            exit=self.state_after(driven[-1], words[-1]) if words else state,
+        )
 
-    def decode(self, stream: EncodedStream) -> list[int]:
+    def decode(
+        self, stream: EncodedStream, state: tuple[int, int] | None = None
+    ) -> list[int]:
         mask, stride = self._mask, self.stride
+        previous = None if state is None else state[1]
         out: list[int] = []
         for packed in stream.driven:
-            if out and (packed >> self.width) & 1:
-                out.append((out[-1] + stride) & mask)
+            if previous is not None and (packed >> self.width) & 1:
+                previous = (previous + stride) & mask
             else:
-                out.append(packed & mask)
+                previous = packed & mask
+            out.append(previous)
         return out
+
+    def state_after(self, driven: int, word: int) -> tuple[int, int]:
+        return driven, word & self._mask
 
     def to_config(self) -> dict:
         return {"width": self.width, "stride": self.stride}

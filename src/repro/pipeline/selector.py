@@ -27,11 +27,12 @@ construction — and the accompanying tests measure it anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from itertools import groupby
 from typing import Dict, Iterable, List, Sequence
 
 from repro.baselines.protocol import (
     ENCODER_REGISTRY,
+    TrafficCounts,
     make_encoder,
     registered_schemes,
 )
@@ -149,53 +150,106 @@ def _pairs_cost(pairs: List[tuple[int, int, int]], value_of) -> int:
     )
 
 
-def _region_streams(
-    trace: FetchTrace, header_of: Dict[int, int], words: List[int], base: int
-) -> Dict[int, List[List[int]]]:
-    """Maximal consecutive stretches of the trace inside each region,
-    as lists of original words in fetch order, keyed by region header.
-
-    Each distinct trace run is cut once into its per-region word
-    slices; every occurrence then extends the streams by those slices.
-    A stretch continues across a jump only when the fetches on both
-    sides of it lie in the same region."""
-    pieces_of: Dict[tuple[int, int], List[tuple[int | None, List[int]]]] = {}
+def _region_occurrences(
+    trace: FetchTrace, header_of: Dict[int, int]
+) -> Dict[int, List[tuple[bool, tuple[int, int]]]]:
+    """Each region's fetches in trace order, as occurrences
+    ``(starts_stretch, (first_pc, count))`` of *pieces*: the maximal
+    slices of a run inside one region.  Each distinct run is cut into
+    its pieces once.  A stretch (a maximal consecutive stretch of the
+    trace inside the region) continues across a jump only when the
+    fetches on both sides of it lie in the same region."""
+    cuts = {}
     for start, length in trace.run_counts():
-        pieces = pieces_of[start, length] = []
-        first = (start - base) >> 2
-        for header, pcs in groupby(
+        pieces = []
+        for header, group in groupby(
             range(start, start + 4 * length, 4), header_of.get
         ):
-            count = len(list(pcs))
-            pieces.append((header, words[first : first + count]))
-            first += count
-    streams: Dict[int, List[List[int]]] = {}
+            pcs = list(group)
+            pieces.append((header, (pcs[0], len(pcs))))
+        # every piece after the first starts a stretch
+        (head, first), *later = pieces
+        later = [(header, piece) for header, piece in later if header is not None]
+        cuts[start, length] = (head, first, later, pieces[-1][0])
+    occurrences: Dict[int, List[tuple[bool, tuple[int, int]]]] = {
+        header: [] for header in set(header_of.values())
+    }
     current = None
     for run in zip(trace.starts, trace.lengths):
-        pieces = pieces_of[run]
-        for index, (header, slice_words) in enumerate(pieces):
-            if header is None:
-                continue
-            stretches = streams.setdefault(header, [])
-            if index == 0 and header == current:
-                stretches[-1].extend(slice_words)
-            else:
-                stretches.append(list(slice_words))
-        current = pieces[-1][0]
-    return streams
+        head, first, later, last = cuts[run]
+        if head is not None:
+            occurrences[head].append((head != current, first))
+        for header, piece in later:
+            occurrences[header].append((True, piece))
+        current = last
+    return occurrences
 
 
-def _stream_cost(encoder, stretches: List[List[int]]) -> int | None:
-    """A bus codec's cost: every region stretch is encoded, decoded and
-    compared in fetch order (its state carries from word to word).
-    ``None`` when any stretch misdecodes."""
+def _region_traffic(
+    pcs: List[int],
+    word_of: Dict[int, int],
+    fetch_counts: Dict[int, int],
+    pairs: List[tuple[int, int, int]],
+    occurrences: List[tuple[bool, tuple[int, int]]],
+) -> TrafficCounts:
+    """What every fit reads: the region's word counts, in order of
+    first fetch (``pcs`` is), and its word-pair counts.  Besides the
+    intra-region ``pairs`` these count each stretch's last fetch
+    followed by the next stretch's first: a pair the bus never drives
+    back to back, but one a fit over the region's concatenated words
+    has always seen; dropping it changes fitted tables."""
+    words: Dict[int, int] = {}
+    for pc in pcs:
+        word = word_of[pc]
+        words[word] = words.get(word, 0) + fetch_counts[pc]
+    word_pairs: Dict[tuple[int, int], int] = {}
+    for a, b, count in pairs:
+        key = (word_of[a], word_of[b])
+        word_pairs[key] = word_pairs.get(key, 0) + count
+    last = None
+    for starts, (pc, count) in occurrences:
+        if starts and last is not None:
+            key = (word_of[last], word_of[pc])
+            word_pairs[key] = word_pairs.get(key, 0) + 1
+        last = pc + 4 * (count - 1)
+    return TrafficCounts(words, word_pairs)
+
+
+def _codec_cost(
+    encoder,
+    occurrences: List[tuple[bool, tuple[int, int]]],
+    words: List[int],
+    base: int,
+) -> int | None:
+    """A bus codec's cost over a region's stretches in fetch order: its
+    state carries from piece to piece and resets at each stretch start,
+    whose first transfer is free.  Each (entry state, piece) is
+    encoded, decoded and compared once, then costed from the memo.
+    ``None`` when a stretch misdecodes; the rest of that stretch is
+    still decoded, so an invalid codeword in it raises as a
+    whole-stretch decode would."""
+    memo: Dict[tuple, tuple[int, object]] = {}
     cost = 0
-    for stretch in stretches:
-        stream = encoder.encode(stretch)
-        if encoder.decode(stream) != stretch:
-            return None
-        cost += stream.transitions()
-    return cost
+    state = None
+    misdecoded = False
+    for starts, piece in occurrences:
+        if starts:
+            if misdecoded:
+                return None
+            state = None
+        key = (state, piece)
+        hit = memo.get(key)
+        if hit is None:
+            pc, count = piece
+            first = (pc - base) >> 2
+            piece_words = words[first : first + count]
+            stream = encoder.encode(piece_words, state)
+            if encoder.decode(stream, state) != piece_words:
+                misdecoded = True
+            hit = memo[key] = (stream.transitions(), stream.exit)
+        cost += hit[0]
+        state = hit[1]
+    return None if misdecoded else cost
 
 
 def _elementwise_cost(encoder, pairs, word_of: Dict[int, int]) -> int | None:
@@ -279,7 +333,7 @@ class SchemeSelector:
         }
         fetch_counts = trace.fetch_counts()
         pairs_by_header = _region_pairs(trace, header_of)
-        streams_by_header = _region_streams(trace, header_of, words, base)
+        occurrences_by_header = _region_occurrences(trace, header_of)
 
         baseline = count_trace_transitions(program, trace)
         image = list(program.words)
@@ -292,8 +346,7 @@ class SchemeSelector:
         for plan in plans:
             pcs = [pc for pc in fetch_counts if header_of.get(pc) == plan.header]
             pairs = pairs_by_header.get(plan.header, [])
-            stretches = streams_by_header.get(plan.header, [])
-            region_words = list(chain.from_iterable(stretches))
+            occurrences = occurrences_by_header.get(plan.header, [])
             word_of = {pc: words[(pc - base) >> 2] for pc in pcs}
             raw_cost = _pairs_cost(pairs, word_of)
             intra_raw_total += raw_cost
@@ -310,9 +363,12 @@ class SchemeSelector:
                 candidates[SCHEME_TTBBIT] = None
 
             # --- every registered zoo backend ------------------------
+            traffic = _region_traffic(
+                pcs, word_of, fetch_counts, pairs, occurrences
+            )
             encoders = {}
             for scheme in self.schemes:
-                encoder = make_encoder(scheme).fit(region_words)
+                encoder = make_encoder(scheme).fit(traffic)
                 budget = encoder.budget()
                 if not budget.fits(
                     self.budget.max_table_bits, self.budget.max_extra_lines
@@ -320,7 +376,7 @@ class SchemeSelector:
                     candidates[scheme] = None
                     continue
                 if budget.stateful:
-                    cost = _stream_cost(encoder, stretches)
+                    cost = _codec_cost(encoder, occurrences, words, base)
                 else:
                     cost = _elementwise_cost(encoder, pairs, word_of)
                 # never select a scheme that misdecodes (cost None)

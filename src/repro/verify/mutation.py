@@ -105,13 +105,16 @@ def _mutate_lowweight_codeword() -> None:
 
 def _patch_encode(cls, driven_for) -> None:
     """Replace ``cls.encode`` so its stream drives
-    ``driven_for(encoder, words)``.  Each rewrite below still decodes,
-    so only the scheme's independent reference counter can catch it."""
+    ``driven_for(encoder, words)``, and continues from what it drove.
+    Each rewrite below still decodes, so only the scheme's independent
+    reference counter can catch it."""
     real = cls.encode
 
-    def corrupted(self, words):
-        stream = real(self, words)
+    def corrupted(self, words, *state):
+        stream = real(self, words, *state)
         stream.driven = driven_for(self, words)
+        if words:
+            stream.exit = self.state_after(stream.driven[-1], words[-1])
         return stream
 
     cls.encode = corrupted

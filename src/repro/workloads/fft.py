@@ -27,14 +27,18 @@ DEFAULT_N = 256
 
 
 def _reference(re: list[float], im: list[float]) -> tuple[list[float], list[float]]:
-    """Straightforward O(n^2) DFT with the same twiddle convention."""
+    """Straightforward O(n^2) DFT with the same twiddle convention.
+    The twiddle of ``k·t`` is ``e^(-2πi·((k·t) mod n)/n)``, read from an
+    n-entry table instead of computed per term."""
     n = len(re)
+    cos_of = [math.cos(-2.0 * math.pi * j / n) for j in range(n)]
+    sin_of = [math.sin(-2.0 * math.pi * j / n) for j in range(n)]
     out_re, out_im = [], []
     for k in range(n):
         sr = si = 0.0
         for t in range(n):
-            angle = -2.0 * math.pi * k * t / n
-            c, s = math.cos(angle), math.sin(angle)
+            j = k * t % n
+            c, s = cos_of[j], sin_of[j]
             sr += re[t] * c - im[t] * s
             si += re[t] * s + im[t] * c
         out_re.append(sr)

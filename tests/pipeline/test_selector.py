@@ -11,8 +11,13 @@ import json
 
 import pytest
 
+from repro.baselines.frequency import FrequencyEncoder
 from repro.baselines.memoryless import MemorylessCodebookEncoder
-from repro.baselines.protocol import make_encoder, registered_schemes
+from repro.baselines.protocol import (
+    TrafficCounts,
+    make_encoder,
+    registered_schemes,
+)
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.profile import profile_trace
 from repro.core.transitions import word_transitions
@@ -25,6 +30,7 @@ from repro.pipeline.selector import (
     SCHEME_TTBBIT,
     SchemeSelector,
     SelectorBudget,
+    _codec_cost,
     select_for_workload,
 )
 from repro.sim.bus import count_trace_transitions
@@ -278,6 +284,47 @@ def test_region_costs_match_per_fetch_oracle_on_reentered_loops(seed):
     assert result.bundle.deploy_and_check(program, trace)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_fits_read_the_concatenated_stretch_counts(monkeypatch, seed):
+    """Every fit reads the region's counts: word counts in order of
+    first fetch and pair counts with the junction pairs between
+    consecutive stretches, exactly as ``TrafficCounts.of`` counts the
+    per-fetch walk's concatenated region words."""
+    seen = []
+    fit = FrequencyEncoder.fit
+
+    def recording_fit(self, words):
+        seen.append(words)
+        return fit(self, words)
+
+    monkeypatch.setattr(FrequencyEncoder, "fit", recording_fit)
+    program = assemble(generate_phased_program(seed))
+    _, trace = run_program(program)
+    selector = SchemeSelector(block_size=5)
+    selector.run(program, trace, f"phased-{seed}")
+    cfg = ControlFlowGraph.build(program)
+    plans = plan_regions(
+        cfg,
+        profile_trace(cfg, trace),
+        selector.block_size,
+        tt_capacity=selector.tt_capacity,
+        bbit_capacity=selector.bbit_capacity,
+    )
+    runs_by_header = _oracle_region_runs(cfg, plans, trace)
+    base = program.text_base
+    assert len(seen) == len(plans) > 1
+    for counts, plan in zip(seen, plans):
+        expected = TrafficCounts.of(
+            [
+                program.words[(pc - base) >> 2]
+                for run in runs_by_header[plan.header]
+                for pc in run
+            ]
+        )
+        assert list(counts.words.items()) == list(expected.words.items())
+        assert dict(counts.pairs) == dict(expected.pairs)
+
+
 def test_stateless_backend_with_a_stale_inverse_is_disqualified(monkeypatch):
     """The distinct-word decode gate still catches a stateless recoder
     whose decode table disagrees with its encode table (the verify
@@ -298,3 +345,147 @@ def test_stateless_backend_with_a_stale_inverse_is_disqualified(monkeypatch):
     for choice in result.choices:
         assert choice.candidates["memoryless"] is None
         assert choice.scheme != "memoryless"
+
+
+# ----------------------------------------------------------------------
+# Corrupted bus codecs, costed through the (entry state, piece) memo
+# ----------------------------------------------------------------------
+
+
+def _oracle_or_error(selector, program, trace):
+    try:
+        return _oracle(selector, program, trace), None
+    except EncodingError as error:
+        return None, str(error)
+
+
+def _assert_memo_verdict_matches_oracle(name="fir"):
+    """Under a corruption, every region's candidates equal the per-fetch
+    walk's (a cost, or ``None`` for a misdecode), or both raise the same
+    error."""
+    workload = build_workload(name)
+    program = workload.assemble()
+    _, trace = workload.run()
+    selector = SchemeSelector(block_size=5)
+    expected, expected_error = _oracle_or_error(selector, program, trace)
+    if expected_error is not None:
+        with pytest.raises(EncodingError) as raised:
+            selector.run(program, trace, name)
+        assert str(raised.value) == expected_error
+        return None
+    result = selector.run(program, trace, name)
+    regions, _ = expected
+    for choice in result.choices:
+        assert choice.candidates == regions[choice.header][0], hex(choice.header)
+    return result
+
+
+@pytest.mark.parametrize(
+    "mutation, target",
+    (
+        ("lowweight-codeword", None),
+        ("bus-invert-decision", "repro.baselines.bus_invert:BusInvertEncoder"),
+        ("t0-freeze", "repro.baselines.t0:T0Encoder"),
+    ),
+)
+def test_corrupted_codec_verdict_matches_per_fetch_oracle(
+    monkeypatch, mutation, target
+):
+    """The verify campaign's codec mutations, armed for this test only:
+    the memoised piece costs must reproduce the whole-stretch verdict."""
+    from importlib import import_module
+
+    from repro.baselines import lowweight
+    from repro.verify.mutation import MUTATIONS
+
+    if target is None:
+        monkeypatch.setattr(lowweight, "CODEWORDS", list(lowweight.CODEWORDS))
+    else:
+        module, _, cls = target.partition(":")
+        owner = getattr(import_module(module), cls)
+        monkeypatch.setattr(owner, "encode", owner.encode)
+    MUTATIONS[mutation][1]()
+    result = _assert_memo_verdict_matches_oracle()
+    assert result is not None and result.choices
+
+
+def test_lowweight_with_a_stale_inverse_is_disqualified(monkeypatch):
+    """A low-weight decoder whose inverse table disagrees with its
+    encode table misdecodes: ``None`` in every region, as per fetch."""
+    from repro.baselines.lowweight import LowWeightCodeEncoder
+
+    rebuild = LowWeightCodeEncoder._rebuild_inverse
+
+    def stale_inverse(self):
+        rebuild(self)
+        inverse = self._inverse[0]
+        first, second = self._tables[0][0], self._tables[0][1]
+        inverse[first], inverse[second] = inverse[second], inverse[first]
+
+    monkeypatch.setattr(LowWeightCodeEncoder, "_rebuild_inverse", stale_inverse)
+    result = _assert_memo_verdict_matches_oracle()
+    for choice in result.choices:
+        assert choice.candidates["low-weight"] is None
+        assert choice.scheme != "low-weight"
+
+
+def test_lowweight_missing_codeword_raises_as_per_fetch(monkeypatch):
+    """An invalid codeword on the bus raises the whole-stretch decode's
+    error, first invalid codeword included."""
+    from repro.baselines.lowweight import LowWeightCodeEncoder
+
+    rebuild = LowWeightCodeEncoder._rebuild_inverse
+
+    def missing_codeword(self):
+        rebuild(self)
+        del self._inverse[0][self._tables[0][1]]
+
+    monkeypatch.setattr(
+        LowWeightCodeEncoder, "_rebuild_inverse", missing_codeword
+    )
+    assert _assert_memo_verdict_matches_oracle() is None
+
+
+class _ScriptedCodec:
+    """A bus codec whose decode of each piece is scripted: ``"ok"``,
+    ``"wrong"`` (misdecodes) or ``"raise"`` (an invalid codeword)."""
+
+    def __init__(self, script):
+        self.script = script
+
+    def encode(self, words, state=None):
+        from repro.baselines.protocol import EncodedStream
+
+        return EncodedStream(
+            "scripted", 32, list(words), entry=state, exit=words[-1]
+        )
+
+    def decode(self, stream, state=None):
+        verdict = self.script[stream.driven[0]]
+        if verdict == "raise":
+            raise EncodingError("invalid codeword")
+        if verdict == "wrong":
+            return [word ^ 1 for word in stream.driven]
+        return list(stream.driven)
+
+
+@pytest.mark.parametrize(
+    "script, stretch_starts, outcome",
+    (
+        # a misdecode, then an invalid codeword later in the same
+        # stretch: the whole-stretch decode raises before comparing
+        (("wrong", "raise"), (True, False), "raise"),
+        # ... but in the next stretch it is never decoded
+        (("wrong", "raise"), (True, True), None),
+        (("ok", "ok"), (True, False), 1),
+    ),
+)
+def test_codec_cost_verdict_is_per_stretch(script, stretch_starts, outcome):
+    words = [0, 1]
+    codec = _ScriptedCodec(dict(enumerate(script)))
+    occurrences = [(starts, (4 * i, 1)) for i, starts in enumerate(stretch_starts)]
+    if outcome == "raise":
+        with pytest.raises(EncodingError):
+            _codec_cost(codec, occurrences, words, 0)
+    else:
+        assert _codec_cost(codec, occurrences, words, 0) == outcome

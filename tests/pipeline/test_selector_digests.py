@@ -7,13 +7,18 @@ fit, its encode/decode or the selector's run bookkeeping that moves a
 single table entry, config key or stored bit fails here.  The conv2d,
 fft and fir values equal the ``select_per_region`` entries of
 ``perfbench/golden.json`` (fir at its default ``samples=192``).
+
+Every default-budget winner is frequency, so ``EXPECTED_AT_TT_BUDGET``
+also pins three programs at ``--budget-table-bits 2144`` (the storage of
+a 16-entry TT plus BBIT at k=5), where the paper's TT/BBIT (fft's
+``0x4000a0`` region) and low-weight (tri, conv2d) win instead.
 """
 
 import hashlib
 
 import pytest
 
-from repro.pipeline.selector import SchemeSelector
+from repro.pipeline.selector import SchemeSelector, SelectorBudget
 from repro.sim.cpu import run_program
 from repro.workloads import registry
 
@@ -31,14 +36,32 @@ EXPECTED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(EXPECTED))
-def test_selector_digest_pinned(name):
+#: the same pins at ``--budget-table-bits 2144``
+EXPECTED_AT_TT_BUDGET = {
+    "conv2d": ("f4eb459488f653b42835bcf0b203a5f1f26850af3d7c3fe6821adeb1b51256bd", 122450, ("low-weight",)),
+    "fft": ("afe2927707f0c1128466054bce2141fab1386be28ca25e7c28032d4a3aa7b4a1", 171138, ("ttbbit", "frequency")),
+    "tri": ("f202f45d1bc86a9bca48cc0ef1b86e28e8658e50c7aa9fc0c98618f26533ca2a", 406445, ("low-weight",)),
+}
+
+
+def _pins(name, budget=None):
     workload = registry.build_workload(name)
     program = workload.assemble()
     _cpu, trace = run_program(program)
-    result = SchemeSelector(block_size=5, tt_capacity=16).run(
+    result = SchemeSelector(block_size=5, tt_capacity=16, budget=budget).run(
         program, trace, name=workload.name
     )
     digest = hashlib.sha256(result.bundle.to_json().encode()).hexdigest()
     schemes = tuple(choice.scheme for choice in result.choices)
-    assert (digest, result.mixed_transitions, schemes) == EXPECTED[name]
+    return digest, result.mixed_transitions, schemes
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_selector_digest_pinned(name):
+    assert _pins(name) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_AT_TT_BUDGET))
+def test_selector_digest_pinned_at_tt_budget(name):
+    budget = SelectorBudget(max_table_bits=2144)
+    assert _pins(name, budget) == EXPECTED_AT_TT_BUDGET[name]

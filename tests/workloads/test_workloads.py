@@ -3,12 +3,16 @@ checked against an independent Python reference by its own verify
 callback; these tests also pin structural expectations (loops exist,
 traces are loop-dominated)."""
 
+import math
+
 import pytest
 
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.loops import find_natural_loops
 from repro.cfg.profile import profile_trace
 from repro.sim.cpu import run_program
+from repro.workloads import fft
+from repro.workloads.common import pseudo_values
 from repro.workloads.registry import (
     BENCHMARK_ORDER,
     WORKLOAD_BUILDERS,
@@ -106,3 +110,31 @@ class TestScaling:
         _, trace_large = large.run()
         ratio = len(trace_large) / len(trace_small)
         assert 4.0 < ratio < 8.0  # 64*6 / 16*4 = 6x
+
+
+def _per_angle_dft(re, im):
+    """The DFT with each twiddle's angle computed per term."""
+    n = len(re)
+    out_re, out_im = [], []
+    for k in range(n):
+        sr = si = 0.0
+        for t in range(n):
+            angle = -2.0 * math.pi * k * t / n
+            c, s = math.cos(angle), math.sin(angle)
+            sr += re[t] * c - im[t] * s
+            si += re[t] * s + im[t] * c
+        out_re.append(sr)
+        out_im.append(si)
+    return out_re, out_im
+
+
+@pytest.mark.parametrize("n", (8, 16, 64))
+def test_fft_reference_twiddle_table_matches_per_angle_dft(n):
+    """fft's reference reads twiddles from an n-entry table indexed by
+    (k·t) mod n; it must agree with the per-angle DFT to 1e-12."""
+    re, im = pseudo_values(n, seed=5), pseudo_values(n, seed=6)
+    table = fft._reference(re, im)
+    per_angle = _per_angle_dft(re, im)
+    for got, want in zip(table, per_angle):
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (n, a, b)

@@ -12,8 +12,6 @@ command        what it prints
 ``suite``      the whole Figure-6 table + Figure-7 chart
 ``compile``    compile a minicc kernel, run it, encode its hot loops
 ``cost``       the Section-7.2 hardware cost table
-``bench``      codec throughput (production path vs reference oracle),
-               written to BENCH_codec.json
 ``faults``     the fault-injection campaign: per-model detection and
                recovery rates, written to FAULTS_report.json
                (``--wal``/``--resume`` checkpoint and resume the sweep)
@@ -307,48 +305,6 @@ def _cmd_cost(args: argparse.Namespace) -> int:
             f"{cost.block_size:2d} {cost.tt_bits:8d} {cost.bbit_bits:9d} "
             f"{cost.decode_gates:6d} {cost.max_instructions:15d}"
         )
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.pipeline.benchmark import (
-        run_codec_benchmarks,
-        run_encoder_zoo_benchmarks,
-    )
-
-    if args.encoders:
-        report = run_encoder_zoo_benchmarks(repeats=args.repeats)
-        print(report.format_table())
-        path = report.write(
-            args.json if args.json != "BENCH_codec.json" else "BENCH_encoders.json"
-        )
-        print(f"\nwrote {path}")
-        return 0
-
-    report = run_codec_benchmarks(
-        stream_length=args.stream_length,
-        num_words=args.words,
-        block_size=args.block_size,
-        repeats=args.repeats,
-    )
-    print(report.format_table())
-    path = report.write(args.json)
-    print(f"\nwrote {path}")
-    if args.decode_floor is not None:
-        failures = [
-            case
-            for case in report.cases
-            if "decode" in case.name and case.speedup < args.decode_floor
-        ]
-        for case in failures:
-            print(
-                f"decode floor: {case.name} {case.speedup:.1f}x < "
-                f"required {args.decode_floor:.1f}x",
-                file=sys.stderr,
-            )
-        if failures:
-            return 1
-        print(f"decode floor: all decode rows >= {args.decode_floor:.1f}x")
     return 0
 
 
@@ -957,30 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=int, nargs="+", default=[4, 5, 6, 7])
     p.add_argument("--tt-entries", type=int, default=16)
     p.set_defaults(func=_cmd_cost)
-
-    p = sub.add_parser(
-        "bench", help="codec throughput: production path vs reference oracle"
-    )
-    p.add_argument("--json", default="BENCH_codec.json", metavar="PATH")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--stream-length", type=int, default=5000)
-    p.add_argument("--words", type=int, default=64)
-    p.add_argument("-k", "--block-size", type=int, default=5)
-    p.add_argument(
-        "--decode-floor",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit 1 unless every decode row's bitplane speedup is >= X "
-        "(the CI decode-throughput smoke)",
-    )
-    p.add_argument(
-        "--encoders",
-        action="store_true",
-        help="benchmark the encoder zoo instead (every registered "
-        "backend, encode+count and reference counter; BENCH_encoders.json)",
-    )
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "faults",

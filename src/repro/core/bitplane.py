@@ -346,9 +346,3 @@ def bits_list(value: int, length: int) -> list[int]:
     bits = list(text.translate(_ASCII_TO_BIT))
     bits.reverse()
     return bits
-
-
-def clear_plane_cache() -> None:
-    """Drop the memoized decode planes (test isolation hook)."""
-    _plan_planes.cache_clear()
-    _block_planes.cache_clear()

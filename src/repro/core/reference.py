@@ -4,8 +4,8 @@ Production encodes through the compiled codebook
 (:mod:`repro.core.fastpath`) and decodes through the bitplane doubling
 scan (:mod:`repro.core.bitplane`).  This module keeps the
 straightforward implementations of the same contracts, written as the
-paper states them, so tests, ``repro verify`` and ``repro bench`` have
-an independent answer to compare against:
+paper states them, so tests, ``repro verify`` and the codec throughput
+bench have an independent answer to compare against:
 
 * encoders that call :class:`BlockSolver` once per block, for the
   greedy, optimal and disjoint strategies, at stream and block level;

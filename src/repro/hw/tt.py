@@ -16,7 +16,6 @@ software analogue of the per-line parallel gates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.core.program_codec import BlockEncoding
 from repro.errors import EncodingError, TableCapacityError, TableIntegrityError
@@ -322,8 +321,3 @@ def tt_rows(encoding: BlockEncoding) -> list[TTEntry]:
         count = (seg_len if start == 0 else seg_len - 1) if is_tail else 0
         rows.append(TTEntry(selectors=tuple(row), end=is_tail, count=count))
     return rows
-
-
-def selectors_from_sequence(rows: Sequence[Sequence[int]]) -> list[TTEntry]:
-    """Build raw entries from selector rows (testing helper)."""
-    return [TTEntry(selectors=tuple(row)) for row in rows]

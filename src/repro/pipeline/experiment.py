@@ -251,85 +251,3 @@ def run_sweep(
         if checkpoint is not None:
             checkpoint.close()
     return sweep
-
-
-# ----------------------------------------------------------------------
-# Per-region scheme-selector sweep (the encoder zoo over the registry)
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class SelectorSummary:
-    """One row per workload of a :func:`run_selector_sweep`."""
-
-    results: list  # list[SelectorResult]
-
-    def to_rows(self) -> list[dict]:
-        rows = []
-        for result in self.results:
-            best_single = result.best_single_transitions()
-            rows.append(
-                {
-                    "workload": result.name,
-                    "regions": len(result.choices),
-                    "choices": ", ".join(
-                        f"{c.header:#x}:{c.scheme}" for c in result.choices
-                    ),
-                    "baseline": result.baseline_transitions,
-                    "best_single": best_single,
-                    "mixed": result.mixed_transitions,
-                    "reduction_percent": round(result.reduction_percent, 2),
-                }
-            )
-        return rows
-
-    def format_markdown(self) -> str:
-        lines = [
-            "| workload | regions | per-region choice | baseline | "
-            "best single | mixed | reduction |",
-            "|---|---|---|---|---|---|---|",
-        ]
-        for row in self.to_rows():
-            lines.append(
-                f"| {row['workload']} | {row['regions']} | "
-                f"{row['choices']} | {row['baseline']} | "
-                f"{row['best_single']} | {row['mixed']} | "
-                f"{row['reduction_percent']:.2f}% |"
-            )
-        return "\n".join(lines)
-
-    def never_worse(self) -> bool:
-        """True when every workload's mixed cost is <= every
-        single-scheme cost — the selector's acceptance criterion."""
-        return all(
-            row["mixed"] <= row["best_single"] for row in self.to_rows()
-        )
-
-
-def run_selector_sweep(
-    workloads: Sequence[str] | None = None,
-    block_size: int = 5,
-    max_steps: int = 500_000_000,
-) -> SelectorSummary:
-    """Run the per-region scheme selector on every named registry
-    workload (default: the full nine-benchmark registry) and summarise
-    the per-region choices, the mixed cost, and the best single-scheme
-    yardstick."""
-    from repro.pipeline.selector import SchemeSelector
-    from repro.workloads.registry import BENCHMARK_ORDER, EXTENDED_WORKLOADS
-
-    names = (
-        tuple(workloads)
-        if workloads is not None
-        else BENCHMARK_ORDER + EXTENDED_WORKLOADS
-    )
-    results = []
-    for name in names:
-        workload = build_workload(name)
-        program = workload.assemble()
-        cpu, trace = run_program(program, max_steps=max_steps)
-        if workload.verify is not None:
-            workload.verify(cpu)
-        selector = SchemeSelector(block_size)
-        results.append(selector.run(program, trace, name))
-    return SelectorSummary(results=results)

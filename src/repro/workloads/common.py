@@ -48,12 +48,6 @@ def read_doubles(cpu: Cpu, label: str, count: int) -> list[float]:
     return [cpu.memory.read_f64(base + 8 * i) for i in range(count)]
 
 
-def read_words(cpu: Cpu, label: str, count: int) -> list[int]:
-    """Read ``count`` 32-bit words starting at a data label."""
-    base = cpu.program.address_of(label)
-    return [cpu.memory.read_u32(base + 4 * i) for i in range(count)]
-
-
 def pseudo_values(count: int, seed: int = 0, scale: float = 3.0) -> list[float]:
     """Deterministic, compiler-independent test values in [-3, 3]."""
     return [

@@ -12,22 +12,27 @@ class TestParser:
 
     def test_all_commands_registered(self):
         parser = build_parser()
+        positional = {"encode": ["mmul"], "compile": ["kernel.mc"]}
         for command in (
             "codebook",
             "theory",
             "streams",
             "encode",
             "suite",
+            "compile",
             "cost",
-            "bench",
             "faults",
+            "experiment",
+            "verify",
+            "serve",
             "metrics",
             "trace",
         ):
-            args = parser.parse_args(
-                [command] + (["mmul"] if command == "encode" else [])
-            )
+            args = parser.parse_args([command] + positional.get(command, []))
             assert args.command == command
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["bench"])
+        assert exc.value.code == 2
 
 
 class TestCommands:

@@ -2,15 +2,20 @@
 
 Drives the full ``repro serve --selftest`` harness — hundreds of jobs
 from concurrent tenants over TCP with kill/slow/malformed chaos armed
-— and writes ``BENCH_serve.json`` at the repo root with the tail-
-latency histogram and failure-handling counters CI uploads.
+— and checks the bench JSON it writes (tail-latency histogram and
+failure-handling counters) under pytest's ``tmp_path``.  The tracked
+``BENCH_serve.json`` snapshot and CI's uploaded copy come from ``repro
+serve --selftest --bench-json``, not from this test.
 
 The acceptance here is *behavioural*, not a latency floor (shared CI
 runners make absolute milliseconds meaningless): zero wrong results,
 a closed failure taxonomy, and every injected fault visibly handled
-(retries, pool rebuilds, sheds all accounted for).
+(retries, pool rebuilds, sheds all accounted for).  The recorded
+``results/serve_latency.txt`` holds only the seed-determined lines (the
+load shape and the outcomes), so rerunning the bench leaves it as it is.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -21,8 +26,6 @@ from repro.serve.selftest import (
     run_selftest,
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
 #: The CI load shape: 8 tenants x 25 jobs over one TCP connection
 #: each, 3 pool workers behind a depth-16 queue, all chaos models on.
 OPTIONS = SelftestOptions(
@@ -32,12 +35,14 @@ OPTIONS = SelftestOptions(
     workers=3,
     queue_depth=16,
     transport="tcp",
-    bench_path=str(REPO_ROOT / "BENCH_serve.json"),
 )
 
 
-def test_serve_latency_under_chaos(record_result):
-    report, problems = run_selftest(OPTIONS)
+def test_serve_latency_under_chaos(record_result, tmp_path):
+    options = dataclasses.replace(
+        OPTIONS, bench_path=str(tmp_path / "BENCH_serve.json")
+    )
+    report, problems = run_selftest(options)
 
     assert problems == [], problems[:5]
     assert report["summary"]["jobs"] == 200
@@ -50,7 +55,7 @@ def test_serve_latency_under_chaos(record_result):
         predicted[outcome] = predicted.get(outcome, 0) + 1
     assert report["summary"]["outcomes"] == dict(sorted(predicted.items()))
 
-    bench_path = Path(OPTIONS.bench_path)
+    bench_path = Path(options.bench_path)
     assert bench_path.exists()
     bench = json.loads(bench_path.read_text())
     assert bench["schema"] == "repro.serve.bench/1"
@@ -78,13 +83,6 @@ def test_serve_latency_under_chaos(record_result):
                 f"{OPTIONS.workers} workers, queue depth "
                 f"{OPTIONS.queue_depth}",
                 f"outcomes: {report['summary']['outcomes']}",
-                f"wall: {bench['wall_s']}s "
-                f"({bench['throughput_jobs_per_s']} jobs/s)",
-                f"latency ms: p50={latency['p50']} p90={latency['p90']} "
-                f"p99={latency['p99']} max={latency['max']}",
-                f"handled: {stats['shed']} shed, {stats['retried']} retried, "
-                f"{stats['pool_rebuilds']} pool rebuilds, "
-                f"{stats['breaker_opens']} breaker opens",
             ]
         ),
     )

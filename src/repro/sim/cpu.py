@@ -11,6 +11,24 @@ dict lookup per block (a miss is the text-bounds check), and the fetch
 trace grows by one ``(entry_pc, length)`` per maximal sequential run
 (:class:`~repro.sim.tracer.FetchTrace`), not one PC per fetch.
 
+A block whose taken branch re-enters its own start (a self-loop, the
+innermost loop of most kernels) is generated as a ``for`` loop around
+the body instead: one call runs as many iterations as the branch takes,
+capped so the step limit still lands where it would, and returns the
+iteration count; :meth:`Cpu.run` appends one run per iteration in bulk.
+The loop keeps the registers it uses in local variables and stores them
+back when it exits.  A fault in iteration *j* is placed by the
+iteration counter and the line number it leaves on the block frame.
+
+FP loads and stores (``ldc1``/``sdc1``) to an 8-aligned address on an
+allocated page index that page's double view
+(:class:`~repro.sim.memory.Memory` keeps one per page) in the block
+body; unaligned, page-crossing and first-touch addresses, and every
+access on a big-endian host, call the :class:`Memory` method.  The
+other widths keep their method calls, which carry the MMIO routing.
+A block function binds only the register lists, memory accessors and
+helpers its body names, which keeps ``compile()`` of its header short.
+
 :meth:`Cpu.step` executes one instruction through a per-instruction
 closure.  It shares no code with the block compiler and is the oracle
 the differential tests hold :meth:`Cpu.run` to.
@@ -27,6 +45,8 @@ string at ``$a0``, 11 = print char, 10 = exit).
 from __future__ import annotations
 
 import math
+import re
+import sys
 from typing import Callable
 
 from repro.isa.assembler import STACK_TOP, Program
@@ -68,8 +88,8 @@ class Cpu:
         # reads of code (rare, but legal) behave.
         for i, word in enumerate(program.words):
             self.memory.write_u32(program.text_base + 4 * i, word)
-        #: entry PC -> (block function, instruction count)
-        self._blocks: dict[int, tuple[Callable[[], int], int]] = {}
+        #: entry PC -> (block function, instruction count, self-loop?)
+        self._blocks: dict[int, tuple[Callable, int, bool]] = {}
         #: per-instruction closures for :meth:`step`, built on first use
         self._compiled: list[Callable[["Cpu"], None]] | None = None
 
@@ -106,7 +126,7 @@ class Cpu:
                 if steps + entry[1] > max_steps:
                     # The limit lands inside this block: run its prefix.
                     entry = self._compile_block(pc, max_steps - steps)
-                block, count = entry
+                block, count, loops = entry
                 if pc != run_end:
                     if run_length:
                         starts.append(run_start)
@@ -116,13 +136,31 @@ class Cpu:
                 run_length += count
                 run_end = pc + 4 * count
                 steps += count
-                pc = block()
+                if loops:
+                    # A self-loop runs as many iterations as the step
+                    # limit allows; each one after the first is its own
+                    # run starting at the block's entry.
+                    laps_left = (max_steps - steps) // count + 1
+                    head = pc
+                    pc, laps = block(laps_left)
+                    if laps > 1:
+                        steps += count * (laps - 1)
+                        starts += [run_start] + [head] * (laps - 2)
+                        lengths += [run_length] + [count] * (laps - 2)
+                        run_start, run_length = head, count
+                else:
+                    pc = block()
                 block = None
         except BaseException as err:
             if block is not None:
                 # The fault came from inside the block: the faulting
                 # instruction was fetched but did not complete.
-                done = _completed_before_fault(err, block)
+                laps, done = _completed_before_fault(err, block)
+                if laps:  # iterations of a self-loop completed first
+                    steps += count * laps
+                    starts += [run_start] + [pc] * (laps - 1)
+                    lengths += [run_length] + [count] * (laps - 1)
+                    run_start, run_length = pc, count
                 undone = count - done
                 steps -= undone
                 run_length -= undone - 1
@@ -152,9 +190,14 @@ class Cpu:
 
     def _compile_block(
         self, pc: int, limit: int | None = None
-    ) -> tuple[Callable[[], int], int]:
+    ) -> tuple[Callable, int, bool]:
         """The block function entered at ``pc`` (at most ``limit``
-        instructions) and its instruction count."""
+        instructions), its instruction count, and whether it is a
+        self-loop: a block whose taken branch re-enters ``pc``.
+
+        A plain block takes no argument and returns the next PC.  A
+        self-loop takes an iteration cap and returns ``(next PC,
+        iterations run)``; it stops at the cap with the branch taken."""
         program = self.program
         base = program.text_base
         if pc < base or pc >= program.text_end or pc & 3:
@@ -168,20 +211,24 @@ class Cpu:
         owners: list[int] = []
         exit_pc = ""
         for index in range(first, last):
-            statements, exit_pc = _emit(
-                program.instructions[index], base + 4 * index
-            )
+            inst = program.instructions[index]
+            statements, exit_pc = _emit(inst, base + 4 * index)
             body.extend(statements)
             owners.extend([index - first] * len(statements))
             if exit_pc:
                 break
         count = index - first + 1
-        owners.append(count - 1)  # the return line
-        if not exit_pc:
-            exit_pc = str(pc + 4 * count)
-        block = _build_block(self, body, exit_pc)
-        block.owners = owners
-        return block, count
+        loops = (
+            inst.name in _CONDITIONS
+            and base + 4 * index + 4 + 4 * inst.simm == pc
+        )
+        if loops:
+            condition = _condition_src(inst)
+            block = _build_loop(self, body, owners, count, pc, condition)
+        else:
+            exit_pc = exit_pc or str(pc + 4 * count)
+            block = _build_block(self, body, owners, count, exit_pc)
+        return block, count, loops
 
     # ------------------------------------------------------------------
     # System calls
@@ -628,39 +675,111 @@ def run_program(
 # Block compilation
 # ----------------------------------------------------------------------
 
-#: The block function's signature: the CPU, its register lists and the
-#: memory accessors are bound as defaults, so the body reads them as
-#: locals.
-_BLOCK_HEAD = """def block(c=c, R=c.regs, F=c.fregs, sqrt=sqrt,
-          rd8=mem.read_u8, rds8=mem.read_s8, rd16=mem.read_u16,
-          rds16=mem.read_s16, rd32=mem.read_u32, wr8=mem.write_u8,
-          wr16=mem.write_u16, wr32=mem.write_u32, rdf32=mem.read_f32,
-          wrf32=mem.write_f32, rdf64=mem.read_f64, wrf64=mem.write_f64):
-"""
-#: 1-based source line of a block function's first body statement
-_FIRST_BODY_LINE = _BLOCK_HEAD.count("\n") + 1
+def _bindings(cpu: Cpu) -> dict:
+    """The names a block body may use and what they stand for.  A block
+    function takes the ones its body uses as defaults, so the body
+    reads them as locals.  ``D`` maps page bases to double views."""
+    mem = cpu.memory
+    return {
+        "c": cpu, "R": cpu.regs, "F": cpu.fregs, "D": mem._doubles,
+        "sqrt": math.sqrt, "rd8": mem.read_u8, "rds8": mem.read_s8,
+        "rd16": mem.read_u16, "rds16": mem.read_s16, "rd32": mem.read_u32,
+        "wr8": mem.write_u8, "wr16": mem.write_u16, "wr32": mem.write_u32,
+        "rdf32": mem.read_f32, "wrf32": mem.write_f32,
+        "rdf64": mem.read_f64, "wrf64": mem.write_f64,
+    }
 
 
-def _build_block(cpu: Cpu, body: list[str], exit_pc: str) -> Callable[[], int]:
-    source = (
-        _BLOCK_HEAD
-        + "".join(f"    {line}\n" for line in body)
-        + f"    return {exit_pc}\n"
-    )
-    namespace = {"c": cpu, "mem": cpu.memory, "sqrt": math.sqrt}
+#: 1-based source line of a block function's first body statement (the
+#: ``def`` line is the first)
+_FIRST_BODY_LINE = 2
+
+#: The double views hold native-order doubles and memory is
+#: little-endian, so ``ldc1``/``sdc1`` index them only on a
+#: little-endian host.
+_LITTLE_ENDIAN_HOST = sys.byteorder == "little"
+
+
+def _build_block(
+    cpu: Cpu, body: list[str], owners: list[int], count: int, exit_pc: str
+) -> Callable[[], int]:
+    """A plain block's function.  ``owners`` maps each body line to the
+    offset of the instruction it belongs to; it becomes the function's
+    line -> instruction map, which a fault reads."""
+    lines = [f"    {line}\n" for line in body] + [f"    return {exit_pc}\n"]
+    block = _define(cpu, "", lines)
+    block.owners = owners + [count - 1]
+    return block
+
+
+def _build_loop(
+    cpu: Cpu,
+    body: list[str],
+    owners: list[int],
+    count: int,
+    head: int,
+    condition: str,
+) -> Callable[[int], tuple[int, int]]:
+    """A self-loop's function.  ``lap`` counts the iterations completed
+    before the current one, which is what a fault reads off the frame.
+    The registers the loop uses live in locals (``R[5]`` is ``r5``,
+    ``F[2]`` is ``f2``) from entry to exit, and the ``finally`` clause
+    stores them back, on a fault too."""
+    body = [_REGISTER.sub(_local, line) for line in body]
+    condition = _REGISTER.sub(_local, condition)
+    used = sorted(set(_LOCAL.findall(" ".join(body + [condition]))))
+    load = "; ".join(f"{name} = {_register(name)}" for name in used) or "pass"
+    store = "; ".join(f"{_register(name)} = {name}" for name in used) or "pass"
+    lines = [
+        f"    {load}\n",
+        "    try:\n",
+        "        for lap in range(cap):\n",
+        *(f"            {line}\n" for line in body),
+        f"            if not ({condition}): return {head + 4 * count}, lap + 1\n",
+        f"        return {head}, cap\n",
+        "    finally:\n",
+        f"        {store}\n",
+    ]
+    block = _define(cpu, "cap", lines)
+    block.owners = [0] * 3 + owners + [count - 1] * 4
+    return block
+
+
+#: A register reference in emitted code, and its local-variable form
+_REGISTER = re.compile(r"\b([RF])\[(\d+)\]")
+_LOCAL = re.compile(r"\b[rf]\d+\b")
+
+
+def _local(match: re.Match) -> str:
+    return match[1].lower() + match[2]
+
+
+def _register(local: str) -> str:
+    return f"{local[0].upper()}[{local[1:]}]"
+
+
+def _define(cpu: Cpu, argument: str, lines: list[str]) -> Callable:
+    """Compile ``def block(argument, <bindings>):`` over ``lines``."""
+    body = "".join(lines)
+    names = set(re.findall(r"[A-Za-z_]\w*", body))
+    namespace = {k: v for k, v in _bindings(cpu).items() if k in names}
+    params = ([argument] if argument else []) + [f"{k}={k}" for k in namespace]
+    source = f"def block({', '.join(params)}):\n{body}"
     exec(compile(source, "<basic block>", "exec"), namespace)
     return namespace["block"]
 
 
-def _completed_before_fault(err: BaseException, block: Callable) -> int:
-    """How many of ``block``'s instructions completed before ``err``
-    was raised inside it, read off the block frame's line number."""
+def _completed_before_fault(err: BaseException, block: Callable) -> tuple[int, int]:
+    """How many iterations of ``block`` completed before ``err`` was
+    raised inside it (0 unless it is a self-loop), and how many of the
+    faulting iteration's instructions, read off the block frame."""
     tb = err.__traceback__
     while tb is not None and tb.tb_frame.f_code is not block.__code__:
         tb = tb.tb_next
     if tb is None:
-        return 0
-    return block.owners[tb.tb_lineno - _FIRST_BODY_LINE]
+        return 0, 0
+    laps = tb.tb_frame.f_locals.get("lap", 0)
+    return laps, block.owners[tb.tb_lineno - _FIRST_BODY_LINE]
 
 
 def _signed_src(reg: int) -> str:
@@ -718,8 +837,6 @@ _STATEMENTS = {
     "sw": "wr32({addr}, R[{rt}])",
     "sb": "wr8({addr}, R[{rt}])",
     "sh": "wr16({addr}, R[{rt}])",
-    "ldc1": "F[{ft}] = rdf64({addr})",
-    "sdc1": "wrf64({addr}, F[{ft}])",
     "lwc1": "F[{ft}] = rdf32({addr})",
     "swc1": "wrf32({addr}, F[{ft}])",
     "add.d": "F[{fd}] = F[{fs}] + F[{ft}]",
@@ -749,6 +866,34 @@ _CONDITIONS = {
     "bc1t": "c.fcc",
     "bc1f": "not c.fcc",
 }
+
+
+def _condition_src(inst: Instruction) -> str:
+    return _CONDITIONS[inst.name].format(rs=inst.get("rs"), rt=inst.get("rt"))
+
+
+def _fp64_src(name: str, ft: int, rs: int, imm: int) -> list[str]:
+    """``ldc1``/``sdc1``: an 8-aligned address on an allocated page goes
+    through the page's double view; any other address (unaligned, page
+    crossing, first touch) through the :class:`Memory` method.  An
+    8-aligned double never crosses a page, and the view map's key
+    ``a & 0xFFFFF007`` is a page base only when ``a`` is 8-aligned."""
+    addr = _address_src(rs, imm)
+    if not _LITTLE_ENDIAN_HOST:
+        if name == "ldc1":
+            return [f"F[{ft}] = rdf64({addr})"]
+        return [f"wrf64({addr}, F[{ft}])"]
+    # The key and the index read only the address's low 32 bits, so
+    # the unmasked sum serves both; the method gets the masked one.
+    raw = f"R[{rs}] + {imm}" if imm else f"R[{rs}]"
+    view = f"(v := D.get((a := {raw}) & 0xFFFFF007)) is not None"
+    masked = "a & 0xFFFFFFFF" if imm else "a"
+    if name == "ldc1":
+        return [f"F[{ft}] = v[a >> 3 & 511] if {view} else rdf64({masked})"]
+    return [
+        f"if {view}: v[a >> 3 & 511] = F[{ft}]",
+        f"else: wrf64({masked}, F[{ft}])",
+    ]
 
 
 def _emit(inst: Instruction, pc: int) -> tuple[list[str], str]:
@@ -783,6 +928,8 @@ def _emit(inst: Instruction, pc: int) -> tuple[list[str], str]:
         return (lines + ["R[0] = 0"] if rt == 0 else lines), ""
     if name in _STATEMENTS:
         return [_STATEMENTS[name].format(**fields)], ""
+    if name in ("ldc1", "sdc1"):
+        return _fp64_src(name, inst.get("ft"), rs, imm_s), ""
     if name in ("mult", "multu"):
         a, b = (_signed_src(rs), _signed_src(rt)) if name == "mult" else (f"R[{rs}]", f"R[{rt}]")
         return [
@@ -802,8 +949,7 @@ def _emit(inst: Instruction, pc: int) -> tuple[list[str], str]:
         return [f"c.pc = {pc}", "c._syscall()"], str(pc + 4)
     if name in _CONDITIONS:
         taken = pc + 4 + 4 * imm_s
-        condition = _CONDITIONS[name].format(**fields)
-        return [], f"{taken} if {condition} else {pc + 4}"
+        return [], f"{taken} if {_condition_src(inst)} else {pc + 4}"
     if name == "j":
         return [], str(inst.get("target") << 2)
     if name == "jal":

@@ -2,6 +2,12 @@
 
 Little-endian, lazily allocated 4 KiB pages, with typed accessors for
 the widths the ISA needs (8/16/32-bit integers and 64-bit doubles).
+Each page also has a ``memoryview`` cast to native doubles
+(``Memory._doubles``), made when the page is allocated; the block
+compiler in :mod:`repro.sim.cpu` indexes it for 8-aligned FP loads and
+stores instead of calling :meth:`Memory.read_f64`/:meth:`~Memory.write_f64`.
+Pages are never replaced or resized, so a view stays valid for the
+memory's lifetime.
 """
 
 from __future__ import annotations
@@ -51,6 +57,10 @@ class Memory:
 
     def __init__(self) -> None:
         self._pages: dict[int, bytearray] = {}
+        #: page base address -> the page viewed as 512 native-order
+        #: doubles.  Keyed by base address, so ``get(a & 0xFFFFF007)``
+        #: finds a view only for an 8-aligned ``a`` on an allocated page.
+        self._doubles: dict[int, memoryview] = {}
         self._mmio: list[MmioRegion] = []
 
     def add_mmio(self, region: MmioRegion) -> None:
@@ -73,6 +83,7 @@ class Memory:
         if page is None:
             page = bytearray(PAGE_SIZE)
             self._pages[address >> PAGE_SHIFT] = page
+            self._doubles[address & ~PAGE_MASK] = memoryview(page).cast("d")
         return page
 
     # ------------------------------------------------------------------

@@ -27,23 +27,33 @@ DEFAULT_N = 256
 
 
 def _reference(re: list[float], im: list[float]) -> tuple[list[float], list[float]]:
-    """Straightforward O(n^2) DFT with the same twiddle convention.
-    The twiddle of ``k·t`` is ``e^(-2πi·((k·t) mod n)/n)``, read from an
-    n-entry table instead of computed per term."""
+    """The DFT by recursive radix-2 splitting into even and odd halves
+    (a different algorithm from the assembled iterative bit-reversal
+    FFT, so it stays an independent check).  The twiddle of index ``j``
+    is ``e^(-2πi·j/n)``, read from an n-entry table; a sub-transform of
+    size ``m`` steps through it ``n/m`` entries at a time."""
     n = len(re)
     cos_of = [math.cos(-2.0 * math.pi * j / n) for j in range(n)]
     sin_of = [math.sin(-2.0 * math.pi * j / n) for j in range(n)]
-    out_re, out_im = [], []
-    for k in range(n):
-        sr = si = 0.0
-        for t in range(n):
-            j = k * t % n
-            c, s = cos_of[j], sin_of[j]
-            sr += re[t] * c - im[t] * s
-            si += re[t] * s + im[t] * c
-        out_re.append(sr)
-        out_im.append(si)
-    return out_re, out_im
+
+    def transform(xr, xi, stride):
+        if len(xr) == 1:
+            return list(xr), list(xi)
+        even_re, even_im = transform(xr[0::2], xi[0::2], 2 * stride)
+        odd_re, odd_im = transform(xr[1::2], xi[1::2], 2 * stride)
+        half = len(even_re)
+        out_re, out_im = even_re + even_re, even_im + even_im
+        for k in range(half):
+            c, s = cos_of[k * stride], sin_of[k * stride]
+            tr = odd_re[k] * c - odd_im[k] * s
+            ti = odd_re[k] * s + odd_im[k] * c
+            out_re[k] += tr
+            out_im[k] += ti
+            out_re[k + half] -= tr
+            out_im[k + half] -= ti
+        return out_re, out_im
+
+    return transform(re, im, 1)
 
 
 def build(n: int = DEFAULT_N) -> Workload:

@@ -235,3 +235,177 @@ def test_run_resumes_after_a_step_limit():
     _, oracle, _ = _step_run(program, 10_000)
     assert trace.expand() == oracle
     assert cpu.steps == len(oracle)
+
+
+# ----------------------------------------------------------------------
+# Self-looping blocks: a block whose taken branch re-enters its own
+# start iterates inside its generated function
+# ----------------------------------------------------------------------
+
+
+def _assert_self_loop(program, label: str = "loop") -> None:
+    """The block at ``label`` was compiled as a self-loop."""
+    cpu = Cpu(program)
+    try:
+        cpu.run(max_steps=10_000)
+    except (CpuError, ArithmeticError, ValueError):
+        pass
+    _, _, loops = cpu._blocks[program.address_of(label)]
+    assert loops
+
+
+def _fp_fault_loop(op: str, start: float) -> str:
+    """A self-loop entered at its head whose ``$f2`` drops by 1.0 per
+    iteration from ``start``; ``op`` faults once ``$f2`` reaches its
+    domain edge."""
+    return f"""
+.data
+start: .double {start!r}
+one: .double 1.0
+.text
+main: la $t0, start
+      l.d $f2, 0($t0)
+      l.d $f6, 8($t0)
+      li $t1, 100
+      li $t2, 0
+      j loop
+loop: addiu $t2, $t2, 1
+      {op}
+      sub.d $f2, $f2, $f6
+      addiu $t1, $t1, -1
+      bnez $t1, loop
+      li $v0, 10
+      syscall
+"""
+
+
+@pytest.mark.parametrize("iteration", (1, 2, 7))
+def test_self_loop_sqrt_of_negative_in_iteration(iteration):
+    # $f2 goes negative in the given iteration.
+    program = assemble(_fp_fault_loop("sqrt.d $f4, $f2", iteration - 1.5))
+    _assert_self_loop(program)
+    cpu, trace = _assert_same(program)
+    assert cpu.regs[10] == iteration  # $t2 counts started iterations
+    assert len(trace) == cpu.steps + 1
+
+
+@pytest.mark.parametrize("iteration", (1, 2, 7))
+def test_self_loop_divide_by_zero_in_iteration(iteration):
+    # $f2 reaches 0.0 in the given iteration.
+    program = assemble(_fp_fault_loop("div.d $f4, $f6, $f2", iteration - 1.0))
+    _assert_self_loop(program)
+    cpu, trace = _assert_same(program)
+    assert cpu.regs[10] == iteration
+    assert len(trace) == cpu.steps + 1
+
+
+@pytest.mark.parametrize("iterations", (1, 2, 7))
+def test_jr_out_of_text_after_a_self_loop(iterations):
+    source = f"""
+.text
+main: li $t1, {iterations}
+      li $t2, 0
+      j loop
+loop: addiu $t2, $t2, 3
+      xor $t3, $t2, $t1
+      addiu $t1, $t1, -1
+      bnez $t1, loop
+      jr $zero
+"""
+    program = assemble(source)
+    _assert_self_loop(program)
+    cpu, trace = _assert_same(program)
+    assert cpu.regs[10] == 3 * iterations
+    assert cpu.pc == 0
+    assert len(trace) == cpu.steps
+
+
+#: Three instructions before a five-instruction self-loop of 10
+#: iterations.
+SELF_LOOP = """
+.text
+main: li $t0, 10
+      li $t1, 0
+      j loop
+loop: addiu $t1, $t1, 3
+      xor $t2, $t1, $t0
+      sll $t3, $t2, 2
+      addiu $t0, $t0, -1
+      bnez $t0, loop
+      li $v0, 10
+      syscall
+"""
+
+
+@pytest.mark.parametrize("max_steps", list(range(0, 3 + 3 * 5 + 2)) + [52, 53, 54])
+def test_step_limit_landing_in_a_self_loop(max_steps):
+    # Every instruction of the first three iterations, and the last
+    # iteration's edges.
+    program = assemble(SELF_LOOP)
+    _assert_self_loop(program)
+    _assert_same(program, max_steps=max_steps)
+
+
+def test_self_loop_resumes_after_a_step_limit():
+    # A limit that lands mid-iteration leaves the loop resumable: the
+    # second run() finishes it, and the trace is the oracle's.
+    program = assemble(SELF_LOOP)
+    cpu = Cpu(program)
+    trace = FetchTrace()
+    with pytest.raises(CpuError, match="exceeded"):
+        cpu.run(max_steps=3 + 2 * 5 + 3, trace=trace)
+    cpu.run(trace=trace)
+    _, oracle, _ = _step_run(program, 10_000)
+    assert trace.expand() == oracle
+    assert cpu.steps == len(oracle)
+
+
+def _self_loop_mix(seed: int, length: int = 30, iterations: int = 6) -> str:
+    """A self-loop whose body is straight-line integer code over
+    edge-valued registers ($zero writes included), plus FP moves and
+    arithmetic, so every register the loop keeps in a local is read,
+    written and stored back."""
+    rng = rng_for("loop-mix", seed)
+    lines = [".data", "one: .double 1.5", ".text", "main:"]
+    for reg in MIX_REGS[1:]:
+        lines.append(f"li {reg}, {rng.choice(EDGE_VALUES)}")
+    lines += ["la $s1, one", "l.d $f2, 0($s1)", f"li $s0, {iterations}"]
+    lines += ["j loop", "loop:"]
+    for _ in range(length):
+        a, b, c = (rng.choice(MIX_REGS) for _ in range(3))
+        kind = rng.randrange(6)
+        if kind == 0:
+            op = rng.choice(
+                ("addu", "subu", "and", "or", "xor", "nor", "slt", "sltu", "srav")
+            )
+            lines.append(f"{op} {a}, {b}, {c}")
+        elif kind == 1:
+            op = rng.choice(("sll", "srl", "sra"))
+            lines.append(f"{op} {a}, {b}, {rng.randrange(32)}")
+        elif kind == 2:
+            op = rng.choice(("addiu", "slti", "sltiu", "andi", "ori", "xori"))
+            if op in ("andi", "ori", "xori"):
+                imm = rng.choice((0, 1, 0x7FFF))
+            else:
+                imm = rng.choice((-32768, -1, 0, 1, 32767))
+            lines.append(f"{op} {a}, {b}, {imm}")
+        elif kind == 3:
+            op = rng.choice(("mult", "multu", "div", "divu"))
+            lines.append(f"{op} {b}, {c}")
+            lines.append(f"{rng.choice(('mfhi', 'mflo'))} {a}")
+        elif kind == 4:
+            lines.append(f"mtc1 {b}, $f4")
+            lines.append(f"{rng.choice(('add.d', 'sub.d', 'mul.d'))} $f6, $f4, $f2")
+            lines.append(f"mfc1 {a}, $f6" if rng.random() < 0.5 else "mov.d $f2, $f6")
+        else:
+            lines.append("s.d $f2, 8($s1)")
+            lines.append("l.d $f8, 8($s1)")
+    lines += ["addiu $s0, $s0, -1", "bnez $s0, loop", "li $v0, 10", "syscall"]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_self_loops_at_edge_values(seed):
+    program = assemble(_self_loop_mix(seed))
+    _assert_self_loop(program)
+    _assert_same(program)

@@ -1,10 +1,18 @@
-"""Tests for the paged memory."""
+"""Tests for the paged memory, and for the block compiler's FP loads
+and stores through its per-page double views."""
+
+import struct
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.isa.assembler import assemble
+from repro.sim import cpu as cpu_module
+from repro.sim.cpu import Cpu
 from repro.sim.memory import PAGE_SIZE, Memory
+from tests.sim.test_block_interpreter import _assert_same
 
 
 class TestScalarAccess:
@@ -101,3 +109,150 @@ class TestProperties:
         mem = Memory()
         mem.write_f64(address, value)
         assert mem.read_f64(address) == value
+
+
+#: Bit patterns a double must survive unchanged: -0.0, +inf, -inf, two
+#: quiet NaNs with payloads, the smallest and largest subnormals, and
+#: an ordinary value.
+SPECIAL_BITS = (
+    0x8000000000000000,
+    0x7FF0000000000000,
+    0xFFF0000000000000,
+    0x7FF80000DEADBEEF,
+    0xFFF8000000001234,
+    0x0000000000000001,
+    0x000FFFFFFFFFFFFF,
+    0x400921FB54442D18,
+)
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+def _bits(value: float) -> int:
+    return int.from_bytes(struct.pack("<d", value), "little")
+
+
+class TestDoubleViews:
+    def test_every_page_has_a_view_of_itself(self):
+        mem = Memory()
+        mem.write_u8(3 * PAGE_SIZE + 5, 1)
+        mem.read_f64(7 * PAGE_SIZE - 4)  # allocates two pages
+        assert mem._pages.keys() == {3, 6, 7}
+        assert mem._doubles.keys() == {3 * PAGE_SIZE, 6 * PAGE_SIZE, 7 * PAGE_SIZE}
+        mem.write_u32(6 * PAGE_SIZE + 16, 0x12345678)
+        mem.write_u32(6 * PAGE_SIZE + 20, 0x9ABCDEF0)
+        view = mem._doubles[6 * PAGE_SIZE]
+        assert _bits(view[2]) == 0x9ABCDEF012345678
+
+    @pytest.mark.skipif(sys.byteorder != "little", reason="views are native order")
+    @pytest.mark.parametrize("bits", SPECIAL_BITS, ids=hex)
+    def test_view_and_methods_agree_bit_for_bit(self, bits):
+        mem = Memory()
+        mem.write_f64(PAGE_SIZE + 8, _double(bits))
+        view = mem._doubles[PAGE_SIZE]
+        assert _bits(view[1]) == bits
+        view[2] = view[1]
+        assert _bits(mem.read_f64(PAGE_SIZE + 16)) == bits
+        assert mem.read_bytes(PAGE_SIZE + 16, 8) == bits.to_bytes(8, "little")
+
+
+#: One self-loop of FP loads and stores over a table of addresses:
+#: aligned on an allocated page, unaligned in-page, page-crossing, and
+#: first touches of each kind (the store at +0x1000 lands on a page the
+#: loop has not touched yet for the first two addresses).
+FP_ADDRESSES = """
+.data
+vals: .double 1.5, -2.25, 0.001, 7.0
+addrs: .word 0x10000000, 0x10000004, 0x10000ffc, 0x10010000
+       .word 0x10020004, 0x10030ffc, 0x10010008, 0x10040ff4
+.text
+main: la $s0, addrs
+      li $s1, 8
+      j loop
+loop: lw $t0, 0($s0)
+      l.d $f2, 0($t0)
+      add.d $f4, $f4, $f2
+      s.d $f4, 8($t0)
+      l.d $f6, 8($t0)
+      add.d $f8, $f8, $f6
+      s.d $f8, 0x1000($t0)
+      addiu $s0, $s0, 4
+      addiu $s1, $s1, -1
+      bnez $s1, loop
+      li $v0, 10
+      syscall
+"""
+
+
+def _round_trip_source() -> str:
+    words = ", ".join(
+        f"{bits & 0xFFFFFFFF:#x}, {bits >> 32:#x}" for bits in SPECIAL_BITS
+    )
+    size = 8 * len(SPECIAL_BITS)
+    return f"""
+.data
+src: .word {words}
+.align 3
+dst: .space {size}
+udst: .space {size + 8}
+back: .space {size}
+.text
+main: la $s0, src
+      la $s1, dst
+      la $s2, udst
+      la $s3, back
+      li $s4, {len(SPECIAL_BITS)}
+      j loop
+loop: l.d $f2, 0($s0)
+      s.d $f2, 0($s1)
+      s.d $f2, 4($s2)
+      l.d $f4, 4($s2)
+      s.d $f4, 0($s3)
+      addiu $s0, $s0, 8
+      addiu $s1, $s1, 8
+      addiu $s2, $s2, 8
+      addiu $s3, $s3, 8
+      addiu $s4, $s4, -1
+      bnez $s4, loop
+      mtc1 $zero, $f2
+      mtc1 $zero, $f4
+      li $v0, 10
+      syscall
+"""
+
+
+def _loop_uses_views(cpu: Cpu, program) -> bool:
+    block, _, loops = cpu._blocks[program.address_of("loop")]
+    assert loops
+    return "get" in block.__code__.co_names
+
+
+class TestBlockFpAccess:
+    """``ldc1``/``sdc1`` in generated blocks against :meth:`Cpu.step`."""
+
+    def test_unaligned_crossing_and_first_touch_in_a_loop(self):
+        program = assemble(FP_ADDRESSES)
+        cpu, _ = _assert_same(program)
+        assert _loop_uses_views(cpu, program) == (sys.byteorder == "little")
+        assert cpu.fregs[4] != 0.0 and cpu.fregs[8] != 0.0
+
+    def test_special_values_round_trip_bit_exactly(self):
+        program = assemble(_round_trip_source())
+        cpu, _ = _assert_same(program)
+        assert _loop_uses_views(cpu, program) == (sys.byteorder == "little")
+        expected = b"".join(bits.to_bytes(8, "little") for bits in SPECIAL_BITS)
+        size = len(expected)
+        mem = cpu.memory
+        assert mem.read_bytes(program.address_of("dst"), size) == expected
+        assert mem.read_bytes(program.address_of("udst") + 4, size) == expected
+        assert mem.read_bytes(program.address_of("back"), size) == expected
+
+    @pytest.mark.parametrize("source", ("addresses", "round-trip"))
+    def test_big_endian_host_keeps_the_method_calls(self, monkeypatch, source):
+        monkeypatch.setattr(cpu_module, "_LITTLE_ENDIAN_HOST", False)
+        text = FP_ADDRESSES if source == "addresses" else _round_trip_source()
+        program = assemble(text)
+        cpu, _ = _assert_same(program)
+        assert not _loop_uses_views(cpu, program)

@@ -130,11 +130,43 @@ def _per_angle_dft(re, im):
 
 @pytest.mark.parametrize("n", (8, 16, 64))
 def test_fft_reference_twiddle_table_matches_per_angle_dft(n):
-    """fft's reference reads twiddles from an n-entry table indexed by
-    (k·t) mod n; it must agree with the per-angle DFT to 1e-12."""
+    """fft's reference reads twiddles from an n-entry table; it must
+    agree with the per-angle DFT to 1e-12."""
     re, im = pseudo_values(n, seed=5), pseudo_values(n, seed=6)
     table = fft._reference(re, im)
     per_angle = _per_angle_dft(re, im)
     for got, want in zip(table, per_angle):
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (n, a, b)
+
+
+def _table_dft(re, im):
+    """The direct O(n^2) DFT, twiddles read from an n-entry table
+    indexed by (k·t) mod n."""
+    n = len(re)
+    cos_of = [math.cos(-2.0 * math.pi * j / n) for j in range(n)]
+    sin_of = [math.sin(-2.0 * math.pi * j / n) for j in range(n)]
+    out_re, out_im = [], []
+    for k in range(n):
+        sr = si = 0.0
+        for t in range(n):
+            j = k * t % n
+            c, s = cos_of[j], sin_of[j]
+            sr += re[t] * c - im[t] * s
+            si += re[t] * s + im[t] * c
+        out_re.append(sr)
+        out_im.append(si)
+    return out_re, out_im
+
+
+@pytest.mark.parametrize("n", (4, 8, 16, 32, 64, 128, 256))
+def test_fft_reference_matches_direct_dft(n):
+    """fft's radix-2 reference agrees with the direct DFT to 1e-12,
+    well inside the 1e-6 its verify callback allows."""
+    re, im = pseudo_values(n, seed=5), pseudo_values(n, seed=6)
+    radix2 = fft._reference(re, im)
+    direct = _table_dft(re, im)
+    for got, want in zip(radix2, direct):
+        assert len(got) == len(want) == n
         for a, b in zip(got, want):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (n, a, b)

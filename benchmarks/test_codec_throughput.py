@@ -74,8 +74,9 @@ def _stream_decode():
 
 
 def _trace_decode():
-    """Bulk ``decode_trace`` and the per-fetch walk over conv2d's
-    trace, both on a decoder loaded from the flow's own bundle."""
+    """Bulk ``decode_trace``, expanded to its per-fetch words, and the
+    per-fetch walk over conv2d's trace, both on a decoder loaded from
+    the flow's own bundle."""
     program = build_workload("conv2d").assemble()
     _cpu, trace = run_program(program)
     result = EncodingFlow(block_size=BLOCK_SIZE).run(program, trace, "conv2d")
@@ -92,7 +93,7 @@ def _trace_decode():
         )
 
     fetches = trace.expand()
-    assert decoder().decode_trace(trace, lookup) == [
+    assert decoder().decode_trace(trace, lookup).expand() == [
         program.words[(pc - base) >> 2] for pc in fetches
     ]
 
@@ -100,7 +101,7 @@ def _trace_decode():
         walk = decoder()
         return [walk.fetch(pc, lookup(pc)) for pc in fetches]
 
-    return lambda: decoder().decode_trace(trace, lookup), per_fetch
+    return lambda: decoder().decode_trace(trace, lookup).expand(), per_fetch
 
 
 #: Row name -> factory of its (production, oracle) pair.

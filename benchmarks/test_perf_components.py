@@ -83,7 +83,9 @@ def test_perf_fetch_decoder(benchmark):
         return decoder.decode_trace(addresses, stored.__getitem__)
 
     decoded = benchmark(_decode)
-    assert decoded[: len(WORDS)] == list(WORDS)
+    walk = FetchDecoder(tt, bbit, 5)
+    assert decoded.expand() == [walk.fetch(pc, stored[pc]) for pc in addresses]
+    assert decoded.expand()[: len(WORDS)] == list(WORDS)
 
 
 def test_perf_cpu_interpreter(benchmark):

@@ -110,7 +110,7 @@ def main() -> None:
     decoder.reset()
     decoded_all = decoder.decode_trace(
         list(trace), lambda pc: image[(pc - base_addr) >> 2]
-    )
+    ).expand()
     original_all = [program.words[(pc - base_addr) >> 2] for pc in trace]
     assert decoded_all == original_all
     from repro.sim.bus import count_trace_transitions

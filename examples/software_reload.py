@@ -140,7 +140,7 @@ def main() -> None:
     base = program.text_base
     decoded = decoder.decode_trace(
         trace, lambda pc: encoded_image[(pc - base) >> 2]
-    )
+    ).expand()
     original = [program.words[(pc - base) >> 2] for pc in trace]
     assert decoded == original
     before = count_trace_transitions(program, trace)

@@ -61,6 +61,7 @@ from repro.runtime import (
     run_tasks,
     run_with_deadline,
 )
+from repro.sim.tracer import FetchTrace
 
 
 @dataclass
@@ -250,8 +251,9 @@ def _run_case(
             raise ReproError(f"fetch outside the image: {pc:#010x}")
         return image[index]
 
+    trace = FetchTrace.from_addresses(state.trace)
     try:
-        decoded = decoder.decode_trace(state.trace, lookup, finalize=True)
+        decoded = decoder.decode_trace(trace, lookup, finalize=True)
     except ReproError as err:
         if mode in ("recover", "degraded"):
             # Recover/degraded modes promise never to raise on a
@@ -285,7 +287,6 @@ def _run_case(
             record.detail,
             error=repr(err),
         )
-    expected = [target.original_words[(pc - base) >> 2] for pc in state.trace]
     if decoder.recovery_events:
         detail = dict(record.detail)
         detail["recovery_events"] = decoder.recovery_events[:8]
@@ -295,7 +296,7 @@ def _run_case(
         return CaseResult(
             target.name, model.name, seed, mode, RECOVERED, detail
         )
-    if decoded != expected:
+    if not trace.matches(decoded, target.original_words, base):
         return CaseResult(
             target.name, model.name, seed, mode, SILENT, record.detail
         )

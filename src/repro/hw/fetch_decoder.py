@@ -73,7 +73,7 @@ from repro.errors import DecodeFault, SchemeTagError, TableIntegrityError
 from repro.hw.bbit import BasicBlockIdentificationTable
 from repro.hw.tt import TransformationTable
 from repro.obs import OBS
-from repro.sim.tracer import FetchTrace
+from repro.sim.tracer import DecodedTrace, FetchTrace
 
 __all__ = ["FetchDecoder", "DecodeFault", "SchemeTagError", "TableIntegrityError"]
 
@@ -523,34 +523,40 @@ class FetchDecoder:
         addresses: Iterable[int],
         stored_image_lookup,
         finalize: bool = False,
-    ) -> list[int]:
+    ) -> DecodedTrace:
         """Decode a full fetch trace.  ``stored_image_lookup`` maps a
         PC to the stored (possibly encoded) word.  ``finalize=True``
         additionally treats end-of-trace as end-of-stream, flagging a
         truncation that leaves a block half-decoded.  A plain PC list
         is converted once with :meth:`FetchTrace.from_addresses`.
 
+        The decoded stream comes back as a
+        :class:`~repro.sim.tracer.DecodedTrace`; ``len`` and iteration
+        are per fetch and ``expand()`` is the per-fetch word list.
+
         In strict mode (with no demoted blocks) the walk reads the
-        trace as maximal sequential runs.  A non-sequential fetch always
-        leaves the engine idle, and so does a fetch from a region tagged
-        with an encoder-zoo scheme (served word by word, with no engine
-        state), so each distinct run decodes once, from the idle state,
-        and every later occurrence reuses its words; its architectural
-        counters (``decoded_instructions``,
-        ``passthrough_instructions``, ``scheme_decoded_instructions``,
-        ``tt_reads`` and the BBIT's ``lookups``, ``hits`` and
-        ``parity_checks``) are scaled by its occurrence count, so they
-        equal the per-fetch walk's.  Inside a run, full basic-block
-        occurrences decode through the lane-packed bitplane scan, zoo
-        region fetches through their word decoder, and partial blocks
-        through :meth:`fetch`, so protocol faults, unknown scheme tags
-        and table integrity errors surface at the same fetch, with the
-        same message, as they would instruction by instruction.  Only
-        the tables' *internal* row-read volume differs
-        (``TransformationTable.reads`` and ``parity_checks`` advance
-        once per distinct block).  Only the recover and degraded modes,
-        whose per-fetch fault contracts are the point, take the
-        per-fetch walk over the expanded trace.
+        trace's run groups, and its result has one entry per group:
+        that run's decoded words and the group's repeat count.  A
+        non-sequential fetch always leaves the engine idle, and so does
+        a fetch from a region tagged with an encoder-zoo scheme (served
+        word by word, with no engine state), so each distinct run
+        decodes once, from the idle state, and every later occurrence
+        reuses its words; its architectural counters
+        (``decoded_instructions``, ``passthrough_instructions``,
+        ``scheme_decoded_instructions``, ``tt_reads`` and the BBIT's
+        ``lookups``, ``hits`` and ``parity_checks``) are scaled by its
+        occurrence count, so they equal the per-fetch walk's.  Inside a
+        run, full basic-block occurrences decode through the
+        lane-packed bitplane scan, zoo region fetches through their
+        word decoder, and partial blocks through :meth:`fetch`, so
+        protocol faults, unknown scheme tags and table integrity errors
+        surface at the same fetch, with the same message, as they would
+        instruction by instruction.  Only the tables' *internal*
+        row-read volume differs (``TransformationTable.reads`` and
+        ``parity_checks`` advance once per distinct block).  Only the
+        recover and degraded modes, whose per-fetch fault contracts are
+        the point, take the per-fetch walk over the expanded trace; its
+        words come back as a single entry.
         """
         self.reset()
         trace = FetchTrace.of(addresses)
@@ -563,9 +569,9 @@ class FetchDecoder:
                     trace, stored_image_lookup
                 )
             else:
-                decoded = [
-                    self.fetch(pc, stored_image_lookup(pc)) for pc in trace
-                ]
+                decoded = DecodedTrace.flat(
+                    [self.fetch(pc, stored_image_lookup(pc)) for pc in trace]
+                )
             if finalize:
                 self.finalize()
         if OBS.enabled:
@@ -587,22 +593,21 @@ class FetchDecoder:
 
     def _decode_trace_bitplane(
         self, trace: FetchTrace, stored_image_lookup
-    ) -> list[int]:
-        """Strict-mode walk over the trace's runs, decoding each
+    ) -> DecodedTrace:
+        """Strict-mode walk over the trace's run groups, decoding each
         distinct run once (see :meth:`decode_trace`).
 
         A SEC-DED correction can re-key a BBIT row and so change how a
         later occurrence of an already-decoded run decodes; the per-run
         memo starts over whenever the BBIT corrects a row."""
-        out: list[int] = []
-        extend = out.extend
+        out: list[list[int]] = []
         memo: dict[tuple[int, int], _RunDecode] = {}
         decodes: list[_RunDecode] = []
         blocks: dict[tuple, list[int]] = {}
         bbit = self.bbit
         corrections = bbit.ecc_corrections
         done = None
-        for run in zip(trace.starts, trace.lengths):
+        for run, times in zip(zip(trace.starts, trace.lengths), trace.repeats):
             done = memo.get(run)
             if done is None:
                 before = self._counters()
@@ -623,9 +628,9 @@ class FetchDecoder:
                     corrections = bbit.ecc_corrections
                     memo = {}
                 memo[run] = done
-            else:
-                done.repeats += 1
-            extend(done.words)
+                times -= 1
+            done.repeats += times
+            out.append(done.words)
         for decode in decodes:
             if decode.repeats:
                 (
@@ -651,7 +656,7 @@ class FetchDecoder:
             )
             self._expected_pc = done.expected_pc
             self._history_word = done.history_word
-        return out
+        return DecodedTrace(out, trace.repeats.copy())
 
     def _enters_zoo_region(self, pc: int, count: int) -> bool:
         """Whether the block at ``pc`` runs into a zoo-tagged address

@@ -156,9 +156,10 @@ def _region_occurrences(
     """Each region's fetches in trace order, as occurrences
     ``(starts_stretch, (first_pc, count))`` of *pieces*: the maximal
     slices of a run inside one region.  Each distinct run is cut into
-    its pieces once.  A stretch (a maximal consecutive stretch of the
-    trace inside the region) continues across a jump only when the
-    fetches on both sides of it lie in the same region."""
+    its pieces once, and each run group's repeats are listed together.
+    A stretch (a maximal consecutive stretch of the trace inside the
+    region) continues across a jump only when the fetches on both sides
+    of it lie in the same region."""
     cuts = {}
     for start, length in trace.run_counts():
         pieces = []
@@ -175,12 +176,22 @@ def _region_occurrences(
         header: [] for header in set(header_of.values())
     }
     current = None
-    for run in zip(trace.starts, trace.lengths):
+    for run, times in zip(zip(trace.starts, trace.lengths), trace.repeats):
         head, first, later, last = cuts[run]
         if head is not None:
             occurrences[head].append((head != current, first))
         for header, piece in later:
             occurrences[header].append((True, piece))
+        if times > 1:
+            # Each repeat follows the run itself; a region's list sees
+            # its own pieces of one occurrence, ``times - 1`` more times.
+            repeat: Dict[int, List[tuple[bool, tuple[int, int]]]] = {}
+            if head is not None:
+                repeat[head] = [(head != last, first)]
+            for header, piece in later:
+                repeat.setdefault(header, []).append((True, piece))
+            for header, pieces in repeat.items():
+                occurrences[header] += pieces * (times - 1)
         current = last
     return occurrences
 

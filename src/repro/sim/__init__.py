@@ -5,14 +5,15 @@ interpreter matching the paper's baseline ("a typical embedded
 processor front-end, which fetches and executes instructions in order
 and one at a time") that compiles and executes one basic block at a
 time; ``tracer`` holds the fetch stream as a run-length
-:class:`FetchTrace` of maximal sequential runs, with per-address,
-per-edge and per-run counts; and ``bus`` turns those counts plus memory
+:class:`FetchTrace` of maximal sequential runs grouped by back-to-back
+repeats, with per-address, per-edge and per-run counts, and a decoded
+stream in the same groups (:class:`DecodedTrace`); and ``bus`` turns those counts plus memory
 images into bit-transition and energy numbers.
 """
 
 from repro.sim.memory import Memory
 from repro.sim.cpu import Cpu, CpuError, run_program
-from repro.sim.tracer import FetchTrace
+from repro.sim.tracer import DecodedTrace, FetchTrace
 from repro.sim.bus import BusModel, count_trace_transitions
 
 __all__ = [
@@ -21,6 +22,7 @@ __all__ = [
     "CpuError",
     "run_program",
     "FetchTrace",
+    "DecodedTrace",
     "BusModel",
     "count_trace_transitions",
 ]

@@ -8,14 +8,16 @@ from there to the next control transfer or syscall is generated as one
 Python function: the block's instructions as plain statements on the
 register lists, ending in a ``return`` of the next PC.  Dispatch is one
 dict lookup per block (a miss is the text-bounds check), and the fetch
-trace grows by one ``(entry_pc, length)`` per maximal sequential run
+trace grows by one ``(entry_pc, length, repeats)`` group per maximal
+sequential run repeated back to back
 (:class:`~repro.sim.tracer.FetchTrace`), not one PC per fetch.
 
 A block whose taken branch re-enters its own start (a self-loop, the
 innermost loop of most kernels) is generated as a ``for`` loop around
 the body instead: one call runs as many iterations as the branch takes,
 capped so the step limit still lands where it would, and returns the
-iteration count; :meth:`Cpu.run` appends one run per iteration in bulk.
+iteration count; :meth:`Cpu.run` records the iterations between the
+first and the last as one run group.
 The loop keeps the registers it uses in local variables and stores them
 back when it exits.  A fault in iteration *j* is placed by the
 iteration counter and the line number it leaves on the block frame.
@@ -104,15 +106,28 @@ class Cpu:
     ) -> int:
         """Run until exit; returns the executed instruction count.
 
-        ``trace``, when given, receives the fetch stream as one
-        ``(entry_pc, length)`` run per maximal stretch of sequential
-        fetches — the raw material for the bus transition measurements.
-        On a fault the trace, :attr:`steps` and :attr:`pc` stop at the
-        faulting instruction, as :meth:`step` would leave them.
+        ``trace``, when given, receives the fetch stream as run groups:
+        one ``(entry_pc, length, repeats)`` entry per maximal stretch of
+        sequential fetches repeated back to back — the raw material for
+        the bus transition measurements.  A self-loop's iterations after
+        the first and before the last are one group.  On a fault the
+        trace, :attr:`steps` and :attr:`pc` stop at the faulting
+        instruction, as :meth:`step` would leave them.
         """
         blocks = self._blocks
         starts: list[int] = []
         lengths: list[int] = []
+        repeats: list[int] = []
+
+        def close(start: int, length: int, times: int) -> None:
+            # Append ``times`` occurrences of a finished run.
+            if starts and start == starts[-1] and length == lengths[-1]:
+                repeats[-1] += times
+            else:
+                starts.append(start)
+                lengths.append(length)
+                repeats.append(times)
+
         pc = run_start = run_end = self.pc
         run_length = steps = count = 0
         block = None
@@ -129,8 +144,7 @@ class Cpu:
                 block, count, loops = entry
                 if pc != run_end:
                     if run_length:
-                        starts.append(run_start)
-                        lengths.append(run_length)
+                        close(run_start, run_length, 1)
                     run_start = pc
                     run_length = 0
                 run_length += count
@@ -139,14 +153,17 @@ class Cpu:
                 if loops:
                     # A self-loop runs as many iterations as the step
                     # limit allows; each one after the first is its own
-                    # run starting at the block's entry.
+                    # run starting at the block's entry, and all but the
+                    # last (which later fetches may continue) are one
+                    # group.
                     laps_left = (max_steps - steps) // count + 1
                     head = pc
                     pc, laps = block(laps_left)
                     if laps > 1:
                         steps += count * (laps - 1)
-                        starts += [run_start] + [head] * (laps - 2)
-                        lengths += [run_length] + [count] * (laps - 2)
+                        close(run_start, run_length, 1)
+                        if laps > 2:
+                            close(head, count, laps - 2)
                         run_start, run_length = head, count
                 else:
                     pc = block()
@@ -158,8 +175,9 @@ class Cpu:
                 laps, done = _completed_before_fault(err, block)
                 if laps:  # iterations of a self-loop completed first
                     steps += count * laps
-                    starts += [run_start] + [pc] * (laps - 1)
-                    lengths += [run_length] + [count] * (laps - 1)
+                    close(run_start, run_length, 1)
+                    if laps > 1:
+                        close(pc, count, laps - 1)
                     run_start, run_length = pc, count
                 undone = count - done
                 steps -= undone
@@ -168,10 +186,9 @@ class Cpu:
             raise
         finally:
             if run_length:
-                starts.append(run_start)
-                lengths.append(run_length)
+                close(run_start, run_length, 1)
             if trace is not None:
-                trace.append_runs(starts, lengths)
+                trace.append_runs(starts, lengths, repeats)
             self.pc = pc
             self.steps += steps
         return steps

@@ -202,7 +202,7 @@ def check_program(words: list[int], block_size: int) -> CheckResult:
             if bulk:
                 decoded = decoder.decode_trace(
                     trace, deployment.image.__getitem__, finalize=True
-                )
+                ).expand()
             else:
                 decoded = [decoder.fetch(pc, deployment.image[pc]) for pc in trace]
                 decoder.finalize()

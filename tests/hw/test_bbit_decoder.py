@@ -146,7 +146,7 @@ class TestFetchDecoder:
         decoder = FetchDecoder(tt, bbit, 6)
         addresses = [0x400000 + 4 * i for i in range(10)] * 2
         decoded = decoder.decode_trace(addresses, lambda pc: image[pc])
-        assert decoded == words * 2
+        assert decoded.expand() == words * 2
 
     def test_block_size_validation(self):
         tt = TransformationTable(4)

@@ -54,7 +54,7 @@ def _walk(deployment, trace, lookup, finalize, bulk):
     (``bulk``) or one :meth:`FetchDecoder.fetch` at a time."""
     decoder = _decoder_for(deployment)
     if bulk:
-        words = decoder.decode_trace(trace, lookup, finalize=finalize)
+        words = decoder.decode_trace(trace, lookup, finalize=finalize).expand()
     else:
         words = [decoder.fetch(pc, lookup(pc)) for pc in trace]
         if finalize:
@@ -223,12 +223,13 @@ def test_scalar_fallback_modes_bypass_bulk(monkeypatch):
             golden_lookup=deployment.golden_lookup,
         )
         assert (
-            decoder.decode_trace(trace, deployment.image.__getitem__) == golden
+            decoder.decode_trace(trace, deployment.image.__getitem__).expand()
+            == golden
         )
     assert bulk_modes == []
     mixed = _mixed_deployment(5)
     pcs = list(mixed.golden)
-    assert mixed.decoder().decode_trace(pcs, mixed.stored.__getitem__) == [
+    assert mixed.decoder().decode_trace(pcs, mixed.stored.__getitem__).expand() == [
         mixed.golden[pc] for pc in pcs
     ]
     assert bulk_modes == [True]
@@ -243,7 +244,7 @@ def test_reuse_across_traces_resets_cleanly():
         trace = deployment.trace_for(which)
         assert decoder.decode_trace(
             trace, deployment.image.__getitem__
-        ) == _golden(deployment, trace)
+        ).expand() == _golden(deployment, trace)
 
 
 # ----------------------------------------------------------------------
@@ -472,7 +473,7 @@ def _mixed_outcome(deployment, trace, bulk, finalize=False, region_schemes=None)
     lookup = deployment.stored.__getitem__
     try:
         if bulk:
-            words = decoder.decode_trace(trace, lookup, finalize=finalize)
+            words = decoder.decode_trace(trace, lookup, finalize=finalize).expand()
         else:
             words = [decoder.fetch(pc, lookup(pc)) for pc in trace]
             if finalize:

@@ -8,6 +8,7 @@ from repro.hw.fetch_decoder import FetchDecoder
 from repro.pipeline.flow import EncodingFlow
 from repro.sim.bus import count_trace_transitions
 from repro.sim.cpu import run_program
+from repro.sim.tracer import DecodedTrace
 from repro.workloads.registry import build_workload
 
 
@@ -28,28 +29,34 @@ class TestFlowBasics:
         assert result.selected_blocks
 
     def test_verify_gate_checks_every_run_occurrence(self, mmul_setup, monkeypatch):
-        # A wrong word in a *repeat* of a run (not its first occurrence)
-        # must still fail the decode-verified gate.
+        # A wrong word in one *repeat* of a run (not its first
+        # occurrence) must still fail the decode-verified gate: the
+        # second, a middle and the last lap of a group of back-to-back
+        # repeats.
         program, trace = mmul_setup
-        runs = list(zip(trace.starts, trace.lengths))
-        seen = set()
-        offset = repeat_offset = 0
-        for run in runs:
-            if run in seen:
-                repeat_offset = offset
-            seen.add(run)
-            offset += run[1]
-        assert repeat_offset
+        group = max(range(len(trace.repeats)), key=trace.repeats.__getitem__)
+        times = trace.repeats[group]
+        assert times >= 3
         decode_trace = FetchDecoder.decode_trace
 
-        def corrupt_a_repeat(self, *args, **kwargs):
-            decoded = decode_trace(self, *args, **kwargs)
-            decoded[repeat_offset] ^= 1
-            return decoded
+        def corrupt_lap(at):
+            def corrupt(self, *args, **kwargs):
+                decoded = decode_trace(self, *args, **kwargs)
+                words, repeats = list(decoded.words), list(decoded.repeats)
+                good = words[group]
+                bad = good[:-1] + [good[-1] ^ 1]
+                laps = [(good, at), (bad, 1), (good, times - at - 1)]
+                laps = [(w, n) for w, n in laps if n]
+                words[group : group + 1] = [w for w, _ in laps]
+                repeats[group : group + 1] = [n for _, n in laps]
+                return DecodedTrace(words, repeats)
 
-        monkeypatch.setattr(FetchDecoder, "decode_trace", corrupt_a_repeat)
-        with pytest.raises(DecodeVerificationError, match="restore"):
-            EncodingFlow(block_size=5).run(program, trace, "mmul")
+            return corrupt
+
+        for at in (1, times // 2, times - 1):
+            monkeypatch.setattr(FetchDecoder, "decode_trace", corrupt_lap(at))
+            with pytest.raises(DecodeVerificationError, match="restore"):
+                EncodingFlow(block_size=5).run(program, trace, "mmul")
 
     def test_reduction_is_positive_and_sane(self, mmul_setup):
         program, trace = mmul_setup

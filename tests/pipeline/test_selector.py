@@ -10,6 +10,8 @@ selection end to end.
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.baselines.frequency import FrequencyEncoder
 from repro.baselines.memoryless import MemorylessCodebookEncoder
@@ -31,12 +33,18 @@ from repro.pipeline.selector import (
     SchemeSelector,
     SelectorBudget,
     _codec_cost,
+    _region_occurrences,
     select_for_workload,
 )
 from repro.sim.bus import count_trace_transitions
 from repro.sim.cpu import run_program
+from repro.sim.tracer import FetchTrace
 from repro.workloads.registry import build_workload
-from tests.strategies import generate_phased_program, generate_program
+from tests.strategies import (
+    generate_phased_program,
+    generate_program,
+    looping_pc_lists,
+)
 
 WORKLOADS = ("fir", "fft")
 
@@ -282,6 +290,42 @@ def test_region_costs_match_per_fetch_oracle_on_reentered_loops(seed):
     result = _assert_matches_oracle(program, trace, f"phased-{seed}")
     assert len(result.choices) > 1
     assert result.bundle.deploy_and_check(program, trace)
+
+
+def _oracle_occurrences(pcs, header_of):
+    """Per region, its pieces walking every fetch: a piece grows while
+    fetches stay sequential and in the region, and starts a stretch
+    when the fetch before it lies outside the region."""
+    out = {header: [] for header in set(header_of.values())}
+    prev_pc = prev_header = None
+    for pc in pcs:
+        header = header_of.get(pc)
+        if header is not None:
+            if prev_pc is not None and pc == prev_pc + 4 and header == prev_header:
+                starts, (first, count) = out[header][-1]
+                out[header][-1] = (starts, (first, count + 1))
+            else:
+                out[header].append((header != prev_header, (pc, 1)))
+        prev_pc, prev_header = pc, header
+    return out
+
+
+TEXT = 8
+BASE = 0x400000
+
+
+@given(
+    looping_pc_lists(TEXT, BASE),
+    st.lists(st.sampled_from((None, BASE, BASE + 12)), min_size=TEXT, max_size=TEXT),
+)
+def test_region_occurrences_match_per_fetch_walk(pcs, headers):
+    # Runs repeated back to back that leave, enter or cross regions.
+    header_of = {
+        BASE + 4 * i: header for i, header in enumerate(headers) if header is not None
+    }
+    assert _region_occurrences(
+        FetchTrace.from_addresses(pcs), header_of
+    ) == _oracle_occurrences(pcs, header_of)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -83,6 +83,8 @@ def _assert_same(program, max_steps: int = 50_000_000):
     # The recorded runs are maximal: no run continues the one before.
     ends = [s + 4 * n for s, n in zip(block_trace.starts, block_trace.lengths)]
     assert all(start != end for start, end in zip(block_trace.starts[1:], ends))
+    # ... and grouped as the per-fetch stream's runs are.
+    assert block_trace == FetchTrace.from_addresses(step_trace)
     return block_cpu, block_trace
 
 

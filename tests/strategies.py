@@ -40,6 +40,7 @@ __all__ = [
     "instruction_words",
     "fetch_word_streams",
     "fetch_pc_lists",
+    "looping_pc_lists",
     "rng_for",
     "seeded_stream",
     "seeded_words",
@@ -105,6 +106,30 @@ def fetch_pc_lists(
     return [
         base + 4 * (first + i) for first, length in runs for i in range(length)
     ]
+
+
+@st.composite
+def looping_pc_lists(
+    draw,
+    text_words: int = 48,
+    base: int = 0x400000,
+    max_runs: int = 12,
+    max_laps: int = 6,
+):
+    """Fetch-trace-like PC lists of self-loops: each drawn stretch of
+    up to 8 sequential fetches repeats back to back up to ``max_laps``
+    times.  Over a small ``text_words`` consecutive stretches often
+    repeat each other or continue one another (a loop entered by
+    falling into it)."""
+    pcs: list[int] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_runs))):
+        first = draw(st.integers(min_value=0, max_value=text_words - 1))
+        length = draw(
+            st.integers(min_value=1, max_value=min(8, text_words - first))
+        )
+        laps = draw(st.integers(min_value=1, max_value=max_laps))
+        pcs += [base + 4 * (first + i) for i in range(length)] * laps
+    return pcs
 
 
 # ----------------------------------------------------------------------

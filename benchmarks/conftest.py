@@ -16,11 +16,14 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 @pytest.fixture(scope="session")
 def record_result():
-    """Write a reproduced table to benchmarks/results/<name>.txt."""
+    """Write a reproduced table to benchmarks/results/<name>.txt
+    (``<name>_paper.txt`` for a Figure 6 sweep at the paper scale)."""
 
     RESULTS_DIR.mkdir(exist_ok=True)
 
-    def _record(name: str, text: str) -> None:
+    def _record(name: str, text: str, scale: str = "default") -> None:
+        if scale != "default":
+            name = f"{name}_{scale}"
         path = RESULTS_DIR / f"{name}.txt"
         path.write_text(text + "\n")
         print(f"\n--- {name} ---")
@@ -29,37 +32,18 @@ def record_result():
     return _record
 
 
-@pytest.fixture(scope="session")
-def figure6_results():
-    """Run the full Figure 6 sweep once per session and share it
-    between the Fig 6, Fig 7 and baseline-comparison benches.
+@pytest.fixture(scope="session", params=("default", "paper"))
+def figure6_results(request):
+    """``(scale, {benchmark: {k: FlowResult}})``: the Figure 6 sweep
+    ``repro suite`` runs, once per session and scale, shared by the
+    Fig 6, Fig 7 and baseline-comparison benches.
 
-    Data sizes are scaled relative to the paper (documented in
-    DESIGN.md); shapes, not absolute counts, are the target.
+    ``default`` is each builder's default data size, ``paper`` the
+    paper's (:data:`repro.workloads.registry.PAPER_SIZES`).
     """
-    from repro.pipeline.flow import EncodingFlow
-    from repro.sim.cpu import run_program
-    from repro.workloads.registry import BENCHMARK_ORDER, build_workload
+    from repro.pipeline.experiment import run_sweep
+    from repro.workloads.registry import BENCHMARK_ORDER, PAPER_SIZES
 
-    sizes = {
-        "mmul": {"n": 20},
-        "sor": {"n": 24, "sweeps": 5},
-        "ej": {"n": 24, "sweeps": 5},
-        "fft": {"n": 128},
-        "tri": {"n": 96, "sweeps": 12},
-        "lu": {"n": 24},
-    }
-    results = {}
-    traces = {}
-    for name in BENCHMARK_ORDER:
-        workload = build_workload(name, **sizes[name])
-        program = workload.assemble()
-        cpu, trace = run_program(program)
-        if workload.verify is not None:
-            workload.verify(cpu)
-        traces[name] = (program, trace)
-        results[name] = {
-            k: EncodingFlow(block_size=k).run(program, trace, name)
-            for k in (4, 5, 6, 7)
-        }
-    return results, traces
+    sizes = PAPER_SIZES if request.param == "paper" else BENCHMARK_ORDER
+    return request.param, run_sweep(sizes).by_workload()
+

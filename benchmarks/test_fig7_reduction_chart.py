@@ -1,9 +1,9 @@
 """Figure 7: the percentage-reduction comparison chart.
 
-Same data as Figure 6, rendered as grouped per-benchmark series (the
-paper's bar chart).  The bench regenerates the series and an ASCII
-rendering, and asserts the chart-level reading: shorter blocks give
-taller bars, and no bar is negative.
+Same data as Figure 6, at the same two scales, rendered as grouped
+per-benchmark series (the paper's bar chart).  The bench regenerates
+the series and an ASCII rendering, and asserts the chart-level
+reading: shorter blocks give taller bars, and no bar is negative.
 """
 
 from repro.pipeline.report import fig7_series, format_fig7_ascii
@@ -11,7 +11,7 @@ from repro.workloads.registry import BENCHMARK_ORDER
 
 
 def test_fig7_reduction_chart(benchmark, figure6_results, record_result):
-    results, _ = figure6_results
+    scale, results = figure6_results
 
     series = benchmark.pedantic(
         fig7_series, args=(results, BENCHMARK_ORDER), rounds=1, iterations=1
@@ -31,4 +31,4 @@ def test_fig7_reduction_chart(benchmark, figure6_results, record_result):
     chart = format_fig7_ascii(series, BENCHMARK_ORDER)
     for name in BENCHMARK_ORDER:
         assert name in chart
-    record_result("fig7_reduction_chart", chart)
+    record_result("fig7_reduction_chart", chart, scale)

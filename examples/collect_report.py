@@ -22,6 +22,8 @@ SECTIONS = [
     ("sec6_random_streams", "Section 6 — random-stream experiment"),
     ("fig6_benchmarks", "Figure 6 — benchmark transition reductions"),
     ("fig7_reduction_chart", "Figure 7 — percentage-reduction chart"),
+    ("fig6_benchmarks_paper", "Figure 6 at the paper's data sizes"),
+    ("fig7_reduction_chart_paper", "Figure 7 at the paper's data sizes"),
     ("baseline_comparison", "Related-work baselines on identical traces"),
     ("hw_cost_model", "Hardware cost model (Section 7.2)"),
     ("ablation_tau_sets", "Ablation A — transformation-set size"),

@@ -10,6 +10,7 @@ command        what it prints
 ``streams``    the Section-6 random-stream experiment
 ``encode``     the full flow on one named benchmark (Figure-6 cell)
 ``suite``      the whole Figure-6 table + Figure-7 chart
+               (``--paper-scale``: at the paper's data sizes)
 ``compile``    compile a minicc kernel, run it, encode its hot loops
 ``cost``       the Section-7.2 hardware cost table
 ``faults``     the fault-injection campaign: per-model detection and
@@ -118,20 +119,15 @@ def _cmd_streams(args: argparse.Namespace) -> int:
 def _cmd_encode(args: argparse.Namespace) -> int:
     import hashlib
 
-    from repro.obs import OBS
     from repro.pipeline.bundle import EncodingBundle
     from repro.pipeline.flow import EncodingFlow
-    from repro.sim.cpu import run_program
     from repro.workloads.registry import build_workload
 
     name = args.workload
     observed = _obs_begin(args)
     workload = build_workload(name)
-    program = workload.assemble()
-    with OBS.tracer.span("flow.simulate", workload=workload.name):
-        cpu, trace = run_program(program)
-        if workload.verify is not None:
-            workload.verify(cpu)
+    cpu, trace = workload.run()
+    program = cpu.program
     if args.select_per_region:
         code = _encode_select_per_region(args, workload, program, trace)
         if observed:
@@ -235,28 +231,23 @@ def _encode_select_per_region(args, workload, program, trace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    from repro.pipeline.flow import EncodingFlow
+    from repro.pipeline.experiment import run_sweep
     from repro.pipeline.report import (
         fig6_table,
         fig7_series,
         format_fig6,
         format_fig7_ascii,
     )
-    from repro.sim.cpu import run_program
-    from repro.workloads.registry import build_workload
+    from repro.workloads.registry import PAPER_SIZES
 
-    results = {}
+    sweep = run_sweep(
+        PAPER_SIZES if args.paper_scale else BENCHMARK_ORDER,
+        block_sizes=tuple(args.block_sizes),
+    )
+    results = sweep.by_workload()
     for name in BENCHMARK_ORDER:
-        workload = build_workload(name)
-        program = workload.assemble()
-        cpu, trace = run_program(program)
-        if workload.verify is not None:
-            workload.verify(cpu)
-        results[name] = {
-            k: EncodingFlow(block_size=k).run(program, trace, name)
-            for k in args.block_sizes
-        }
-        print(f"{name}: done ({len(trace)} fetches)", file=sys.stderr)
+        fetches = next(iter(results[name].values())).trace_length
+        print(f"{name}: {fetches} fetches", file=sys.stderr)
     print(format_fig6(fig6_table(results, BENCHMARK_ORDER)))
     if args.chart:
         print()
@@ -900,6 +891,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--block-sizes", type=int, nargs="+", default=[4, 5, 6, 7]
     )
     p.add_argument("--chart", action="store_true", help="also print Figure 7")
+    p.add_argument(
+        "--paper-scale",
+        action="store_true",
+        help="run the paper's data sizes (workloads.registry.PAPER_SIZES) "
+        "instead of the builders' defaults",
+    )
     p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("compile", help="compile and encode a minicc kernel")

@@ -25,7 +25,6 @@ from typing import Sequence
 from repro.core.transformations import OPTIMAL_SET, Transformation
 from repro.pipeline.flow import EncodingFlow, FlowResult
 from repro.runtime import CheckpointLog, atomic_write_text
-from repro.sim.cpu import run_program
 from repro.workloads.registry import build_workload
 
 
@@ -116,6 +115,15 @@ class SweepResult:
         if not candidates:
             raise KeyError(f"no results for workload {workload!r}")
         return max(candidates, key=lambda item: item[1].reduction_percent)
+
+    def by_workload(self) -> dict[str, dict[int, object]]:
+        """``{workload: {block size: result}}``: the layout the Figure
+        6/7 reports (:mod:`repro.pipeline.report`) take, for a sweep
+        over one TT capacity and strategy."""
+        grid: dict[str, dict[int, object]] = {}
+        for point, result in self.points.items():
+            grid.setdefault(point.workload, {})[point.block_size] = result
+        return grid
 
     def filter(self, **criteria) -> list[tuple[SweepPoint, object]]:
         """Results whose point matches every given attribute."""
@@ -225,11 +233,7 @@ def run_sweep(
                     )
             if not any(p in pending for p in workload_points):
                 continue  # whole grid journaled: skip the simulation
-            workload = build_workload(name, **params)
-            program = workload.assemble()
-            cpu, trace = run_program(program, max_steps=max_steps)
-            if workload.verify is not None:
-                workload.verify(cpu)
+            cpu, trace = build_workload(name, **params).run(max_steps)
             for point in workload_points:
                 if point not in pending:
                     continue
@@ -240,7 +244,7 @@ def run_sweep(
                     strategy=point.strategy,
                     verify_decode=verify_decode,
                 )
-                result = flow.run(program, trace, point.label())
+                result = flow.run(cpu.program, trace, point.label())
                 sweep.points[point] = result
                 if checkpoint is not None:
                     checkpoint.record(

@@ -233,14 +233,8 @@ class EncodingFlow:
 
     def run_workload(self, workload: Workload, max_steps: int = 200_000_000) -> FlowResult:
         """Convenience: simulate a workload, then run the flow."""
-        program = workload.assemble()
-        from repro.sim.cpu import run_program
-
-        with OBS.tracer.span("flow.simulate", workload=workload.name):
-            cpu, trace = run_program(program, max_steps=max_steps)
-            if workload.verify is not None:
-                workload.verify(cpu)
-        return self.run(program, trace, name=workload.name)
+        cpu, trace = workload.run(max_steps)
+        return self.run(cpu.program, trace, name=workload.name)
 
     def per_line_breakdown(
         self, program: Program, trace: Iterable[int], result: FlowResult

@@ -15,36 +15,41 @@ reduction, the number of reloads the trace would trigger, and the
 reload traffic (table words written through the peripheral), so the
 benefit can be weighed against the reprogramming cost the paper calls
 "insignificant in volume".
+
+A region's tables decode only that region's blocks, and the fetch
+decoder enters every block from the idle state (after a jump or after
+the previous block's last word), so what a reload clears never
+reaches a block.  Every region's tables side by side are therefore one
+plain TT/BBIT bundle, checked like the flow's through
+:meth:`~repro.pipeline.bundle.EncodingBundle.deploy_and_check`; the
+reloads are counted once per distinct run of the trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from repro.cfg.graph import ControlFlowGraph
-from repro.cfg.hotspot import select_hot_blocks
-from repro.cfg.loops import NaturalLoop, find_natural_loops
 from repro.cfg.profile import profile_trace
-from repro.core.program_codec import encode_basic_block
 from repro.core.transformations import OPTIMAL_SET, Transformation
-from repro.hw.bbit import BasicBlockIdentificationTable, BBITEntry
-from repro.hw.fetch_decoder import FetchDecoder
+from repro.errors import DecodeVerificationError
 from repro.hw.peripheral import programming_words
-from repro.hw.tt import TransformationTable
 from repro.isa.assembler import Program
+from repro.pipeline.bundle import EncodingBundle, _digest, table_programming
+from repro.pipeline.selector import encode_region, plan_regions
 from repro.sim.bus import count_trace_transitions
 from repro.sim.tracer import FetchTrace
 
 
 @dataclass
 class Region:
-    """One top-level hot loop and its table configuration."""
+    """One top-level hot loop: the blocks it encodes and the
+    peripheral stores that load its tables."""
 
     header: int
     blocks: set[int]
-    tt: TransformationTable
-    bbit: BasicBlockIdentificationTable
     encoded_blocks: list[int] = field(default_factory=list)
     programming_store_count: int = 0
 
@@ -73,73 +78,39 @@ class RegionalResult:
         )
 
 
-def _top_level_loops(loops: Sequence[NaturalLoop]) -> list[NaturalLoop]:
-    return [
-        loop
-        for loop in loops
-        if not any(loop.is_nested_in(other) for other in loops)
-    ]
-
-
-@dataclass
-class RegionPlan:
-    """A hot region before any encoding commitment: its loop header,
-    the body blocks it claims, and the blocks/lengths the hot-block
-    selector would encode under the full table budget.  Shared between
-    the regional flow (which always encodes with TT/BBIT) and the
-    per-scheme selector (which may hand the region to a different
-    backend entirely)."""
-
-    header: int
-    blocks: set[int]
-    selected: list[int]
-    lengths: dict[int, int]  # selected block start -> encoded length
-
-
-def plan_regions(
-    cfg: ControlFlowGraph,
-    profile,
-    block_size: int,
-    tt_capacity: int = 16,
-    bbit_capacity: int = 16,
-) -> list[RegionPlan]:
-    """Decompose the program into top-level hot-loop regions, ordered
-    by profile weight, each with its own full-budget block selection.
-    Regions whose selection came up empty are kept (``selected == []``)
-    — the selector can still hand them to a non-TT backend."""
-    loops = find_natural_loops(cfg)
-    top_loops = sorted(
-        _top_level_loops(loops), key=profile.loop_weight, reverse=True
-    )
-    plans: list[RegionPlan] = []
-    claimed: set[int] = set()
-    for loop in top_loops:
-        body = loop.body - claimed
-        if not body:
+def _reload_traffic(
+    cfg: ControlFlowGraph, regions: Sequence[Region], trace: FetchTrace
+) -> tuple[int, int]:
+    """``(reloads, reload words)`` over the trace: a region's tables
+    are loaded whenever a fetch lands in its body while another
+    region's (or none) are loaded.  Each distinct run's sequence of
+    entered regions is found once; a group's first occurrence switches
+    from the loaded region, each repeat from the run's own last one."""
+    region_of = {
+        pc: index
+        for index, region in enumerate(regions)
+        for start in region.blocks
+        for pc in range(start, cfg.blocks[start].end, 4)
+    }
+    entered = {}
+    for start, length in trace.run_counts():
+        hits = map(region_of.get, range(start, start + 4 * length, 4))
+        entered[start, length] = [
+            index for index, _ in groupby(i for i in hits if i is not None)
+        ]
+    stores = [region.programming_store_count for region in regions]
+    reloads = words = 0
+    loaded = None
+    for run, times in zip(zip(trace.starts, trace.lengths), trace.repeats):
+        sequence = entered[run]
+        if not sequence:
             continue
-        claimed |= body
-        plan = select_hot_blocks(
-            profile,
-            block_size,
-            tt_capacity=tt_capacity,
-            bbit_capacity=bbit_capacity,
-            loops=[loop],
-            loops_only=True,
-        )
-        selected = [start for start in plan.selected if start in body]
-        lengths = {
-            start: plan.encoded_length(start, len(cfg.blocks[start]))
-            for start in selected
-        }
-        plans.append(
-            RegionPlan(
-                header=loop.header,
-                blocks=set(body),
-                selected=selected,
-                lengths=lengths,
-            )
-        )
-    return plans
+        for previous, count in ((loaded, 1), (sequence[-1], times - 1)):
+            switches = sequence if sequence[0] != previous else sequence[1:]
+            reloads += count * len(switches)
+            words += count * sum(stores[index] for index in switches)
+        loaded = sequence[-1]
+    return reloads, words
 
 
 class RegionalEncodingFlow:
@@ -173,71 +144,43 @@ class RegionalEncodingFlow:
 
         image = list(program.words)
         regions: list[Region] = []
-        block_to_region: dict[int, Region] = {}
-        for region_plan in plans:
-            selected = region_plan.selected
-            if not selected:
+        tt_entries: list[dict] = []
+        bbit_entries: list[dict] = []
+        for plan in plans:
+            if not plan.selected:
                 continue
-            region = Region(
-                header=region_plan.header,
-                blocks=set(region_plan.blocks),
-                tt=TransformationTable(self.tt_capacity),
-                bbit=BasicBlockIdentificationTable(self.bbit_capacity),
+            encodings = encode_region(
+                cfg, program, plan, self.block_size, image, self.transformations
             )
-            encodings = []
-            for start in selected:
-                block = cfg.blocks[start]
-                length = region_plan.lengths[start]
-                encoding = encode_basic_block(
-                    block.words[:length],
-                    self.block_size,
-                    transformations=self.transformations,
+            region_tt, region_bbit = table_programming(
+                encodings, tt_base=len(tt_entries)
+            )
+            tt_entries += region_tt
+            bbit_entries += region_bbit
+            regions.append(
+                Region(
+                    header=plan.header,
+                    blocks=set(plan.blocks),
+                    encoded_blocks=list(plan.selected),
+                    programming_store_count=len(programming_words(encodings)),
                 )
-                base_index = region.tt.allocate(encoding)
-                region.bbit.install(
-                    BBITEntry(
-                        pc=start, tt_index=base_index, num_instructions=length
-                    )
-                )
-                first = program.index_of(start)
-                for offset, word in enumerate(encoding.encoded_words):
-                    image[first + offset] = word
-                region.encoded_blocks.append(start)
-                encodings.append((start, encoding))
-            region.programming_store_count = len(programming_words(encodings))
-            regions.append(region)
-            for start in region.blocks:
-                block_to_region[start] = region
+            )
 
-        # Walk the trace: switch table configurations at region entry,
-        # decode through the active region's hardware.
-        reloads = 0
-        reload_words = 0
-        active: Region | None = None
-        decoder: FetchDecoder | None = None
-        base = program.text_base
-        decoded: list[int] = []
-        for pc in trace:
-            block_start = cfg.block_of(pc).start
-            region = block_to_region.get(block_start)
-            if region is not None and region is not active:
-                active = region
-                decoder = FetchDecoder(
-                    region.tt, region.bbit, self.block_size
-                )
-                reloads += 1
-                reload_words += region.programming_store_count
-            stored = image[(pc - base) >> 2]
-            if region is None or decoder is None:
-                decoded.append(stored)
-            else:
-                decoded.append(decoder.fetch(pc, stored))
-        original = [program.words[(pc - base) >> 2] for pc in trace]
-        decode_verified = decoded == original
+        bundle = EncodingBundle(
+            name=name,
+            block_size=self.block_size,
+            text_base=program.text_base,
+            encoded_words=image,
+            original_digest=_digest(program.words),
+            tt_entries=tt_entries,
+            bbit_entries=bbit_entries,
+        )
+        decode_verified = bundle.deploy_and_check(program, trace)
         if regions and not decode_verified:
-            raise RuntimeError(
+            raise DecodeVerificationError(
                 f"{name}: regional decode failed to restore the stream"
             )
+        reloads, reload_words = _reload_traffic(cfg, regions, trace)
 
         return RegionalResult(
             name=name,

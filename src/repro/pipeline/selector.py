@@ -1,8 +1,9 @@
 """Per-region scheme selection: the encoder zoo meets the pipeline.
 
-The regional flow (:mod:`repro.pipeline.regional`) already decomposes
-a program into top-level hot-loop regions.  This module makes the
-*scheme* a per-region decision: every registered
+:func:`plan_regions` decomposes a program into top-level hot-loop
+regions (the regional flow, :mod:`repro.pipeline.regional`, gives each
+one its own TT/BBIT configuration).  This module makes the *scheme* a
+per-region decision: every registered
 :class:`~repro.baselines.protocol.Encoder` backend — plus the paper's
 TT/BBIT transformation and the do-nothing ``raw`` option — is measured
 on each region's actual fetch traffic, and the cheapest scheme within
@@ -37,19 +38,114 @@ from repro.baselines.protocol import (
     registered_schemes,
 )
 from repro.cfg.graph import ControlFlowGraph
+from repro.cfg.hotspot import select_hot_blocks
+from repro.cfg.loops import NaturalLoop, find_natural_loops
 from repro.cfg.profile import profile_trace
-from repro.core.program_codec import encode_basic_block
+from repro.core.program_codec import BlockEncoding, encode_basic_block
+from repro.core.transformations import OPTIMAL_SET, Transformation
 from repro.errors import DecodeVerificationError, EncodingError
 from repro.isa.assembler import Program
 from repro.obs import OBS
 from repro.pipeline.bundle import EncodingBundle, _digest, table_programming
-from repro.pipeline.regional import RegionPlan, plan_regions
 from repro.sim.bus import count_trace_transitions
 from repro.sim.tracer import FetchTrace
 
 #: scheme tags that are not encoder-zoo backends
 SCHEME_TTBBIT = "ttbbit"
 SCHEME_RAW = "raw"
+
+
+def _top_level_loops(loops: Sequence[NaturalLoop]) -> list[NaturalLoop]:
+    return [
+        loop
+        for loop in loops
+        if not any(loop.is_nested_in(other) for other in loops)
+    ]
+
+
+@dataclass
+class RegionPlan:
+    """A hot region before any encoding commitment: its loop header,
+    the body blocks it claims, and the blocks/lengths the hot-block
+    selector would encode under the full table budget.  Shared between
+    the regional flow (which always encodes with TT/BBIT) and the
+    per-scheme selector (which may hand the region to a different
+    backend entirely)."""
+
+    header: int
+    blocks: set[int]
+    selected: list[int]
+    lengths: dict[int, int]  # selected block start -> encoded length
+
+
+def plan_regions(
+    cfg: ControlFlowGraph,
+    profile,
+    block_size: int,
+    tt_capacity: int = 16,
+    bbit_capacity: int = 16,
+) -> list[RegionPlan]:
+    """Decompose the program into top-level hot-loop regions, ordered
+    by profile weight, each with its own full-budget block selection.
+    Regions whose selection came up empty are kept (``selected == []``)
+    — the selector can still hand them to a non-TT backend."""
+    loops = find_natural_loops(cfg)
+    top_loops = sorted(
+        _top_level_loops(loops), key=profile.loop_weight, reverse=True
+    )
+    plans: list[RegionPlan] = []
+    claimed: set[int] = set()
+    for loop in top_loops:
+        body = loop.body - claimed
+        if not body:
+            continue
+        claimed |= body
+        plan = select_hot_blocks(
+            profile,
+            block_size,
+            tt_capacity=tt_capacity,
+            bbit_capacity=bbit_capacity,
+            loops=[loop],
+            loops_only=True,
+        )
+        selected = [start for start in plan.selected if start in body]
+        lengths = {
+            start: plan.encoded_length(start, len(cfg.blocks[start]))
+            for start in selected
+        }
+        plans.append(
+            RegionPlan(
+                header=loop.header,
+                blocks=set(body),
+                selected=selected,
+                lengths=lengths,
+            )
+        )
+    return plans
+
+
+def encode_region(
+    cfg: ControlFlowGraph,
+    program: Program,
+    plan: RegionPlan,
+    block_size: int,
+    image: list[int],
+    transformations: Sequence[Transformation] = OPTIMAL_SET,
+) -> list[tuple[int, BlockEncoding]]:
+    """Encode a region's selected blocks with the paper's scheme and
+    patch them into ``image``; returns the ``(block start, encoding)``
+    pairs in selection (TT) order."""
+    encodings = []
+    for start in plan.selected:
+        encoding = encode_basic_block(
+            cfg.blocks[start].words[: plan.lengths[start]],
+            block_size,
+            transformations=transformations,
+        )
+        first = program.index_of(start)
+        image[first : first + len(encoding)] = encoding.encoded_words
+        encodings.append((start, encoding))
+    return encodings
 
 
 @dataclass(frozen=True)
@@ -503,14 +599,9 @@ class SchemeSelector:
         if not plan.selected:
             return None
         patched = list(program.words)
-        encoded_blocks = []
-        for start in plan.selected:
-            encoding = encode_basic_block(
-                cfg.blocks[start].words[: plan.lengths[start]], self.block_size
-            )
-            first = program.index_of(start)
-            patched[first : first + len(encoding)] = encoding.encoded_words
-            encoded_blocks.append((start, encoding))
+        encoded_blocks = encode_region(
+            cfg, program, plan, self.block_size, patched
+        )
         return patched, encoded_blocks
 
 

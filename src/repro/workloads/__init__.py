@@ -6,11 +6,11 @@ over-relaxation (sor) ...; extrapolated Jacobi-iterative method (ej)
 ...; and lu-decomposition (lu)".
 
 Each module exposes ``build(...)`` returning a :class:`Workload` with
-the assembly source, a data-size parameter defaulting to a
-simulator-friendly scale (paper-scale sizes are accepted, just slow —
-the substitution is documented in DESIGN.md), and a ``verify``
-callback that checks the simulated results against an independent
-Python/numpy reference.
+the assembly source, data-size parameters defaulting to a smaller
+scale than the paper's (DESIGN.md documents the substitution;
+``registry.PAPER_SIZES`` holds the paper's sizes, which simulate in
+seconds), and a ``verify`` callback that checks the simulated results
+against an independent Python/numpy reference.
 """
 
 from repro.workloads.common import Workload, read_doubles

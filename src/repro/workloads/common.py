@@ -23,13 +23,16 @@ class Workload:
         return assemble(self.source)
 
     def run(self, max_steps: int = 200_000_000, with_trace: bool = True):
-        """Assemble, execute, verify; returns (cpu, trace)."""
+        """Assemble, execute, verify; returns (cpu, trace), the program
+        being ``cpu.program``.  The one simulate step of every flow."""
+        from repro.obs import OBS
         from repro.sim.cpu import run_program
 
         program = self.assemble()
-        cpu, trace = run_program(program, max_steps, with_trace)
-        if self.verify is not None:
-            self.verify(cpu)
+        with OBS.tracer.span("flow.simulate", workload=self.name):
+            cpu, trace = run_program(program, max_steps, with_trace)
+            if self.verify is not None:
+                self.verify(cpu)
         return cpu, trace
 
 

@@ -1,8 +1,8 @@
 """Matrix multiplication (``mmul``).
 
-The paper runs 100x100; the default here is 24x24 so the pure-Python
-simulator finishes in about a second (the transition percentages
-depend on the loop code, not the matrix size — see DESIGN.md).
+The paper runs 100x100; the default here is 24x24 (the transition
+percentages depend on the loop code, not the matrix size — see
+DESIGN.md).
 Double-precision, classic i/j/k triple loop with a k-innermost dot
 product, as a compiler would emit for ``C[i][j] += A[i][k]*B[k][j]``.
 """

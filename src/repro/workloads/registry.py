@@ -13,6 +13,20 @@ BENCHMARK_ORDER = ("mmul", "sor", "ej", "fft", "tri", "lu")
 #: domain; useful for wider studies and as public-API examples).
 EXTENDED_WORKLOADS = ("fir", "iir", "conv2d")
 
+#: Figure 6 at the paper's data sizes (Section 8: mmul 100x100, sor
+#: 256x256, ej 128x128, fft 256, tri and lu 128; the sweep counts are
+#: ours), as the ``{name: params}`` mapping
+#: :func:`repro.pipeline.experiment.run_sweep` takes.  The default
+#: scale is each builder's own defaults.
+PAPER_SIZES = {
+    "mmul": {"n": 100},
+    "sor": {"n": 256, "sweeps": 2},
+    "ej": {"n": 128, "sweeps": 4},
+    "fft": {"n": 256},
+    "tri": {"n": 128, "sweeps": 20},
+    "lu": {"n": 128},
+}
+
 
 def _builders() -> dict[str, Callable[..., Workload]]:
     from repro.workloads import conv2d, ej, fft, fir, iir, lu, mmul, sor, tri

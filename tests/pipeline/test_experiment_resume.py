@@ -3,7 +3,7 @@ re-simulation and the CSV export stays byte-identical."""
 
 import pytest
 
-from repro.pipeline import experiment as experiment_module
+import repro.sim.cpu as sim_cpu
 from repro.pipeline.experiment import SweepRecord, run_sweep
 from repro.runtime.checkpoint import CheckpointMismatchError
 
@@ -29,9 +29,7 @@ class TestSweepResume:
         def no_simulation(*args, **kwargs):  # pragma: no cover
             raise AssertionError("resume re-simulated a journaled workload")
 
-        monkeypatch.setattr(
-            experiment_module, "run_program", no_simulation
-        )
+        monkeypatch.setattr(sim_cpu, "run_program", no_simulation)
         second = _sweep(wal_path=wal, resume=True)
         assert len(second) == len(first)
         assert second.to_csv() == first.to_csv()

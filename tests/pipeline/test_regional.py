@@ -2,10 +2,19 @@
 
 import pytest
 
+from repro.cfg.graph import ControlFlowGraph
+from repro.cfg.profile import profile_trace
+from repro.core.program_codec import encode_basic_block
+from repro.hw.bbit import BasicBlockIdentificationTable, BBITEntry
+from repro.hw.fetch_decoder import FetchDecoder
+from repro.hw.peripheral import programming_words
+from repro.hw.tt import TransformationTable
 from repro.isa.assembler import assemble
 from repro.pipeline.flow import EncodingFlow
-from repro.pipeline.regional import RegionalEncodingFlow
+from repro.pipeline.regional import RegionalEncodingFlow, plan_regions
 from repro.sim.cpu import run_program
+from repro.sim.tracer import FetchTrace
+from repro.workloads.registry import build_workload
 
 # Two sequential phases, each with a big hot loop body: together they
 # exceed a small TT, separately each fits.
@@ -137,3 +146,130 @@ loopB:      lui  $t4, 0x4321
         # The outer loop contains both inner loops, so the whole nest
         # is one top-level region: a single reload.
         assert result.reloads == 1
+
+
+def _per_fetch_walk(program, trace, block_size, tt_capacity):
+    """The regional flow's reference semantics, one fetch at a time:
+    each region's blocks installed into its own TT/BBIT, a reload (and
+    a fresh decoder on that region's tables) at every fetch that lands
+    in a region other than the loaded one, and every fetch decoded
+    through the loaded region's decoder (outside any region, the
+    stored word).  Returns (reloads, reload words, decode verdict)."""
+    cfg = ControlFlowGraph.build(program)
+    plans = plan_regions(
+        cfg, profile_trace(cfg, trace), block_size, tt_capacity=tt_capacity
+    )
+    image = list(program.words)
+    region_of = {}
+    for index, plan in enumerate(plan for plan in plans if plan.selected):
+        tt = TransformationTable(tt_capacity)
+        bbit = BasicBlockIdentificationTable(16)
+        encodings = []
+        for start in plan.selected:
+            length = plan.lengths[start]
+            encoding = encode_basic_block(
+                cfg.blocks[start].words[:length], block_size
+            )
+            bbit.install(
+                BBITEntry(
+                    pc=start,
+                    tt_index=tt.allocate(encoding),
+                    num_instructions=length,
+                )
+            )
+            first = program.index_of(start)
+            image[first : first + len(encoding)] = encoding.encoded_words
+            encodings.append((start, encoding))
+        config = (index, tt, bbit, len(programming_words(encodings)))
+        for start in plan.blocks:
+            region_of[start] = config
+    reloads = reload_words = 0
+    loaded = decoder = None
+    base = program.text_base
+    decoded = []
+    for pc in trace:
+        config = region_of.get(cfg.block_of(pc).start)
+        if config is not None and config is not loaded:
+            loaded = config
+            _, tt, bbit, stores = config
+            decoder = FetchDecoder(tt, bbit, block_size)
+            reloads += 1
+            reload_words += stores
+        stored = image[(pc - base) >> 2]
+        decoded.append(stored if config is None else decoder.fetch(pc, stored))
+    original = [program.words[(pc - base) >> 2] for pc in trace]
+    return reloads, reload_words, decoded == original
+
+
+# Two called loops alternate from main's loop, then two top-level
+# loops run back to back (loopC's exit falls into loopD): regions
+# switch across runs, within one run, and come back after others.
+CALLS = """
+        .text
+main:   li $s7, 4
+outer:  jal fa
+        jal fb
+        addiu $s7, $s7, -1
+        bnez $s7, outer
+        li $s0, 12
+loopC:  addu $t0, $t1, $t2
+        addiu $s0, $s0, -1
+        bnez $s0, loopC
+loopD:  xor  $t3, $t0, $t1
+        addiu $s0, $s0, 1
+        slti $t6, $s0, 9
+        bnez $t6, loopD
+        li $v0, 10
+        syscall
+fa:     li $s0, 10
+loopA:  addu $t0, $t1, $t2
+        xor  $t3, $t0, $t1
+        addiu $s0, $s0, -1
+        bnez $s0, loopA
+        jr $ra
+fb:     li $s1, 10
+loopB:  lui  $t4, 0x4321
+        ori  $t5, $t4, 9
+        addiu $s1, $s1, -1
+        bnez $s1, loopB
+        jr $ra
+"""
+
+
+@pytest.mark.parametrize("capacity", [2, 3, 4, 16])
+@pytest.mark.parametrize("block_size", [4, 5])
+@pytest.mark.parametrize("source", ["two_phase", "calls", "fir"])
+def test_reloads_and_verdict_match_the_per_fetch_walk(
+    source, block_size, capacity
+):
+    if source == "fir":
+        program = build_workload("fir", samples=24).assemble()
+    else:
+        program = assemble(TWO_PHASE if source == "two_phase" else CALLS)
+    _, trace = run_program(program)
+    result = RegionalEncodingFlow(block_size, tt_capacity=capacity).run(
+        program, trace, source
+    )
+    assert (
+        result.reloads,
+        result.reload_words,
+        result.decode_verified,
+    ) == _per_fetch_walk(program, trace, block_size, capacity)
+
+
+def test_repeated_run_across_regions_matches_the_per_fetch_walk():
+    # loopC's body falls into loopD's: replayed back to back, each
+    # repeat of that one run re-enters loopC's region from loopD's.
+    program = assemble(CALLS)
+    _, trace = run_program(program)
+    crossing = list(
+        range(program.address_of("loopC"), program.address_of("loopD") + 16, 4)
+    )
+    replay = FetchTrace.from_addresses(trace.expand() + crossing * 3)
+    assert replay.repeats[-1] == 3
+    result = RegionalEncodingFlow(4).run(program, replay, "replay")
+    assert (
+        result.reloads,
+        result.reload_words,
+        result.decode_verified,
+    ) == _per_fetch_walk(program, replay, 4, 16)

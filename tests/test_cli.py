@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.workloads.registry import BENCHMARK_ORDER
 
 
 class TestParser:
@@ -33,6 +34,12 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(["bench"])
         assert exc.value.code == 2
+
+    def test_suite_paper_scale_flag(self):
+        parser = build_parser()
+        assert not parser.parse_args(["suite"]).paper_scale
+        args = parser.parse_args(["suite", "--paper-scale", "--chart"])
+        assert args.paper_scale and args.chart
 
 
 class TestCommands:
@@ -67,6 +74,34 @@ class TestCommands:
     def test_encode_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
             main(["encode", "quicksort"])
+
+    def test_suite_prints_figures_6_and_7(self, capsys):
+        assert main(["suite", "--block-sizes", "4", "5", "--chart"]) == 0
+        out = capsys.readouterr().out
+        table, chart = out.split("\n\n", 1)
+        rows = table.splitlines()
+        assert rows[0].split() == list(BENCHMARK_ORDER)
+        assert [row.split()[0] for row in rows[2:]] == [
+            "#TR",
+            "#4-block",
+            "Reduction(%)",
+            "#5-block",
+            "Reduction(%)",
+        ]
+        reductions = [
+            [float(cell) for cell in row.split()[1:]] for row in rows[4::2]
+        ]
+        assert all(0.0 < value < 100.0 for row in reductions for value in row)
+        # Figure 7 charts the same reductions, per benchmark and k.
+        assert chart.startswith("Percentage reduction by benchmark")
+        for name, k4, k5 in zip(BENCHMARK_ORDER, *reductions):
+            section = chart.split(f"\n{name}:\n", 1)[1].split("\n\n", 1)[0]
+            bars = section.splitlines()
+            assert [bar.split()[0] for bar in bars] == ["k=4", "k=5"]
+            assert [float(bar.split()[-1].rstrip("%")) for bar in bars] == [
+                k4,
+                k5,
+            ]
 
     def test_cost(self, capsys):
         assert main(["cost", "--sizes", "5"]) == 0

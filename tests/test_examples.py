@@ -2,7 +2,7 @@
 
 Each example self-checks (asserts numerical results and decode
 round-trips internally), so a zero exit status is a meaningful pass.
-The heavyweight benchmark_suite runs in --quick mode.
+The Figure 6/7 suite is ``repro suite`` (tests/test_cli.py).
 """
 
 import pathlib
@@ -36,13 +36,6 @@ def test_example_runs_clean(script):
     result = _run(script)
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout  # every example narrates its steps
-
-
-def test_benchmark_suite_quick():
-    result = _run("benchmark_suite.py", "--quick", "--block-sizes", "4", "5")
-    assert result.returncode == 0, result.stderr[-2000:]
-    assert "Figure 6" in result.stdout
-    assert "Figure 7" in result.stdout
 
 
 def test_collect_report(tmp_path):

@@ -15,6 +15,7 @@ from repro.workloads import fft
 from repro.workloads.common import pseudo_values
 from repro.workloads.registry import (
     BENCHMARK_ORDER,
+    PAPER_SIZES,
     WORKLOAD_BUILDERS,
     build_workload,
 )
@@ -70,6 +71,19 @@ class TestRegistry:
         for name in BENCHMARK_ORDER:
             workload = build_workload(name, **SMALL[name])
             assert "paper" in workload.description
+
+    def test_paper_sizes_cover_figure6_in_order(self):
+        assert tuple(PAPER_SIZES) == BENCHMARK_ORDER
+
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_paper_sizes_build_at_the_stated_size(self, name):
+        workload = build_workload(name, **PAPER_SIZES[name])
+        assert PAPER_SIZES[name].items() <= workload.params.items()
+        # "... 100x100 doubles (paper: 100x100)": the built size is the
+        # size the description says the paper uses.
+        built, paper = workload.description.rsplit("(paper: ", 1)
+        assert paper.rstrip(")") in built
+        workload.assemble()
 
 
 class TestParameterValidation:

@@ -58,7 +58,7 @@ _LAZY_EXPORTS = {
     "OBS": ("repro.obs", "OBS"),
     "MetricsRegistry": ("repro.obs", "MetricsRegistry"),
     "Tracer": ("repro.obs", "Tracer"),
-    "RunReport": ("repro.obs", "RunReport"),
+    "RunReport": ("repro.obs.report", "RunReport"),
 }
 
 

@@ -30,7 +30,7 @@ Submodules:
     integer bit-parallel stream/program encoding (the production
     encoder).
 ``bitplane``
-    The lane-packed doubling-scan decoder (the production decoder).
+    The word-major doubling-scan decoder (the production decoder).
 ``reference``
     The oracles both are checked against: per-block ``block_solver``
     encoders and the bit-serial decoder.

@@ -30,19 +30,21 @@ bitwise operations::
         m <<= 1
     d = B
 
-Because ``A`` is zero at every anchor, the same solve works unchanged
-on *lane-packed* operands: the 32 vertical bit streams of a basic
-block are concatenated into one ``32*n``-bit operand (lane ``L``
-occupies bits ``[L*n, (L+1)*n)``) and decoded in a single scan — all
-lines of all words of a block per operation, instead of one bit of one
-line per Python loop iteration.
+Because ``A`` is zero at every anchor, the same solve decodes a whole
+basic block at once in *word-major* order: the block's instruction
+words are packed back to back into one ``32*n``-bit operand (bit
+``32*t + L`` is bus line ``L`` of word ``t``, exactly the little-endian
+bytes of the words).  A shift by ``32*m`` bits moves every bit ``m``
+words later on its own line, so running the doubling with ``m``
+starting at 32 solves all 32 vertical streams of the block in one scan
+— all lines of all words per operation, instead of one bit of one
+line per Python loop iteration — and no transpose is needed on either
+side.
 
 The scan runs on arbitrary-precision Python integers: CPython applies
-each bitwise operator to the whole operand in C, and at the operand
-sizes this codebase produces (a 5000-bit stream, a 32x64-bit
-lane-packed block) one big-int operation beats a numpy pass, whose
-per-call dispatch dominates on such short arrays.  numpy only
-transposes instruction words into lanes (``packbits``/``unpackbits``).
+each bitwise operator to the whole operand in C, and ``struct`` packs
+and unpacks the words, so the decoder needs nothing outside the
+standard library.
 
 ``tests/core/test_bitplane.py`` and the differential campaign check
 every decode entry point against the bit-serial oracle
@@ -51,10 +53,9 @@ every decode entry point against the bit-serial oracle
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from repro.core.boolfunc import TT_X
 from repro.obs import OBS
@@ -63,27 +64,28 @@ __all__ = [
     "solve_first_order",
     "decode_plan_bitplane",
     "decode_block_bitplane",
-    "transpose_words",
-    "untranspose_words",
     "pack_validated",
     "bits_list",
 ]
 
 
-def solve_first_order(coeff: int, const: int, nbits: int) -> int:
-    """Solve ``d[p] = const[p] ^ (coeff[p] & d[p-1])`` over ``nbits``
-    packed positions (``d[-1] = 0``) with the doubling scan."""
+def solve_first_order(coeff: int, const: int, nbits: int, stride: int = 1) -> int:
+    """Solve ``d[p] = const[p] ^ (coeff[p] & d[p-stride])`` over ``nbits``
+    packed positions (``d[p] = 0`` for ``p < 0``) with the doubling
+    scan: ``stride`` interleaved recurrences, one per residue of ``p``
+    modulo ``stride``."""
     if nbits <= 0:
         return 0
     mask = (1 << nbits) - 1
     a = coeff & mask
     b = const & mask
-    m = 1
+    # ``a`` stays inside ``mask``, so neither update needs re-masking.
+    m = stride
     while m < nbits:
-        b ^= (a & (b << m)) & mask
-        a &= (a << m) & mask
+        b ^= a & (b << m)
+        a &= a << m
         m <<= 1
-    return b & mask
+    return b
 
 
 # ----------------------------------------------------------------------
@@ -144,21 +146,26 @@ def _block_planes(
     plans: tuple[tuple[int, ...], ...],
     overlapped: bool,
 ) -> tuple[int, int, int, int]:
-    """Decode planes for a lane-packed basic block: ``width`` vertical
-    streams of ``length`` bits, lane ``L`` at bits ``[L*length, ...)``,
-    each lane with its own per-segment tau row (``plans[s][L]`` is the
-    truth table of segment ``s`` on line ``L``)."""
-    arr = bytearray(width * length)
-    for line in range(width):
-        base = line * length
-        arr[base] = TT_X
-        for (start, seg_len), plan in zip(bounds, plans):
-            if not overlapped and start != 0:
-                arr[base + start] = TT_X
-            if seg_len > 1:
-                arr[base + start + 1 : base + start + seg_len] = bytes(
-                    (plan[line],)
-                ) * (seg_len - 1)
+    """Decode planes for a word-major basic block of ``length`` words:
+    position ``32*t + L`` is line ``L`` of word ``t``, and each line
+    has its own per-segment tau (``plans[s][L]`` is the truth table of
+    segment ``s`` on line ``L``).  Lines at or above ``width`` keep the
+    all-zero truth table, so ``A = B = 0`` there and they decode to 0
+    whatever was stored on them."""
+    pad = bytes(32 - width)
+    anchor = bytes((TT_X,)) * width + pad
+    arr = bytearray(32 * length)
+    arr[:32] = anchor
+    for (start, seg_len), plan in zip(bounds, plans):
+        if not overlapped and start != 0:
+            arr[32 * start : 32 * start + 32] = anchor
+        if seg_len > 1:
+            row = bytes(plan[:width]) + pad
+            if len(row) != 32:
+                raise ValueError(
+                    f"segment plan has {len(plan)} lines, block width is {width}"
+                )
+            arr[32 * (start + 1) : 32 * (start + seg_len)] = row * (seg_len - 1)
     return _planes_from_bytes(arr)
 
 
@@ -217,43 +224,8 @@ def decode_plan_bitplane(
 
 
 # ----------------------------------------------------------------------
-# Lane-packed block decode
+# Word-major block decode
 # ----------------------------------------------------------------------
-
-
-def _check_width(width: int) -> None:
-    if not 0 < width <= 32:
-        raise ValueError(f"bitplane transpose needs a width in 1..32, got {width}")
-
-
-def transpose_words(words: Sequence[int], width: int = 32) -> int:
-    """Pack instruction words into the lane-major bitplane operand:
-    bit ``L*len(words) + t`` of the result is bit ``L`` of
-    ``words[t]`` (bus line ``L``'s vertical stream, time-ordered)."""
-    _check_width(width)
-    n = len(words)
-    if n == 0:
-        return 0
-    arr = np.asarray(words, dtype="<u4")
-    bits = np.unpackbits(arr.view(np.uint8), bitorder="little").reshape(n, 32)
-    packed = np.packbits(
-        np.ascontiguousarray(bits[:, :width].T).reshape(-1), bitorder="little"
-    )
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def untranspose_words(packed: int, length: int, width: int = 32) -> list[int]:
-    """Inverse of :func:`transpose_words`."""
-    _check_width(width)
-    if length == 0:
-        return []
-    total = width * length
-    data = packed.to_bytes((total + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    rows = np.zeros((length, 32), dtype=np.uint8)
-    rows[:, :width] = bits[:total].reshape(width, length).T
-    repacked = np.packbits(rows.reshape(-1), bitorder="little")
-    return np.frombuffer(repacked.tobytes(), dtype="<u4").tolist()
 
 
 def decode_block_bitplane(
@@ -263,14 +235,18 @@ def decode_block_bitplane(
     width: int = 32,
     overlapped: bool = True,
 ) -> list[int]:
-    """Decode a whole basic block in one lane-packed scan.
+    """Decode a whole basic block in one word-major scan.
 
     ``plans[s][line]`` is the truth table applied by bus line ``line``
     during segment ``s`` — the payload of the block's ``s``-th
     Transformation Table row.  All ``width`` vertical streams decode
-    concurrently; the per-lane anchors (``A = 0``) stop the scan from
-    propagating anything across lane boundaries.
+    concurrently; the scan's 32-bit stride keeps each line's recurrence
+    on that line, and the anchors (``A = 0``) restart it at word 0 and
+    at every disjoint segment start.  Stored bits at or above ``width``
+    are ignored.
     """
+    if not 0 < width <= 32:
+        raise ValueError(f"bitplane decode needs a width in 1..32, got {width}")
     n = len(encoded_words)
     if n == 0:
         return []
@@ -281,15 +257,17 @@ def decode_block_bitplane(
         tuple(tuple(plan) for plan in plans),
         overlapped,
     )
-    packed = transpose_words(encoded_words, width)
-    coeff, const = _masks_to_recurrence(planes, packed, width * n)
-    decoded = solve_first_order(coeff, const, width * n)
-    words = untranspose_words(decoded, n, width)
+    nbits = 32 * n
+    fmt = f"<{n}I"
+    packed = int.from_bytes(struct.pack(fmt, *encoded_words), "little")
+    coeff, const = _masks_to_recurrence(planes, packed, nbits)
+    decoded = solve_first_order(coeff, const, nbits, 32)
+    words = list(struct.unpack(fmt, decoded.to_bytes(4 * n, "little")))
     if OBS.enabled:
         registry = OBS.registry
         registry.counter(
             "codec.bitplane_blocks_decoded",
-            "basic blocks decoded through the lane-packed bitplane scan",
+            "basic blocks decoded through the word-major bitplane scan",
         ).inc()
         registry.counter(
             "codec.bitplane_words_decoded",

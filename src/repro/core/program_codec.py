@@ -11,7 +11,7 @@ plans (what is loaded into the TT).
 Encoding runs through the compiled codebook fast path: columns are
 extracted from the word list with shift/mask loops into Python ints
 and each block is one table lookup (:mod:`repro.core.fastpath`).
-Decoding restores all bus lines at once through the lane-packed
+Decoding restores all bus lines at once through the word-major
 bitplane scan (:mod:`repro.core.bitplane`).  The per-block solver and
 bit-serial oracles these are checked against live in
 :mod:`repro.core.reference`.
@@ -258,7 +258,7 @@ def decode_basic_block(encoding: BlockEncoding) -> list[int]:
     """Restore the original instruction words from a
     :class:`BlockEncoding` (software mirror of the fetch hardware):
     all ``width`` vertical streams decode concurrently through the
-    lane-packed bitplane scan."""
+    word-major bitplane scan."""
     if not encoding.encoded_words:
         return []
     length = len(encoding.encoded_words)

@@ -4,16 +4,15 @@
 ``fetch_decoder`` walks a fetch stream exactly as the hardware would —
 BBIT lookup on basic-block entry, per-entry transformation selection,
 E/CT tail bookkeeping — and restores original instruction words with
-one two-input boolean function per bus line.  ``cost`` reproduces the
-paper's storage/gate arithmetic.
+one two-input boolean function per bus line.  ``scrubber`` (the TT/BBIT
+scrubber) and ``cost`` (the paper's storage/gate arithmetic) are not
+re-exported here: import them from their modules.
 """
 
 from repro.errors import TableCapacityError, TableIntegrityError
 from repro.hw.tt import TTEntry, TransformationTable
 from repro.hw.bbit import BBITEntry, BasicBlockIdentificationTable
 from repro.hw.fetch_decoder import FetchDecoder, DecodeFault
-from repro.hw.scrubber import ScrubReport, TableScrubber
-from repro.hw.cost import HardwareCost, estimate_cost
 
 __all__ = [
     "TTEntry",
@@ -22,10 +21,6 @@ __all__ = [
     "BasicBlockIdentificationTable",
     "FetchDecoder",
     "DecodeFault",
-    "TableScrubber",
-    "ScrubReport",
     "TableCapacityError",
     "TableIntegrityError",
-    "HardwareCost",
-    "estimate_cost",
 ]

@@ -547,7 +547,7 @@ class FetchDecoder:
         ``lookups``, ``hits`` and ``parity_checks``) are scaled by its
         occurrence count, so they equal the per-fetch walk's.  Inside a
         run, full basic-block occurrences decode through the
-        lane-packed bitplane scan, zoo region fetches through their
+        word-major bitplane scan, zoo region fetches through their
         word decoder, and partial blocks through :meth:`fetch`, so
         protocol faults, unknown scheme tags and table integrity errors
         surface at the same fetch, with the same message, as they would

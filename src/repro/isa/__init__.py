@@ -3,7 +3,8 @@
 This is the reproduction's substitute for the SimpleScalar PISA
 toolchain the paper used: a classic fixed-width RISC encoding (R/I/J
 formats plus a COP1 floating-point subset), a two-pass assembler with
-the usual pseudo-instructions, and a disassembler.  The bit-level field
+the usual pseudo-instructions, and a disassembler
+(:mod:`repro.isa.disassembler`, not re-exported here).  The bit-level field
 layout follows MIPS I so the instruction words carry the realistic
 vertical correlations (stable opcode fields, slowly varying register
 and immediate fields) that the paper's encoding exploits.
@@ -18,7 +19,6 @@ from repro.isa.registers import REG_NAMES, reg_name, reg_num
 from repro.isa.opcodes import SPECS_BY_NAME, InstructionSpec
 from repro.isa.instruction import Instruction, decode_word, encode_fields
 from repro.isa.assembler import AssemblerError, Program, assemble
-from repro.isa.disassembler import disassemble, disassemble_word
 
 __all__ = [
     "REG_NAMES",
@@ -32,6 +32,4 @@ __all__ = [
     "AssemblerError",
     "Program",
     "assemble",
-    "disassemble",
-    "disassemble_word",
 ]

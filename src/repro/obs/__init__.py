@@ -13,7 +13,9 @@ instrumented against one shared substrate:
     and a no-op mode whose cost is a single attribute check.
 :mod:`repro.obs.report`
     The ``RUN_report.json`` writer: registry + spans + provenance
-    (git SHA, platform, seed), schema-validated.
+    (git SHA, platform, seed), schema-validated.  Import it from its
+    module; the package does not load it, so a run without
+    ``--metrics`` never imports ``platform`` or ``subprocess``.
 
 Instrumented call sites share one process-wide state object::
 
@@ -35,6 +37,7 @@ acceptance in ``tests/obs/``).
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
 from repro.obs.metrics import (
     Counter,
@@ -43,16 +46,10 @@ from repro.obs.metrics import (
     MetricFamily,
     MetricsRegistry,
 )
-from repro.obs.report import (
-    EXPECTED_ENCODE_FAMILIES,
-    EXPECTED_SERVE_FAMILIES,
-    RunReport,
-    git_revision,
-    load_run_report,
-    missing_families,
-    validate_run_report,
-)
 from repro.obs.tracing import NOOP_SPAN, Span, TraceContext, Tracer, new_run_id
+
+if TYPE_CHECKING:
+    from repro.obs.report import RunReport
 
 __all__ = [
     "OBS",
@@ -70,13 +67,6 @@ __all__ = [
     "Tracer",
     "NOOP_SPAN",
     "new_run_id",
-    "RunReport",
-    "EXPECTED_ENCODE_FAMILIES",
-    "EXPECTED_SERVE_FAMILIES",
-    "git_revision",
-    "load_run_report",
-    "missing_families",
-    "validate_run_report",
 ]
 
 
@@ -133,7 +123,10 @@ def collect_report(
     seed: int | None = None,
     extra: dict | None = None,
 ) -> RunReport:
-    """Snapshot the process-wide state into a :class:`RunReport`."""
+    """Snapshot the process-wide state into a
+    :class:`~repro.obs.report.RunReport`."""
+    from repro.obs.report import RunReport
+
     return RunReport.collect(
         OBS.registry, OBS.tracer, command=command, seed=seed, extra=extra
     )

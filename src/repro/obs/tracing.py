@@ -24,9 +24,9 @@ log the ``repro trace`` subcommand and external tooling consume.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
-import uuid
 from dataclasses import dataclass
 from typing import IO
 
@@ -40,7 +40,7 @@ DEFAULT_MAX_SPANS = 65536
 
 def new_run_id() -> str:
     """A short process-unique run identifier."""
-    return uuid.uuid4().hex[:12]
+    return os.urandom(6).hex()
 
 
 class _NoopSpan:
@@ -94,7 +94,7 @@ class Span:
         self._tracer = tracer
         self.name = name
         self.attrs = attrs
-        self.span_id = uuid.uuid4().hex[:12]
+        self.span_id = os.urandom(6).hex()
         self.parent_id = parent_id
         self.trace_id = trace_id or tracer.run_id
         self.depth = depth

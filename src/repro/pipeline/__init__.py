@@ -5,22 +5,12 @@ simulator, profile its trace, select hot loop blocks under TT
 capacity, encode them, verify the hardware decode restores every
 fetched instruction, and count bus transitions for the baseline and
 encoded memory images.  ``report`` renders Figure-6/7 style tables and
-chart series from the results.
+chart series from the results; import it from its module.
 """
 
 from repro.pipeline.flow import EncodingFlow, FlowResult
-from repro.pipeline.report import (
-    fig6_table,
-    fig7_series,
-    format_fig6,
-    format_fig7_ascii,
-)
 
 __all__ = [
     "EncodingFlow",
     "FlowResult",
-    "fig6_table",
-    "fig7_series",
-    "format_fig6",
-    "format_fig7_ascii",
 ]

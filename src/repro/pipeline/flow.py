@@ -76,15 +76,6 @@ class FlowResult:
             / self.baseline_transitions
         )
 
-    @property
-    def transitions_millions(self) -> float:
-        """Figure 6's #TR row unit."""
-        return self.baseline_transitions / 1e6
-
-    @property
-    def encoded_millions(self) -> float:
-        return self.encoded_transitions / 1e6
-
 
 class EncodingFlow:
     """Configurable end-to-end encoder + measurement pipeline."""

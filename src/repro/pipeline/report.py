@@ -9,20 +9,24 @@ equivalent terminal chart.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.pipeline.flow import FlowResult
+if TYPE_CHECKING:
+    from repro.pipeline.experiment import SweepRecord
+    from repro.pipeline.flow import FlowResult
 
 BLOCK_SIZES = (4, 5, 6, 7)
 
 
 def fig6_table(
-    results: Mapping[str, Mapping[int, FlowResult]],
+    results: Mapping[str, Mapping[int, FlowResult | SweepRecord]],
     benchmarks: Sequence[str] | None = None,
 ) -> dict:
     """Structured Figure-6 data.
 
-    ``results[benchmark][block_size]`` holds the flow result.  Returns
+    ``results[benchmark][block_size]`` holds the flow result, or the
+    :class:`~repro.pipeline.experiment.SweepRecord` a resumed sweep
+    replays; only the fields both carry are read.  Returns
     ``{"benchmarks": [...], "tr": {...}, "encoded": {k: {...}},
     "reduction": {k: {...}}}`` with transition counts in millions.
     """
@@ -36,12 +40,12 @@ def fig6_table(
     for name in names:
         per_size = results[name]
         any_result = next(iter(per_size.values()))
-        table["tr"][name] = any_result.transitions_millions
+        table["tr"][name] = any_result.baseline_transitions / 1e6
         for k in BLOCK_SIZES:
             if k not in per_size:
                 continue
             result = per_size[k]
-            table["encoded"][k][name] = result.encoded_millions
+            table["encoded"][k][name] = result.encoded_transitions / 1e6
             table["reduction"][k][name] = result.reduction_percent
     return table
 
@@ -77,7 +81,7 @@ def format_fig6(table: dict) -> str:
 
 
 def fig7_series(
-    results: Mapping[str, Mapping[int, FlowResult]],
+    results: Mapping[str, Mapping[int, FlowResult | SweepRecord]],
     benchmarks: Sequence[str] | None = None,
 ) -> dict[int, list[float]]:
     """Figure 7's chart series: reduction percentage per block size,
@@ -209,7 +213,7 @@ def fig6_to_markdown(table: dict) -> str:
 
 
 def summarize_results(
-    results: Mapping[str, Mapping[int, FlowResult]]
+    results: Mapping[str, Mapping[int, FlowResult | SweepRecord]]
 ) -> dict[int, float]:
     """Average reduction per block size across benchmarks (the paper's
     '35%-40% for ... four and five' / '20%-25% ... six and seven')."""

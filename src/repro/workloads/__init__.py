@@ -10,7 +10,7 @@ the assembly source, data-size parameters defaulting to a smaller
 scale than the paper's (DESIGN.md documents the substitution;
 ``registry.PAPER_SIZES`` holds the paper's sizes, which simulate in
 seconds), and a ``verify`` callback that checks the simulated results
-against an independent Python/numpy reference.
+against an independent pure-Python reference.
 """
 
 from repro.workloads.common import Workload, read_doubles

@@ -6,10 +6,12 @@ scans.  These tests pin the scans to the bit-serial oracle
 (:mod:`repro.core.reference`) bit-for-bit across seeded streams,
 hypothesis-drawn inputs, every block size the paper studies (k=2..7)
 and boundary/tail lengths — plus the packing bridges
-(``pack_validated``/``bits_list``/``transpose_words``).
+(``pack_validated``/``bits_list``).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -76,56 +78,6 @@ class TestPackValidated:
         # packed fast path.
         packed, length = bitplane.pack_validated([True, False, True])
         assert (packed, length) == (0b101, 3)
-
-
-class TestTranspose:
-    @given(instruction_words)
-    def test_roundtrip(self, words):
-        packed = bitplane.transpose_words(words)
-        assert bitplane.untranspose_words(packed, len(words)) == words
-
-    @given(instruction_words)
-    def test_lane_layout(self, words):
-        # Bit L*n+t of the packed operand is bit L of words[t].
-        n = len(words)
-        packed = bitplane.transpose_words(words)
-        for lane in (0, 1, 31):
-            for t in (0, n - 1):
-                assert (packed >> (lane * n + t)) & 1 == (
-                    words[t] >> lane
-                ) & 1
-
-    def test_empty(self):
-        assert bitplane.transpose_words([]) == 0
-        assert bitplane.untranspose_words(0, 0) == []
-
-    @given(
-        st.integers(min_value=1, max_value=32).flatmap(
-            lambda width: st.tuples(
-                st.just(width),
-                st.lists(
-                    st.integers(min_value=0, max_value=(1 << width) - 1),
-                    min_size=1,
-                    max_size=9,
-                ),
-            )
-        )
-    )
-    def test_narrow_width(self, width_and_words):
-        width, words = width_and_words
-        n = len(words)
-        packed = bitplane.transpose_words(words, width=width)
-        assert packed < 1 << (width * n)
-        for lane in range(width):
-            for t in range(n):
-                assert (packed >> (lane * n + t)) & 1 == (words[t] >> lane) & 1
-        assert bitplane.untranspose_words(packed, n, width=width) == words
-
-    def test_width_above_32_rejected(self):
-        with pytest.raises(ValueError, match="width in 1..32"):
-            bitplane.transpose_words([1, 2], width=33)
-        with pytest.raises(ValueError, match="width in 1..32"):
-            bitplane.untranspose_words(0, 2, width=64)
 
 
 # ----------------------------------------------------------------------
@@ -245,3 +197,68 @@ class TestBlockDecode:
                 encoding = encode_basic_block(words, block_size, strategy=strategy)
                 assert decode_basic_block(encoding) == words
                 assert decode_basic_block_reference(encoding) == words
+
+
+#: A block width with at most 80 words that fit in it.
+_width_and_words = st.integers(min_value=1, max_value=32).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        st.lists(
+            st.integers(min_value=0, max_value=(1 << width) - 1),
+            min_size=1,
+            max_size=80,
+        ),
+    )
+)
+
+
+class TestBlockDecodeAgainstOracle:
+    @given(
+        _width_and_words,
+        hw_block_sizes,
+        st.sampled_from(("greedy", "optimal", "disjoint")),
+        st.integers(min_value=0, max_value=(1 << 32) - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_width_matches_reference(
+        self, width_and_words, block_size, strategy, noise
+    ):
+        # Stored bits on lines at or above the width (set from
+        # ``noise``) belong to no vertical stream: both decoders
+        # ignore them.
+        width, words = width_and_words
+        encoding = encode_basic_block(
+            words, block_size, width=width, strategy=strategy
+        )
+        high = noise & ~((1 << width) - 1)
+        stored = replace(
+            encoding,
+            encoded_words=tuple(w | high for w in encoding.encoded_words),
+        )
+        assert decode_basic_block_reference(stored) == words
+        assert decode_basic_block(stored) == words
+        plans = tuple(
+            tuple(t.func.truth_table for t in plan)
+            for plan in encoding.segment_plans
+        )
+        assert (
+            bitplane.decode_block_bitplane(
+                stored.encoded_words,
+                encoding.bounds,
+                plans,
+                width=width,
+                overlapped=encoding.overlapped,
+            )
+            == words
+        )
+
+    @pytest.mark.parametrize("width", [0, 33, 64])
+    def test_width_outside_1_to_32_rejected(self, width):
+        with pytest.raises(ValueError, match="width in 1..32"):
+            bitplane.decode_block_bitplane([1, 2], [(0, 2)], [(0,) * 32], width=width)
+
+    def test_plan_narrower_than_width_rejected(self):
+        with pytest.raises(ValueError, match="3 lines, block width is 4"):
+            bitplane.decode_block_bitplane(
+                [1, 2, 3], [(0, 3)], [(0, 0, 0)], width=4
+            )

@@ -1,7 +1,7 @@
 """Tests for the bulk ``decode_trace`` bitplane fast path.
 
 ``FetchDecoder.decode_trace`` routes clean sequential basic-block
-occurrences through one lane-packed bitplane scan per occurrence.  The
+occurrences through one word-major bitplane scan per occurrence.  The
 contract is *bit-identical observable behaviour* to the per-fetch
 scalar walk: same decoded words, same architectural counters, same
 exceptions — across hot-loop revisits, partial occurrences, branchy

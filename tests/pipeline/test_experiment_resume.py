@@ -5,6 +5,7 @@ import pytest
 
 import repro.sim.cpu as sim_cpu
 from repro.pipeline.experiment import SweepRecord, run_sweep
+from repro.pipeline.report import fig6_table, fig7_series, format_fig6
 from repro.runtime.checkpoint import CheckpointMismatchError
 
 
@@ -37,6 +38,20 @@ class TestSweepResume:
         assert all(
             isinstance(result, SweepRecord)
             for result in second.points.values()
+        )
+
+    def test_resumed_sweep_tabulates_like_the_fresh_one(self, tmp_path):
+        wal = tmp_path / "sweep.wal"
+        first = _sweep(wal_path=wal)
+        second = _sweep(wal_path=wal, resume=True)
+        table = fig6_table(second.by_workload(), ["fir"])
+        assert table == fig6_table(first.by_workload(), ["fir"])
+        assert table["tr"]["fir"] > 0 and set(table["encoded"][4]) == {"fir"}
+        assert format_fig6(table) == format_fig6(
+            fig6_table(first.by_workload(), ["fir"])
+        )
+        assert fig7_series(second.by_workload()) == fig7_series(
+            first.by_workload()
         )
 
     def test_partial_wal_resumes_only_missing_points(self, tmp_path):

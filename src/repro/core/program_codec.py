@@ -20,6 +20,7 @@ bit-serial oracles these are checked against live in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from repro.core import bitplane
@@ -98,6 +99,16 @@ class BlockEncoding:
         if total == 0:
             return 0.0
         return 100.0 * (total - self.encoded_transitions) / total
+
+    @cached_property
+    def truth_tables(self) -> tuple[tuple[int, ...], ...]:
+        """``truth_tables[s][b]``: the truth table of
+        ``segment_plans[s][b]``, the operand the bitplane decode reads;
+        built on first decode and kept with the encoding."""
+        return tuple(
+            tuple(transformation.func.truth_table for transformation in plan)
+            for plan in self.segment_plans
+        )
 
     def selectors(self) -> list[list[int]]:
         """3-bit TT selector codes, ``selectors()[segment][line]``.
@@ -270,14 +281,10 @@ def decode_basic_block(encoding: BlockEncoding) -> list[int]:
             f"plan length {len(encoding.segment_plans)} does not match "
             f"{len(bounds)} blocks for a stream of {length} bits"
         )
-    plans = tuple(
-        tuple(transformation.func.truth_table for transformation in plan)
-        for plan in encoding.segment_plans
-    )
     return bitplane.decode_block_bitplane(
         encoding.encoded_words,
         bounds,
-        plans,
+        encoding.truth_tables,
         width=encoding.width,
         overlapped=encoding.overlapped,
     )

@@ -4,13 +4,18 @@ The paper's baseline is "a typical embedded processor front-end, which
 fetches and executes instructions in order and one at a time"; this
 interpreter models exactly that, but executes a basic block at a time.
 The first time control reaches an address, the straight-line stretch
-from there to the next control transfer or syscall is generated as one
-Python function: the block's instructions as plain statements on the
-register lists, ending in a ``return`` of the next PC.  Dispatch is one
-dict lookup per block (a miss is the text-bounds check), and the fetch
-trace grows by one ``(entry_pc, length, repeats)`` group per maximal
-sequential run repeated back to back
-(:class:`~repro.sim.tracer.FetchTrace`), not one PC per fetch.
+from there to the next control transfer, syscall, or basic-block
+leader (:func:`repro.cfg.basic_blocks.find_leaders`, the encoder's
+definition of a block) is generated as one Python function: the
+block's instructions as plain statements on the register lists,
+ending in a ``return`` of the next PC.  A block that stops just before
+a leader returns that leader's PC, so a loop body entered from above
+is not generated a second time; a ``jr`` into the middle of a block
+compiles from there to the next leader.  Dispatch is one dict lookup
+per block (a miss is the text-bounds check), and the fetch trace grows
+by one ``(entry_pc, length, repeats)`` group per maximal sequential
+run repeated back to back (:class:`~repro.sim.tracer.FetchTrace`), not
+one PC per fetch.
 
 A block whose taken branch re-enters its own start (a self-loop, the
 innermost loop of most kernels) is generated as a ``for`` loop around
@@ -51,6 +56,7 @@ import re
 import sys
 from typing import Callable
 
+from repro.cfg.basic_blocks import find_leaders
 from repro.isa.assembler import STACK_TOP, Program
 from repro.isa.instruction import Instruction
 from repro.isa.registers import A0, GP, RA, SP, V0
@@ -92,6 +98,9 @@ class Cpu:
             self.memory.write_u32(program.text_base + 4 * i, word)
         #: entry PC -> (block function, instruction count, self-loop?)
         self._blocks: dict[int, tuple[Callable, int, bool]] = {}
+        #: addresses that begin basic blocks; a generated block stops
+        #: just before the next one
+        self._leaders = find_leaders(program)
         #: per-instruction closures for :meth:`step`, built on first use
         self._compiled: list[Callable[["Cpu"], None]] | None = None
 
@@ -210,7 +219,9 @@ class Cpu:
     ) -> tuple[Callable, int, bool]:
         """The block function entered at ``pc`` (at most ``limit``
         instructions), its instruction count, and whether it is a
-        self-loop: a block whose taken branch re-enters ``pc``.
+        self-loop: a block whose taken branch re-enters ``pc``.  The
+        block ends at a control transfer, a syscall, or just before the
+        next leader, whose PC it returns as its fall-through exit.
 
         A plain block takes no argument and returns the next PC.  A
         self-loop takes an iteration cap and returns ``(next PC,
@@ -232,7 +243,7 @@ class Cpu:
             statements, exit_pc = _emit(inst, base + 4 * index)
             body.extend(statements)
             owners.extend([index - first] * len(statements))
-            if exit_pc:
+            if exit_pc or base + 4 * index + 4 in self._leaders:
                 break
         count = index - first + 1
         loops = (

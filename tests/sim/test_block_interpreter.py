@@ -245,14 +245,20 @@ def test_run_resumes_after_a_step_limit():
 # ----------------------------------------------------------------------
 
 
-def _assert_self_loop(program, label: str = "loop") -> None:
-    """The block at ``label`` was compiled as a self-loop."""
+def _compiled_blocks(program, max_steps: int = 10_000) -> dict:
+    """Entry PC -> (block function, instruction count, self-loop?) of
+    every block a run compiled."""
     cpu = Cpu(program)
     try:
-        cpu.run(max_steps=10_000)
+        cpu.run(max_steps=max_steps)
     except (CpuError, ArithmeticError, ValueError):
         pass
-    _, _, loops = cpu._blocks[program.address_of(label)]
+    return cpu._blocks
+
+
+def _assert_self_loop(program, label: str = "loop") -> None:
+    """The block at ``label`` was compiled as a self-loop."""
+    _, _, loops = _compiled_blocks(program)[program.address_of(label)]
     assert loops
 
 
@@ -411,3 +417,162 @@ def test_random_self_loops_at_edge_values(seed):
     program = assemble(_self_loop_mix(seed))
     _assert_self_loop(program)
     _assert_same(program)
+
+
+# ----------------------------------------------------------------------
+# Leader-bounded blocks: a generated block ends just before the next
+# basic-block leader and falls through to it
+# ----------------------------------------------------------------------
+
+
+def _block_sizes(program, max_steps: int = 10_000) -> dict[int, int]:
+    """Entry PC -> instruction count of every block a run compiled."""
+    blocks = _compiled_blocks(program, max_steps)
+    return {pc: count for pc, (_, count, _) in blocks.items()}
+
+
+#: Two instructions that fall through into a five-instruction self-loop
+#: of 10 iterations (no jump to its head, unlike SELF_LOOP).
+FALL_INTO_LOOP = """
+.text
+main: li $t0, 10
+      li $t1, 0
+loop: addiu $t1, $t1, 3
+      xor $t2, $t1, $t0
+      sll $t3, $t2, 2
+      addiu $t0, $t0, -1
+      bnez $t0, loop
+      li $v0, 10
+      syscall
+"""
+
+
+def test_block_falls_through_into_a_self_loop_head():
+    program = assemble(FALL_INTO_LOOP)
+    _assert_self_loop(program)
+    head = program.address_of("loop")
+    sizes = _block_sizes(program)
+    assert sizes[program.entry] == 2  # ends just before the loop head
+    assert sizes[head] == 5
+    cpu, trace = _assert_same(program)
+    assert cpu.regs[9] == 30
+    # The entry block's fall-through merges into the first lap's run.
+    assert trace.starts[0] == program.entry
+    assert trace.lengths[0] == 2 + 5
+
+
+@pytest.mark.parametrize("max_steps", list(range(0, 2 + 2 * 5 + 2)) + [51, 52, 53])
+def test_step_limit_around_a_fall_through_leader(max_steps):
+    # max_steps 1 stops on the last instruction before the loop head
+    # (the entry block's prefix), 2 on the head itself (the whole entry
+    # block, then the limit); the rest land across the first laps and
+    # the last one.
+    _assert_same(assemble(FALL_INTO_LOOP), max_steps=max_steps)
+
+
+#: ``jr`` into ``mid``, which no branch or jump names, so it is not a
+#: leader; ``top`` (after the ``jr``) and ``tail`` (a branch target)
+#: are.  The run enters at ``mid`` once and at ``top`` on every later
+#: lap.
+JR_INTO_BLOCK = """
+.text
+main: la $t0, mid
+      li $t1, 0
+      jr $t0
+top:  addiu $t1, $t1, 1
+mid:  addiu $t1, $t1, 2
+      addiu $t1, $t1, 4
+tail: addiu $t1, $t1, 8
+      slti $t2, $t1, 60
+      bnez $t2, top
+      bltz $t1, tail
+      li $v0, 10
+      syscall
+"""
+
+
+def test_jr_into_the_middle_of_a_basic_block():
+    program = assemble(JR_INTO_BLOCK)
+    top, mid, tail = (program.address_of(l) for l in ("top", "mid", "tail"))
+    sizes = _block_sizes(program)
+    assert sizes[mid] == 2  # stops just before the leader at tail
+    assert sizes[top] == 3
+    assert sizes[tail] == 3
+    cpu, _ = _assert_same(program)
+    assert cpu.regs[9] == 14 + 4 * 15  # one pass from mid, four from top
+
+
+@pytest.mark.parametrize("max_steps", range(0, 16))
+def test_step_limit_after_a_jr_into_a_block(max_steps):
+    _assert_same(assemble(JR_INTO_BLOCK), max_steps=max_steps)
+
+
+def _fault_before_leader(op: str) -> str:
+    """``op`` is the last instruction before ``next``, a leader the
+    block falls through to; ``$f2`` drops by 1.0 per lap from 2.0."""
+    return f"""
+.data
+start: .double 2.0
+one: .double 1.0
+.text
+main: la $t0, start
+      l.d $f2, 0($t0)
+      l.d $f6, 8($t0)
+      li $t1, 0
+top:  addiu $t1, $t1, 1
+      sub.d $f2, $f2, $f6
+      {op}
+next: addiu $t1, $t1, 16
+      slti $t2, $t1, 200
+      bnez $t2, top
+      beq $zero, $zero, next
+"""
+
+
+@pytest.mark.parametrize(
+    "op, laps",
+    (("div.d $f4, $f6, $f2", 2), ("sqrt.d $f4, $f2", 3)),
+    ids=("div-by-zero", "sqrt-of-negative"),
+)
+def test_fault_in_the_instruction_just_before_a_leader(op, laps):
+    # $f2 reaches 0.0 on the second lap and -1.0 on the third.
+    program = assemble(_fault_before_leader(op))
+    top, after = program.address_of("top"), program.address_of("next")
+    assert _block_sizes(program)[top] == 3
+    cpu, trace = _assert_same(program)
+    assert cpu.pc == after - 4  # the faulting instruction
+    assert cpu.regs[9] == laps + 16 * (laps - 1)
+    assert len(trace) == cpu.steps + 1
+
+
+#: Small sizes of the minicc kernels, so their multi-block loops (none
+#: of which is a self-loop) run few laps.
+SMALL_COMPILED = {
+    "mmul": {"n": 3},
+    "sor": {"n": 5, "sweeps": 2},
+    "ej": {"n": 5, "sweeps": 2},
+    "fft": {"n": 8},
+    "tri": {"n": 6, "sweeps": 2},
+    "lu": {"n": 4},
+}
+
+
+@pytest.mark.parametrize("opt_level", (0, 1))
+@pytest.mark.parametrize("name", sorted(SMALL_COMPILED))
+def test_small_minicc_kernels(name, opt_level):
+    kernel, verify = compiled_workload(name, opt_level=opt_level, **SMALL_COMPILED[name])
+    cpu, _ = _assert_same(kernel.assemble())
+    verify(cpu)
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_each_text_address_is_compiled_once(name):
+    # Blocks end at leaders, so no two compiled blocks share an address:
+    # a block entered above a loop head stops at it instead of
+    # compiling the loop body a second time.
+    program = registry.build_workload(name).assemble()
+    covered: dict[int, int] = {}
+    for start, count in _block_sizes(program, max_steps=50_000_000).items():
+        for pc in range(start, start + 4 * count, 4):
+            assert pc not in covered, (hex(pc), hex(start), hex(covered[pc]))
+            covered[pc] = start

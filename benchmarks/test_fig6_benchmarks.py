@@ -62,17 +62,19 @@ def test_fig6_benchmarks(benchmark, figure6_results, record_result):
 
 def test_fig6_tr_magnitudes(figure6_results):
     """The paper's #TR row spans two orders of magnitude with fft the
-    smallest trace by far.  That shape belongs to the paper's data
-    sizes: the paper scale keeps it (largest #TR 178x fft's), the
-    default scale does not (2.6x, EXPERIMENTS.md's "Known shape
-    differences")."""
-    _, results = figure6_results
+    smallest trace by far.  fft is the smallest at both scales.  The
+    spread belongs to the paper's data sizes, so it is checked on the
+    paper scale only (largest #TR 178x fft's): the default builders
+    shrink mmul, sor, ej and lu but not fft, which leaves 2.6x
+    (EXPERIMENTS.md's "Known shape differences")."""
+    scale, results = figure6_results
     tr = {
         name: results[name][5].baseline_transitions
         for name in BENCHMARK_ORDER
     }
     assert min(tr, key=tr.get) == "fft"
-    assert max(tr.values()) > 5 * tr["fft"]
+    if scale == "paper":
+        assert max(tr.values()) > 5 * tr["fft"]
 
 
 @pytest.mark.parametrize("name", BENCHMARK_ORDER)

@@ -741,8 +741,7 @@ class FetchDecoder:
                     row = self.tt.read(entry.tt_index + segment)
                     plans.append(
                         tuple(
-                            _SELECTOR_TRUTH_TABLES[selector]
-                            for selector in row.selectors
+                            map(_SELECTOR_TRUTH_TABLES.__getitem__, row.selectors)
                         )
                     )
                 with OBS.tracer.span(

@@ -87,25 +87,44 @@ def secded_check_bits(m: int) -> int:
     return _layout(m)[0] + 1
 
 
+@lru_cache(maxsize=8)
+def _byte_syndromes(m: int) -> tuple[tuple[int, ...], ...]:
+    """For each data byte, a 256-entry table: the XOR of the codeword
+    positions of the data bits set in that byte value."""
+    _, positions = _layout(m)
+    tables = []
+    for base in range(0, m, 8):
+        table = [0] * 256
+        for value in range(1, 256):
+            low = value & -value
+            i = base + low.bit_length() - 1
+            table[value] = table[value ^ low] ^ (positions[i] if i < m else 0)
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _syndrome(data: int, m: int) -> int:
+    """XOR of the codeword positions of the set bits of ``data``
+    (``0 <= data < 2**m``), one table lookup per data byte."""
+    syndrome = 0
+    for table, value in zip(
+        _byte_syndromes(m), data.to_bytes((m + 7) // 8, "little")
+    ):
+        syndrome ^= table[value]
+    return syndrome
+
+
 def secded_encode(data: int, m: int) -> int:
     """Check word for ``m`` data bits: ``r`` Hamming bits in the low
     bits (bit ``j`` covers codeword positions with bit ``j`` set) and
     the overall parity bit at bit ``r`` (even parity over the whole
     codeword)."""
-    r, positions = _layout(m)
-    syndrome = 0
-    ones = 0
-    for i in range(m):
-        if (data >> i) & 1:
-            syndrome ^= positions[i]
-            ones ^= 1
+    r = _layout(m)[0]
+    data &= (1 << m) - 1
     # Each Hamming bit makes its coverage class even, so the encoded
     # syndrome of the full codeword is zero.
-    check = syndrome
-    for j in range(r):
-        if (syndrome >> j) & 1:
-            ones ^= 1
-    return check | (ones << r)
+    check = _syndrome(data, m)
+    return check | (((data.bit_count() + check.bit_count()) & 1) << r)
 
 
 def secded_decode(data: int, m: int, check: int) -> tuple[str, int, int]:
@@ -118,16 +137,11 @@ def secded_decode(data: int, m: int, check: int) -> tuple[str, int, int]:
     r, positions = _layout(m)
     stored_hamming = check & ((1 << r) - 1)
     stored_overall = (check >> r) & 1
-    syndrome = 0
-    ones = stored_overall
-    for i in range(m):
-        if (data >> i) & 1:
-            syndrome ^= positions[i]
-            ones ^= 1
-    for j in range(r):
-        if (stored_hamming >> j) & 1:
-            syndrome ^= 1 << j
-            ones ^= 1
+    data_bits = data & ((1 << m) - 1)
+    syndrome = _syndrome(data_bits, m) ^ stored_hamming
+    ones = (
+        stored_overall + data_bits.bit_count() + stored_hamming.bit_count()
+    ) & 1
     if syndrome == 0 and ones == 0:
         return CLEAN, data, check
     if ones == 1:
@@ -159,16 +173,18 @@ def tt_row_bits(width: int) -> int:
     return TT_SELECTOR_BITS * width + 1 + TT_COUNT_BITS
 
 
+#: Byte value -> ASCII octal digit of its low three bits.
+_OCTAL_DIGITS = bytes(ord("0") + (value & 0b111) for value in range(256))
+
+
 def tt_row_data(selectors: Sequence[int], end: bool, count: int) -> int:
-    """Pack one TT row's stored fields into a data word, LSB-first."""
-    data = 0
-    shift = 0
-    for selector in selectors:
-        data |= (selector & 0b111) << shift
-        shift += TT_SELECTOR_BITS
+    """Pack one TT row's stored fields into a data word, LSB-first.
+    Each 3-bit selector (``0..7``) is one octal digit, line 0 lowest."""
+    digits = bytes(reversed(selectors)).translate(_OCTAL_DIGITS)
+    data = int(digits, 8) if digits else 0
+    shift = TT_SELECTOR_BITS * len(selectors)
     data |= (1 if end else 0) << shift
-    shift += 1
-    data |= (count & ((1 << TT_COUNT_BITS) - 1)) << shift
+    data |= (count & ((1 << TT_COUNT_BITS) - 1)) << (shift + 1)
     return data
 
 

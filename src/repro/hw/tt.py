@@ -15,7 +15,9 @@ software analogue of the per-line parallel gates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.program_codec import BlockEncoding
 from repro.errors import EncodingError, TableCapacityError, TableIntegrityError
@@ -25,6 +27,18 @@ from repro.obs import OBS
 # Selector indices, fixed by repro.core.transformations.OPTIMAL_SET:
 # 0=x 1=~x 2=y 3=~y 4=xor 5=xnor 6=nor 7=nand
 _NUM_SELECTORS = 8
+_SELECTOR_VALUES = frozenset(range(_NUM_SELECTORS))
+_INT_TYPE = frozenset((int,))
+
+
+def plain_selectors(selectors) -> bool:
+    """Whether every selector is an ``int`` (not a bool or subclass)
+    in ``0..7``: the bulk check, in C loops.  Types come first because
+    ``True`` and ``1.0`` hash like ``1`` and an unhashable selector
+    must not reach the set."""
+    return _INT_TYPE.issuperset(map(type, selectors)) and (
+        _SELECTOR_VALUES.issuperset(selectors)
+    )
 
 
 def _decode_masked(selector: int, stored: int, prev: int, mask: int) -> int:
@@ -54,24 +68,28 @@ class TTEntry:
     selectors: tuple[int, ...]  # 3-bit selector per bus line
     end: bool = False  # E field
     count: int = 0  # CT field (instructions under a final segment)
-    _masks: list[int] = field(default_factory=list, repr=False)
-    _ops: list[tuple[int, int]] = field(default_factory=list, repr=False)
-    _word_mask: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
-        for selector in self.selectors:
-            if not 0 <= selector < _NUM_SELECTORS:
-                raise ValueError(f"selector out of range: {selector}")
+        if not plain_selectors(self.selectors):
+            for selector in self.selectors:
+                if not 0 <= selector < _NUM_SELECTORS:
+                    raise ValueError(f"selector out of range: {selector}")
+                # The decode plan indexes a list with it.
+                operator.index(selector)
+
+    @cached_property
+    def _plan(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """``(ops, word_mask)`` for :meth:`decode`: one ``(selector,
+        line mask)`` per selector some line uses (typically far fewer
+        than eight per entry).  Built on the first per-word decode;
+        the block decoder reads ``selectors`` and never needs it."""
         masks = [0] * _NUM_SELECTORS
         for line, selector in enumerate(self.selectors):
             masks[selector] |= 1 << line
-        self._masks = masks
-        # Hot-path lookups: only the selectors actually used by some
-        # line (typically far fewer than eight per entry).
-        self._ops = [
+        ops = tuple(
             (selector, mask) for selector, mask in enumerate(masks) if mask
-        ]
-        self._word_mask = (1 << len(self.selectors)) - 1
+        )
+        return ops, (1 << len(self.selectors)) - 1
 
     @property
     def width(self) -> int:
@@ -80,12 +98,13 @@ class TTEntry:
     def decode(self, stored_word: int, previous_decoded: int) -> int:
         """Restore an original word from the stored word and the
         previously decoded word (the per-line one-bit history)."""
+        ops, word_mask = self._plan
         out = 0
-        for selector, mask in self._ops:
+        for selector, mask in ops:
             out |= _decode_masked(
                 selector, stored_word, previous_decoded, mask
             )
-        return out & self._word_mask
+        return out & word_mask
 
     @classmethod
     def identity(cls, width: int = 32) -> "TTEntry":

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.core.program_codec import BlockEncoding
 from repro.errors import BundleFormatError
 from repro.hw.bbit import BasicBlockIdentificationTable, BBITEntry
-from repro.hw.tt import TransformationTable, TTEntry, tt_rows
+from repro.hw.tt import TransformationTable, TTEntry, plain_selectors, tt_rows
 from repro.obs import OBS
 
 FORMAT_VERSION = 1
@@ -29,6 +30,9 @@ _NUM_SELECTORS = 8  # 3-bit selector space, fixed by OPTIMAL_SET
 
 
 def _require(condition: bool, message: str) -> None:
+    """Raise ``message`` unless ``condition`` holds.  For constant
+    messages only: an f-string argument is formatted on every call,
+    passing or not, so checks with formatted messages raise inline."""
     if not condition:
         raise BundleFormatError(message)
 
@@ -47,8 +51,8 @@ def _int_field(mapping: dict, key: str, where: str) -> int:
 
 
 def _digest(words: Sequence[int]) -> str:
-    payload = b"".join(w.to_bytes(4, "little") for w in words)
-    return hashlib.sha256(payload).hexdigest()
+    """sha256 of the words as little-endian 32-bit values."""
+    return hashlib.sha256(struct.pack(f"<{len(words)}I", *words)).hexdigest()
 
 
 def table_programming(
@@ -192,10 +196,10 @@ class EncodingBundle:
                 raise BundleFormatError(
                     f"encoded_words[{i}]: {raw!r} is not a hex word"
                 ) from None
-            _require(
-                0 <= word < 1 << 32,
-                f"encoded_words[{i}]: {raw!r} does not fit in 32 bits",
-            )
+            if not 0 <= word < 1 << 32:
+                raise BundleFormatError(
+                    f"encoded_words[{i}]: {raw!r} does not fit in 32 bits"
+                )
             words.append(word)
         _require(
             isinstance(data["encoded_digest"], str),
@@ -260,95 +264,108 @@ class EncodingBundle:
             ).inc()
 
     def _validate(self) -> None:
-        _require(
+        # Every check raises inline, so a message is formatted only
+        # for the check that fails.
+        if not (
             isinstance(self.block_size, int)
             and not isinstance(self.block_size, bool)
-            and self.block_size >= 2,
-            f"block_size must be an integer >= 2, got {self.block_size!r}",
-        )
-        _require(
+            and self.block_size >= 2
+        ):
+            raise BundleFormatError(
+                f"block_size must be an integer >= 2, got {self.block_size!r}"
+            )
+        if not (
             isinstance(self.text_base, int)
             and not isinstance(self.text_base, bool)
             and self.text_base >= 0
-            and self.text_base % 4 == 0,
-            f"text_base must be a non-negative word-aligned address, "
-            f"got {self.text_base!r}",
-        )
+            and self.text_base % 4 == 0
+        ):
+            raise BundleFormatError(
+                f"text_base must be a non-negative word-aligned address, "
+                f"got {self.text_base!r}"
+            )
         width = None
         for i, entry in enumerate(self.tt_entries):
             where = f"tt[{i}]"
-            _require(
-                isinstance(entry, dict), f"{where}: entry must be an object"
-            )
+            if not isinstance(entry, dict):
+                raise BundleFormatError(f"{where}: entry must be an object")
             selectors = entry.get("selectors")
-            _require(
-                isinstance(selectors, list) and selectors,
-                f"{where}: 'selectors' must be a non-empty list",
-            )
-            for line, selector in enumerate(selectors):
-                _require(
-                    isinstance(selector, int)
-                    and not isinstance(selector, bool)
-                    and 0 <= selector < _NUM_SELECTORS,
-                    f"{where}: selector for line {line} out of range "
-                    f"0..{_NUM_SELECTORS - 1}: {selector!r}",
+            if not (isinstance(selectors, list) and selectors):
+                raise BundleFormatError(
+                    f"{where}: 'selectors' must be a non-empty list"
                 )
+            if not plain_selectors(selectors):
+                # Name the first offending line; an int subclass passes.
+                for line, selector in enumerate(selectors):
+                    if not (
+                        isinstance(selector, int)
+                        and not isinstance(selector, bool)
+                        and 0 <= selector < _NUM_SELECTORS
+                    ):
+                        raise BundleFormatError(
+                            f"{where}: selector for line {line} out of range "
+                            f"0..{_NUM_SELECTORS - 1}: {selector!r}"
+                        )
             if width is None:
                 width = len(selectors)
-            else:
-                _require(
-                    len(selectors) == width,
-                    f"{where}: width {len(selectors)} != first entry's {width}",
+            elif len(selectors) != width:
+                raise BundleFormatError(
+                    f"{where}: width {len(selectors)} != first entry's {width}"
                 )
-            _require(
-                isinstance(entry.get("end"), bool),
-                f"{where}: 'end' must be a boolean",
-            )
+            if not isinstance(entry.get("end"), bool):
+                raise BundleFormatError(f"{where}: 'end' must be a boolean")
             count = _int_field(entry, "count", where)
-            _require(count >= 0, f"{where}: 'count' must be >= 0, got {count}")
+            if count < 0:
+                raise BundleFormatError(
+                    f"{where}: 'count' must be >= 0, got {count}"
+                )
         image_end = self.text_base + 4 * len(self.encoded_words)
         seen_pcs: set[int] = set()
         for i, entry in enumerate(self.bbit_entries):
             where = f"bbit[{i}]"
-            _require(
-                isinstance(entry, dict), f"{where}: entry must be an object"
-            )
+            if not isinstance(entry, dict):
+                raise BundleFormatError(f"{where}: entry must be an object")
             pc = _int_field(entry, "pc", where)
             tt_index = _int_field(entry, "tt_index", where)
             num_instructions = _int_field(entry, "num_instructions", where)
-            _require(
-                pc % 4 == 0, f"{where}: pc {pc:#x} is not word-aligned"
-            )
-            _require(
-                pc not in seen_pcs, f"{where}: duplicate entry for pc {pc:#x}"
-            )
+            if pc % 4:
+                raise BundleFormatError(
+                    f"{where}: pc {pc:#x} is not word-aligned"
+                )
+            if pc in seen_pcs:
+                raise BundleFormatError(
+                    f"{where}: duplicate entry for pc {pc:#x}"
+                )
             seen_pcs.add(pc)
-            _require(
-                num_instructions >= 1,
-                f"{where}: num_instructions must be >= 1, "
-                f"got {num_instructions}",
-            )
-            _require(
+            if num_instructions < 1:
+                raise BundleFormatError(
+                    f"{where}: num_instructions must be >= 1, "
+                    f"got {num_instructions}"
+                )
+            if not (
                 self.text_base <= pc
-                and pc + 4 * num_instructions <= image_end,
-                f"{where}: block [{pc:#x}, {pc + 4 * num_instructions:#x}) "
-                f"falls outside the image "
-                f"[{self.text_base:#x}, {image_end:#x})",
-            )
+                and pc + 4 * num_instructions <= image_end
+            ):
+                raise BundleFormatError(
+                    f"{where}: block [{pc:#x}, {pc + 4 * num_instructions:#x}) "
+                    f"falls outside the image "
+                    f"[{self.text_base:#x}, {image_end:#x})"
+                )
             segments = self.segments_for(num_instructions)
-            _require(
+            if not (
                 0 <= tt_index
-                and tt_index + segments <= len(self.tt_entries),
-                f"{where}: dangling BBIT->TT reference: needs TT entries "
-                f"[{tt_index}, {tt_index + segments}) but the bundle has "
-                f"{len(self.tt_entries)}",
-            )
-            tail = self.tt_entries[tt_index + segments - 1]
-            _require(
-                bool(tail.get("end")),
-                f"{where}: TT walk from {tt_index} over {segments} "
-                "segment(s) does not terminate on an E-bit entry",
-            )
+                and tt_index + segments <= len(self.tt_entries)
+            ):
+                raise BundleFormatError(
+                    f"{where}: dangling BBIT->TT reference: needs TT entries "
+                    f"[{tt_index}, {tt_index + segments}) but the bundle has "
+                    f"{len(self.tt_entries)}"
+                )
+            if not self.tt_entries[tt_index + segments - 1].get("end"):
+                raise BundleFormatError(
+                    f"{where}: TT walk from {tt_index} over {segments} "
+                    "segment(s) does not terminate on an E-bit entry"
+                )
         self._validate_regions(image_end)
 
     def _validate_regions(self, image_end: int) -> None:
@@ -364,66 +381,67 @@ class EncodingBundle:
         seen_pcs: set[int] = set()
         for i, region in enumerate(self.regions):
             where = f"regions[{i}]"
-            _require(
-                isinstance(region, dict), f"{where}: entry must be an object"
-            )
+            if not isinstance(region, dict):
+                raise BundleFormatError(f"{where}: entry must be an object")
             header = _int_field(region, "header", where)
-            _require(
-                header % 4 == 0,
-                f"{where}: header {header:#x} is not word-aligned",
-            )
+            if header % 4:
+                raise BundleFormatError(
+                    f"{where}: header {header:#x} is not word-aligned"
+                )
             scheme = region.get("scheme")
-            _require(
-                isinstance(scheme, str) and bool(scheme),
-                f"{where}: 'scheme' must be a non-empty string",
-            )
+            if not (isinstance(scheme, str) and scheme):
+                raise BundleFormatError(
+                    f"{where}: 'scheme' must be a non-empty string"
+                )
             blocks = region.get("blocks")
-            _require(
-                isinstance(blocks, list) and blocks,
-                f"{where}: 'blocks' must be a non-empty list",
-            )
+            if not (isinstance(blocks, list) and blocks):
+                raise BundleFormatError(
+                    f"{where}: 'blocks' must be a non-empty list"
+                )
             for j, block in enumerate(blocks):
                 bwhere = f"{where}.blocks[{j}]"
-                _require(
-                    isinstance(block, dict),
-                    f"{bwhere}: entry must be an object",
-                )
+                if not isinstance(block, dict):
+                    raise BundleFormatError(
+                        f"{bwhere}: entry must be an object"
+                    )
                 pc = _int_field(block, "pc", bwhere)
                 count = _int_field(block, "num_instructions", bwhere)
-                _require(
-                    pc % 4 == 0, f"{bwhere}: pc {pc:#x} is not word-aligned"
-                )
-                _require(
-                    count >= 1,
-                    f"{bwhere}: num_instructions must be >= 1, got {count}",
-                )
-                _require(
-                    self.text_base <= pc and pc + 4 * count <= image_end,
-                    f"{bwhere}: block [{pc:#x}, {pc + 4 * count:#x}) falls "
-                    f"outside the image [{self.text_base:#x}, {image_end:#x})",
-                )
-                for addr in range(pc, pc + 4 * count, 4):
-                    _require(
-                        addr not in seen_pcs,
-                        f"{bwhere}: address {addr:#x} tagged by two regions",
+                if pc % 4:
+                    raise BundleFormatError(
+                        f"{bwhere}: pc {pc:#x} is not word-aligned"
                     )
-                    seen_pcs.add(addr)
+                if count < 1:
+                    raise BundleFormatError(
+                        f"{bwhere}: num_instructions must be >= 1, got {count}"
+                    )
+                if not (self.text_base <= pc and pc + 4 * count <= image_end):
+                    raise BundleFormatError(
+                        f"{bwhere}: block [{pc:#x}, {pc + 4 * count:#x}) falls "
+                        f"outside the image [{self.text_base:#x}, {image_end:#x})"
+                    )
+                addrs = range(pc, pc + 4 * count, 4)
+                if not seen_pcs.isdisjoint(addrs):
+                    addr = next(a for a in addrs if a in seen_pcs)
+                    raise BundleFormatError(
+                        f"{bwhere}: address {addr:#x} tagged by two regions"
+                    )
+                seen_pcs.update(addrs)
             if scheme in ("ttbbit", "raw"):
                 continue
-            _require(
-                scheme in ENCODER_REGISTRY,
-                f"{where}: unknown scheme tag {scheme!r}",
-            )
+            if scheme not in ENCODER_REGISTRY:
+                raise BundleFormatError(
+                    f"{where}: unknown scheme tag {scheme!r}"
+                )
             config = region.get("config")
-            _require(
-                isinstance(config, dict),
-                f"{where}: scheme {scheme!r} needs a 'config' object",
-            )
+            if not isinstance(config, dict):
+                raise BundleFormatError(
+                    f"{where}: scheme {scheme!r} needs a 'config' object"
+                )
             declared = region.get("config_digest")
-            _require(
-                isinstance(declared, str) and len(declared) == 64,
-                f"{where}: 'config_digest' must be a sha256 hex string",
-            )
+            if not (isinstance(declared, str) and len(declared) == 64):
+                raise BundleFormatError(
+                    f"{where}: 'config_digest' must be a sha256 hex string"
+                )
             try:
                 encoder = encoder_from_config(scheme, config)
             except Exception as err:
@@ -431,10 +449,10 @@ class EncodingBundle:
                     f"{where}: config for scheme {scheme!r} does not "
                     f"rebuild: {err}"
                 ) from err
-            _require(
-                encoder.config_digest() == declared,
-                f"{where}: config digest mismatch for scheme {scheme!r}",
-            )
+            if encoder.config_digest() != declared:
+                raise BundleFormatError(
+                    f"{where}: config digest mismatch for scheme {scheme!r}"
+                )
 
     # ------------------------------------------------------------------
     # Deployment

@@ -28,6 +28,131 @@ TT_M = tt_row_bits(32)
 BBIT_M = bbit_row_bits()
 
 
+def _positions(m):
+    """Hamming check-bit count and the codeword position of each of
+    ``m`` data bits (1-indexed; powers of two hold check bits)."""
+    r = 0
+    while (1 << r) < m + r + 1:
+        r += 1
+    positions = [pos for pos in range(1, m + r + 1) if pos & (pos - 1)]
+    return r, positions[:m]
+
+
+def _encode_bit_loop(data, m):
+    """The per-bit encoder: the oracle for the table-driven one."""
+    r, positions = _positions(m)
+    syndrome = 0
+    ones = 0
+    for i in range(m):
+        if (data >> i) & 1:
+            syndrome ^= positions[i]
+            ones ^= 1
+    for j in range(r):
+        if (syndrome >> j) & 1:
+            ones ^= 1
+    return syndrome | (ones << r)
+
+
+def _decode_bit_loop(data, m, check):
+    """The per-bit decoder: the oracle for the table-driven one."""
+    r, positions = _positions(m)
+    syndrome = 0
+    ones = (check >> r) & 1
+    for i in range(m):
+        if (data >> i) & 1:
+            syndrome ^= positions[i]
+            ones ^= 1
+    for j in range(r):
+        if (check >> j) & 1:
+            syndrome ^= 1 << j
+            ones ^= 1
+    if syndrome == 0 and ones == 0:
+        return CLEAN, data, check
+    if ones == 0:
+        return UNCORRECTABLE, data, check
+    if syndrome == 0:
+        return CORRECTED, data, check ^ (1 << r)
+    if syndrome & (syndrome - 1) == 0:
+        return CORRECTED, data, check ^ syndrome
+    if syndrome not in positions:
+        return UNCORRECTABLE, data, check
+    return CORRECTED, data ^ (1 << positions.index(syndrome)), check
+
+
+def _tt_row_data_loop(selectors, end, count):
+    """The per-field TT row packer: the oracle for the octal one."""
+    data = 0
+    shift = 0
+    for selector in selectors:
+        data |= (selector & 0b111) << shift
+        shift += 3
+    data |= (1 if end else 0) << shift
+    return data | (count & 0xFFFFFFFF) << (shift + 1)
+
+
+class TestTableEncoderMatchesBitLoop:
+    @pytest.mark.parametrize("m", [128, 129])
+    def test_random_words(self, m):
+        rng = random.Random(m + 10)
+        for _ in range(500):
+            data = rng.getrandbits(m)
+            assert secded_encode(data, m) == _encode_bit_loop(data, m)
+
+    @pytest.mark.parametrize("m", [128, 129])
+    def test_all_ones_and_zero(self, m):
+        for data in (0, (1 << m) - 1):
+            assert secded_encode(data, m) == _encode_bit_loop(data, m)
+
+    @pytest.mark.parametrize("m", [128, 129])
+    def test_every_single_bit_word(self, m):
+        for bit in range(m):
+            data = 1 << bit
+            assert secded_encode(data, m) == _encode_bit_loop(data, m)
+
+    @pytest.mark.parametrize("m", [8, 11, 21])
+    def test_other_widths(self, m):
+        rng = random.Random(m + 20)
+        for _ in range(200):
+            data = rng.getrandbits(m)
+            assert secded_encode(data, m) == _encode_bit_loop(data, m)
+
+    @pytest.mark.parametrize("m", [128, 129])
+    def test_bits_above_m_are_ignored(self, m):
+        rng = random.Random(m + 30)
+        data = rng.getrandbits(m)
+        noisy = data | rng.getrandbits(16) << m
+        assert secded_encode(noisy, m) == _encode_bit_loop(data, m)
+
+    @pytest.mark.parametrize("m", [128, 129])
+    def test_decode_matches_bit_loop(self, m):
+        # Zero, one, two and three flipped bits across data and check.
+        rng = random.Random(m + 40)
+        width = m + secded_check_bits(m)
+        for _ in range(300):
+            data = rng.getrandbits(m)
+            check = secded_encode(data, m)
+            for position in rng.sample(range(width), rng.randrange(4)):
+                if position < m:
+                    data ^= 1 << position
+                else:
+                    check ^= 1 << (position - m)
+            assert secded_decode(data, m, check) == _decode_bit_loop(
+                data, m, check
+            )
+
+    def test_tt_row_data_matches_field_loop(self):
+        rng = random.Random(50)
+        for width in (1, 8, 32):
+            for _ in range(100):
+                selectors = tuple(rng.randrange(8) for _ in range(width))
+                end = rng.random() < 0.5
+                count = rng.getrandbits(32)
+                assert tt_row_data(selectors, end, count) == _tt_row_data_loop(
+                    selectors, end, count
+                )
+        assert tt_row_data((), True, 3) == _tt_row_data_loop((), True, 3)
+
+
 class TestCodec:
     @pytest.mark.parametrize("m", [8, 21, TT_M, BBIT_M])
     def test_clean_roundtrip(self, m):

@@ -49,6 +49,24 @@ class TestTTEntry:
         with pytest.raises(ValueError):
             TTEntry(selectors=(8,))
 
+    @pytest.mark.parametrize("selectors", [(0, -1), (0, 3, 9)])
+    def test_first_bad_selector_named(self, selectors):
+        with pytest.raises(ValueError) as err:
+            TTEntry(selectors=selectors)
+        assert str(err.value) == f"selector out of range: {selectors[-1]}"
+
+    def test_float_selector_rejected(self):
+        with pytest.raises(TypeError):
+            TTEntry(selectors=(0, 1.0))
+
+    def test_bool_selector_decodes_as_its_int(self):
+        # bool is an int subclass: it takes the per-selector check and
+        # decodes like the int it equals.
+        entry = TTEntry(selectors=(True, False, 2))
+        assert entry.decode(0b101, 0b110) == TTEntry(
+            selectors=(1, 0, 2)
+        ).decode(0b101, 0b110)
+
 
 class TestTransformationTable:
     def _encoding(self, words=None, block_size=5):

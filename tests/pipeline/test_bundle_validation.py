@@ -187,6 +187,185 @@ class TestStructuralValidation:
             bundle.validate()
 
 
+class TestExactRejectionMessages:
+    """The loader checks selectors in bulk and formats a message only
+    for the check that fails; the failing check still names the first
+    offending value, with the same text as a check-by-check walk."""
+
+    @pytest.mark.parametrize(
+        "selector, shown",
+        [(True, "True"), (1.0, "1.0"), ("3", "'3'"), (8, "8"), (-1, "-1")],
+    )
+    def test_bad_selector(self, selector, shown):
+        bundle = _good_bundle()
+        bundle.tt_entries[0]["selectors"][4] = selector
+        message = f"tt[0]: selector for line 4 out of range 0..7: {shown}"
+        for load in (
+            bundle.validate,
+            bundle.build_tables,
+            lambda: EncodingBundle.from_json(bundle.to_json()),
+        ):
+            with pytest.raises(BundleFormatError) as err:
+                load()
+            assert str(err.value) == message
+
+    def test_first_bad_selector_is_named(self):
+        bundle = _good_bundle()
+        bundle.tt_entries[1]["selectors"][7] = 9
+        bundle.tt_entries[1]["selectors"][2] = True
+        with pytest.raises(BundleFormatError) as err:
+            bundle.validate()
+        assert str(err.value) == (
+            "tt[1]: selector for line 2 out of range 0..7: True"
+        )
+
+    def test_unhashable_selector(self):
+        bundle = _good_bundle()
+        bundle.tt_entries[0]["selectors"][0] = [1]
+        with pytest.raises(BundleFormatError) as err:
+            bundle.validate()
+        assert str(err.value) == (
+            "tt[0]: selector for line 0 out of range 0..7: [1]"
+        )
+
+    @pytest.mark.parametrize(
+        "count, kind", [(True, "bool"), (1.5, "float"), (2.0, "float")]
+    )
+    def test_non_integer_count(self, count, kind):
+        bundle = _good_bundle()
+        bundle.tt_entries[-1]["count"] = count
+        last = len(bundle.tt_entries) - 1
+        message = f"tt[{last}]: field 'count' must be an integer, got {kind}"
+        for load in (
+            bundle.validate,
+            bundle.build_tables,
+            lambda: EncodingBundle.from_json(bundle.to_json()),
+        ):
+            with pytest.raises(BundleFormatError) as err:
+                load()
+            assert str(err.value) == message
+
+    def test_missing_count(self):
+        bundle = _good_bundle()
+        del bundle.tt_entries[0]["count"]
+        with pytest.raises(BundleFormatError) as err:
+            bundle.validate()
+        assert str(err.value) == "tt[0]: missing field 'count'"
+
+    @pytest.mark.parametrize("entry", [[1, 2], "x", None, 7])
+    def test_non_dict_tt_entry(self, entry):
+        bundle = _good_bundle()
+        bundle.tt_entries[1] = entry
+        for load in (
+            bundle.validate,
+            bundle.build_tables,
+            lambda: EncodingBundle.from_json(bundle.to_json()),
+        ):
+            with pytest.raises(BundleFormatError) as err:
+                load()
+            assert str(err.value) == "tt[1]: entry must be an object"
+
+    @pytest.mark.parametrize(
+        "words, message",
+        [
+            (["0000000g"], "encoded_words[0]: '0000000g' is not a hex word"),
+            ([7], "encoded_words[0]: 7 is not a hex word"),
+            (
+                ["1", "100000000", "zz"],
+                "encoded_words[1]: '100000000' does not fit in 32 bits",
+            ),
+            (["1", "zz", "100000000"], "encoded_words[1]: 'zz' is not a hex word"),
+            (["-1"], "encoded_words[0]: '-1' does not fit in 32 bits"),
+        ],
+    )
+    def test_first_bad_word_is_named(self, words, message):
+        data = _roundtrip_data()
+        data["encoded_words"] = words
+        with pytest.raises(BundleFormatError) as err:
+            EncodingBundle.from_json(json.dumps(data))
+        assert str(err.value) == message
+
+
+def _region(header, blocks, scheme="raw", **extra):
+    return {
+        "header": header,
+        "scheme": scheme,
+        "blocks": [{"pc": pc, "num_instructions": n} for pc, n in blocks],
+        **extra,
+    }
+
+
+class TestRegionValidation:
+    """Mixed-scheme region metadata: the first failing check names its
+    region, block and value."""
+
+    def _rejects(self, regions, message):
+        bundle = _good_bundle()
+        bundle.regions = regions
+        with pytest.raises(BundleFormatError) as err:
+            bundle.validate()
+        assert str(err.value) == message
+
+    def test_raw_and_zoo_regions_validate(self):
+        from repro.baselines.protocol import encoder_from_config
+
+        gray = encoder_from_config("gray", {"width": 32})
+        bundle = _good_bundle()
+        bundle.regions = [
+            _region(0x400000, [(0x400000, 4)]),
+            _region(
+                0x400010,
+                [(0x400010, 3)],
+                scheme="gray",
+                config=gray.to_config(),
+                config_digest=gray.config_digest(),
+            ),
+        ]
+        bundle.validate()
+
+    def test_address_tagged_twice(self):
+        self._rejects(
+            [
+                _region(0x400000, [(0x400000, 4)]),
+                _region(0x400008, [(0x400020, 1), (0x400008, 6)]),
+            ],
+            "regions[1].blocks[1]: address 0x400008 tagged by two regions",
+        )
+
+    def test_misaligned_header(self):
+        self._rejects(
+            [_region(0x400002, [(0x400000, 1)])],
+            "regions[0]: header 0x400002 is not word-aligned",
+        )
+
+    def test_block_outside_image(self):
+        self._rejects(
+            [_region(0x400000, [(0x400030, 4)])],
+            "regions[0].blocks[0]: block [0x400030, 0x400040) falls "
+            "outside the image [0x400000, 0x400038)",
+        )
+
+    def test_unknown_scheme(self):
+        self._rejects(
+            [_region(0x400000, [(0x400000, 1)], scheme="morse")],
+            "regions[0]: unknown scheme tag 'morse'",
+        )
+
+    def test_config_digest_mismatch(self):
+        self._rejects(
+            [
+                _region(
+                    0x400000,
+                    [(0x400000, 1)],
+                    scheme="gray",
+                    config={"width": 32},
+                    config_digest="0" * 64,
+                )
+            ],
+            "regions[0]: config digest mismatch for scheme 'gray'",
+        )
+
+
 class TestBuildTables:
     def test_build_tables_validates_first(self):
         bundle = _good_bundle()

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cfg.basic_blocks import BasicBlock, build_basic_blocks
-from repro.cfg.dominators import postorder
 from repro.isa.assembler import Program
 
 
@@ -46,12 +45,6 @@ class ControlFlowGraph:
             else:
                 return block
         raise KeyError(f"address {address:#010x} not in any block")
-
-    def reachable_blocks(self) -> set[int]:
-        """Blocks reachable from the entry through static edges."""
-        if self.entry not in self.succ:
-            return set()
-        return set(postorder(self.succ, self.entry))
 
     def __len__(self) -> int:
         return len(self.blocks)

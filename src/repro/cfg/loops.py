@@ -66,26 +66,6 @@ def find_natural_loops(cfg: ControlFlowGraph) -> list[NaturalLoop]:
     return [loops[h] for h in sorted(loops)]
 
 
-def loop_nesting_depths(loops: list[NaturalLoop]) -> dict[int, int]:
-    """Nesting depth per loop header (1 = outermost)."""
-    depths = {}
-    for loop in loops:
-        depth = 1 + sum(
-            1 for other in loops if loop.is_nested_in(other)
-        )
-        depths[loop.header] = depth
-    return depths
-
-
-def innermost_loops(loops: list[NaturalLoop]) -> list[NaturalLoop]:
-    """Loops that contain no other loop."""
-    return [
-        loop
-        for loop in loops
-        if not any(other.is_nested_in(loop) for other in loops)
-    ]
-
-
 def blocks_in_any_loop(loops: list[NaturalLoop]) -> set[int]:
     """Union of all loop bodies."""
     result: set[int] = set()

@@ -17,7 +17,7 @@ command        what it prints
                recovery rates, written to FAULTS_report.json
                (``--wal``/``--resume`` checkpoint and resume the sweep)
 ``experiment`` the parameter-sweep grid (workloads x block sizes x TT
-               capacities x strategies) as CSV, also resumable
+               capacities x strategies) as CSV
 ``metrics``    metric families from a RUN_report.json (``--check``
                gates on the expected encode families, or the serve
                families with ``--expect serve``)
@@ -400,9 +400,6 @@ def _cmd_faults_storage(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.pipeline.experiment import run_sweep
 
-    if args.resume and not args.wal:
-        print("experiment: --resume requires --wal PATH", file=sys.stderr)
-        return 2
     workloads = args.workload or ["fir"]
     unknown = [name for name in workloads if name not in ENCODABLE_WORKLOADS]
     if unknown:
@@ -417,8 +414,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         block_sizes=tuple(args.block_sizes),
         tt_capacities=tuple(args.tt_capacities),
         strategies=tuple(args.strategies),
-        wal_path=args.wal,
-        resume=args.resume,
     )
     print(sweep.to_csv())
     if args.csv:
@@ -1003,7 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "experiment",
-        help="parameter-sweep grid over workloads (CSV, resumable)",
+        help="parameter-sweep grid over workloads (CSV)",
     )
     p.add_argument(
         "--workload",
@@ -1027,17 +1022,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="also write the grid to PATH (atomic)",
-    )
-    p.add_argument(
-        "--wal",
-        default=None,
-        metavar="PATH",
-        help="journal finished grid points to a JSONL write-ahead log",
-    )
-    p.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay the --wal log and skip already-finished points",
     )
     p.set_defaults(func=_cmd_experiment)
 

@@ -89,23 +89,3 @@ def random_streams(
         [1 if rng.random() < bias else 0 for _ in range(length)]
         for _ in range(count)
     ]
-
-
-def section6_experiment(
-    block_size: int = 5,
-    count: int = 50,
-    length: int = 1000,
-    seed: int = 2003,
-    strategy: str = "greedy",
-) -> ReductionSummary:
-    """Reproduce the Section 6 random-sequence experiment."""
-    streams = random_streams(count, length, seed)
-    return summarize_streams(streams, block_size, strategy=strategy)
-
-
-def theoretical_uniform_reduction(block_size: int) -> float:
-    """Expected reduction percentage on uniform streams for anchored
-    blocks of ``block_size`` (the Figure 3 Impr row)."""
-    from repro.core.theory import theory_row
-
-    return theory_row(block_size).improvement_percent

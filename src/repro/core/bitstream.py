@@ -65,14 +65,6 @@ def int_to_stream(value: int, width: int) -> list[int]:
     return [(value >> i) & 1 for i in range(width)]
 
 
-def stream_to_int(stream: Sequence[int]) -> int:
-    """Inverse of :func:`int_to_stream`."""
-    value = 0
-    for i, bit in enumerate(stream):
-        value |= (bit & 1) << i
-    return value
-
-
 def pack_bits(stream: Sequence[int]) -> int:
     """Pack a time-ordered 0/1 stream into an int (bit ``i`` =
     ``stream[i]``).  The integer form is what the compiled fast path
@@ -130,20 +122,3 @@ def columns_to_words(columns: Sequence[Sequence[int]]) -> list[int]:
             word |= (col[t] & 1) << b
         words.append(word)
     return words
-
-
-def hamming(a: int, b: int) -> int:
-    """Hamming distance between two words (bus transitions per fetch)."""
-    return (a ^ b).bit_count()
-
-
-def per_line_word_transitions(words: Sequence[int], width: int = 32) -> list[int]:
-    """Per-bus-line transition counts for a fetch sequence."""
-    counts = [0] * width
-    for a, b in zip(words, words[1:]):
-        diff = a ^ b
-        while diff:
-            low = diff & -diff
-            counts[low.bit_length() - 1] += 1
-            diff ^= low
-    return counts

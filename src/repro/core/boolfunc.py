@@ -157,18 +157,3 @@ def dual(func: BoolFunc) -> BoolFunc:
             value = 1 - func(1 - x, 1 - y)
             table |= value << (2 * x + y)
     return BoolFunc(table)
-
-
-def compose_history_chain(func: BoolFunc, stored: list[int], seed: int) -> list[int]:
-    """Decode a stored bit sequence with a single transformation.
-
-    ``seed`` is the original value of the bit *preceding* ``stored[0]``
-    (the history available when the first stored bit arrives).  Returns
-    the decoded original bits, one per stored bit.
-    """
-    decoded: list[int] = []
-    history = seed & 1
-    for bit in stored:
-        history = func(bit & 1, history)
-        decoded.append(history)
-    return decoded

@@ -189,7 +189,7 @@ class DeploymentTarget:
             encoded_region=bundle.encoded_pc_region(),
             text_base=self.text_base,
             region_schemes=bundle.region_scheme_map(),
-            scheme_word_decoders=bundle.scheme_word_decoders(),
+            region_word_decoders=bundle.region_word_decoders(),
             regions=[dict(region) for region in self.regions],
         )
 
@@ -242,7 +242,7 @@ def _run_case(
         # classic table-fault recover paths never consult it.
         golden_lookup=golden if mode in ("recover", "degraded") else None,
         region_schemes=state.region_schemes or None,
-        scheme_word_decoders=state.scheme_word_decoders or None,
+        region_word_decoders=state.region_word_decoders or None,
     )
 
     def lookup(pc: int) -> int:

@@ -64,10 +64,11 @@ class RunState:
     encoded_region: set[int]
     text_base: int
     #: Mixed-scheme bundle state (empty for classic deployments):
-    #: ``pc -> scheme tag``, ``tag -> decode_word | None``, and the
-    #: raw per-region metadata the bundle shipped (injector targets).
+    #: ``pc -> scheme tag``, ``pc -> (tag, decode_word | None)`` as
+    #: the loader armed it, and the raw per-region metadata the bundle
+    #: shipped (injector targets).
     region_schemes: dict = field(default_factory=dict)
-    scheme_word_decoders: dict = field(default_factory=dict)
+    region_word_decoders: dict = field(default_factory=dict)
     regions: list = field(default_factory=list)
 
     def word_index(self, pc: int) -> int:

@@ -115,6 +115,7 @@ class FetchDecoder:
         golden_lookup=None,
         region_schemes: dict[int, str] | None = None,
         scheme_word_decoders: dict[str, object] | None = None,
+        region_word_decoders: dict[int, tuple[str, object]] | None = None,
     ):
         if isinstance(block_size, bool) or not isinstance(block_size, int):
             raise TypeError(
@@ -149,13 +150,22 @@ class FetchDecoder:
         #: Mixed-scheme bundle support: ``pc -> scheme tag`` for every
         #: address inside a tagged region.  Tags equal to
         #: :data:`SCHEME_TTBBIT` flow through the table path; other
-        #: tags are served through ``scheme_word_decoders[tag]`` — a
+        #: tags are served through the word decoder armed at that
+        #: address, ``region_word_decoders[pc] = (tag, decoder)``: a
         #: per-word decode callable for deployable recoders, or
-        #: ``None`` for bus codecs whose stored words are raw.  A tag
-        #: with no entry in ``scheme_word_decoders`` is a fault
+        #: ``None`` for bus codecs whose stored words are raw.  A
+        #: bundle arms each address with its own region's decoder, so
+        #: regions sharing a scheme keep their own codebooks;
+        #: ``scheme_word_decoders`` (``tag -> decoder``) arms every
+        #: address of a tag with one decoder.  A fetch whose tag is not
+        #: the one armed at its address is a fault
         #: (:class:`~repro.errors.SchemeTagError`).
         self.region_schemes = region_schemes or {}
-        self.scheme_word_decoders = scheme_word_decoders or {}
+        self.region_word_decoders = dict(region_word_decoders or {})
+        shared = scheme_word_decoders or {}
+        for pc, tag in self.region_schemes.items():
+            if tag in shared:
+                self.region_word_decoders.setdefault(pc, (tag, shared[tag]))
         self.scheme_decoded_instructions = 0
         self._active: _ActiveBlock | None = None
         self._history_word = 0
@@ -273,11 +283,13 @@ class FetchDecoder:
 
         Deployable word recoders registered a per-word decode callable;
         bus codecs registered ``None`` (their stored words are raw and
-        pass through).  An unknown tag is treated like any other
-        decode-path fault: strict raises :class:`SchemeTagError`,
-        recover/degraded fall back to the golden bundle when attached.
+        pass through).  A tag other than the one armed at ``pc`` is
+        treated like any other decode-path fault: strict raises
+        :class:`SchemeTagError`, recover/degraded fall back to the
+        golden bundle when attached.
         """
-        if scheme not in self.scheme_word_decoders:
+        armed = self.region_word_decoders.get(pc)
+        if armed is None or armed[0] != scheme:
             fault = SchemeTagError(
                 f"unknown region scheme tag {scheme!r} at {pc:#010x}"
             )
@@ -297,7 +309,7 @@ class FetchDecoder:
         self._active = None
         self._expected_pc = None
         self._passthrough_run = False
-        decode_word = self.scheme_word_decoders[scheme]
+        decode_word = armed[1]
         if decode_word is None:
             self.passthrough_instructions += 1
             return stored_word
@@ -525,7 +537,8 @@ class FetchDecoder:
         finalize: bool = False,
     ) -> DecodedTrace:
         """Decode a full fetch trace.  ``stored_image_lookup`` maps a
-        PC to the stored (possibly encoded) word.  ``finalize=True``
+        PC to the stored (possibly encoded) word; the stored image must
+        not change during the call.  ``finalize=True``
         additionally treats end-of-trace as end-of-stream, flagging a
         truncation that leaves a block half-decoded.  A plain PC list
         is converted once with :meth:`FetchTrace.from_addresses`.
@@ -603,7 +616,7 @@ class FetchDecoder:
         out: list[list[int]] = []
         memo: dict[tuple[int, int], _RunDecode] = {}
         decodes: list[_RunDecode] = []
-        blocks: dict[tuple, list[int]] = {}
+        blocks: dict[tuple[int, int], list[int]] = {}
         bbit = self.bbit
         corrections = bbit.ecc_corrections
         done = None
@@ -671,12 +684,13 @@ class FetchDecoder:
         self,
         run: tuple[int, int],
         stored_image_lookup,
-        blocks: dict[tuple, list[int]],
+        blocks: dict[tuple[int, int], list[int]],
     ) -> list[int]:
         """Decode one maximal sequential run from the idle engine:
         one bitplane scan per full basic-block occurrence (memoised in
-        ``blocks`` on the stored words), the region's word decoder for
-        zoo-tagged fetches, :meth:`fetch` for the rest."""
+        ``blocks`` on the TT index and PC: the stored image is fixed
+        for one :meth:`decode_trace` call), the region's word decoder
+        for zoo-tagged fetches, :meth:`fetch` for the rest."""
         start, length = run
         self._active = None
         self._expected_pc = None
@@ -729,10 +743,10 @@ class FetchDecoder:
                 out.append(self.fetch(pc, stored_image_lookup(pc)))
                 pc += 4
                 continue
-            stored = [stored_image_lookup(pc + 4 * j) for j in range(count)]
-            key = (entry.tt_index, pc, tuple(stored))
+            key = (entry.tt_index, pc)
             decoded_words = blocks.get(key)
             if decoded_words is None:
+                stored = [stored_image_lookup(pc + 4 * j) for j in range(count)]
                 num_segments = (count - 2) // (block_size - 1) + 1
                 plans = []
                 for segment in range(num_segments):

@@ -97,6 +97,11 @@ class EncodingBundle:
     #: unencoded), or a registered encoder-zoo scheme whose ``config``
     #: rebuilds the fitted encoder.
     regions: list[dict] = field(default_factory=list)
+    #: ``region index -> encoder`` for every encoder-zoo region, as
+    #: :meth:`validate` rebuilt and digest-checked it.
+    _zoo_encoders: dict[int, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Construction
@@ -373,7 +378,9 @@ class EncodingBundle:
         tag must name the table path, ``raw``, or a registered encoder
         backend whose declared ``config_digest`` matches the digest
         recomputed from the shipped config (so a tampered codebook is
-        caught at load time, before the decoder trusts it)."""
+        caught at load time, before the decoder trusts it).  The
+        rebuilt encoders are kept for :meth:`region_word_decoders`."""
+        self._zoo_encoders = {}
         if not self.regions:
             return
         from repro.baselines.protocol import ENCODER_REGISTRY, encoder_from_config
@@ -453,6 +460,7 @@ class EncodingBundle:
                 raise BundleFormatError(
                     f"{where}: config digest mismatch for scheme {scheme!r}"
                 )
+            self._zoo_encoders[i] = encoder
 
     # ------------------------------------------------------------------
     # Deployment
@@ -517,23 +525,30 @@ class EncodingBundle:
                     schemes[addr] = tag
         return schemes
 
-    def scheme_word_decoders(self) -> dict[str, object]:
-        """Per-word decode callables for the fetch path, rebuilt from
-        each region's shipped encoder config.  Deployable recoders map
-        to their ``decode_word``; bus codecs (and ``raw`` regions) map
-        to ``None`` — their stored words pass through unchanged."""
-        from repro.baselines.protocol import encoder_from_config
-
-        decoders: dict[str, object] = {}
-        for region in self.regions:
+    def region_word_decoders(self) -> dict[int, tuple[str, object]]:
+        """``pc -> (scheme tag, word decoder)`` for every address of a
+        region served outside the TT engine, each region through the
+        encoder :meth:`validate` rebuilt from its own config (so two
+        regions of one scheme keep their own codebooks).  Deployable
+        recoders give their ``decode_word``; bus codecs and ``raw``
+        regions give ``None`` — their stored words pass through
+        unchanged.  Call after :meth:`validate` (or
+        :meth:`build_tables`, which runs it)."""
+        decoders: dict[int, tuple[str, object]] = {}
+        for i, region in enumerate(self.regions):
             tag = str(region["scheme"])
-            if tag in decoders or tag == "ttbbit":
+            if tag == "ttbbit":
                 continue
-            if tag == "raw":
-                decoders[tag] = None
-                continue
-            encoder = encoder_from_config(tag, region.get("config", {}))
-            decoders[tag] = encoder.decode_word if encoder.deployable else None
+            decode_word = None
+            if tag != "raw":
+                encoder = self._zoo_encoders[i]
+                if encoder.deployable:
+                    decode_word = encoder.decode_word
+            for block in region["blocks"]:
+                pc = int(block["pc"])
+                count = int(block["num_instructions"])
+                for addr in range(pc, pc + 4 * count, 4):
+                    decoders[addr] = (tag, decode_word)
         return decoders
 
     def verify_against(self, program) -> bool:
@@ -545,7 +560,7 @@ class EncodingBundle:
         """Full loader path: validate, rebuild tables, decode the
         trace through the hardware model, compare with the original
         program.  Mixed-scheme bundles additionally arm the decoder
-        with the per-region scheme tags and their word decoders."""
+        with the per-region scheme tags and each region's word decoder."""
         from repro.hw.fetch_decoder import FetchDecoder
         from repro.sim.tracer import FetchTrace
 
@@ -560,7 +575,7 @@ class EncodingBundle:
             self.block_size,
             encoded_region=self.encoded_pc_region(),
             region_schemes=self.region_scheme_map() or None,
-            scheme_word_decoders=self.scheme_word_decoders() or None,
+            region_word_decoders=self.region_word_decoders() or None,
         )
         trace = FetchTrace.of(trace)
         base = self.text_base

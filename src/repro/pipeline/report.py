@@ -12,21 +12,18 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:
-    from repro.pipeline.experiment import SweepRecord
     from repro.pipeline.flow import FlowResult
 
 BLOCK_SIZES = (4, 5, 6, 7)
 
 
 def fig6_table(
-    results: Mapping[str, Mapping[int, FlowResult | SweepRecord]],
+    results: Mapping[str, Mapping[int, FlowResult]],
     benchmarks: Sequence[str] | None = None,
 ) -> dict:
     """Structured Figure-6 data.
 
-    ``results[benchmark][block_size]`` holds the flow result, or the
-    :class:`~repro.pipeline.experiment.SweepRecord` a resumed sweep
-    replays; only the fields both carry are read.  Returns
+    ``results[benchmark][block_size]`` holds the flow result.  Returns
     ``{"benchmarks": [...], "tr": {...}, "encoded": {k: {...}},
     "reduction": {k: {...}}}`` with transition counts in millions.
     """
@@ -81,7 +78,7 @@ def format_fig6(table: dict) -> str:
 
 
 def fig7_series(
-    results: Mapping[str, Mapping[int, FlowResult | SweepRecord]],
+    results: Mapping[str, Mapping[int, FlowResult]],
     benchmarks: Sequence[str] | None = None,
 ) -> dict[int, list[float]]:
     """Figure 7's chart series: reduction percentage per block size,
@@ -153,67 +150,8 @@ def format_per_line_table(
     return "\n".join(lines).rstrip()
 
 
-def fig6_to_csv(table: dict) -> str:
-    """Figure 6 as CSV (one row per metric, one column per benchmark)."""
-    names = table["benchmarks"]
-    lines = ["metric," + ",".join(names)]
-    lines.append(
-        "tr_millions," + ",".join(f"{table['tr'][n]:.6f}" for n in names)
-    )
-    for k in BLOCK_SIZES:
-        if not table["encoded"][k]:
-            continue
-        lines.append(
-            f"encoded_k{k},"
-            + ",".join(
-                f"{table['encoded'][k].get(n, float('nan')):.6f}"
-                for n in names
-            )
-        )
-        lines.append(
-            f"reduction_k{k},"
-            + ",".join(
-                f"{table['reduction'][k].get(n, float('nan')):.3f}"
-                for n in names
-            )
-        )
-    return "\n".join(lines)
-
-
-def fig6_to_markdown(table: dict) -> str:
-    """Figure 6 as a GitHub-flavoured markdown table."""
-    names = table["benchmarks"]
-    lines = [
-        "| metric | " + " | ".join(names) + " |",
-        "|---" * (len(names) + 1) + "|",
-        "| #TR (M) | "
-        + " | ".join(f"{table['tr'][n]:.3f}" for n in names)
-        + " |",
-    ]
-    for k in BLOCK_SIZES:
-        if not table["encoded"][k]:
-            continue
-        lines.append(
-            f"| #{k}-block (M) | "
-            + " | ".join(
-                f"{table['encoded'][k].get(n, float('nan')):.3f}"
-                for n in names
-            )
-            + " |"
-        )
-        lines.append(
-            f"| reduction k={k} | "
-            + " | ".join(
-                f"{table['reduction'][k].get(n, float('nan')):.1f}%"
-                for n in names
-            )
-            + " |"
-        )
-    return "\n".join(lines)
-
-
 def summarize_results(
-    results: Mapping[str, Mapping[int, FlowResult | SweepRecord]]
+    results: Mapping[str, Mapping[int, FlowResult]]
 ) -> dict[int, float]:
     """Average reduction per block size across benchmarks (the paper's
     '35%-40% for ... four and five' / '20%-25% ... six and seven')."""

@@ -603,26 +603,3 @@ class SchemeSelector:
             cfg, program, plan, self.block_size, patched
         )
         return patched, encoded_blocks
-
-
-def select_for_workload(
-    name: str,
-    block_size: int = 5,
-    tt_capacity: int = 16,
-    bbit_capacity: int = 16,
-    budget: SelectorBudget | None = None,
-    schemes: Sequence[str] | None = None,
-) -> SelectorResult:
-    """Run the per-region selector on a registry workload."""
-    from repro.workloads.registry import build_workload
-
-    workload = build_workload(name)
-    cpu, trace = workload.run()
-    selector = SchemeSelector(
-        block_size,
-        tt_capacity=tt_capacity,
-        bbit_capacity=bbit_capacity,
-        budget=budget,
-        schemes=schemes,
-    )
-    return selector.run(cpu.program, trace, name)

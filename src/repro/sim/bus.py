@@ -14,7 +14,7 @@ a few dozen pairs per trace instead of one XOR per fetch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.isa.assembler import Program
 from repro.sim.tracer import FetchTrace
@@ -101,39 +101,3 @@ class BusModel:
     def energy_joules(self, transitions: int) -> float:
         """Dynamic energy for a transition count (0.5 C V^2 per toggle)."""
         return 0.5 * self.line_capacitance * self.supply_voltage**2 * transitions
-
-    def trace_energy(
-        self,
-        program: Program,
-        addresses: Iterable[int],
-        image: Sequence[int] | None = None,
-    ) -> float:
-        return self.energy_joules(
-            count_trace_transitions(program, addresses, image)
-        )
-
-    def savings_percent(
-        self, baseline_transitions: int, encoded_transitions: int
-    ) -> float:
-        if baseline_transitions == 0:
-            return 0.0
-        return (
-            100.0
-            * (baseline_transitions - encoded_transitions)
-            / baseline_transitions
-        )
-
-
-def image_with_patches(
-    program: Program, patches: Mapping[int, int]
-) -> list[int]:
-    """The program's word image with ``{address: word}`` overrides —
-    how the encoded program memory is materialised."""
-    image = list(program.words)
-    base = program.text_base
-    for address, word in patches.items():
-        offset = address - base
-        if offset < 0 or offset % 4 or offset // 4 >= len(image):
-            raise ValueError(f"patch address {address:#010x} not in text")
-        image[offset // 4] = word & 0xFFFFFFFF
-    return image

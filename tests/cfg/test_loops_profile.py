@@ -8,8 +8,6 @@ from repro.cfg.loops import (
     blocks_in_any_loop,
     find_back_edges,
     find_natural_loops,
-    innermost_loops,
-    loop_nesting_depths,
 )
 from repro.cfg.profile import profile_trace
 from repro.core.program_codec import tt_entries_required
@@ -60,14 +58,6 @@ class TestLoopDetection:
         )
         assert inner.is_nested_in(outer)
         assert not outer.is_nested_in(inner)
-        depths = loop_nesting_depths(loops)
-        assert depths[inner.header] == 2
-        assert depths[outer.header] == 1
-
-    def test_innermost(self, setup):
-        program, cfg, trace, profile, loops = setup
-        (innermost,) = innermost_loops(loops)
-        assert innermost.header == program.address_of("inner")
 
     def test_back_edges(self, setup):
         program, cfg, trace, profile, loops = setup
@@ -85,7 +75,6 @@ class TestLoopDetection:
         inner = by_header[program.address_of("inner")]
         # The inner loop nests directly in the outer one.
         assert inner.is_nested_in(outer)
-        assert loop_nesting_depths(loops)[inner.header] == 2
 
     def test_straight_line_has_no_loops(self):
         program = assemble(".text\nmain: nop\nli $v0, 10\nsyscall\n")

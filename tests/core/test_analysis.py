@@ -5,9 +5,7 @@ import pytest
 from repro.core.analysis import (
     ReductionSummary,
     random_streams,
-    section6_experiment,
     summarize_streams,
-    theoretical_uniform_reduction,
 )
 
 
@@ -48,13 +46,10 @@ class TestSummaries:
         assert summary.stdev_percent == 0.0
 
     def test_section6_defaults(self):
-        summary = section6_experiment(count=5, length=400)
+        # The Section 6 experiment: uniform random streams at k=5.
+        summary = summarize_streams(random_streams(5, 400, seed=2003), 5)
         assert summary.streams == 5
         assert 45.0 < summary.reduction_percent < 55.0
-
-    def test_theoretical_reduction_matches_theory_module(self):
-        assert theoretical_uniform_reduction(5) == pytest.approx(50.0)
-        assert theoretical_uniform_reduction(3) == pytest.approx(75.0)
 
     def test_biased_streams_reduce_more(self):
         # Heavily biased streams have few transitions to begin with;

@@ -8,10 +8,8 @@ from repro.core.bitstream import (
     columns_to_words,
     count_transitions,
     from_paper_string,
-    hamming,
     int_to_stream,
-    per_line_word_transitions,
-    stream_to_int,
+    pack_bits,
     to_paper_string,
     validate_bits,
     word_column,
@@ -83,7 +81,7 @@ class TestPaperStrings:
 class TestIntConversion:
     @given(st.integers(min_value=0, max_value=(1 << 16) - 1))
     def test_roundtrip(self, value):
-        assert stream_to_int(int_to_stream(value, 16)) == value
+        assert pack_bits(int_to_stream(value, 16)) == value
 
     def test_width_checks(self):
         with pytest.raises(ValueError):
@@ -109,16 +107,6 @@ class TestWordColumns:
 
 
 class TestWordTransitions:
-    def test_hamming(self):
-        assert hamming(0b1010, 0b0101) == 4
-        assert hamming(7, 7) == 0
-
-    def test_total_matches_per_line(self):
-        words = [0xDEADBEEF, 0x0, 0xFFFFFFFF, 0x12345678]
-        assert word_transitions(words) == sum(
-            per_line_word_transitions(words)
-        )
-
     @given(words32)
     def test_total_equals_column_sums(self, words):
         expected = sum(

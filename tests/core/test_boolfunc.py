@@ -16,7 +16,6 @@ from repro.core.boolfunc import (
     TT_ZERO,
     BoolFunc,
     all_functions,
-    compose_history_chain,
     dual,
 )
 
@@ -162,21 +161,3 @@ class TestDependencePredicates:
         decodable = {f.name for f in all_functions() if f.is_decodable()}
         # x, ~x, xor, xnor are bijections in x for every history value.
         assert decodable == {"x", "~x", "xor", "xnor"}
-
-
-class TestHistoryChain:
-    def test_identity_chain_passthrough(self):
-        f = BoolFunc(TT_X)
-        assert compose_history_chain(f, [1, 0, 1, 1], seed=0) == [1, 0, 1, 1]
-
-    def test_not_y_chain_alternates(self):
-        f = BoolFunc(TT_NOT_Y)
-        # Output depends only on history: alternation from the seed.
-        assert compose_history_chain(f, [0, 0, 0, 0], seed=0) == [1, 0, 1, 0]
-
-    def test_xor_chain_is_transition_signal(self):
-        f = BoolFunc(TT_XOR)
-        # Stored bits are the transition indicators of the decoded stream.
-        stored = [1, 1, 0, 1]
-        decoded = compose_history_chain(f, stored, seed=0)
-        assert decoded == [1, 0, 0, 1]

@@ -24,21 +24,6 @@ class TestSweep:
             assert result.decode_verified or not result.selected_blocks
             assert result.name == point.label()
 
-    def test_filter(self, sweep):
-        lu_points = sweep.filter(workload="lu")
-        assert len(lu_points) == 4
-        k4 = sweep.filter(workload="lu", block_size=4)
-        assert len(k4) == 2
-
-    def test_best_for(self, sweep):
-        point, result = sweep.best_for("lu")
-        for other_point, other in sweep.filter(workload="lu"):
-            assert result.reduction_percent >= other.reduction_percent
-
-    def test_best_for_unknown(self, sweep):
-        with pytest.raises(KeyError):
-            sweep.best_for("nope")
-
     def test_tt_capacity_monotone(self, sweep):
         for name in ("lu", "mmul"):
             for k in (4, 5):
@@ -66,3 +51,21 @@ class TestSweep:
         )
         # Default lu size n=32 is heavier but must still work.
         assert len(sweep) == 1
+
+
+def test_write_csv_is_atomic_and_identical(tmp_path):
+    def sweep():
+        return run_sweep(
+            ["fir"],
+            block_sizes=(4, 5),
+            tt_capacities=(16,),
+            strategies=("greedy",),
+        )
+
+    first, second = sweep(), sweep()
+    a = first.write_csv(tmp_path / "a.csv")
+    b = second.write_csv(tmp_path / "b.csv")
+    assert a.read_bytes() == b.read_bytes()
+    assert a.read_text() == first.to_csv() + "\n"
+    # No temporary file is left behind.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]

@@ -1,65 +1,8 @@
-"""Tests for the CSV/markdown report writers and theory extensions."""
+"""Tests for the biased-stream theory extension."""
 
 import pytest
 
 from repro.core.theory import expected_improvement_biased, theory_row
-from repro.pipeline.flow import EncodingFlow
-from repro.pipeline.report import fig6_table, fig6_to_csv, fig6_to_markdown
-from repro.sim.cpu import run_program
-from repro.workloads.registry import build_workload
-
-
-@pytest.fixture(scope="module")
-def small_results():
-    workload = build_workload("lu", n=8)
-    program = workload.assemble()
-    cpu, trace = run_program(program)
-    return {
-        "lu": {
-            k: EncodingFlow(block_size=k).run(program, trace, "lu")
-            for k in (4, 5)
-        }
-    }
-
-
-class TestWriters:
-    def test_csv_shape(self, small_results):
-        table = fig6_table(small_results)
-        csv = fig6_to_csv(table)
-        lines = csv.splitlines()
-        assert lines[0] == "metric,lu"
-        assert any(line.startswith("tr_millions,") for line in lines)
-        assert any(line.startswith("reduction_k4,") for line in lines)
-        # Values parse as floats.
-        for line in lines[1:]:
-            float(line.split(",")[1])
-
-    def test_markdown_shape(self, small_results):
-        table = fig6_table(small_results)
-        md = fig6_to_markdown(table)
-        assert md.startswith("| metric | lu |")
-        assert "| #TR (M) |" in md
-        assert "reduction k=5" in md
-        # Every row has the same column count.
-        counts = {line.count("|") for line in md.splitlines()}
-        assert len(counts) == 1
-
-    def test_csv_and_markdown_agree(self, small_results):
-        table = fig6_table(small_results)
-        csv_value = float(
-            [
-                line
-                for line in fig6_to_csv(table).splitlines()
-                if line.startswith("reduction_k5,")
-            ][0].split(",")[1]
-        )
-        md_line = [
-            line
-            for line in fig6_to_markdown(table).splitlines()
-            if "reduction k=5" in line
-        ][0]
-        md_value = float(md_line.split("|")[2].strip().rstrip("%"))
-        assert csv_value == pytest.approx(md_value, abs=0.05)
 
 
 class TestBiasedTheory:

@@ -34,7 +34,6 @@ from repro.pipeline.selector import (
     SelectorBudget,
     _codec_cost,
     _region_occurrences,
-    select_for_workload,
 )
 from repro.sim.bus import count_trace_transitions
 from repro.sim.cpu import run_program
@@ -53,7 +52,8 @@ WORKLOADS = ("fir", "fft")
 def selection(request):
     """One SelectorResult per workload, shared across this module
     (selector runs cost ~1s each)."""
-    return select_for_workload(request.param, block_size=5)
+    cpu, trace = build_workload(request.param).run()
+    return SchemeSelector(5).run(cpu.program, trace, request.param)
 
 
 class TestNeverWorse:
@@ -108,13 +108,27 @@ class TestBundleIntegrity:
         )
         restored.validate()
 
-    def test_scheme_word_decoders_cover_all_tagged_schemes(self, selection):
-        decoders = selection.bundle.scheme_word_decoders()
-        for region in selection.bundle.regions:
-            tag = region["scheme"]
+    def test_region_word_decoders_cover_all_tagged_addresses(self, selection):
+        decoders = selection.bundle.region_word_decoders()
+        for pc, tag in selection.bundle.region_scheme_map().items():
             if tag == SCHEME_TTBBIT:
-                continue  # decoded by the TT/BBIT fetch path, not per word
-            assert tag in decoders
+                # decoded by the TT/BBIT fetch path, not per word
+                assert pc not in decoders
+            else:
+                assert decoders[pc][0] == tag
+
+
+def test_regions_sharing_a_scheme_decode_through_their_own_codebooks():
+    """fft's two hot regions both go memoryless, fitted to different
+    codebooks: each must decode through its own region's encoder."""
+    cpu, trace = build_workload("fft").run()
+    selection = SchemeSelector(5, tt_capacity=0, schemes=["memoryless"]).run(
+        cpu.program, trace, "fft"
+    )
+    zoo = [r for r in selection.bundle.regions if r["scheme"] == "memoryless"]
+    assert len(zoo) == 2
+    assert zoo[0]["config_digest"] != zoo[1]["config_digest"]
+    assert selection.bundle.deploy_and_check(cpu.program, trace)
 
 
 class TestBudgetFiltering:

@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.core.bitstream import hamming
 from repro.isa.assembler import assemble
 from repro.sim.bus import (
     BusModel,
     count_trace_transitions,
-    image_with_patches,
     per_line_trace_transitions,
 )
 from repro.sim.cpu import run_program
@@ -32,7 +30,7 @@ class TestTransitionCounting:
     def test_matches_manual_hamming(self, looped_program):
         cpu, trace = run_program(looped_program)
         words = [looped_program.word_at(a) for a in trace]
-        expected = sum(hamming(a, b) for a, b in zip(words, words[1:]))
+        expected = sum((a ^ b).bit_count() for a, b in zip(words, words[1:]))
         assert count_trace_transitions(looped_program, trace) == expected
 
     def test_per_line_sums_to_total(self, looped_program):
@@ -63,18 +61,6 @@ class TestTransitionCounting:
             count_trace_transitions(looped_program, [0])
 
 
-class TestImagePatching:
-    def test_patch(self, looped_program):
-        base = looped_program.text_base
-        image = image_with_patches(looped_program, {base + 4: 0xDEADBEEF})
-        assert image[1] == 0xDEADBEEF
-        assert image[0] == looped_program.words[0]
-
-    def test_bad_patch_rejected(self, looped_program):
-        with pytest.raises(ValueError):
-            image_with_patches(looped_program, {0: 1})
-
-
 class TestEnergyModel:
     def test_energy_proportional_to_transitions(self):
         model = BusModel()
@@ -86,19 +72,6 @@ class TestEnergyModel:
         onchip = BusModel(line_capacitance=0.5e-12)
         offchip = BusModel(line_capacitance=20e-12)
         assert offchip.energy_joules(1000) > 10 * onchip.energy_joules(1000)
-
-    def test_savings_percent(self):
-        model = BusModel()
-        assert model.savings_percent(200, 100) == 50.0
-        assert model.savings_percent(0, 0) == 0.0
-
-    def test_trace_energy(self, looped_program):
-        cpu, trace = run_program(looped_program)
-        model = BusModel()
-        expected = model.energy_joules(
-            count_trace_transitions(looped_program, trace)
-        )
-        assert model.trace_energy(looped_program, trace) == expected
 
 
 class TestFetchTrace:

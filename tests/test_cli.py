@@ -41,6 +41,12 @@ class TestParser:
         args = parser.parse_args(["suite", "--paper-scale", "--chart"])
         assert args.paper_scale and args.chart
 
+    @pytest.mark.parametrize("flags", [["--wal", "x"], ["--resume"]])
+    def test_experiment_has_no_journal(self, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", *flags])
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_codebook(self, capsys):

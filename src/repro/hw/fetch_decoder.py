@@ -114,7 +114,6 @@ class FetchDecoder:
         recovery_event_capacity: int = DEFAULT_RECOVERY_EVENT_CAPACITY,
         golden_lookup=None,
         region_schemes: dict[int, str] | None = None,
-        scheme_word_decoders: dict[str, object] | None = None,
         region_word_decoders: dict[int, tuple[str, object]] | None = None,
     ):
         if isinstance(block_size, bool) or not isinstance(block_size, int):
@@ -155,17 +154,11 @@ class FetchDecoder:
         #: per-word decode callable for deployable recoders, or
         #: ``None`` for bus codecs whose stored words are raw.  A
         #: bundle arms each address with its own region's decoder, so
-        #: regions sharing a scheme keep their own codebooks;
-        #: ``scheme_word_decoders`` (``tag -> decoder``) arms every
-        #: address of a tag with one decoder.  A fetch whose tag is not
-        #: the one armed at its address is a fault
+        #: regions sharing a scheme keep their own codebooks.  A fetch
+        #: whose tag is not the one armed at its address is a fault
         #: (:class:`~repro.errors.SchemeTagError`).
         self.region_schemes = region_schemes or {}
-        self.region_word_decoders = dict(region_word_decoders or {})
-        shared = scheme_word_decoders or {}
-        for pc, tag in self.region_schemes.items():
-            if tag in shared:
-                self.region_word_decoders.setdefault(pc, (tag, shared[tag]))
+        self.region_word_decoders = region_word_decoders or {}
         self.scheme_decoded_instructions = 0
         self._active: _ActiveBlock | None = None
         self._history_word = 0

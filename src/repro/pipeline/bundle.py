@@ -97,9 +97,9 @@ class EncodingBundle:
     #: unencoded), or a registered encoder-zoo scheme whose ``config``
     #: rebuilds the fitted encoder.
     regions: list[dict] = field(default_factory=list)
-    #: ``region index -> encoder`` for every encoder-zoo region, as
-    #: :meth:`validate` rebuilt and digest-checked it.
-    _zoo_encoders: dict[int, object] = field(
+    #: ``region index -> (scheme, config digest, encoder)`` for every
+    #: encoder-zoo region, as :meth:`validate` rebuilt and checked it.
+    _zoo_encoders: dict[int, tuple[str, str, object]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -460,7 +460,7 @@ class EncodingBundle:
                 raise BundleFormatError(
                     f"{where}: config digest mismatch for scheme {scheme!r}"
                 )
-            self._zoo_encoders[i] = encoder
+            self._zoo_encoders[i] = (scheme, declared, encoder)
 
     # ------------------------------------------------------------------
     # Deployment
@@ -533,7 +533,10 @@ class EncodingBundle:
         recoders give their ``decode_word``; bus codecs and ``raw``
         regions give ``None`` — their stored words pass through
         unchanged.  Call after :meth:`validate` (or
-        :meth:`build_tables`, which runs it)."""
+        :meth:`build_tables`, which runs it); a zoo region whose scheme
+        or config digest changed since then raises
+        :class:`BundleFormatError` rather than decode with a stale
+        codebook."""
         decoders: dict[int, tuple[str, object]] = {}
         for i, region in enumerate(self.regions):
             tag = str(region["scheme"])
@@ -541,7 +544,16 @@ class EncodingBundle:
                 continue
             decode_word = None
             if tag != "raw":
-                encoder = self._zoo_encoders[i]
+                cached = self._zoo_encoders.get(i)
+                if cached is None or cached[:2] != (
+                    tag,
+                    region.get("config_digest"),
+                ):
+                    raise BundleFormatError(
+                        f"regions[{i}]: scheme {tag!r} changed since the "
+                        "last validate(); validate the bundle again"
+                    )
+                encoder = cached[2]
                 if encoder.deployable:
                     decode_word = encoder.decode_word
             for block in region["blocks"]:

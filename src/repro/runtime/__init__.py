@@ -3,7 +3,8 @@
 The fault-injection campaign (``repro faults``) and the encoding
 service (``repro serve``) run thousands of seeded cases or jobs, the
 campaign across a process pool; a flaky worker, a hung case or a
-mid-run SIGKILL used to cost the whole run.  This package holds the harness-independent pieces:
+mid-run SIGKILL used to cost the whole run.  This package holds the
+harness-independent pieces:
 
 ``retry``
     Exponential backoff with deterministic (seeded) jitter, plus a

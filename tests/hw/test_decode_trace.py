@@ -429,13 +429,18 @@ class _MixedDeployment:
         self.end = pc
 
     def decoder(self, region_schemes=None) -> FetchDecoder:
+        schemes = region_schemes or self.region_schemes
         return FetchDecoder(
             self.tt,
             self.bbit,
             self.block_size,
             encoded_region=set(self.encoded_region),
-            region_schemes=region_schemes or self.region_schemes,
-            scheme_word_decoders=self.decoders,
+            region_schemes=schemes,
+            region_word_decoders={
+                pc: (tag, self.decoders[tag])
+                for pc, tag in schemes.items()
+                if tag in self.decoders
+            },
         )
 
 

@@ -23,7 +23,7 @@ from repro.baselines.protocol import (
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.profile import profile_trace
 from repro.core.transitions import word_transitions
-from repro.errors import EncodingError
+from repro.errors import BundleFormatError, EncodingError
 from repro.isa.assembler import assemble
 from repro.pipeline.bundle import EncodingBundle
 from repro.pipeline.regional import plan_regions
@@ -118,17 +118,46 @@ class TestBundleIntegrity:
                 assert decoders[pc][0] == tag
 
 
-def test_regions_sharing_a_scheme_decode_through_their_own_codebooks():
-    """fft's two hot regions both go memoryless, fitted to different
-    codebooks: each must decode through its own region's encoder."""
+@pytest.fixture(scope="module")
+def fft_memoryless():
+    """fft selected with memoryless as the only zoo scheme: its two
+    hot regions are fitted to different codebooks."""
     cpu, trace = build_workload("fft").run()
     selection = SchemeSelector(5, tt_capacity=0, schemes=["memoryless"]).run(
         cpu.program, trace, "fft"
     )
-    zoo = [r for r in selection.bundle.regions if r["scheme"] == "memoryless"]
+    return cpu.program, trace, selection.bundle
+
+
+def test_regions_sharing_a_scheme_decode_through_their_own_codebooks(
+    fft_memoryless,
+):
+    """Each memoryless region must decode through its own encoder."""
+    program, trace, bundle = fft_memoryless
+    zoo = [r for r in bundle.regions if r["scheme"] == "memoryless"]
     assert len(zoo) == 2
     assert zoo[0]["config_digest"] != zoo[1]["config_digest"]
-    assert selection.bundle.deploy_and_check(cpu.program, trace)
+    assert bundle.deploy_and_check(program, trace)
+
+
+def test_region_word_decoders_refuse_regions_edited_after_validate(
+    fft_memoryless,
+):
+    """Swapping two regions' codebooks after validation must not decode
+    through the stale encoders; validating again re-arms them."""
+    _, _, shipped = fft_memoryless
+    bundle = EncodingBundle.from_json(shipped.to_json())
+    first, second = (
+        r for r in bundle.regions if r["scheme"] == "memoryless"
+    )
+    for key in ("config", "config_digest"):
+        first[key], second[key] = second[key], first[key]
+    with pytest.raises(BundleFormatError, match="changed since the last"):
+        bundle.region_word_decoders()
+    bundle.validate()
+    pc = first["blocks"][0]["pc"]
+    decode_word = bundle.region_word_decoders()[pc][1]
+    assert decode_word.__self__.config_digest() == first["config_digest"]
 
 
 class TestBudgetFiltering:

@@ -19,10 +19,15 @@ graph), then assigns codewords:
   ``2**subbus_width`` codewords, minimising
   ``sum(weight(u, v) * popcount(code(u) ^ code(v)))``.  This is the
   regime the paper's optimality result covers; the golden-vector tests
-  cross-check it against brute force.
-* **greedy** otherwise — values are placed in descending order of
-  incident weight, each taking the free codeword with the least
-  weighted distance to the already-placed neighbours.
+  cross-check it against brute force.  The symmetries of the Hamming
+  distance (XOR translation, bit permutation) fix the first value at
+  code 0 and leave the second only the codes ``2**w - 1``; a bound
+  charging every unplaced pair its weight cuts the rest.  Neither cut
+  changes which optimum is returned.
+* **greedy** otherwise — the value with the heaviest incident weight
+  goes first, at code 0; then the value most heavily coupled to the
+  placed ones (a running total per value) takes the free codeword with
+  the least weighted distance to its placed neighbours.
 
 Values never seen in the profile get the leftover codewords in
 deterministic order, so the map is always a bijection and the encoder
@@ -46,8 +51,8 @@ from repro.core.transitions import word_transitions
 from repro.errors import EncodingError
 
 
-def _incident_weight(value: int, weights: Dict[Tuple[int, int], int]) -> int:
-    return sum(w for (u, v), w in weights.items() if value in (u, v))
+def _key(a: int, b: int) -> Tuple[int, int]:
+    return (a, b) if a < b else (b, a)
 
 
 def exact_assignment(
@@ -58,55 +63,61 @@ def exact_assignment(
     """Optimal injective value->codeword map by branch and bound.
 
     ``distinct`` fixes the placement order; candidate codewords are
-    tried in ascending order and the bound is the accumulated weighted
-    distance, so the result is the lexicographically first optimum.
-    XOR-translating every codeword by one constant keeps every pairwise
-    distance, so translating that optimum by its first codeword gives
-    an optimum starting at code 0 that is no later in the order: the
-    first placed value only ever needs to try code 0.
+    tried in ascending order and a branch is cut only when it cannot
+    beat the best cost found so far, so the result is the
+    lexicographically first optimum.  The bound charges every pair not
+    yet placed its weight: its two codes differ, so it costs at least
+    that.
+
+    On a power-of-two ``code_space`` two symmetries of the Hamming
+    distance shrink the first two levels without losing that optimum.
+    XOR-translating every codeword by one constant keeps every
+    distance, so translating the optimum by its first codeword gives
+    one no later in the order: the first value takes code 0.  Permuting
+    bit positions keeps every distance and code 0, and can move the
+    second value's code, of weight ``w``, onto ``2**w - 1``, the least
+    code of that weight: the second value tries only 1, 3, 7, ...
     """
     n = len(distinct)
-    codes = list(range(code_space))
-    pair_w = [
-        [
-            weights.get(
-                (distinct[i], distinct[j]) if distinct[i] < distinct[j] else (distinct[j], distinct[i]),
-                0,
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    best_cost = [float("inf")]
-    best: list[list[int]] = [[]]
-    chosen: list[int] = []
+    # edges[i]: value i's nonzero weights to the values placed before it
+    edges: list[list[tuple[int, int]]] = []
+    for i, value in enumerate(distinct):
+        row = [(j, weights.get(_key(value, distinct[j]), 0)) for j in range(i)]
+        edges.append([(j, w) for j, w in row if w])
+    # rest[i]: the least cost of the pairs whose later value is i or after
+    rest = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        rest[i] = rest[i + 1] + sum(w for _, w in edges[i])
+    if code_space & (code_space - 1) == 0:
+        width = code_space.bit_length() - 1
+        first_codes = [(0,), [(2 << b) - 1 for b in range(width)]]
+    else:
+        first_codes = [range(code_space)] * 2
+    best_cost = rest[0] * code_space.bit_length() + 1  # above every cost
+    best: list[int] = []
+    chosen = [0] * n
     used = [False] * code_space
 
     def walk(i: int, cost: int) -> None:
-        if cost >= best_cost[0]:
-            return
+        nonlocal best_cost, best
         if i == n:
-            best_cost[0] = cost
-            best[0] = list(chosen)
+            best_cost, best = cost, chosen[:]
             return
-        for code in codes if i else (0,):
+        for code in first_codes[i] if i < 2 else range(code_space):
             if used[code]:
                 continue
-            step = cost
-            for j in range(i):
-                w = pair_w[i][j]
-                if w:
-                    step += w * (code ^ chosen[j]).bit_count()
-            if step >= best_cost[0]:
+            step = cost + rest[i + 1]
+            for j, w in edges[i]:
+                step += w * (code ^ chosen[j]).bit_count()
+            if step >= best_cost:
                 continue
             used[code] = True
-            chosen.append(code)
-            walk(i + 1, step)
-            chosen.pop()
+            chosen[i] = code
+            walk(i + 1, step - rest[i + 1])
             used[code] = False
 
     walk(0, 0)
-    return dict(zip(distinct, best[0]))
+    return dict(zip(distinct, best))
 
 
 def greedy_assignment(
@@ -114,37 +125,44 @@ def greedy_assignment(
     weights: Dict[Tuple[int, int], int],
     code_space: int,
 ) -> Dict[int, int]:
-    """Heuristic value->codeword map for dense transition graphs."""
+    """Heuristic value->codeword map for dense transition graphs.
+
+    ``weights`` holds pairs ``(u, v)``, ``u < v``, of ``distinct``
+    values, as ``fit`` builds them.  The first value of ``distinct``
+    takes code 0.  Each next value is the one most heavily coupled to
+    the values already placed (the lower value on a tie) and takes the
+    lowest free code with the least weighted distance to its placed
+    neighbours.  Couplings are running totals, raised along each placed
+    value's adjacency list."""
+    adjacency: Dict[int, list[tuple[int, int]]] = {v: [] for v in distinct}
+    for (u, v), w in weights.items():
+        adjacency[u].append((v, w))
+        adjacency[v].append((u, w))
+    coupling = dict.fromkeys(distinct, 0)
     assignment: Dict[int, int] = {}
     free_codes = list(range(code_space))
     remaining = list(distinct)
     while remaining:
-        if not assignment:
-            value = remaining.pop(0)
-            assignment[value] = free_codes.pop(0)
-            continue
-        # heaviest coupling to the already-placed set goes next
-        def coupling(v: int) -> int:
-            total = 0
-            for placed in assignment:
-                key = (v, placed) if v < placed else (placed, v)
-                total += weights.get(key, 0)
-            return total
-
-        remaining.sort(key=lambda v: (-coupling(v), v))
-        value = remaining.pop(0)
+        if assignment:
+            value = min(remaining, key=lambda v: (-coupling[v], v))
+        else:
+            value = remaining[0]
+        remaining.remove(value)
+        neighbours = [
+            (assignment[u], w) for u, w in adjacency[value] if u in assignment
+        ]
         best_code, best_cost = None, None
         for code in free_codes:
             cost = 0
-            for placed, placed_code in assignment.items():
-                key = (value, placed) if value < placed else (placed, value)
-                w = weights.get(key, 0)
-                if w:
-                    cost += w * (code ^ placed_code).bit_count()
+            for placed_code, w in neighbours:
+                cost += w * (code ^ placed_code).bit_count()
             if best_cost is None or cost < best_cost:
                 best_code, best_cost = code, cost
         assignment[value] = best_code  # type: ignore[assignment]
         free_codes.remove(best_code)  # type: ignore[arg-type]
+        for u, w in adjacency[value]:
+            if u not in assignment:
+                coupling[u] += w
     return assignment
 
 
@@ -197,10 +215,13 @@ class MemorylessCodebookEncoder(Encoder):
                     continue  # zero distance under any bijection
                 key = (u, v) if u < v else (v, u)
                 weights[key] = weights.get(key, 0) + count
-            distinct = sorted(
-                {(w >> shift) & self._sub_mask for w in distinct_words},
-                key=lambda v: (-_incident_weight(v, weights), v),
+            incident = dict.fromkeys(
+                {(w >> shift) & self._sub_mask for w in distinct_words}, 0
             )
+            for (u, v), w in weights.items():
+                incident[u] += w
+                incident[v] += w
+            distinct = sorted(incident, key=lambda v: (-incident[v], v))
             if len(distinct) <= self.max_exact:
                 assignment = exact_assignment(distinct, weights, size)
             else:

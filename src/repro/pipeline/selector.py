@@ -246,16 +246,24 @@ def _pairs_cost(pairs: List[tuple[int, int, int]], value_of) -> int:
     )
 
 
-def _region_occurrences(
+#: One run group's pieces inside one region: ``(first, again, pieces,
+#: times)``.  The region sees ``pieces`` (``(first_pc, count)`` slices
+#: of the run, in fetch order) ``times`` times back to back.  Every
+#: piece after the first starts a stretch; the first piece starts one
+#: when ``first`` says so on the group's first occurrence and when
+#: ``again`` does on each repeat.
+RegionGroup = tuple[bool, bool, tuple[tuple[int, int], ...], int]
+
+
+def _region_groups(
     trace: FetchTrace, header_of: Dict[int, int]
-) -> Dict[int, List[tuple[bool, tuple[int, int]]]]:
-    """Each region's fetches in trace order, as occurrences
-    ``(starts_stretch, (first_pc, count))`` of *pieces*: the maximal
-    slices of a run inside one region.  Each distinct run is cut into
-    its pieces once, and each run group's repeats are listed together.
-    A stretch (a maximal consecutive stretch of the trace inside the
-    region) continues across a jump only when the fetches on both sides
-    of it lie in the same region."""
+) -> Dict[int, List[RegionGroup]]:
+    """Each region's fetches in trace order, one :data:`RegionGroup`
+    per trace group that enters it.  A *piece* is a maximal slice of a
+    run inside one region; each distinct run is cut into its pieces
+    once.  A stretch (a maximal consecutive stretch of the trace inside
+    the region) continues across a jump only when the fetches on both
+    sides of it lie in the same region."""
     cuts = {}
     for start, length in trace.run_counts():
         pieces = []
@@ -264,32 +272,30 @@ def _region_occurrences(
         ):
             pcs = list(group)
             pieces.append((header, (pcs[0], len(pcs))))
-        # every piece after the first starts a stretch
-        (head, first), *later = pieces
-        later = [(header, piece) for header, piece in later if header is not None]
-        cuts[start, length] = (head, first, later, pieces[-1][0])
-    occurrences: Dict[int, List[tuple[bool, tuple[int, int]]]] = {
+        by_header: Dict[int, list[tuple[int, int]]] = {}
+        for header, piece in pieces:
+            if header is not None:
+                by_header.setdefault(header, []).append(piece)
+        cuts[start, length] = (
+            pieces[0][0],
+            pieces[-1][0],
+            [(header, tuple(cut)) for header, cut in by_header.items()],
+        )
+    groups: Dict[int, List[RegionGroup]] = {
         header: [] for header in set(header_of.values())
     }
     current = None
     for run, times in zip(zip(trace.starts, trace.lengths), trace.repeats):
-        head, first, later, last = cuts[run]
-        if head is not None:
-            occurrences[head].append((head != current, first))
-        for header, piece in later:
-            occurrences[header].append((True, piece))
-        if times > 1:
-            # Each repeat follows the run itself; a region's list sees
-            # its own pieces of one occurrence, ``times - 1`` more times.
-            repeat: Dict[int, List[tuple[bool, tuple[int, int]]]] = {}
-            if head is not None:
-                repeat[head] = [(head != last, first)]
-            for header, piece in later:
-                repeat.setdefault(header, []).append((True, piece))
-            for header, pieces in repeat.items():
-                occurrences[header] += pieces * (times - 1)
+        head, last, by_header = cuts[run]
+        for header, pieces in by_header:
+            if header == head:
+                # the run's first piece: each repeat follows the run's
+                # last piece, the first occurrence the run before it
+                groups[header].append((head != current, head != last, pieces, times))
+            else:
+                groups[header].append((True, True, pieces, times))
         current = last
-    return occurrences
+    return groups
 
 
 def _region_traffic(
@@ -297,14 +303,15 @@ def _region_traffic(
     word_of: Dict[int, int],
     fetch_counts: Dict[int, int],
     pairs: List[tuple[int, int, int]],
-    occurrences: List[tuple[bool, tuple[int, int]]],
+    groups: List[RegionGroup],
 ) -> TrafficCounts:
     """What every fit reads: the region's word counts, in order of
     first fetch (``pcs`` is), and its word-pair counts.  Besides the
     intra-region ``pairs`` these count each stretch's last fetch
     followed by the next stretch's first: a pair the bus never drives
     back to back, but one a fit over the region's concatenated words
-    has always seen; dropping it changes fitted tables."""
+    has always seen; dropping it changes fitted tables.  Junction pairs
+    are added in the order a walk of the fetches first meets them."""
     words: Dict[int, int] = {}
     for pc in pcs:
         word = word_of[pc]
@@ -314,48 +321,121 @@ def _region_traffic(
         key = (word_of[a], word_of[b])
         word_pairs[key] = word_pairs.get(key, 0) + count
     last = None
-    for starts, (pc, count) in occurrences:
-        if starts and last is not None:
-            key = (word_of[last], word_of[pc])
+    for first, again, pieces, times in groups:
+        head = word_of[pieces[0][0]]
+        if first and last is not None:
+            key = (word_of[last], head)
             word_pairs[key] = word_pairs.get(key, 0) + 1
+        pc, count = pieces[0]
+        for next_pc, next_count in pieces[1:]:
+            key = (word_of[pc + 4 * (count - 1)], word_of[next_pc])
+            word_pairs[key] = word_pairs.get(key, 0) + times
+            pc, count = next_pc, next_count
         last = pc + 4 * (count - 1)
+        if again and times > 1:
+            key = (word_of[last], head)
+            word_pairs[key] = word_pairs.get(key, 0) + times - 1
     return TrafficCounts(words, word_pairs)
 
 
 def _codec_cost(
     encoder,
-    occurrences: List[tuple[bool, tuple[int, int]]],
+    groups: List[RegionGroup],
     words: List[int],
     base: int,
 ) -> int | None:
     """A bus codec's cost over a region's stretches in fetch order: its
     state carries from piece to piece and resets at each stretch start,
     whose first transfer is free.  Each (entry state, piece) is
-    encoded, decoded and compared once, then costed from the memo.
-    ``None`` when a stretch misdecodes; the rest of that stretch is
-    still decoded, so an invalid codeword in it raises as a
-    whole-stretch decode would."""
+    encoded, decoded and compared once, and each lap (one occurrence of
+    a group's pieces) is then costed once per entry state.  A group's
+    laps are walked until the state entering one recurs; from there
+    they cycle, so whole cycles are multiplied out.  ``None`` when a
+    stretch misdecodes; the rest of that stretch is still decoded, so
+    an invalid codeword in it raises as a whole-stretch decode would.
+    Skipped laps meet no new (state, piece), so they cannot raise."""
     memo: Dict[tuple, tuple[int, object]] = {}
+    laps: Dict[tuple, tuple[int, object]] = {}
+    misdecoded = False
+
+    def lap(state, pieces) -> tuple[int, object] | None:
+        """Walk one lap piece by piece; ``None`` when a later piece
+        would start a stretch after a misdecode."""
+        nonlocal misdecoded
+        total = 0
+        for index, piece in enumerate(pieces):
+            if index:
+                if misdecoded:
+                    return None
+                state = None
+            key = (state, piece)
+            hit = memo.get(key)
+            if hit is None:
+                pc, count = piece
+                first = (pc - base) >> 2
+                piece_words = words[first : first + count]
+                stream = encoder.encode(piece_words, state)
+                if encoder.decode(stream, state) != piece_words:
+                    misdecoded = True
+                hit = memo[key] = (stream.transitions(), stream.exit)
+            total += hit[0]
+            state = hit[1]
+        return total, state
+
     cost = 0
     state = None
-    misdecoded = False
-    for starts, piece in occurrences:
-        if starts:
+    for first, again, pieces, times in groups:
+        if first:
             if misdecoded:
                 return None
             state = None
-        key = (state, piece)
-        hit = memo.get(key)
-        if hit is None:
-            pc, count = piece
-            first = (pc - base) >> 2
-            piece_words = words[first : first + count]
-            stream = encoder.encode(piece_words, state)
-            if encoder.decode(stream, state) != piece_words:
-                misdecoded = True
-            hit = memo[key] = (stream.transitions(), stream.exit)
-        cost += hit[0]
-        state = hit[1]
+        seen: Dict[object, tuple[int, int]] | None = None
+        while True:
+            key = (state, pieces)
+            hit = laps.get(key)
+            if hit is None:
+                hit = lap(state, pieces)
+                if hit is None:
+                    return None
+                laps[key] = hit
+            elif misdecoded and len(pieces) > 1:
+                return None
+            cost += hit[0]
+            state = hit[1]
+            times -= 1
+            if not times:
+                break
+            if again:
+                if misdecoded:
+                    return None
+                entry = None
+            else:
+                entry = state
+            if entry == key[0]:
+                # the next lap is the one just walked: all the rest are
+                if misdecoded and len(pieces) > 1:
+                    return None
+                cost += times * hit[0]
+                break
+            # A lap of several pieces, or one entered at a stretch
+            # start, leaves the same state every time, so the shortcut
+            # above takes it by the second repeat: only a single piece
+            # carrying its state from lap to lap gets here twice.
+            if seen is None:
+                seen = {}
+            mark = seen.get(entry)
+            if mark is None:
+                seen[entry] = (times, cost)
+            else:
+                # the laps since ``mark`` repeat from here: skip whole
+                # cycles (each ends in the state the last lap left)
+                period = mark[0] - times
+                cost += times // period * (cost - mark[1])
+                times %= period
+                if not times:
+                    break
+                seen = {}
+            state = entry
     return None if misdecoded else cost
 
 
@@ -440,7 +520,7 @@ class SchemeSelector:
         }
         fetch_counts = trace.fetch_counts()
         pairs_by_header = _region_pairs(trace, header_of)
-        occurrences_by_header = _region_occurrences(trace, header_of)
+        groups_by_header = _region_groups(trace, header_of)
 
         baseline = count_trace_transitions(program, trace)
         image = list(program.words)
@@ -453,7 +533,7 @@ class SchemeSelector:
         for plan in plans:
             pcs = [pc for pc in fetch_counts if header_of.get(pc) == plan.header]
             pairs = pairs_by_header.get(plan.header, [])
-            occurrences = occurrences_by_header.get(plan.header, [])
+            groups = groups_by_header.get(plan.header, [])
             word_of = {pc: words[(pc - base) >> 2] for pc in pcs}
             raw_cost = _pairs_cost(pairs, word_of)
             intra_raw_total += raw_cost
@@ -471,7 +551,7 @@ class SchemeSelector:
 
             # --- every registered zoo backend ------------------------
             traffic = _region_traffic(
-                pcs, word_of, fetch_counts, pairs, occurrences
+                pcs, word_of, fetch_counts, pairs, groups
             )
             encoders = {}
             for scheme in self.schemes:
@@ -483,7 +563,7 @@ class SchemeSelector:
                     candidates[scheme] = None
                     continue
                 if budget.stateful:
-                    cost = _codec_cost(encoder, occurrences, words, base)
+                    cost = _codec_cost(encoder, groups, words, base)
                 else:
                     cost = _elementwise_cost(encoder, pairs, word_of)
                 # never select a scheme that misdecodes (cost None)

@@ -5,10 +5,15 @@ Each oracle below is the earlier per-fetch implementation, kept inline
 so the comparison does not depend on the code under test:
 
 * ``exact_assignment`` tries only code 0 for the first placed value
-  (XOR translation preserves every pairwise distance).  It must return
-  the *same dict* as the unrestricted search and a lexicographic brute
-  force, not merely an equal cost: the tie-break decides the bundle
-  bytes.
+  (XOR translation preserves every pairwise distance) and only the
+  codes ``2**w - 1`` for the second (so do bit permutations), and cuts
+  branches by a lower bound.  It must return the *same dict* as the
+  unrestricted search and a lexicographic brute force, not merely an
+  equal cost: the tie-break decides the bundle bytes.  On a code space
+  that is not a power of two neither symmetry holds and it searches
+  every code.
+* ``greedy_assignment`` keeps running couplings; it must return the
+  same dict, in the same placement order, as the re-sorting loop.
 * ``LowWeightCodeEncoder.fit`` and ``MemorylessCodebookEncoder.fit``
   count distinct differences / word pairs; their ``to_config()`` must
   equal per-transfer counting on every stream, including the empty,
@@ -91,6 +96,36 @@ def oracle_exact_assignment(distinct, weights, code_space):
     return dict(zip(distinct, best[0]))
 
 
+def oracle_greedy_assignment(distinct, weights, code_space):
+    """Re-sort the remaining values by their coupling to the placed
+    set before every placement."""
+    assignment: dict[int, int] = {}
+    free_codes = list(range(code_space))
+    remaining = list(distinct)
+    while remaining:
+        if not assignment:
+            value = remaining.pop(0)
+            assignment[value] = free_codes.pop(0)
+            continue
+
+        def coupling(v: int) -> int:
+            return sum(weights.get(_key(v, placed), 0) for placed in assignment)
+
+        remaining.sort(key=lambda v: (-coupling(v), v))
+        value = remaining.pop(0)
+        best_code, best_cost = None, None
+        for code in free_codes:
+            cost = sum(
+                weights.get(_key(value, placed), 0) * (code ^ placed_code).bit_count()
+                for placed, placed_code in assignment.items()
+            )
+            if best_cost is None or cost < best_cost:
+                best_code, best_cost = code, cost
+        assignment[value] = best_code
+        free_codes.remove(best_code)
+    return assignment
+
+
 def brute_force_assignment(distinct, weights, code_space):
     """First minimum over injective assignments in lexicographic order."""
     best_cost, best = None, None
@@ -142,7 +177,7 @@ def oracle_memoryless_config(words, width=32, subbus_width=4, max_exact=5):
         if len(distinct) <= max_exact:
             assignment = oracle_exact_assignment(distinct, weights, size)
         else:
-            assignment = greedy_assignment(distinct, weights, size)
+            assignment = oracle_greedy_assignment(distinct, weights, size)
         leftovers = iter(c for c in range(size) if c not in assignment.values())
         maps.append(
             [assignment[v] if v in assignment else next(leftovers) for v in range(size)]
@@ -207,16 +242,25 @@ DENSE = [0x11111111 * v for v in range(16)] * 2
 # ----------------------------------------------------------------------
 
 
-def _random_graph(rng: random.Random, code_space: int):
-    n = rng.randint(0, 5)
+def _random_graph(
+    rng: random.Random, code_space: int, max_values: int = 5, density: float = 0.7
+):
+    n = rng.randint(0, max_values)
     distinct = rng.sample(range(code_space), min(n, code_space))
     weights = {}
     for i in range(len(distinct)):
         for j in range(i):
-            if rng.random() < 0.7:
+            if rng.random() < density:
                 # small weights make ties, which exercise the tie-break
                 weights[_key(distinct[i], distinct[j])] = rng.randint(1, 4)
     return distinct, weights
+
+
+def _uniform_graph(distinct):
+    """Every pair at weight 1: every code choice ties with many others."""
+    return {
+        _key(a, b): 1 for i, a in enumerate(distinct) for b in distinct[:i]
+    }
 
 
 class TestExactAssignment:
@@ -239,12 +283,63 @@ class TestExactAssignment:
                 brute_force_assignment(distinct, weights, code_space)
             ), (distinct, weights)
 
+    @pytest.mark.parametrize("code_space", [4, 8, 16])
+    def test_equal_weights_everywhere(self, code_space):
+        # maximal ties: the lex-first optimum is the only right answer
+        rng = random.Random(f"exact-uniform:{code_space}")
+        for n in range(min(code_space, 5) + 1):
+            for _ in range(4):
+                distinct = rng.sample(range(code_space), n)
+                weights = _uniform_graph(distinct)
+                assert exact_assignment(distinct, weights, code_space) == (
+                    oracle_exact_assignment(distinct, weights, code_space)
+                ), distinct
+
+    @pytest.mark.parametrize("code_space,graphs", [(3, 100), (6, 100), (12, 12)])
+    def test_non_power_of_two_code_space_matches_brute_force(
+        self, code_space, graphs
+    ):
+        rng = random.Random(f"exact-non-power:{code_space}")
+        cases = [_random_graph(rng, code_space) for _ in range(graphs)]
+        cases += [
+            (distinct, _uniform_graph(distinct))
+            for distinct in (list(range(min(code_space, 5))), [5, 2, 0][:code_space])
+        ]
+        for distinct, weights in cases:
+            assert exact_assignment(distinct, weights, code_space) == (
+                brute_force_assignment(distinct, weights, code_space)
+            ), (distinct, weights)
+
     def test_first_value_takes_code_zero(self):
         rng = random.Random("exact-first-code")
         for _ in range(100):
             distinct, weights = _random_graph(rng, 16)
             if distinct:
                 assert exact_assignment(distinct, weights, 16)[distinct[0]] == 0
+
+
+# ----------------------------------------------------------------------
+# greedy_assignment
+# ----------------------------------------------------------------------
+
+
+class TestGreedyAssignment:
+    @pytest.mark.parametrize("density", [0.3, 0.7, 1.0])
+    def test_same_map_and_order_as_resorting_loop(self, density):
+        rng = random.Random(f"greedy-assignment:{density}")
+        for _ in range(150):
+            distinct, weights = _random_graph(rng, 16, 16, density)
+            got = greedy_assignment(distinct, weights, 16)
+            expected = oracle_greedy_assignment(distinct, weights, 16)
+            assert got == expected, (distinct, weights)
+            assert list(got) == list(expected), (distinct, weights)
+
+    def test_equal_weights_everywhere(self):
+        distinct = list(range(16))
+        weights = _uniform_graph(distinct)
+        got = greedy_assignment(distinct, weights, 16)
+        expected = oracle_greedy_assignment(distinct, weights, 16)
+        assert list(got.items()) == list(expected.items())
 
 
 # ----------------------------------------------------------------------

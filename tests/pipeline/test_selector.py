@@ -33,12 +33,16 @@ from repro.pipeline.selector import (
     SchemeSelector,
     SelectorBudget,
     _codec_cost,
-    _region_occurrences,
+    _region_groups,
 )
 from repro.sim.bus import count_trace_transitions
 from repro.sim.cpu import run_program
 from repro.sim.tracer import FetchTrace
-from repro.workloads.registry import build_workload
+from repro.workloads.registry import (
+    BENCHMARK_ORDER,
+    EXTENDED_WORKLOADS,
+    build_workload,
+)
 from tests.strategies import (
     generate_phased_program,
     generate_program,
@@ -353,6 +357,17 @@ def _oracle_occurrences(pcs, header_of):
     return out
 
 
+def _expand_groups(groups):
+    """A region's groups as its flat ``(starts_stretch, piece)``
+    occurrences, one per piece fetched."""
+    flat = []
+    for first, again, pieces, times in groups:
+        for repeat in range(times):
+            flat.append((again if repeat else first, pieces[0]))
+            flat += [(True, piece) for piece in pieces[1:]]
+    return flat
+
+
 TEXT = 8
 BASE = 0x400000
 
@@ -366,9 +381,10 @@ def test_region_occurrences_match_per_fetch_walk(pcs, headers):
     header_of = {
         BASE + 4 * i: header for i, header in enumerate(headers) if header is not None
     }
-    assert _region_occurrences(
-        FetchTrace.from_addresses(pcs), header_of
-    ) == _oracle_occurrences(pcs, header_of)
+    groups = _region_groups(FetchTrace.from_addresses(pcs), header_of)
+    assert {
+        header: _expand_groups(region) for header, region in groups.items()
+    } == _oracle_occurrences(pcs, header_of)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -570,9 +586,189 @@ class _ScriptedCodec:
 def test_codec_cost_verdict_is_per_stretch(script, stretch_starts, outcome):
     words = [0, 1]
     codec = _ScriptedCodec(dict(enumerate(script)))
-    occurrences = [(starts, (4 * i, 1)) for i, starts in enumerate(stretch_starts)]
+    groups = [
+        (starts, True, ((4 * i, 1),), 1) for i, starts in enumerate(stretch_starts)
+    ]
     if outcome == "raise":
         with pytest.raises(EncodingError):
-            _codec_cost(codec, occurrences, words, 0)
+            _codec_cost(codec, groups, words, 0)
     else:
-        assert _codec_cost(codec, occurrences, words, 0) == outcome
+        assert _codec_cost(codec, groups, words, 0) == outcome
+
+
+# ----------------------------------------------------------------------
+# Costing per run group against the per-occurrence walk
+# ----------------------------------------------------------------------
+
+def _flat_codec_cost(encoder, occurrences, words, base):
+    """The per-occurrence loop the grouped cost replaced: one memo
+    lookup per piece fetched, in fetch order."""
+    memo = {}
+    cost = 0
+    state = None
+    misdecoded = False
+    for starts, piece in occurrences:
+        if starts:
+            if misdecoded:
+                return None
+            state = None
+        key = (state, piece)
+        hit = memo.get(key)
+        if hit is None:
+            pc, count = piece
+            first = (pc - base) >> 2
+            piece_words = words[first : first + count]
+            stream = encoder.encode(piece_words, state)
+            if encoder.decode(stream, state) != piece_words:
+                misdecoded = True
+            hit = memo[key] = (stream.transitions(), stream.exit)
+        cost += hit[0]
+        state = hit[1]
+    return None if misdecoded else cost
+
+
+def _verdict(cost, *args):
+    try:
+        return cost(*args)
+    except EncodingError as error:
+        return str(error)
+
+
+#: Word values at pcs 0, 4, 8, ...; the scripted codec's state is the
+#: last word it carried and its verdict is keyed by a piece's first word.
+X, Y, W, V = 0, 1, 3, 5
+SCRIPT = {X: "ok", Y: "ok", W: "wrong", V: "raise"}
+
+
+@pytest.mark.parametrize(
+    "words, groups",
+    (
+        # a lap with a stretch start inside, met again (a memo hit)
+        # after a misdecode: the flat walk stops at its second piece
+        # before the invalid codeword after it
+        (
+            [X, Y, X, W, X, V],
+            [
+                (True, True, ((0, 1),), 1),
+                (False, True, ((4, 1), (8, 1)), 1),
+                (True, True, ((12, 1),), 1),
+                (False, True, ((16, 1),), 1),
+                (False, True, ((4, 1), (8, 1)), 1),
+                (False, True, ((20, 1),), 1),
+            ],
+        ),
+        # a lap that misdecodes in its last piece and leaves the state
+        # it entered in: its repeat starts a stretch inside too
+        (
+            [X, Y, W, X, V],
+            [
+                (True, True, ((0, 1),), 1),
+                (False, False, ((4, 1), (8, 2)), 2),
+                (False, True, ((16, 1),), 1),
+            ],
+        ),
+        # a misdecoding lap whose repeats each start a stretch
+        (
+            [W, X, V],
+            [(True, True, ((0, 1),), 2), (False, True, ((8, 1),), 1)],
+        ),
+    ),
+)
+def test_codec_cost_skips_no_stretch_start_after_a_misdecode(words, groups):
+    codec = _ScriptedCodec(SCRIPT)
+    flat = _expand_groups(groups)
+    assert _flat_codec_cost(codec, flat, words, 0) is None
+    assert _codec_cost(codec, groups, words, 0) is None
+
+
+STATEFUL = [
+    scheme for scheme in registered_schemes() if make_encoder(scheme).budget().stateful
+]
+
+
+@pytest.mark.parametrize("name", BENCHMARK_ORDER + EXTENDED_WORKLOADS)
+def test_grouped_codec_cost_matches_flat_walk_on_registry_programs(
+    monkeypatch, name
+):
+    """Every ``_codec_cost`` call of a selector run costs what the
+    per-occurrence walk of its expanded groups costs."""
+    from repro.pipeline import selector as selector_module
+
+    calls = []
+
+    def recording(encoder, groups, words, base):
+        cost = _codec_cost(encoder, groups, words, base)
+        calls.append((encoder.scheme, cost, encoder, groups, words, base))
+        return cost
+
+    monkeypatch.setattr(selector_module, "_codec_cost", recording)
+    workload = build_workload(name)
+    _, trace = workload.run()
+    SchemeSelector(block_size=5).run(workload.assemble(), trace, name)
+    assert {scheme for scheme, *_ in calls} == set(STATEFUL)
+    for scheme, cost, encoder, groups, words, base in calls:
+        flat = _flat_codec_cost(encoder, _expand_groups(groups), words, base)
+        assert cost is not None and cost == flat, (name, scheme)
+
+
+class _CyclingCodec:
+    """A bus codec whose state counts the words it has carried, modulo
+    ``period``, and offsets what it drives by it: a group's repeats
+    cycle only after several laps.  Decoding a piece is scripted by its
+    first word, as for :class:`_ScriptedCodec`."""
+
+    def __init__(self, script, period):
+        self.script = script
+        self.period = period
+
+    def encode(self, words, state=None):
+        from repro.baselines.protocol import EncodedStream
+
+        offset = state or 0
+        return EncodedStream(
+            "cycling",
+            32,
+            [word + offset for word in words],
+            entry=state,
+            exit=(offset + len(words)) % self.period,
+        )
+
+    def decode(self, stream, state=None):
+        words = [word - (state or 0) for word in stream.driven]
+        verdict = self.script[words[0]]
+        if verdict == "raise":
+            raise EncodingError("invalid codeword")
+        if verdict == "wrong":
+            return [word ^ 1 for word in words]
+        return words
+
+
+@given(
+    looping_pc_lists(TEXT, BASE, max_laps=9),
+    st.lists(st.sampled_from((None, BASE, BASE + 12)), min_size=TEXT, max_size=TEXT),
+    st.lists(
+        st.sampled_from(("ok", "ok", "ok", "wrong", "raise")),
+        min_size=TEXT,
+        max_size=TEXT,
+    ),
+    st.integers(min_value=1, max_value=5),
+)
+def test_grouped_codec_cost_matches_flat_walk(pcs, headers, script, period):
+    """Costs, misdecode verdicts and raised errors agree with the
+    per-occurrence walk on every region of looping traces, for the
+    zoo's bus codecs and for a scripted codec whose state cycles with
+    ``period``."""
+    header_of = {
+        BASE + 4 * i: header for i, header in enumerate(headers) if header is not None
+    }
+    words = [0x9E3779B9 * (i + 1) & 0xFFFFFFFF for i in range(TEXT)]
+    codecs = [(make_encoder(scheme).fit(words), words) for scheme in STATEFUL]
+    # the cycling codec's words index its script
+    codecs.append((_CyclingCodec(script, period), list(range(TEXT))))
+    groups = _region_groups(FetchTrace.from_addresses(pcs), header_of)
+    for codec, text in codecs:
+        for region in groups.values():
+            flat = _expand_groups(region)
+            assert _verdict(_codec_cost, codec, region, text, BASE) == (
+                _verdict(_flat_codec_cost, codec, flat, text, BASE)
+            )

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import ReproError
 from repro.workloads.registry import BENCHMARK_ORDER, EXTENDED_WORKLOADS
@@ -65,11 +66,12 @@ class JobRequest:
     #: ``slow``); production requests leave it empty.
     chaos: str = ""
 
-    @property
+    @cached_property
     def key(self) -> str:
         """Canonical WAL/journal key: tenant, id, and a digest of the
         *semantic* request fields, so a resumed run refuses to replay
-        a result for a job whose parameters changed."""
+        a result for a job whose parameters changed.  Computed once per
+        request: the fields are frozen, so the key cannot go stale."""
         semantic = json.dumps(
             {
                 "kind": self.kind,

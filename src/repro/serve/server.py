@@ -6,13 +6,13 @@ One :class:`EncodingServer` owns four pieces of machinery:
   dispatch — when it is full, :meth:`submit` sheds the job with an
   explicit ``retry_after_s`` instead of queueing unboundedly or
   slowing everyone down (load is shed loudly, never silently);
-* a **process pool** of codec workers the dispatchers fan jobs over,
-  each attempt bounded by the job's own deadline (enforced in-worker,
-  backstopped by ``asyncio.wait_for``);
-* a **circuit breaker + retry loop** around each attempt: a broken
-  pool (worker crash) is rebuilt and the job retried with seeded
-  backoff; a failure streak opens the breaker and routes jobs through
-  a serial in-process fallback until a half-open probe heals it;
+* one forked **codec worker per dispatcher**, on its own pipe read by
+  the event loop, each attempt bounded by the job's own deadline
+  (enforced in-worker, backstopped by ``asyncio.wait_for``);
+* a **circuit breaker + retry loop** around each attempt: a crashed or
+  wedged worker is killed and replaced alone, the job retried with
+  seeded backoff; a failure streak opens the breaker and routes jobs
+  through a serial in-process fallback until a half-open probe heals it;
 * a **write-ahead log** (:class:`~repro.runtime.CheckpointLog`) of
   final results in deterministic form — a server killed mid-queue and
   restarted with ``resume=True`` answers finished jobs from the WAL,
@@ -26,12 +26,12 @@ job takes, never what it returns.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import hashlib
 import json
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
@@ -51,7 +51,7 @@ from repro.serve.jobs import (
     make_result,
     parse_request,
 )
-from repro.serve.worker import pool_execute, pool_worker_init, serial_execute
+from repro.serve.worker import pool_worker_main, serial_execute
 
 #: Metric families the server guarantees exist after a run (the
 #: ``repro metrics --check --expect serve`` gate).
@@ -77,7 +77,7 @@ SERVE_METRIC_FAMILIES = (
         "counter",
         "worker spans stitched into the server trace",
     ),
-    ("serve.pool_rebuilds", "counter", "worker pools replaced after a crash"),
+    ("serve.pool_rebuilds", "counter", "pool workers replaced"),
     (
         "serve.storage_degraded",
         "counter",
@@ -151,8 +151,8 @@ class EncodingServer:
             raise ValueError("queue_depth must be >= 1")
         self._queue: asyncio.Queue[_QueuedJob] | None = None
         self._dispatchers: list[asyncio.Task] = []
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_generation = 0
+        #: (process, pipe end) per dispatcher slot; None once retired.
+        self._workers: list[tuple | None] = []
         self._breaker = CircuitBreaker(
             threshold=self.config.breaker_threshold,
             cooldown_s=self.config.breaker_cooldown_s,
@@ -202,10 +202,10 @@ class EncodingServer:
             # a WAL another live server owns must refuse *here*, before
             # any job is admitted, not mid-dispatch.
             self._wal.open_for_append()
-        self._build_pool()
+        self._workers = [self._fork_worker() for _ in range(self.config.workers)]
         self._dispatchers = [
-            asyncio.ensure_future(self._dispatch_loop())
-            for _ in range(self.config.workers)
+            asyncio.ensure_future(self._dispatch_loop(slot))
+            for slot in range(self.config.workers)
         ]
         self._started = True
         return self
@@ -219,9 +219,14 @@ class EncodingServer:
             except asyncio.CancelledError:
                 pass
         self._dispatchers = []
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        # An explicit sentinel, not EOF: later-forked siblings hold
+        # copies of earlier workers' parent-side pipe ends.
+        for _, conn in filter(None, self._workers):
+            with contextlib.suppress(OSError):
+                conn.send(None)
+        for slot in range(len(self._workers)):
+            self._retire(slot, grace_s=1.0)
+        self._workers = []
         if self._wal is not None:
             if self._journal_backlog:
                 # One last chance for a degraded server to land its
@@ -258,36 +263,67 @@ class EncodingServer:
     def _note_breaker_open(self) -> None:
         self.stats["breaker_opens"] += 1
 
-    # -- process pool --------------------------------------------------
+    # -- workers -----------------------------------------------------
 
-    def _build_pool(self) -> None:
+    def _fork_worker(self) -> tuple:
         # Plain fork, explicitly: spawn/forkserver re-prepare the
         # parent's __main__ in each worker, which breaks under
-        # embedded/stdin entry points; fork is what the campaign
-        # pools already use and workers here are pure-compute.
-        methods = multiprocessing.get_all_start_methods()
-        ctx = (
-            multiprocessing.get_context("fork") if "fork" in methods else None
+        # embedded/stdin entry points; workers here are pure-compute.
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if fork else None)
+        conn, child_conn = ctx.Pipe()
+        process = ctx.Process(
+            target=pool_worker_main, args=(child_conn, os.getpid()), daemon=True
         )
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.config.workers,
-            mp_context=ctx,
-            initializer=pool_worker_init,
-            initargs=(os.getpid(),),
-        )
+        process.start()
+        child_conn.close()
+        return process, conn
 
-    def _rebuild_pool(self, seen_generation: int) -> None:
-        """Replace a broken pool exactly once per breakage: dispatchers
-        all see the same BrokenProcessPool, only the first rebuilds."""
-        if self._pool_generation != seen_generation:
+    def _retire(self, slot: int, grace_s: float = 0.0) -> None:
+        """Kill ``slot``'s worker unless it exits within ``grace_s``."""
+        if self._workers[slot] is None:
             return
-        self._pool_generation += 1
-        old = self._pool
-        self._build_pool()
-        self.stats["pool_rebuilds"] += 1
-        self._count("serve.pool_rebuilds", "worker pools replaced after a crash")
-        if old is not None:
-            old.shutdown(wait=False, cancel_futures=True)
+        (process, conn), self._workers[slot] = self._workers[slot], None
+        process.join(grace_s)
+        if process.is_alive():
+            process.kill()
+            process.join()
+        conn.close()
+
+    async def _call_worker(self, slot: int, wire: dict, attempt: int) -> dict:
+        """One attempt on ``slot``'s worker.  Any end but a reply (EOF,
+        the backstop, a cancellation) retires the worker, so a late
+        reply is never read as the next job's result."""
+        if self._workers[slot] is None:
+            self._workers[slot] = self._fork_worker()
+            self.stats["pool_rebuilds"] += 1
+            self._count("serve.pool_rebuilds", "pool workers replaced")
+        _, conn = self._workers[slot]
+        loop = asyncio.get_running_loop()
+        reply = loop.create_future()
+
+        def on_readable() -> None:
+            loop.remove_reader(conn)
+            if reply.done():  # cancelled: the worker is being retired
+                return
+            try:
+                reply.set_result(conn.recv())
+            except (EOFError, OSError) as err:
+                reply.set_exception(err)
+
+        try:
+            conn.send((wire, attempt, self.config.cache_dir))
+            loop.add_reader(conn, on_readable)
+            outcome = await reply
+        except BaseException as err:
+            loop.remove_reader(conn)
+            self._retire(slot)
+            if isinstance(err, (EOFError, OSError)):
+                raise BrokenProcessPool(f"worker {slot} died: {err!r}") from err
+            raise
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     # -- admission -----------------------------------------------------
 
@@ -362,7 +398,7 @@ class EncodingServer:
 
     # -- dispatch ------------------------------------------------------
 
-    async def _dispatch_loop(self) -> None:
+    async def _dispatch_loop(self, slot: int) -> None:
         while True:
             job = await self._queue.get()
             if OBS.enabled:
@@ -370,7 +406,7 @@ class EncodingServer:
                     "serve.queue_depth", "jobs waiting for a dispatcher"
                 ).set(self._queue.qsize())
             try:
-                result = await self._execute(job)
+                result = await self._execute(job, slot)
             except asyncio.CancelledError:
                 if not job.future.done():
                     job.future.cancel()
@@ -398,10 +434,9 @@ class EncodingServer:
                     job.future.set_result(result)
             self._queue.task_done()
 
-    async def _execute(self, job: _QueuedJob) -> dict:
+    async def _execute(self, job: _QueuedJob, slot: int) -> dict:
         request = job.request
         wire = request.wire()
-        loop = asyncio.get_running_loop()
         attempt_box = {"n": 0}
         deadline = request.deadline_s
         if deadline is None:
@@ -441,17 +476,10 @@ class EncodingServer:
                     self._breaker.allow()
                     and pool_breaks["n"] < self.config.pool_break_retries
                 )
-                generation = self._pool_generation
                 try:
-                    if use_pool and self._pool is not None:
+                    if use_pool:
                         outcome = await asyncio.wait_for(
-                            loop.run_in_executor(
-                                self._pool,
-                                pool_execute,
-                                wire,
-                                attempt,
-                                self.config.cache_dir,
-                            ),
+                            self._call_worker(slot, wire, attempt),
                             timeout=backstop,
                         )
                     else:
@@ -486,16 +514,13 @@ class EncodingServer:
                         ),
                     }
                 except BrokenProcessPool:
-                    # The pool died under this attempt — maybe this
-                    # job's own worker crashed, maybe it was collateral
-                    # damage from a neighbour's.  Either way the *pool*
+                    # This job's own worker died under it: the *worker*
                     # failed, not the job, so this has its own budget
                     # (pool_break_retries) and, once that is spent, the
                     # job stops waiting for healthy infrastructure and
                     # takes the serial path above.
                     if self._breaker.record_failure():
                         self._note_breaker_open()
-                    self._rebuild_pool(generation)
                     pool_breaks["n"] += 1
                     self.stats["retried"] += 1
                     self._count(

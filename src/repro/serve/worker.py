@@ -1,30 +1,32 @@
-"""Codec worker: the picklable compute side of the service.
+"""Codec worker: the compute side of the service.
 
-:func:`pool_execute` is the process-pool entry point, :func:`serial_execute`
-the degraded-mode twin the circuit breaker falls back to.  Both funnel
-into the same pure computation, so which path ran a job can never
-change its result — only its latency.
+:func:`pool_worker_main` is a forked worker's pipe loop around
+:func:`pool_execute`; :func:`serial_execute` is the degraded-mode twin
+the circuit breaker falls back to.  Both funnel into the same pure
+computation, so which path ran a job can never change its result —
+only its latency.
 
 Worker-side robustness contracts:
 
 * every *computation* failure is returned as an ``error`` outcome,
   never raised (a poisoned job must not look like a crashed worker);
 * the per-job deadline is enforced *inside* the worker with
-  :func:`~repro.runtime.run_with_deadline` (SIGALRM in a pool child's
+  :func:`~repro.runtime.run_with_deadline` (SIGALRM in a worker's
   main thread, watchdog thread on the serial path), so a stalled job
   yields a clean ``deadline_exceeded`` instead of a hung future;
-* the ``kill`` chaos model fires only in a pool child and only on
+* the ``kill`` chaos model fires only in a pool worker and only on
   attempt 0 — ``os._exit`` mid-job is exactly a worker segfault as
-  the pool sees it (``BrokenProcessPool`` for everything in flight).
+  its dispatcher sees it (EOF on that worker's pipe, for that one job).
 
 Each worker process owns a :class:`~repro.pipeline.cache.BundleCache`;
-with a shared ``cache_dir`` a freshly forked worker (or a pool rebuilt
+with a shared ``cache_dir`` a freshly forked worker (or one restarted
 after a crash) warm-starts from results its predecessors already paid
 for.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import signal
@@ -58,18 +60,18 @@ _SIM_MAX_STEPS = 5_000_000
 def pool_worker_init(parent_pid: int) -> None:
     """Pool-worker initializer: die with the server.
 
-    A SIGKILLed server cannot shut its pool down, and fork workers
-    blocked on the shared call queue never see EOF (their siblings
-    hold the write end open) — without this they would idle as
-    orphans indefinitely.
+    A SIGKILLed server cannot send its workers the stop sentinel, and
+    a worker blocked on its pipe may never see EOF (later-forked
+    siblings hold copies of its parent-side end) — without this they
+    would idle as orphans indefinitely.
 
     Fork children also inherit the parent's asyncio signal plumbing:
     when the embedding loop has a signal handler, its wakeup fd is the
     *parent loop's* self-pipe, and SIGTERM may be trapped by the loop's
-    no-op trampoline.  Left in place, a child SIGTERMed during
-    broken-pool cleanup would both survive the terminate *and* relay
-    the signal number into the parent's pipe — the parent would then
-    run its SIGTERM handler for a signal that was never sent to it.
+    no-op trampoline.  Left in place, a child SIGTERMed at the server's
+    exit would both survive the terminate *and* relay the signal
+    number into the parent's pipe — the parent would then run its
+    SIGTERM handler for a signal that was never sent to it.
     Reset both before doing anything."""
 
     signal.set_wakeup_fd(-1)
@@ -274,8 +276,21 @@ def _execute(
 
 
 def pool_execute(wire: dict, attempt: int, cache_dir: str | None) -> dict:
-    """Process-pool entry point (must stay top-level picklable)."""
+    """Pool-worker entry point: one job, chaos armed."""
     return _execute(wire, attempt, cache_dir, in_pool=True)
+
+
+def pool_worker_main(conn, parent_pid: int) -> None:
+    """A forked worker's life: answer each ``(wire, attempt, cache_dir)``
+    on its pipe with the outcome (or the exception it raised) until the
+    ``None`` stop sentinel or EOF."""
+    pool_worker_init(parent_pid)
+    with contextlib.suppress(EOFError):
+        for message in iter(conn.recv, None):
+            try:
+                conn.send(pool_execute(*message))
+            except Exception as err:
+                conn.send(err)
 
 
 def serial_execute(wire: dict, attempt: int, cache_dir: str | None) -> dict:

@@ -5,9 +5,11 @@ is about *results*, so the tests check results, not mocks.
 """
 
 import asyncio
+import multiprocessing
 
 import pytest
 
+import repro.serve.worker as worker_module
 from repro.pipeline.cache import BundleCache
 from repro.runtime import CheckpointLockError
 from repro.serve.jobs import deterministic_result, parse_request
@@ -197,6 +199,67 @@ class TestChaosPaths:
         )
         assert results[0]["outcome"] == "ok"
         assert server.stats["pool_rebuilds"] == 0
+
+
+def _new_children(before: set) -> list:
+    return [p for p in multiprocessing.active_children() if p not in before]
+
+
+class TestWorkerIsolation:
+    """Each dispatcher owns one pipe-connected worker: a crash or a
+    backstop kill replaces only that worker, never answers another
+    job, and leaves no process behind."""
+
+    def test_backstop_kill_never_leaks_a_late_reply(self, monkeypatch):
+        # With the in-worker deadline disarmed, only the event-loop
+        # backstop (0.2 s + 0.1 s grace) ends the stalled encode; its
+        # worker still wakes 1 s in and replies.  That reply must not
+        # be read as the deploy job's result.
+        monkeypatch.setattr(
+            worker_module, "run_with_deadline", lambda fn, seconds, what: fn()
+        )
+        monkeypatch.setattr(worker_module, "SLOW_STALL_S", 1.0)
+        before = set(multiprocessing.active_children())
+
+        async def _run():
+            config = ServeConfig(workers=1, deadline_grace_s=0.1)
+            async with EncodingServer(config) as server:
+                stalled = await server.submit(
+                    {**FIR, "job_id": "stall", "chaos": "slow", "deadline_s": 0.2}
+                )
+                deployed = await server.submit(
+                    {**FIR, "job_id": "d0", "kind": "deploy"}
+                )
+            return stalled, deployed, server
+
+        stalled, deployed, server = asyncio.run(_run())
+        assert stalled["outcome"] == "deadline_exceeded"
+        assert deployed["outcome"] == "ok"
+        assert "tt_rows" in deployed["payload"]
+        assert server.stats["pool_rebuilds"] == 1
+        assert _new_children(before) == []
+
+    def test_a_crash_spares_the_neighbouring_worker(self):
+        # The plain job is a cold decode_verify, still computing on
+        # worker 0 when worker 1 dies under the kill-chaos job.
+        before = set(multiprocessing.active_children())
+        requests = [
+            {**FIR, "job_id": "plain", "kind": "decode_verify"},
+            {**FIR, "job_id": "killed", "chaos": "kill"},
+        ]
+        results, server = _serve(requests, ServeConfig(workers=2, seed=3))
+        plain, killed = results
+        assert plain["outcome"] == killed["outcome"] == "ok"
+        assert plain["attempts"] == 1
+        assert killed["attempts"] == 2
+        assert server.stats["pool_rebuilds"] == 1
+        assert _new_children(before) == []
+
+    def test_stop_reaps_every_worker(self):
+        before = set(multiprocessing.active_children())
+        _, server = _serve(_jobs(3), ServeConfig(workers=3))
+        assert server.stats["pool_rebuilds"] == 0
+        assert _new_children(before) == []
 
 
 class TestWalReplay:

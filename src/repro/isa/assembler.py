@@ -27,6 +27,9 @@ TEXT_BASE = 0x00400000
 DATA_BASE = 0x10000000
 STACK_TOP = 0x7FFFEFFC
 
+#: data directive -> its little-endian ``struct`` item code
+_DATA_FORMATS = {".word": "I", ".half": "H", ".byte": "B", ".double": "d", ".float": "f"}
+
 _LABEL_RE = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
 
 
@@ -236,33 +239,28 @@ class _Assembler:
             self._require_data(name, line_no, line)
             self._bind_pending_data_labels()
             self.data.extend(b"\x00" * count)
-        elif name in (".word", ".half", ".byte"):
+        elif name in _DATA_FORMATS:
             self._require_data(name, line_no, line)
-            size = {".word": 4, ".half": 2, ".byte": 1}[name]
+            code = _DATA_FORMATS[name]
+            size = struct.calcsize("<" + code)
             self._align_data(size)
             self._bind_pending_data_labels()
+            values = []
             for token in self._split_items(rest, line_no, line):
-                value = _parse_number(token)
-                if value is None:
+                if code in "df":
+                    try:
+                        values.append(float(token))
+                    except ValueError:
+                        raise AssemblerError(
+                            f"{name} expects floats, got {token!r}", line_no, line
+                        ) from None
+                elif (value := _parse_number(token)) is not None:
+                    values.append(value & ((1 << (8 * size)) - 1))
+                else:
                     raise AssemblerError(
                         f"{name} expects numbers, got {token!r}", line_no, line
                     )
-                value &= (1 << (8 * size)) - 1
-                self.data.extend(value.to_bytes(size, "little"))
-        elif name in (".double", ".float"):
-            self._require_data(name, line_no, line)
-            size = 8 if name == ".double" else 4
-            self._align_data(size)
-            self._bind_pending_data_labels()
-            for token in self._split_items(rest, line_no, line):
-                try:
-                    value = float(token)
-                except ValueError:
-                    raise AssemblerError(
-                        f"{name} expects floats, got {token!r}", line_no, line
-                    ) from None
-                packer = "<d" if size == 8 else "<f"
-                self.data.extend(struct.pack(packer, value))
+            self.data += struct.pack(f"<{len(values)}{code}", *values)
         elif name == ".asciiz":
             self._require_data(name, line_no, line)
             text = rest.strip()
@@ -282,7 +280,7 @@ class _Assembler:
 
     @staticmethod
     def _split_items(rest: str, line_no: int, line: str) -> list[str]:
-        items = [t.strip() for t in rest.split(",") if t.strip()]
+        items = [t for t in map(str.strip, rest.split(",")) if t]
         if not items:
             raise AssemblerError("directive expects operands", line_no, line)
         return items

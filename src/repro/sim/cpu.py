@@ -27,12 +27,11 @@ The loop keeps the registers it uses in local variables and stores them
 back when it exits.  A fault in iteration *j* is placed by the
 iteration counter and the line number it leaves on the block frame.
 
-FP loads and stores (``ldc1``/``sdc1``) to an 8-aligned address on an
-allocated page index that page's double view
-(:class:`~repro.sim.memory.Memory` keeps one per page) in the block
-body; unaligned, page-crossing and first-touch addresses, and every
-access on a big-endian host, call the :class:`Memory` method.  The
-other widths keep their method calls, which carry the MMIO routing.
+A block body indexes native-order views of the program's data segment,
+one flat buffer (:meth:`~repro.sim.memory.Memory.map_segment`), for
+``ldc1``/``sdc1`` and ``lw``/``sw`` at aligned addresses inside it; any
+other access calls the :class:`Memory` method, which carries the MMIO
+routing, as do all accesses on a big-endian host and the other widths.
 A block function binds only the register lists, memory accessors and
 helpers its body names, which keeps ``compile()`` of its header short.
 
@@ -70,6 +69,23 @@ def _signed(value: int) -> int:
     return value - 0x100000000 if value & 0x80000000 else value
 
 
+def _fdiv(a: float, b: float) -> float:
+    """IEEE 754 ``a / b``, which Python refuses for a zero ``b``."""
+    if b:
+        return a / b
+    return math.nan if not a or a != a else math.copysign(math.inf, a) * math.copysign(1, b)
+
+
+def _fsqrt(x: float) -> float:
+    """IEEE 754 square root, which Python refuses below -0.0."""
+    return math.sqrt(x) if x >= 0.0 else math.nan
+
+
+def _trunc(x: float) -> int:
+    """Truncate toward zero; NaN and values outside int32 give 2**31 - 1 (MIPS invalid)."""
+    return int(x) if -2147483649.0 < x < 2147483648.0 else 0x7FFFFFFF
+
+
 class CpuError(RuntimeError):
     """Raised for runtime faults (bad PC, step overrun, bad syscall)."""
 
@@ -91,6 +107,12 @@ class Cpu:
         self.output: list[str] = []
         self.regs[SP] = STACK_TOP
         self.regs[GP] = (program.data_base + 0x8000) & MASK32
+        #: ``(base, double view, word view)`` of the data segment that
+        #: generated blocks index, or None without one
+        mapped = None
+        if _LITTLE_ENDIAN_HOST:
+            mapped = self.memory.map_segment(program.data_base, len(program.data_image))
+        self.segment = mapped and (mapped[0], mapped[1].cast("d"), mapped[1].cast("I"))
         self.memory.write_bytes(program.data_base, bytes(program.data_image))
         # Keep a copy of the text image in memory too, so indirect
         # reads of code (rare, but legal) behave.
@@ -240,7 +262,7 @@ class Cpu:
         exit_pc = ""
         for index in range(first, last):
             inst = program.instructions[index]
-            statements, exit_pc = _emit(inst, base + 4 * index)
+            statements, exit_pc = _emit(inst, base + 4 * index, self.segment)
             body.extend(statements)
             owners.extend([index - first] * len(statements))
             if exit_pc or base + 4 * index + 4 in self._leaders:
@@ -591,12 +613,12 @@ class Cpu:
             return op
         if name == "div.d":
             def op(c):
-                c.fregs[fd] = c.fregs[fs] / c.fregs[ft]
+                c.fregs[fd] = _fdiv(c.fregs[fs], c.fregs[ft])
                 c.pc += 4
             return op
         if name == "sqrt.d":
             def op(c):
-                c.fregs[fd] = math.sqrt(c.fregs[fs])
+                c.fregs[fd] = _fsqrt(c.fregs[fs])
                 c.pc += 4
             return op
         if name == "abs.d":
@@ -616,7 +638,7 @@ class Cpu:
             return op
         if name == "cvt.w.d":
             def op(c):
-                c.fregs[fd] = float(int(c.fregs[fs]))  # truncate
+                c.fregs[fd] = float(_trunc(c.fregs[fs]))
                 c.pc += 4
             return op
         if name == "cvt.d.w":
@@ -651,7 +673,7 @@ class Cpu:
             return op
         if name == "mfc1":
             def op(c):
-                c.regs[rt] = int(c.fregs[fs]) & MASK32
+                c.regs[rt] = _trunc(c.fregs[fs]) & MASK32
                 c.pc += 4
             return self._wrt(op, rt)
         if name == "mtc1":
@@ -706,11 +728,14 @@ def run_program(
 def _bindings(cpu: Cpu) -> dict:
     """The names a block body may use and what they stand for.  A block
     function takes the ones its body uses as defaults, so the body
-    reads them as locals.  ``D`` maps page bases to double views."""
+    reads them as locals.  ``M`` and ``W`` are the data segment's double
+    and word views."""
     mem = cpu.memory
+    _, doubles, words = cpu.segment or (None, None, None)
     return {
-        "c": cpu, "R": cpu.regs, "F": cpu.fregs, "D": mem._doubles,
-        "sqrt": math.sqrt, "rd8": mem.read_u8, "rds8": mem.read_s8,
+        "c": cpu, "R": cpu.regs, "F": cpu.fregs, "M": doubles, "W": words,
+        "sqrt": _fsqrt, "fdiv": _fdiv, "trunc": _trunc,
+        "rd8": mem.read_u8, "rds8": mem.read_s8,
         "rd16": mem.read_u16, "rds16": mem.read_s16, "rd32": mem.read_u32,
         "wr8": mem.write_u8, "wr16": mem.write_u16, "wr32": mem.write_u32,
         "rdf32": mem.read_f32, "wrf32": mem.write_f32,
@@ -722,9 +747,8 @@ def _bindings(cpu: Cpu) -> dict:
 #: ``def`` line is the first)
 _FIRST_BODY_LINE = 2
 
-#: The double views hold native-order doubles and memory is
-#: little-endian, so ``ldc1``/``sdc1`` index them only on a
-#: little-endian host.
+#: The segment's views are native order and memory is little-endian,
+#: so a :class:`Cpu` maps the segment only on a little-endian host.
 _LITTLE_ENDIAN_HOST = sys.byteorder == "little"
 
 
@@ -850,19 +874,17 @@ _I_ALU = {
     "ori": "R[{rs}] | {imm_u}",
     "xori": "R[{rs}] ^ {imm_u}",
     "lui": "{upper}",
-    "lw": "rd32({addr})",
     "lb": "rds8({addr}) & 0xFFFFFFFF",
     "lbu": "rd8({addr})",
     "lh": "rds16({addr}) & 0xFFFFFFFF",
     "lhu": "rd16({addr})",
-    "mfc1": "int(F[{fs}]) & 0xFFFFFFFF",
+    "mfc1": "trunc(F[{fs}]) & 0xFFFFFFFF",
 }
 
 #: ``name -> statement`` for everything that writes no integer register
 _STATEMENTS = {
     "mthi": "c.hi = R[{rs}]",
     "mtlo": "c.lo = R[{rs}]",
-    "sw": "wr32({addr}, R[{rt}])",
     "sb": "wr8({addr}, R[{rt}])",
     "sh": "wr16({addr}, R[{rt}])",
     "lwc1": "F[{ft}] = rdf32({addr})",
@@ -870,12 +892,12 @@ _STATEMENTS = {
     "add.d": "F[{fd}] = F[{fs}] + F[{ft}]",
     "sub.d": "F[{fd}] = F[{fs}] - F[{ft}]",
     "mul.d": "F[{fd}] = F[{fs}] * F[{ft}]",
-    "div.d": "F[{fd}] = F[{fs}] / F[{ft}]",
+    "div.d": "F[{fd}] = F[{fs}] / F[{ft}] if F[{ft}] else fdiv(F[{fs}], F[{ft}])",
     "sqrt.d": "F[{fd}] = sqrt(F[{fs}])",
     "abs.d": "F[{fd}] = abs(F[{fs}])",
     "mov.d": "F[{fd}] = F[{fs}]",
     "neg.d": "F[{fd}] = -F[{fs}]",
-    "cvt.w.d": "F[{fd}] = float(int(F[{fs}]))",
+    "cvt.w.d": "F[{fd}] = float(trunc(F[{fs}]))",
     "cvt.d.w": "F[{fd}] = float(F[{fs}])",
     "c.eq.d": "c.fcc = F[{fs}] == F[{ft}]",
     "c.lt.d": "c.fcc = F[{fs}] < F[{ft}]",
@@ -900,34 +922,34 @@ def _condition_src(inst: Instruction) -> str:
     return _CONDITIONS[inst.name].format(rs=inst.get("rs"), rt=inst.get("rt"))
 
 
-def _fp64_src(name: str, ft: int, rs: int, imm: int) -> list[str]:
-    """``ldc1``/``sdc1``: an 8-aligned address on an allocated page goes
-    through the page's double view; any other address (unaligned, page
-    crossing, first touch) through the :class:`Memory` method.  An
-    8-aligned double never crosses a page, and the view map's key
-    ``a & 0xFFFFF007`` is a page base only when ``a`` is 8-aligned."""
-    addr = _address_src(rs, imm)
-    if not _LITTLE_ENDIAN_HOST:
-        if name == "ldc1":
-            return [f"F[{ft}] = rdf64({addr})"]
-        return [f"wrf64({addr}, F[{ft}])"]
-    # The key and the index read only the address's low 32 bits, so
-    # the unmasked sum serves both; the method gets the masked one.
-    raw = f"R[{rs}] + {imm}" if imm else f"R[{rs}]"
-    view = f"(v := D.get((a := {raw}) & 0xFFFFF007)) is not None"
-    masked = "a & 0xFFFFFFFF" if imm else "a"
-    if name == "ldc1":
-        return [f"F[{ft}] = v[a >> 3 & 511] if {view} else rdf64({masked})"]
-    return [
-        f"if {view}: v[a >> 3 & 511] = F[{ft}]",
-        f"else: wrf64({masked}, F[{ft}])",
-    ]
+#: ``name -> (register, view, log2 of the width, method)`` for the loads
+#: and stores that index the data segment's views
+_SEGMENT_ACCESS = {
+    "lw": ("R[{rt}]", "W", 2, "rd32"), "sw": ("R[{rt}]", "W", 2, "wr32"),
+    "ldc1": ("F[{ft}]", "M", 3, "rdf64"), "sdc1": ("F[{ft}]", "M", 3, "wrf64"),
+}
 
 
-def _emit(inst: Instruction, pc: int) -> tuple[list[str], str]:
+def _segment_src(name: str, fields: dict, segment) -> list[str]:
+    """A load or store of :data:`_SEGMENT_ACCESS`: ``i = R[rs] + imm - base``
+    indexes the view when ``i & (-size | width - 1)`` is 0, that is for an
+    aligned address in the segment (a sum that wraps 32 bits misses)."""
+    register, view, shift, method = _SEGMENT_ACCESS[name]
+    value, store = register.format(**fields), method.startswith("wr")
+    call = f"{method}({fields['addr']}{', ' + value if store else ''})"
+    if segment is None:
+        return [call if store else f"{value} = {call}"]
+    offset, mask = segment[0] - fields["imm_s"], -segment[1].nbytes | (1 << shift) - 1
+    hit = f"not (i := R[{fields['rs']}] - {offset}) & {mask}"
+    if store:
+        return [f"if {hit}: {view}[i >> {shift}] = {value}", f"else: {call}"]
+    return [f"{value} = {view}[i >> {shift}] if {hit} else {call}"]
+
+
+def _emit(inst: Instruction, pc: int, segment) -> tuple[list[str], str]:
     """Python statements for one instruction at ``pc``, plus the
     next-PC expression when it ends the block ("" when it falls
-    through)."""
+    through).  ``segment`` is :attr:`Cpu.segment`."""
     name = inst.name
     rd, rs, rt = inst.get("rd"), inst.get("rs"), inst.get("rt")
     imm_u = inst.get("imm")
@@ -956,8 +978,9 @@ def _emit(inst: Instruction, pc: int) -> tuple[list[str], str]:
         return (lines + ["R[0] = 0"] if rt == 0 else lines), ""
     if name in _STATEMENTS:
         return [_STATEMENTS[name].format(**fields)], ""
-    if name in ("ldc1", "sdc1"):
-        return _fp64_src(name, inst.get("ft"), rs, imm_s), ""
+    if name in _SEGMENT_ACCESS:
+        lines = _segment_src(name, fields, segment)
+        return (lines + ["R[0] = 0"] if name == "lw" and rt == 0 else lines), ""
     if name in ("mult", "multu"):
         a, b = (_signed_src(rs), _signed_src(rt)) if name == "mult" else (f"R[{rs}]", f"R[{rt}]")
         return [

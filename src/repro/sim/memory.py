@@ -2,12 +2,10 @@
 
 Little-endian, lazily allocated 4 KiB pages, with typed accessors for
 the widths the ISA needs (8/16/32-bit integers and 64-bit doubles).
-Each page also has a ``memoryview`` cast to native doubles
-(``Memory._doubles``), made when the page is allocated; the block
-compiler in :mod:`repro.sim.cpu` indexes it for 8-aligned FP loads and
-stores instead of calling :meth:`Memory.read_f64`/:meth:`~Memory.write_f64`.
-Pages are never replaced or resized, so a view stays valid for the
-memory's lifetime.
+:meth:`Memory.map_segment` maps a data segment as one buffer whose
+pages are ``memoryview`` slices of it, so the accessors see the bytes
+that :mod:`repro.sim.cpu` blocks index through views of the buffer.
+Mapped pages are never replaced or resized, so the views stay valid.
 """
 
 from __future__ import annotations
@@ -56,20 +54,17 @@ class Memory:
     """Sparse paged memory with optional MMIO windows."""
 
     def __init__(self) -> None:
-        self._pages: dict[int, bytearray] = {}
-        #: page base address -> the page viewed as 512 native-order
-        #: doubles.  Keyed by base address, so ``get(a & 0xFFFFF007)``
-        #: finds a view only for an 8-aligned ``a`` on an allocated page.
-        self._doubles: dict[int, memoryview] = {}
+        self._pages: dict[int, bytearray | memoryview] = {}
         self._mmio: list[MmioRegion] = []
+        #: ``(base, end)`` of the data segment :meth:`map_segment` mapped
+        self._segment: tuple[int, int] | None = None
 
     def add_mmio(self, region: MmioRegion) -> None:
-        """Map a peripheral window; overlaps are rejected."""
-        for existing in self._mmio:
-            if region.base < existing.end and existing.base < region.end:
-                raise ValueError(
-                    f"MMIO region {region.base:#x} overlaps {existing.base:#x}"
-                )
+        """Map a peripheral window; overlaps, also with the segment, are rejected."""
+        taken = [(other.base, other.end) for other in self._mmio]
+        for base, end in taken + ([self._segment] if self._segment else []):
+            if region.base < end and base < region.end:
+                raise ValueError(f"MMIO region {region.base:#x} overlaps {base:#x}")
         self._mmio.append(region)
 
     def _mmio_at(self, address: int) -> MmioRegion | None:
@@ -78,12 +73,34 @@ class Memory:
                 return region
         return None
 
-    def _page(self, address: int) -> bytearray:
+    def map_segment(self, address: int, length: int) -> tuple[int, memoryview] | None:
+        """Back ``length`` bytes at ``address`` with one buffer that starts
+        at their page and whose size is the least power of two, at least
+        a page, that covers them; the pages there become slices of it and
+        keep their bytes.  Returns ``(base, buffer view)``, or None for no
+        bytes, a second segment, or a buffer over MMIO or past 2**32."""
+        base, size = address & ~PAGE_MASK, PAGE_SIZE
+        while size < address + length - base:
+            size <<= 1
+        end = base + size
+        if not length or self._segment or end > 1 << 32 or any(
+            base < region.end and region.base < end for region in self._mmio
+        ):
+            return None
+        view = memoryview(bytearray(size))
+        for offset in range(0, size, PAGE_SIZE):
+            number = (base + offset) >> PAGE_SHIFT
+            if number in self._pages:
+                view[offset : offset + PAGE_SIZE] = self._pages[number]
+            self._pages[number] = view[offset : offset + PAGE_SIZE]
+        self._segment = (base, end)
+        return base, view
+
+    def _page(self, address: int) -> bytearray | memoryview:
         page = self._pages.get(address >> PAGE_SHIFT)
         if page is None:
             page = bytearray(PAGE_SIZE)
             self._pages[address >> PAGE_SHIFT] = page
-            self._doubles[address & ~PAGE_MASK] = memoryview(page).cast("d")
         return page
 
     # ------------------------------------------------------------------

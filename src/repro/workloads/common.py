@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -47,8 +48,8 @@ def format_doubles(values: Sequence[float], per_line: int = 8) -> str:
 
 def read_doubles(cpu: Cpu, label: str, count: int) -> list[float]:
     """Read ``count`` doubles starting at a data label."""
-    base = cpu.program.address_of(label)
-    return [cpu.memory.read_f64(base + 8 * i) for i in range(count)]
+    address = cpu.program.address_of(label)
+    return list(struct.unpack(f"<{count}d", cpu.memory.read_bytes(address, 8 * count)))
 
 
 def pseudo_values(count: int, seed: int = 0, scale: float = 3.0) -> list[float]:

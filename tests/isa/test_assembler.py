@@ -121,6 +121,33 @@ class TestDataDirectives:
         with pytest.raises(AssemblerError, match="only valid in .data"):
             assemble(".text\n.word 5\n")
 
+    def test_every_width_in_one_image(self):
+        program = assemble(
+            ".data\n.byte 1, 255, -1\n.half -2, 0x1234\n.word 0xFFFFFFFF, -3\n"
+            ".float 1.5, -0.25\n.double 2.5, -1e300\n"
+        )
+        assert bytes(program.data_image) == (
+            b"\x01\xff\xff\x00" + struct.pack("<Hh", 0xFFFE, 0x1234)
+            + struct.pack("<Ii", 0xFFFFFFFF, -3) + struct.pack("<ff", 1.5, -0.25)
+            + struct.pack("<dd", 2.5, -1e300)
+        )
+
+    @pytest.mark.parametrize(
+        "directive, token, message",
+        (
+            (".word", "x2", "expects numbers"),
+            (".byte", "1.5", "expects numbers"),
+            (".double", "x2", "expects floats"),
+            (".float", "0x1.0", "expects floats"),
+        ),
+    )
+    def test_bad_item_is_named_with_its_line(self, directive, token, message):
+        source = f".data\nok: .word 1\nbad: {directive} 1, {token}, 3\n"
+        with pytest.raises(AssemblerError, match=f"{message}, got '{token}'") as info:
+            assemble(source)
+        assert info.value.line_no == 3
+        assert f"(line 3: 'bad: {directive} 1, {token}, 3')" in str(info.value)
+
 
 class TestPseudoInstructions:
     def test_nop(self):

@@ -10,10 +10,15 @@ PC — on clean exits and on every kind of fault.
 
 from __future__ import annotations
 
+import math
+import operator
+import struct
+
 import pytest
 
 from repro.isa.assembler import assemble
 from repro.minicc.kernels import COMPILED_BUILDERS, compiled_workload
+from repro.sim import cpu as cpu_module
 from repro.sim.cpu import Cpu, CpuError
 from repro.sim.tracer import FetchTrace
 from repro.workloads import registry
@@ -86,6 +91,16 @@ def _assert_same(program, max_steps: int = 50_000_000):
     # ... and grouped as the per-fetch stream's runs are.
     assert block_trace == FetchTrace.from_addresses(step_trace)
     return block_cpu, block_trace
+
+
+@pytest.fixture
+def raising_fp(monkeypatch):
+    """Give ``sqrt.d`` and ``div.d`` Python's raising semantics in both
+    paths, so a program can fault at any instruction of a block on a
+    value it computes.  No instruction faults mid-block by itself, but
+    an MMIO handler or an ``swc1`` out of single range can."""
+    monkeypatch.setattr(cpu_module, "_fsqrt", math.sqrt)
+    monkeypatch.setattr(cpu_module, "_fdiv", operator.truediv)
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
@@ -215,6 +230,7 @@ def test_unknown_syscall_mid_block():
     assert cpu.pc == trace.expand()[-1]
 
 
+@pytest.mark.usefixtures("raising_fp")
 def test_sqrt_of_negative_mid_block():
     source = (
         ".data\nd: .double -4.0\n.text\n"
@@ -287,6 +303,7 @@ loop: addiu $t2, $t2, 1
 """
 
 
+@pytest.mark.usefixtures("raising_fp")
 @pytest.mark.parametrize("iteration", (1, 2, 7))
 def test_self_loop_sqrt_of_negative_in_iteration(iteration):
     # $f2 goes negative in the given iteration.
@@ -297,6 +314,7 @@ def test_self_loop_sqrt_of_negative_in_iteration(iteration):
     assert len(trace) == cpu.steps + 1
 
 
+@pytest.mark.usefixtures("raising_fp")
 @pytest.mark.parametrize("iteration", (1, 2, 7))
 def test_self_loop_divide_by_zero_in_iteration(iteration):
     # $f2 reaches 0.0 in the given iteration.
@@ -305,6 +323,109 @@ def test_self_loop_divide_by_zero_in_iteration(iteration):
     cpu, trace = _assert_same(program)
     assert cpu.regs[10] == iteration
     assert len(trace) == cpu.steps + 1
+
+
+INF, NAN = math.inf, math.nan
+INVALID = 0x7FFFFFFF  # the MIPS invalid-conversion result, 2**31 - 1
+
+#: ``instruction -> [(a, b, result)]``: what each FP instruction writes
+#: for operands ``a`` in ``$f2`` and ``b`` in ``$f4``, including the
+#: cases where Python's operators raise.  ``mfc1``'s result is the
+#: integer it writes.
+IEEE_CASES = {
+    "div.d $f6, $f2, $f4": [
+        (1.0, 0.0, INF), (1.0, -0.0, -INF), (-2.5, 0.0, -INF),
+        (-2.5, -0.0, INF), (INF, -0.0, -INF), (0.0, 0.0, NAN),
+        (-0.0, -0.0, NAN), (NAN, 0.0, NAN), (3.0, 2.0, 1.5),
+    ],
+    "sqrt.d $f6, $f2": [
+        (-4.0, 0.0, NAN), (-INF, 0.0, NAN), (NAN, 0.0, NAN),
+        (-0.0, 0.0, -0.0), (16.0, 0.0, 4.0), (INF, 0.0, INF),
+    ],
+    "cvt.w.d $f6, $f2": [
+        (INF, 0.0, float(INVALID)), (-INF, 0.0, float(INVALID)),
+        (NAN, 0.0, float(INVALID)), (-7.9, 0.0, -7.0), (7.9, 0.0, 7.0),
+        (1e10, 0.0, float(INVALID)), (-1e10, 0.0, float(INVALID)),
+        (2147483647.9, 0.0, 2147483647.0), (2147483648.0, 0.0, float(INVALID)),
+        (-2147483648.9, 0.0, -2147483648.0), (-2147483649.0, 0.0, float(INVALID)),
+    ],
+    "mfc1 $t3, $f2": [
+        (INF, 0.0, INVALID), (-INF, 0.0, INVALID), (NAN, 0.0, INVALID),
+        (-7.9, 0.0, 0xFFFFFFF9), (7.9, 0.0, 7),
+        (1e10, 0.0, INVALID), (-1e10, 0.0, INVALID),
+        (2147483647.9, 0.0, 0x7FFFFFFF), (2147483648.0, 0.0, INVALID),
+        (-2147483648.9, 0.0, 0x80000000), (-2147483649.0, 0.0, INVALID),
+    ],
+}
+
+
+def _ieee_source(op: str, cases) -> str:
+    """A self-loop applying ``op`` to each case's operands and storing
+    its result (``$f6``, or ``$t3`` for ``mfc1``) to ``out``; the FP
+    registers are cleared at exit, since NaN != NaN in a register
+    compare."""
+    operands = ", ".join(f"{a!r}, {b!r}" for a, b, _ in cases)
+    store = "sw $t3, 0($t1)" if op.startswith("mfc1") else "s.d $f6, 0($t1)"
+    return f"""
+.data
+ops: .double {operands}
+out: .space {8 * len(cases)}
+.text
+main: la $t0, ops
+      la $t1, out
+      li $t2, {len(cases)}
+      j loop
+loop: l.d $f2, 0($t0)
+      l.d $f4, 8($t0)
+      {op}
+      {store}
+      addiu $t0, $t0, 16
+      addiu $t1, $t1, 8
+      addiu $t2, $t2, -1
+      bnez $t2, loop
+      mtc1 $zero, $f2
+      mtc1 $zero, $f4
+      mtc1 $zero, $f6
+      li $v0, 10
+      syscall
+"""
+
+
+def _same_double(measured: float, expected: float) -> bool:
+    if math.isnan(expected):
+        return math.isnan(measured)
+    return measured == expected and math.copysign(1, measured) == math.copysign(1, expected)
+
+
+@pytest.mark.parametrize("op", sorted(IEEE_CASES))
+def test_fp_edge_operands_write_ieee_and_mips_results(op):
+    cases = IEEE_CASES[op]
+    program = assemble(_ieee_source(op, cases))
+    _assert_self_loop(program)
+    cpu, _ = _assert_same(program)
+    assert cpu.running is False and cpu.regs[10] == 0
+    out = cpu.memory.read_bytes(program.address_of("out"), 8 * len(cases))
+    for k, (a, b, expected) in enumerate(cases):
+        if op.startswith("mfc1"):
+            assert struct.unpack_from("<I", out, 8 * k)[0] == expected, (a, b)
+        else:
+            measured = struct.unpack_from("<d", out, 8 * k)[0]
+            assert _same_double(measured, expected), (a, b, measured)
+
+
+@pytest.mark.parametrize("op", sorted(IEEE_CASES))
+def test_fp_edge_operands_straight_line(op):
+    # The same operands through plain (non-loop) blocks and Cpu.step.
+    lines = [".data", "ops: .double " + ", ".join(
+        f"{a!r}, {b!r}" for a, b, _ in IEEE_CASES[op])]
+    lines += [".text", "main: la $t0, ops"]
+    for k in range(len(IEEE_CASES[op])):
+        lines += [f"l.d $f2, {16 * k}($t0)", f"l.d $f4, {16 * k + 8}($t0)", op,
+                  f"s.d $f6, {16 * k}($t0)", f"sw $t3, {16 * k + 8}($t0)"]
+    lines += ["mtc1 $zero, $f2", "mtc1 $zero, $f4", "mtc1 $zero, $f6",
+              "li $v0, 10", "syscall"]
+    cpu, _ = _assert_same(assemble("\n".join(lines)))
+    assert cpu.running is False
 
 
 @pytest.mark.parametrize("iterations", (1, 2, 7))
@@ -529,6 +650,7 @@ next: addiu $t1, $t1, 16
 """
 
 
+@pytest.mark.usefixtures("raising_fp")
 @pytest.mark.parametrize(
     "op, laps",
     (("div.d $f4, $f6, $f2", 2), ("sqrt.d $f4, $f2", 3)),

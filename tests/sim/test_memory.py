@@ -1,5 +1,5 @@
-"""Tests for the paged memory, and for the block compiler's FP loads
-and stores through its per-page double views."""
+"""Tests for the paged memory and its flat data segment, and for the
+block compiler's loads and stores through the segment's views."""
 
 import struct
 import sys
@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.isa.assembler import assemble
+from repro.isa.assembler import DATA_BASE, assemble
 from repro.sim import cpu as cpu_module
 from repro.sim.cpu import Cpu
-from repro.sim.memory import PAGE_SIZE, Memory
+from repro.sim.memory import PAGE_SIZE, Memory, MmioRegion
+from repro.workloads.common import read_doubles
 from tests.sim.test_block_interpreter import _assert_same
 
 
@@ -137,25 +138,73 @@ def _bits(value: float) -> int:
 class TestDoubleViews:
     def test_every_page_has_a_view_of_itself(self):
         mem = Memory()
-        mem.write_u8(3 * PAGE_SIZE + 5, 1)
-        mem.read_f64(7 * PAGE_SIZE - 4)  # allocates two pages
-        assert mem._pages.keys() == {3, 6, 7}
-        assert mem._doubles.keys() == {3 * PAGE_SIZE, 6 * PAGE_SIZE, 7 * PAGE_SIZE}
+        mem.write_u32(5 * PAGE_SIZE + 8, 0xAB)  # copied into the buffer
+        mem.write_u8(9 * PAGE_SIZE, 1)  # outside it
+        base, buffer = mem.map_segment(4 * PAGE_SIZE + 16, 2 * PAGE_SIZE)
+        assert (base, len(buffer)) == (4 * PAGE_SIZE, 4 * PAGE_SIZE)
+        assert mem._pages.keys() == {4, 5, 6, 7, 9}
+        for number in range(4, 8):
+            page = mem._pages[number]
+            assert isinstance(page, memoryview) and page.obj is buffer.obj
+        assert buffer[PAGE_SIZE + 8] == 0xAB
         mem.write_u32(6 * PAGE_SIZE + 16, 0x12345678)
         mem.write_u32(6 * PAGE_SIZE + 20, 0x9ABCDEF0)
-        view = mem._doubles[6 * PAGE_SIZE]
-        assert _bits(view[2]) == 0x9ABCDEF012345678
+        view = memoryview(buffer).cast("d")
+        assert _bits(view[2 * PAGE_SIZE // 8 + 2]) == 0x9ABCDEF012345678
+        mem.read_f64(8 * PAGE_SIZE - 4)  # crosses out of the buffer
+        assert 8 in mem._pages and isinstance(mem._pages[8], bytearray)
 
     @pytest.mark.skipif(sys.byteorder != "little", reason="views are native order")
     @pytest.mark.parametrize("bits", SPECIAL_BITS, ids=hex)
     def test_view_and_methods_agree_bit_for_bit(self, bits):
         mem = Memory()
+        _, buffer = mem.map_segment(PAGE_SIZE, PAGE_SIZE)
         mem.write_f64(PAGE_SIZE + 8, _double(bits))
-        view = mem._doubles[PAGE_SIZE]
+        view = memoryview(buffer).cast("d")
         assert _bits(view[1]) == bits
         view[2] = view[1]
         assert _bits(mem.read_f64(PAGE_SIZE + 16)) == bits
         assert mem.read_bytes(PAGE_SIZE + 16, 8) == bits.to_bytes(8, "little")
+
+
+class TestSegment:
+    @pytest.mark.parametrize(
+        "address, length, size",
+        (
+            (DATA_BASE, 1, PAGE_SIZE),
+            (DATA_BASE, PAGE_SIZE, PAGE_SIZE),
+            (DATA_BASE + 16, PAGE_SIZE, 2 * PAGE_SIZE),
+            (DATA_BASE, 3 * PAGE_SIZE, 4 * PAGE_SIZE),
+            (DATA_BASE, 16_400, 32 * 1024),
+        ),
+    )
+    def test_size_is_the_next_power_of_two_from_the_page(self, address, length, size):
+        base, buffer = Memory().map_segment(address, length)
+        assert base == DATA_BASE and len(buffer) == size
+
+    def test_no_empty_second_or_too_high_segment(self):
+        mem = Memory()
+        assert mem.map_segment(DATA_BASE, 0) is None
+        assert mem.map_segment(0xFFFFF000, 2 * PAGE_SIZE) is None
+        assert mem.map_segment(DATA_BASE, 100) is not None
+        assert mem.map_segment(DATA_BASE, 100) is None
+        assert not mem._pages.keys() - {DATA_BASE >> 12}
+        assert Cpu(assemble(".text\nmain: nop\n")).segment is None
+
+    def test_no_segment_over_an_mmio_window(self):
+        mem = Memory()
+        mem.add_mmio(MmioRegion(DATA_BASE + 0x800, 0x10))
+        assert mem.map_segment(DATA_BASE, 100) is None
+
+    def test_add_mmio_refuses_a_window_over_the_segment(self):
+        mem = Memory()
+        mem.map_segment(DATA_BASE, 100)
+        with pytest.raises(ValueError, match="overlaps 0x10000000"):
+            mem.add_mmio(MmioRegion(DATA_BASE + PAGE_SIZE - 4, 0x10))
+        with pytest.raises(ValueError, match="overlaps 0x10000000"):
+            mem.add_mmio(MmioRegion(DATA_BASE - 4, 0x10))
+        mem.add_mmio(MmioRegion(DATA_BASE + PAGE_SIZE, 0x10))
+        mem.add_mmio(MmioRegion(DATA_BASE - 0x10, 0x10))
 
 
 #: One self-loop of FP loads and stores over a table of addresses:
@@ -224,9 +273,10 @@ loop: l.d $f2, 0($s0)
 
 
 def _loop_uses_views(cpu: Cpu, program) -> bool:
+    """The self-loop at ``loop`` indexes the segment's double view."""
     block, _, loops = cpu._blocks[program.address_of("loop")]
     assert loops
-    return "get" in block.__code__.co_names
+    return "M" in block.__code__.co_varnames
 
 
 class TestBlockFpAccess:
@@ -256,3 +306,170 @@ class TestBlockFpAccess:
         program = assemble(text)
         cpu, _ = _assert_same(program)
         assert not _loop_uses_views(cpu, program)
+
+
+#: The segment of :data:`EDGES` is one page at ``DATA_BASE``.
+SEGMENT_END = DATA_BASE + PAGE_SIZE
+
+#: Base-register values for :data:`EDGES`.  With its offsets they put
+#: each access at the segment's last aligned slot, the first address
+#: past it, one slot below it, an unaligned address inside it, and at
+#: sums that wrap past 2**32 or below 0.
+EDGE_BASES = (
+    SEGMENT_END - 16, SEGMENT_END - 12, SEGMENT_END - 8, SEGMENT_END - 4,
+    SEGMENT_END, SEGMENT_END + 4, SEGMENT_END + 8, DATA_BASE - 16,
+    DATA_BASE - 8, DATA_BASE, DATA_BASE + 2, DATA_BASE + 0x204,
+    DATA_BASE + 0x100, 0xFFFFFFF8, 0xFFFFFFFC, 0, 4,
+)
+
+#: ``(mnemonic, offset)`` of each load and store in :data:`EDGES`' loop
+EDGE_ACCESSES = (("l.d", 8), ("s.d", -8), ("lw", 4), ("sw", -4))
+
+EDGES = f"""
+.data
+pad: .space 64
+bases: .word {", ".join(hex(value) for value in EDGE_BASES)}
+.text
+main: la $s0, bases
+      li $s1, {len(EDGE_BASES)}
+      j loop
+loop: lw $t0, 0($s0)
+      l.d $f2, 8($t0)
+      s.d $f2, -8($t0)
+      lw $t1, 4($t0)
+      sw $t1, -4($t0)
+      addiu $s0, $s0, 4
+      addiu $s1, $s1, -1
+      bnez $s1, loop
+      mtc1 $zero, $f2
+      li $v0, 10
+      syscall
+"""
+
+
+class _Recording(Memory):
+    """A memory that records the addresses its word and double methods
+    are called with."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: list[tuple[str, int]] = []
+
+    def read_u32(self, address):
+        self.calls.append(("lw", address))
+        return super().read_u32(address)
+
+    def write_u32(self, address, value):
+        self.calls.append(("sw", address))
+        super().write_u32(address, value)
+
+    def read_f64(self, address):
+        self.calls.append(("l.d", address))
+        return super().read_f64(address)
+
+    def write_f64(self, address, value):
+        self.calls.append(("s.d", address))
+        super().write_f64(address, value)
+
+
+def _in_view(address: int, width: int) -> bool:
+    """An unwrapped ``R + imm`` the view serves: aligned, in the segment."""
+    return DATA_BASE <= address < SEGMENT_END and not address % width
+
+
+@pytest.mark.skipif(sys.byteorder != "little", reason="views are native order")
+class TestSegmentEdges:
+    """``lw``/``sw``/``ldc1``/``sdc1`` at the edges of the segment."""
+
+    def test_block_run_matches_step(self):
+        program = assemble(EDGES)
+        cpu, _ = _assert_same(program)
+        assert cpu.segment[0] == DATA_BASE and cpu.segment[1].nbytes == PAGE_SIZE
+        assert _loop_uses_views(cpu, program)
+        assert "W" in cpu._blocks[program.address_of("loop")][0].__code__.co_varnames
+
+    def test_only_addresses_off_the_view_call_the_methods(self):
+        program = assemble(EDGES)
+        cpu = Cpu(program, _Recording())
+        cpu.memory.calls.clear()
+        cpu.run()
+        expected = [
+            (name, (base + offset) & 0xFFFFFFFF)
+            for base in EDGE_BASES
+            for name, offset in EDGE_ACCESSES
+            if not _in_view(base + offset, 8 if name[-1] == "d" else 4)
+        ]
+        assert cpu.memory.calls == expected
+        wraps = [
+            (name, (base + offset) & 0xFFFFFFFF)
+            for base in EDGE_BASES
+            for name, offset in EDGE_ACCESSES
+            if not 0 <= base + offset < 1 << 32
+        ]
+        assert len(wraps) == 6 and set(wraps) <= set(expected)
+
+    def test_a_passed_in_memory_keeps_its_bytes(self):
+        source = """
+.data
+word: .word 7
+.text
+main: la $t0, word
+      lw $t1, 0x800($t0)
+      l.d $f2, 0x808($t0)
+      sw $t1, 0x810($t0)
+      s.d $f2, 0x818($t0)
+      li $v0, 10
+      syscall
+"""
+        program = assemble(source)
+        results = []
+        for run in (Cpu.run, _step_to_exit):
+            memory = Memory()
+            memory.write_u32(DATA_BASE, 0xFFFFFFFF)  # under the image
+            memory.write_u32(DATA_BASE + 0x800, 0x12345678)
+            memory.write_f64(DATA_BASE + 0x808, 2.5)
+            cpu = Cpu(program, memory)
+            assert cpu.segment is not None
+            run(cpu)
+            assert memory.read_u32(DATA_BASE) == 7
+            results.append((cpu.regs[9], cpu.fregs[2], memory.read_bytes(DATA_BASE, 0x820)))
+        assert results[0] == results[1]
+        assert results[0][:2] == (0x12345678, 2.5)
+        assert results[0][2][0x810:] == results[0][2][0x800:0x810]
+
+    def test_mmio_window_in_the_data_range_keeps_the_methods(self):
+        stores = []
+        memory = Memory()
+        window = MmioRegion(DATA_BASE + 0xF0, 0x10, write_u32=lambda o, v: stores.append((o, v)))
+        memory.add_mmio(window)
+        program = assemble(EDGES)
+        cpu = Cpu(program, memory)
+        assert cpu.segment is None
+        cpu.run()
+        assert not _loop_uses_views(cpu, program)
+        assert stores == [(0xC, 0)]  # sw -4 from DATA_BASE + 0x100 hits the window
+
+
+def _step_to_exit(cpu: Cpu) -> None:
+    while cpu.running:
+        cpu.step()
+
+
+class TestReadDoubles:
+    SOURCE = """
+.data
+a: .double 1.5, -2.0, 3.25
+w: .word 1
+b: .double 4.0
+.text
+main: li $v0, 10
+      syscall
+"""
+
+    @pytest.mark.parametrize("label, count", (("a", 3), ("a", 1), ("b", 1), ("w", 1), ("a", 600)))
+    def test_matches_the_method_reads(self, label, count):
+        cpu = Cpu(assemble(self.SOURCE))
+        cpu.run()
+        address = cpu.program.address_of(label)
+        expected = [cpu.memory.read_f64(address + 8 * i) for i in range(count)]
+        assert read_doubles(cpu, label, count) == expected

@@ -15,7 +15,6 @@ command        what it prints
 ``cost``       the Section-7.2 hardware cost table
 ``faults``     the fault-injection campaign: per-model detection and
                recovery rates, written to FAULTS_report.json
-               (``--wal``/``--resume`` checkpoint and resume the sweep)
 ``experiment`` the parameter-sweep grid (workloads x block sizes x TT
                capacities x strategies) as CSV
 ``metrics``    metric families from a RUN_report.json (``--check``
@@ -327,9 +326,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         workers=args.workers,
         case_timeout=args.timeout,
     )
-    if args.resume and not args.wal:
-        print("faults: --resume requires --wal PATH", file=sys.stderr)
-        return 2
     observed = _obs_begin(args)
     for workload in config.workloads:
         print(f"preparing {workload} deployment ...", file=sys.stderr)
@@ -338,7 +334,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             f"preparing {workload} mixed-scheme deployment ...",
             file=sys.stderr,
         )
-    report = run_campaign(config, wal_path=args.wal, resume=args.resume)
+    report = run_campaign(config)
     print(report.format_table())
     silent = len(report.silent_cases())
     print(
@@ -977,21 +973,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(with --storage: unless the crash matrix is violation-free)",
     )
     p.add_argument(
-        "--wal",
-        default=None,
-        metavar="PATH",
-        help="journal finished cases to a JSONL write-ahead log",
-    )
-    p.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay the --wal log and skip already-finished cases",
-    )
-    p.add_argument(
         "--deterministic",
         action="store_true",
-        help="zero wall-clock aggregates so identical runs (and resumed "
-        "runs) write byte-identical reports",
+        help="zero wall-clock aggregates so identical runs write "
+        "byte-identical reports",
     )
     _add_obs_arguments(p)
     p.set_defaults(func=_cmd_faults)

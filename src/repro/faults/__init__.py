@@ -27,7 +27,6 @@ faults`` for the CLI entry point.
 from repro.faults.campaign import (
     CampaignConfig,
     DeploymentTarget,
-    case_key,
     run_campaign,
     run_case,
 )
@@ -49,7 +48,6 @@ from repro.faults.storage import (
 __all__ = [
     "CampaignConfig",
     "DeploymentTarget",
-    "case_key",
     "run_campaign",
     "run_case",
     "DEFAULT_MODELS",

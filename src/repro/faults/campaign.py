@@ -17,21 +17,16 @@ breaker, serial fallback).  The serial path (:func:`_run_case_serial`)
 honors the *same* per-case deadline via :mod:`repro.runtime.deadline`,
 with :data:`RETRY_ATTEMPTS` seeded-backoff attempts.
 
-Checkpointing: pass ``wal_path`` to journal every completed case to a
-JSONL write-ahead log; ``resume=True`` replays it, skipping finished
-cases — a campaign SIGKILLed mid-run resumes where it stopped and
-(written with ``deterministic=True``) reproduces a byte-identical
-``FAULTS_report.json``.
+No checkpointing: the default fir sweep (700 cases) takes a few
+seconds, so a campaign that dies is run again; with
+``deterministic=True`` the rerun writes a byte-identical report.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.errors import CampaignError, ReproError
 from repro.faults.models import (
@@ -55,7 +50,6 @@ from repro.hw.fetch_decoder import FetchDecoder
 from repro.obs import OBS
 from repro.runtime import (
     BackoffPolicy,
-    CheckpointLog,
     DeadlineExceeded,
     retry_call,
     run_tasks,
@@ -349,18 +343,6 @@ class CampaignConfig:
             "case_timeout": self.case_timeout,
         }
 
-    def run_key(self) -> str:
-        """Identity of the case population, for WAL compatibility.
-
-        Excludes execution-only knobs (workers, timeouts): a resume
-        may change *how* cases run, never *which* cases exist or what
-        they compute."""
-        identity = self.to_dict()
-        for knob in ("workers", "case_timeout"):
-            identity.pop(knob, None)
-        blob = json.dumps(identity, sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
 
 #: Attempts for a deadline-guarded serial case (seeded backoff between
 #: them) before it is classified ``crashed``.
@@ -378,11 +360,6 @@ def _worker_run_case(task: tuple[str, FaultModel, str, str]) -> CaseResult:
     """Pool entry point: one case against this worker's targets."""
     target_name, model, seed, mode = task
     return run_case(_WORKER_TARGETS[target_name], model, seed, mode)
-
-
-def case_key(target_name: str, model: FaultModel, seed: str, mode: str) -> str:
-    """The WAL identity of one case."""
-    return f"{target_name}|{model.name}|{seed}|{mode}"
 
 
 def _run_case_serial(
@@ -432,17 +409,9 @@ def _run_case_serial(
 def run_campaign(
     config: CampaignConfig,
     targets: list[DeploymentTarget] | None = None,
-    wal_path: str | Path | None = None,
-    resume: bool = False,
 ) -> FaultCampaignReport:
     """Run the full sweep; ``targets`` overrides workload preparation
-    (used by tests to inject synthetic deployments).
-
-    ``wal_path`` journals every completed case to a JSONL write-ahead
-    log; ``resume=True`` replays that log first and only runs the
-    cases it is missing.  Replayed cases carry no durations — resumed
-    runs should be written with ``deterministic=True`` so the report
-    matches an uninterrupted run byte for byte."""
+    (used by tests to inject synthetic deployments)."""
     if targets is None:
         targets = []
         for workload in config.workloads:
@@ -478,55 +447,26 @@ def run_campaign(
                 for mode in config.modes:
                     tasks.append((target.name, model, seed, mode))
 
-    checkpoint: CheckpointLog | None = None
-    completed: dict[str, dict] = {}
-    if wal_path is not None:
-        checkpoint, completed = CheckpointLog.open_run(
-            wal_path, config.run_key(), resume
-        )
-
-    keys = [case_key(*task) for task in tasks]
-    pending = [task for task, key in zip(tasks, keys) if key not in completed]
-
     def serial(task: tuple[str, FaultModel, str, str]) -> CaseResult:
         name, model, seed, mode = task
         return _run_case_serial(
             by_name[name], model, seed, mode, config.case_timeout
         )
 
-    def journal(index: int, result: CaseResult) -> None:
-        if checkpoint is not None:
-            checkpoint.record(case_key(*pending[index]), result.to_dict())
-
-    try:
-        with OBS.tracer.span(
-            "faults.campaign",
-            cases=len(tasks),
-            workers=config.workers or 1,
-            resumed=len(tasks) - len(pending),
-        ):
-            ran = run_tasks(
-                pending,
-                _worker_run_case,
-                serial,
-                workers=config.workers,
-                timeout=config.case_timeout,
-                prefix="faults",
-                noun="case",
-                initializer=_worker_init,
-                initargs=(targets,),
-                on_done=journal,
-            )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-    fresh = iter(ran)
-    cases = [
-        CaseResult.from_dict(completed[key])
-        if key in completed
-        else next(fresh)
-        for key in keys
-    ]
+    with OBS.tracer.span(
+        "faults.campaign", cases=len(tasks), workers=config.workers or 1
+    ):
+        cases = run_tasks(
+            tasks,
+            _worker_run_case,
+            serial,
+            workers=config.workers,
+            timeout=config.case_timeout,
+            prefix="faults",
+            noun="case",
+            initializer=_worker_init,
+            initargs=(targets,),
+        )
     if OBS.enabled:
         registry = OBS.registry
         for case in cases:

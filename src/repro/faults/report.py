@@ -89,20 +89,6 @@ class CaseResult:
             "error": self.error,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CaseResult":
-        """Rebuild a case from its WAL/report record (no duration —
-        replayed cases are deliberately timing-free)."""
-        return cls(
-            workload=data["workload"],
-            model=data["model"],
-            seed=data["seed"],
-            mode=data["mode"],
-            outcome=data["outcome"],
-            detail=data.get("detail") or {},
-            error=data.get("error"),
-        )
-
 
 @dataclass
 class FaultCampaignReport:
@@ -227,9 +213,8 @@ class FaultCampaignReport:
 
     def to_dict(self, deterministic: bool = False) -> dict:
         """Full report dict.  ``deterministic=True`` zeroes every
-        wall-clock aggregate (timings vary run to run; the resume
-        contract promises byte-identical reports, so resumable runs
-        must write the deterministic form)."""
+        wall-clock aggregate (timings vary run to run), so two runs
+        of one seed-pinned configuration write byte-identical reports."""
         summary = self.model_table()
         if deterministic:
             for row in summary:

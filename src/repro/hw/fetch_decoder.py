@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable
 
 from repro.core import bitplane
@@ -309,6 +310,76 @@ class FetchDecoder:
         self.scheme_decoded_instructions += 1
         return decode_word(stored_word)
 
+    def _probe(self, pc: int) -> BBITEntry | None | object:
+        """Probe the BBIT for a fetch on the idle engine.
+
+        Returns the hit entry, or ``None`` for a pass-through fetch.
+        A BBIT integrity error, or an encoded word fetched with no
+        block active (outside a recover-mode pass-through run), is a
+        fault: strict mode raises it, degraded mode demotes ``pc`` and
+        returns :data:`_DEMOTED` (the caller serves the golden word),
+        and recover mode records it and starts a pass-through run."""
+        try:
+            entry = self.bbit.lookup(pc)
+        except TableIntegrityError as err:
+            fault, kind = err, "bbit_integrity"
+        else:
+            if (
+                entry is not None
+                or self._passthrough_run
+                or pc not in self.encoded_region
+            ):
+                return entry
+            fault, kind = DecodeFault(
+                f"fetch of encoded word at {pc:#010x} without an "
+                "active basic block (mid-block entry?)"
+            ), "mid_block_entry"
+        if self.mode == "strict":
+            raise fault
+        if self.mode == "degraded":
+            # The block extent is unknown (the BBIT row is the thing
+            # that's broken): demote this address; the block's
+            # remaining words demote themselves one by one as their
+            # mid-block fetches fault here too.
+            self._degrade(kind, pc, str(fault))
+            return _DEMOTED
+        self._recover(kind, pc, str(fault))
+        self._passthrough_run = True
+        return None
+
+    def _tt_fault(
+        self, pc: int, stored_word: int, err: TableIntegrityError
+    ) -> int:
+        """The active block's TT row read failed at ``pc``: strict mode
+        raises ``err``; degraded mode demotes the whole block (its
+        extent is known; earlier words already decoded correctly) and
+        serves this fetch from the golden image; recover mode abandons
+        the block, so this fetch and the rest of the run pass through."""
+        if self.mode == "strict":
+            raise err
+        block = self._active
+        self._active = None
+        if self.mode == "degraded":
+            self._degrade("tt_integrity", pc, str(err), block=block)
+            return self._serve_golden(pc)
+        self._recover("tt_integrity", pc, str(err))
+        self._passthrough_run = True
+        self.passthrough_instructions += 1
+        self._expected_pc = pc + 4
+        return stored_word
+
+    def _activate(self, entry: BBITEntry, pc: int) -> None:
+        """Start decoding the block that ``entry`` names at its first
+        fetch, ``pc``."""
+        self._passthrough_run = False
+        self._active = _ActiveBlock(
+            base_tt_index=entry.tt_index,
+            start_pc=pc,
+            instructions_total=entry.num_instructions,
+            index=0,
+        )
+        self._expected_pc = pc
+
     def fetch(self, pc: int, stored_word: int) -> int:
         """Process one fetch; returns the restored instruction word."""
         if pc in self.degraded_region:
@@ -319,59 +390,21 @@ class FetchDecoder:
             scheme = self.region_schemes.get(pc)
             if scheme is not None and scheme != SCHEME_TTBBIT:
                 return self._fetch_scheme_region(pc, stored_word, scheme)
-        if self._active is not None and pc != self._expected_pc:
-            # Taken branch out of the current block.
+        if pc != self._expected_pc:
+            # A taken branch ends the current block or pass-through run.
             self._active = None
-        if self._passthrough_run and pc != self._expected_pc:
             self._passthrough_run = False
         if self._active is None:
-            entry = None
-            fault: Exception | None = None
-            try:
-                entry = self.bbit.lookup(pc)
-            except TableIntegrityError as err:
-                fault = err
-            if (
-                fault is None
-                and entry is None
-                and not self._passthrough_run
-                and pc in self.encoded_region
-            ):
-                fault = DecodeFault(
-                    f"fetch of encoded word at {pc:#010x} without an "
-                    "active basic block (mid-block entry?)"
-                )
-            if fault is not None:
-                if self.mode == "strict":
-                    raise fault
-                kind = (
-                    "bbit_integrity"
-                    if isinstance(fault, TableIntegrityError)
-                    else "mid_block_entry"
-                )
-                if self.mode == "degraded":
-                    # The block extent is unknown (the BBIT row is the
-                    # thing that's broken): demote this address; the
-                    # block's remaining words demote themselves one by
-                    # one as their mid-block fetches fault here too.
-                    self._degrade(kind, pc, str(fault))
-                    return self._serve_golden(pc)
-                self._recover(kind, pc, str(fault))
-                self._passthrough_run = True
-                entry = None
+            entry = self._probe(pc)
+            if entry is _DEMOTED:
+                return self._serve_golden(pc)
             if entry is None:
                 self.passthrough_instructions += 1
                 # Inside a pass-through run only sequential successors
                 # continue it; a plain unencoded fetch expects nothing.
                 self._expected_pc = pc + 4 if self._passthrough_run else None
                 return stored_word
-            self._passthrough_run = False
-            self._active = _ActiveBlock(
-                base_tt_index=entry.tt_index,
-                start_pc=pc,
-                instructions_total=entry.num_instructions,
-                index=0,
-            )
+            self._activate(entry, pc)
 
         active = self._active
         if active.index == 0:
@@ -382,24 +415,7 @@ class FetchDecoder:
                 # read() bounds- and (when enabled) parity-checks the row.
                 tt_entry = self.tt.read(active.base_tt_index + segment)
             except TableIntegrityError as err:
-                if self.mode == "strict":
-                    raise
-                if self.mode == "degraded":
-                    # The active block's extent is known: demote all of
-                    # it at once and serve this fetch from the golden
-                    # image (earlier words already decoded correctly).
-                    block = self._active
-                    self._active = None
-                    self._degrade("tt_integrity", pc, str(err), block=block)
-                    return self._serve_golden(pc)
-                # Abandon the block: this fetch and the rest of the
-                # block fall back to pass-through.
-                self._recover("tt_integrity", pc, str(err))
-                self._active = None
-                self._passthrough_run = True
-                self.passthrough_instructions += 1
-                self._expected_pc = pc + 4
-                return stored_word
+                return self._tt_fault(pc, stored_word, err)
             self.tt_reads += 1
             decoded = tt_entry.decode(stored_word, self._history_word)
         self._history_word = decoded
@@ -540,29 +556,29 @@ class FetchDecoder:
         :class:`~repro.sim.tracer.DecodedTrace`; ``len`` and iteration
         are per fetch and ``expand()`` is the per-fetch word list.
 
-        In strict mode (with no demoted blocks) the walk reads the
-        trace's run groups, and its result has one entry per group:
-        that run's decoded words and the group's repeat count.  A
-        non-sequential fetch always leaves the engine idle, and so does
-        a fetch from a region tagged with an encoder-zoo scheme (served
-        word by word, with no engine state), so each distinct run
-        decodes once, from the idle state, and every later occurrence
-        reuses its words; its architectural counters
-        (``decoded_instructions``, ``passthrough_instructions``,
-        ``scheme_decoded_instructions``, ``tt_reads`` and the BBIT's
-        ``lookups``, ``hits`` and ``parity_checks``) are scaled by its
-        occurrence count, so they equal the per-fetch walk's.  Inside a
-        run, full basic-block occurrences decode through the
-        word-major bitplane scan, zoo region fetches through their
-        word decoder, and partial blocks through :meth:`fetch`, so
-        protocol faults, unknown scheme tags and table integrity errors
-        surface at the same fetch, with the same message, as they would
-        instruction by instruction.  Only the tables' *internal*
-        row-read volume differs (``TransformationTable.reads`` and
-        ``parity_checks`` advance once per distinct block).  Only the
-        recover and degraded modes, whose per-fetch fault contracts are
-        the point, take the per-fetch walk over the expanded trace; its
-        words come back as a single entry.
+        In every mode the walk reads the trace's run groups.  A
+        non-sequential fetch always leaves the engine idle (and ends a
+        recover-mode pass-through run), and so does a fetch served
+        outside the TT engine (a zoo-tagged or demoted address), so a
+        run's decode depends only on the run and on the table and
+        region state it starts from.  Each distinct run decodes once;
+        later occurrences reuse its words and scale its counters (every
+        :meth:`stats` counter, the BBIT's ``lookups``, ``hits`` and
+        ``parity_checks``, both tables' ``parity_failures``), so they
+        equal the per-fetch walk's.  A decode that fired a recover-mode
+        event is not reused, and one that changed that state (a SEC-DED
+        correction or a new quarantine on either table, a demotion)
+        also drops every earlier decode.  Inside a run, full
+        basic-block occurrences decode through the word-major bitplane
+        scan and the rest through :meth:`fetch` (zoo and demoted
+        fetches, partial blocks, pass-through runs, a block up to the
+        fetch whose TT row read fails), so every fault surfaces at the
+        same fetch, with the same message and handling, as it would
+        instruction by instruction.  The result has one entry per
+        group: the run's words and the group's repeat count, or all of
+        the group's words once when its occurrences decoded
+        differently.  Only the TT's internal ``reads`` and
+        ``parity_checks`` differ (they advance once per distinct block).
         """
         self.reset()
         trace = FetchTrace.of(addresses)
@@ -570,14 +586,7 @@ class FetchDecoder:
         with OBS.tracer.span(
             "decoder.decode_trace", mode=self.mode, fetches=len(trace)
         ):
-            if self.mode == "strict" and not self.degraded_region:
-                decoded = self._decode_trace_bitplane(
-                    trace, stored_image_lookup
-                )
-            else:
-                decoded = DecodedTrace.flat(
-                    [self.fetch(pc, stored_image_lookup(pc)) for pc in trace]
-                )
+            decoded = self._decode_trace_bitplane(trace, stored_image_lookup)
             if finalize:
                 self.finalize()
         if OBS.enabled:
@@ -585,91 +594,140 @@ class FetchDecoder:
         return decoded
 
     def _counters(self) -> tuple[int, ...]:
-        """The architectural counters a strict run advances."""
-        bbit = self.bbit
+        """The counters a run's decode advances and its reuses scale."""
+        tt, bbit = self.tt, self.bbit
         return (
             self.decoded_instructions,
             self.passthrough_instructions,
             self.scheme_decoded_instructions,
+            self.golden_served_instructions,
             self.tt_reads,
             bbit.lookups,
             bbit.hits,
             bbit.parity_checks,
+            bbit.parity_failures,
+            tt.parity_failures,
+        )
+
+    def _set_counters(self, values: Iterable[int]) -> None:
+        tt, bbit = self.tt, self.bbit
+        (
+            self.decoded_instructions,
+            self.passthrough_instructions,
+            self.scheme_decoded_instructions,
+            self.golden_served_instructions,
+            self.tt_reads,
+            bbit.lookups,
+            bbit.hits,
+            bbit.parity_checks,
+            bbit.parity_failures,
+            tt.parity_failures,
+        ) = values
+
+    def _table_state(self) -> tuple[int, ...]:
+        """Changes whenever a table row or a region map changes."""
+        tt, bbit = self.tt, self.bbit
+        return (
+            tt.ecc_corrections,
+            tt.ecc_double_faults,
+            bbit.ecc_corrections,
+            bbit.ecc_double_faults,
+            self.degradations,
         )
 
     def _decode_trace_bitplane(
         self, trace: FetchTrace, stored_image_lookup
     ) -> DecodedTrace:
-        """Strict-mode walk over the trace's run groups, decoding each
-        distinct run once (see :meth:`decode_trace`).
-
-        A SEC-DED correction can re-key a BBIT row and so change how a
-        later occurrence of an already-decoded run decodes; the per-run
-        memo starts over whenever the BBIT corrects a row."""
-        out: list[list[int]] = []
+        """The walk over the trace's run groups, decoding each distinct
+        run once while the table state holds (see :meth:`decode_trace`)."""
+        words_out: list[list[int]] = []
+        repeats_out = trace.repeats.copy()
         memo: dict[tuple[int, int], _RunDecode] = {}
         decodes: list[_RunDecode] = []
         blocks: dict[tuple[int, int], list[int]] = {}
-        bbit = self.bbit
-        corrections = bbit.ecc_corrections
+        state = self._table_state()
         done = None
         for run, times in zip(zip(trace.starts, trace.lengths), trace.repeats):
             done = memo.get(run)
-            if done is None:
-                before = self._counters()
-                words = self._decode_run(run, stored_image_lookup, blocks)
-                delta = tuple(
-                    now - then for now, then in zip(self._counters(), before)
-                )
-                active = self._active
-                done = _RunDecode(
-                    words,
-                    delta,
-                    None if active is None else dataclasses.replace(active),
-                    self._expected_pc,
-                    self._history_word,
-                )
-                decodes.append(done)
-                if bbit.ecc_corrections != corrections:
-                    corrections = bbit.ecc_corrections
-                    memo = {}
-                memo[run] = done
+            if done is not None:
+                done.repeats += times
+                words_out.append(done.words)
+                continue
+            # Decode occurrences afresh until one is reusable; that one
+            # serves the group's remaining occurrences.
+            fresh = []
+            while times:
+                done = self._decode_fresh(run, stored_image_lookup, blocks)
                 times -= 1
-            done.repeats += times
-            out.append(done.words)
-        for decode in decodes:
-            if decode.repeats:
-                (
-                    decoded,
-                    passthrough,
-                    scheme_decoded,
-                    tt_reads,
-                    lookups,
-                    hits,
-                    checks,
-                ) = (decode.repeats * d for d in decode.counters)
-                self.decoded_instructions += decoded
-                self.passthrough_instructions += passthrough
-                self.scheme_decoded_instructions += scheme_decoded
-                self.tt_reads += tt_reads
-                bbit.lookups += lookups
-                bbit.hits += hits
-                bbit.parity_checks += checks
+                fresh.append(done.words)
+                if (now := self._table_state()) != state:
+                    # A row or a region map changed: neither this
+                    # decode nor any earlier one is reusable.
+                    state = now
+                    memo = {}
+                elif not done.fired:
+                    memo[run] = done
+                    decodes.append(done)
+                    done.repeats = times
+                    break
+            if len(fresh) == 1:
+                words_out.append(done.words)
+            else:
+                # The occurrences decoded differently: one entry holds
+                # them all.
+                words_out.append(
+                    [word for words in fresh for word in words] + done.words * times
+                )
+                repeats_out[len(words_out) - 1] = 1
+        if decodes:
+            # Each reuse advances the counters as its decode did.
+            repeats = [decode.repeats for decode in decodes]
+            afters = zip(*(decode.after for decode in decodes))
+            befores = zip(*(decode.before for decode in decodes))
+            self._set_counters(
+                total + sum(map(mul, repeats, after)) - sum(map(mul, repeats, before))
+                for total, after, before in zip(self._counters(), afters, befores)
+            )
         if done is not None:
             # Leave the engine where the trace's last run left it.
-            self._active = (
-                None if done.active is None else dataclasses.replace(done.active)
+            active, self._expected_pc, self._history_word, self._passthrough_run = (
+                done.engine
             )
-            self._expected_pc = done.expected_pc
-            self._history_word = done.history_word
-        return DecodedTrace(out, trace.repeats.copy())
+            self._active = None if active is None else dataclasses.replace(active)
+        return DecodedTrace(words_out, repeats_out)
 
-    def _enters_zoo_region(self, pc: int, count: int) -> bool:
-        """Whether the block at ``pc`` runs into a zoo-tagged address
-        (which :meth:`fetch` serves outside the TT engine)."""
+    def _decode_fresh(
+        self,
+        run: tuple[int, int],
+        stored_image_lookup,
+        blocks: dict[tuple[int, int], list[int]],
+    ) -> "_RunDecode":
+        """Decode one occurrence of ``run`` and record what it did."""
+        before = self._counters()
+        logged = len(self.recovery_events) + self.recovery_events_dropped
+        words = self._decode_run(run, stored_image_lookup, blocks)
+        return _RunDecode(
+            words,
+            before,
+            self._counters(),
+            len(self.recovery_events) + self.recovery_events_dropped != logged,
+            # A later run activates blocks of its own, so this one's
+            # last block is never mutated again.
+            (
+                self._active,
+                self._expected_pc,
+                self._history_word,
+                self._passthrough_run,
+            ),
+        )
+
+    def _leaves_engine(self, pc: int, count: int) -> bool:
+        """Whether a fetch of the block at ``pc`` after its first is
+        served outside the TT engine (a zoo-tagged or demoted address)."""
         schemes = self.region_schemes
+        demoted = self.degraded_region
         return any(
-            schemes.get(addr, SCHEME_TTBBIT) != SCHEME_TTBBIT
+            addr in demoted or schemes.get(addr, SCHEME_TTBBIT) != SCHEME_TTBBIT
             for addr in range(pc + 4, pc + 4 * count, 4)
         )
 
@@ -682,18 +740,20 @@ class FetchDecoder:
         """Decode one maximal sequential run from the idle engine:
         one bitplane scan per full basic-block occurrence (memoised in
         ``blocks`` on the TT index and PC: the stored image is fixed
-        for one :meth:`decode_trace` call), the region's word decoder
-        for zoo-tagged fetches, :meth:`fetch` for the rest."""
+        for one :meth:`decode_trace` call, and a TT row that read once
+        reads the same for the rest of it), :meth:`fetch` for the rest."""
         start, length = run
         self._active = None
         self._expected_pc = None
+        self._passthrough_run = False
         out: list[int] = []
         block_size = self.block_size
         schemes = self.region_schemes
+        demoted = self.degraded_region
         end = start + 4 * length
         pc = start
         while pc < end:
-            if self._active is not None:
+            if self._active is not None or self._passthrough_run or pc in demoted:
                 out.append(self.fetch(pc, stored_image_lookup(pc)))
                 pc += 4
                 continue
@@ -704,17 +764,15 @@ class FetchDecoder:
                 )
                 pc += 4
                 continue
-            # Engine idle: probe the BBIT exactly as fetch() would
-            # (strict-mode integrity errors propagate from the probe).
-            entry = self.bbit.lookup(pc)
+            # Engine idle: probe the BBIT exactly as fetch() would.
+            entry = self._probe(pc)
+            if entry is _DEMOTED:
+                out.append(self._serve_golden(pc))
+                pc += 4
+                continue
             if entry is None:
-                if pc in self.encoded_region:
-                    raise DecodeFault(
-                        f"fetch of encoded word at {pc:#010x} without an "
-                        "active basic block (mid-block entry?)"
-                    )
                 self.passthrough_instructions += 1
-                self._expected_pc = None
+                self._expected_pc = pc + 4 if self._passthrough_run else None
                 out.append(stored_image_lookup(pc))
                 pc += 4
                 continue
@@ -722,35 +780,40 @@ class FetchDecoder:
             if (
                 count < 2
                 or pc + 4 * count > end
-                or (schemes and self._enters_zoo_region(pc, count))
+                or ((schemes or demoted) and self._leaves_engine(pc, count))
             ):
-                # Partial or truncated occurrence: hand the block to
-                # the per-fetch engine without re-probing the BBIT.
-                self._active = _ActiveBlock(
-                    base_tt_index=entry.tt_index,
-                    start_pc=pc,
-                    instructions_total=count,
-                    index=0,
-                )
-                self._expected_pc = pc
-                out.append(self.fetch(pc, stored_image_lookup(pc)))
-                pc += 4
+                # A partial or truncated occurrence: fetch() continues
+                # the block from here without re-probing the BBIT.
+                self._activate(entry, pc)
                 continue
             key = (entry.tt_index, pc)
             decoded_words = blocks.get(key)
             if decoded_words is None:
-                stored = [stored_image_lookup(pc + 4 * j) for j in range(count)]
                 num_segments = (count - 2) // (block_size - 1) + 1
                 plans = []
-                for segment in range(num_segments):
-                    # Same bounds- and SEC-DED checks, in the same row
-                    # order, as the per-fetch path.
-                    row = self.tt.read(entry.tt_index + segment)
-                    plans.append(
-                        tuple(
-                            map(_SELECTOR_TRUTH_TABLES.__getitem__, row.selectors)
+                try:
+                    for segment in range(num_segments):
+                        # Same bounds- and SEC-DED checks, in the same
+                        # row order, as the per-fetch path.
+                        row = self.tt.read(entry.tt_index + segment)
+                        plans.append(
+                            tuple(
+                                map(_SELECTOR_TRUTH_TABLES.__getitem__, row.selectors)
+                            )
                         )
-                    )
+                except TableIntegrityError as err:
+                    # fetch() first reads the failed row at the block's
+                    # instruction len(plans) * (k - 1) + 1: fetch up to
+                    # there, then fault at that fetch with this error.
+                    self._activate(entry, pc)
+                    failing = pc + 4 * (len(plans) * (block_size - 1) + 1)
+                    while pc < failing:
+                        out.append(self.fetch(pc, stored_image_lookup(pc)))
+                        pc += 4
+                    out.append(self._tt_fault(pc, stored_image_lookup(pc), err))
+                    pc += 4
+                    continue
+                stored = [stored_image_lookup(pc + 4 * j) for j in range(count)]
                 with OBS.tracer.span(
                     "decode.bitplane", words=count, segments=num_segments
                 ):
@@ -773,14 +836,22 @@ class FetchDecoder:
         return out
 
 
+#: :meth:`FetchDecoder._probe`'s result for a fetch that degraded mode
+#: just demoted (served from the golden image).
+_DEMOTED = object()
+
+
 @dataclass
 class _RunDecode:
-    """One distinct run's decode: its words, the counters it advanced,
-    the engine state it left, and its later occurrences."""
+    """One distinct run's decode: its words, the counters before and
+    after it, whether it fired an event, the engine state it left, and
+    its later occurrences."""
 
     words: list[int]
-    counters: tuple[int, ...]
-    active: _ActiveBlock | None
-    expected_pc: int | None
-    history_word: int
+    before: tuple[int, ...]
+    after: tuple[int, ...]
+    #: whether it fired a recover-mode event (a reuse would not)
+    fired: bool
+    #: (active block, expected PC, history word, pass-through run)
+    engine: tuple[_ActiveBlock | None, int | None, int, bool]
     repeats: int = 0

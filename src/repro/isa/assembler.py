@@ -260,7 +260,12 @@ class _Assembler:
                     raise AssemblerError(
                         f"{name} expects numbers, got {token!r}", line_no, line
                     )
-            self.data += struct.pack(f"<{len(values)}{code}", *values)
+            try:
+                self.data += struct.pack(f"<{len(values)}{code}", *values)
+            except OverflowError:
+                raise AssemblerError(
+                    f"{name} value outside single-precision range", line_no, line
+                ) from None
         elif name == ".asciiz":
             self._require_data(name, line_no, line)
             text = rest.strip()

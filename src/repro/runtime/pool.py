@@ -69,8 +69,8 @@ def run_tasks(
     ``worker`` runs in a pool process after ``initializer(*initargs)``
     and must be picklable; ``serial`` runs here and must compute the
     same result.  ``on_done(index, result)`` fires once per task, in
-    index order, whichever path produced it (campaigns journal their
-    write-ahead log through it)."""
+    index order, whichever path produced it (a hook for callers that
+    journal results as they land)."""
     results: dict[int, R] = {}
 
     def finish(index: int, result: R) -> None:

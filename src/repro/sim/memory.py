@@ -10,6 +10,7 @@ Mapped pages are never replaced or resized, so the views stay valid.
 
 from __future__ import annotations
 
+import math
 import struct
 
 PAGE_SHIFT = 12
@@ -197,10 +198,15 @@ class Memory:
 
     def write_f32(self, address: int, value: float) -> None:
         page_off = address & PAGE_MASK
-        if page_off <= PAGE_SIZE - 4:
-            _F32.pack_into(self._page(address), page_off, value)
-        else:
-            self.write_bytes(address, _F32.pack(value))
+        try:
+            if page_off <= PAGE_SIZE - 4:
+                _F32.pack_into(self._page(address), page_off, value)
+            else:
+                self.write_bytes(address, _F32.pack(value))
+        except OverflowError:
+            # Past the single range IEEE 754 rounds to a signed
+            # infinity, where struct refuses.
+            self.write_f32(address, math.copysign(math.inf, value))
 
     def read_cstring(self, address: int, limit: int = 4096) -> str:
         out = bytearray()

@@ -9,7 +9,7 @@ run (a stretch of fetches at consecutive word addresses) fetched
 default sizes hold 21k-120k fetches in 484-13,824 runs, but only
 66-1,728 groups (6,982 in all, against 47,649 runs) and 5-15 distinct
 runs, so consumers that need counts (profiling, transition
-measurement, the strict decode walk, the per-region selector) read
+measurement, the decode walk, the per-region selector) read
 them per distinct run or per group instead of per fetch.  Consumers
 that need every fetch iterate it or call :meth:`expand`.
 
@@ -169,11 +169,10 @@ class FetchTrace:
         """Whether ``decoded`` is the image ``words`` (based at ``base``)
         read over this trace: the per-fetch compare's verdict, reached
         without a per-fetch list when ``decoded`` has one entry per
-        group (as the strict decode walk returns it).  Each distinct
-        run's expected slice is cut once and compared once per group.
-        A stream grouped any other way (a per-fetch walk's single
-        entry) is compared one run occurrence at a time over its
-        expansion."""
+        group (as the decode walk returns it unless a fault split a
+        group).  Each distinct run's expected slice is cut once and
+        compared once per group.  A stream grouped any other way is
+        compared one run occurrence at a time over its expansion."""
         if len(decoded) != self._fetches:
             return False
         runs = list(zip(self.starts, self.lengths))
@@ -248,9 +247,9 @@ class DecodedTrace:
     occurrence's decoded words ``words[i]``, delivered ``repeats[i]``
     (at least 1) times back to back.
 
-    The strict decode walk returns one entry per :class:`FetchTrace`
-    group, and the entries of one run share one list (treat them as
-    read-only); a per-fetch walk returns its words as a single entry.
+    The decode walk returns one entry per :class:`FetchTrace` group
+    (split where a group's occurrences decode differently), and the
+    entries of one run share one list (treat them as read-only).
     ``len`` and iteration are per fetch, :meth:`expand` is the
     per-fetch list, and two streams are equal when their fetches are.
     """
@@ -265,11 +264,6 @@ class DecodedTrace:
         self.words = words
         self.repeats = repeats
         self._fetches = sum(map(mul, map(len, words), repeats))
-
-    @classmethod
-    def flat(cls, words: list[int]) -> "DecodedTrace":
-        """A per-fetch word list as one entry."""
-        return cls([words], [1])
 
     def __len__(self) -> int:
         return self._fetches

@@ -10,8 +10,8 @@ contract and demands bit-identical agreement:
 * program level — vertical block encode vs the oracle, bitplane vs
   bit-serial block decode, the behavioural :class:`FetchDecoder` in
   strict, recover and degraded modes against the golden words, and the
-  bulk ``decode_trace`` bitplane walk against the per-fetch walk
-  (:func:`check_program`);
+  run-group ``decode_trace`` walk against the per-fetch walk in each
+  of those modes (:func:`check_program`);
 * table-state level — seeded SEC-DED corruption of live TT/BBIT rows,
   checking each decoder mode's *exact* contractual output: strict
   raises, recover serves the documented pass-through region, degraded
@@ -183,49 +183,57 @@ def check_program(words: list[int], block_size: int) -> CheckResult:
             return result.fail("decoder_spurious_recovery", mode=mode)
         result.cover("decoder_transitions", f"clean:{mode}")
 
-    # The bulk decode_trace walk (per distinct run, counters scaled by
-    # occurrences) must match the per-fetch walk on both output and
-    # architectural counters, BBIT probes included, over a trace that
-    # revisits the block.
+    # The decode_trace walk (per distinct run, counters scaled by
+    # occurrences) must match the per-fetch walk in every mode, on
+    # output, counters and recover-mode events, BBIT probes included,
+    # over a trace that revisits the block.
     trace = deployment.trace_for(0) * 2
-    walks = []
     bbit = deployment.bbit
-    for bulk in (True, False):
-        decoder = FetchDecoder(
-            deployment.tt,
-            bbit,
-            block_size,
-            encoded_region=deployment.encoded_region,
-        )
-        lookups, hits = bbit.lookups, bbit.hits
-        try:
-            if bulk:
-                decoded = decoder.decode_trace(
-                    trace, deployment.image.__getitem__, finalize=True
-                ).expand()
-            else:
-                decoded = [decoder.fetch(pc, deployment.image[pc]) for pc in trace]
-                decoder.finalize()
-        except ReproError as err:
-            return result.fail(
-                "decode_trace_raised",
-                bitplane=bulk,
-                error=repr(err),
+    for mode in ("strict", "recover", "degraded"):
+        walks = []
+        for bulk in (True, False):
+            decoder = FetchDecoder(
+                deployment.tt,
+                bbit,
+                block_size,
+                encoded_region=deployment.encoded_region,
+                mode=mode,
+                golden_lookup=deployment.golden_lookup,
             )
-        walks.append(
-            (
-                decoded,
-                decoder.decoded_instructions,
-                decoder.passthrough_instructions,
-                decoder.tt_reads,
-                bbit.lookups - lookups,
-                bbit.hits - hits,
+            lookups, hits = bbit.lookups, bbit.hits
+            try:
+                if bulk:
+                    decoded = decoder.decode_trace(
+                        trace, deployment.image.__getitem__, finalize=True
+                    ).expand()
+                else:
+                    decoded = [
+                        decoder.fetch(pc, deployment.image[pc]) for pc in trace
+                    ]
+                    decoder.finalize()
+            except ReproError as err:
+                return result.fail(
+                    "decode_trace_raised",
+                    mode=mode,
+                    bitplane=bulk,
+                    error=repr(err),
+                )
+            walks.append(
+                (
+                    decoded,
+                    decoder.decoded_instructions,
+                    decoder.passthrough_instructions,
+                    decoder.tt_reads,
+                    decoder.recovery_events,
+                    decoder.golden_served_instructions,
+                    bbit.lookups - lookups,
+                    bbit.hits - hits,
+                )
             )
-        )
-    if walks[0][0] != list(words) * 2:
-        return result.fail("decode_trace_bitplane_output_wrong")
-    if walks[0] != walks[1]:
-        return result.fail("decode_trace_paths_diverge")
+        if walks[0][0] != list(words) * 2:
+            return result.fail("decode_trace_bitplane_output_wrong", mode=mode)
+        if walks[0] != walks[1]:
+            return result.fail("decode_trace_paths_diverge", mode=mode)
     return result
 
 

@@ -1,14 +1,18 @@
-"""Tests for the bulk ``decode_trace`` bitplane fast path.
+"""Tests for the run-group ``decode_trace`` walk.
 
-``FetchDecoder.decode_trace`` routes clean sequential basic-block
-occurrences through one word-major bitplane scan per occurrence.  The
-contract is *bit-identical observable behaviour* to the per-fetch
-scalar walk: same decoded words, same architectural counters, same
-exceptions — across hot-loop revisits, partial occurrences, branchy
-interleavings, passthrough gaps, truncation, and corrupted images.
+``FetchDecoder.decode_trace`` decodes each distinct run of the trace
+once and routes full basic-block occurrences through one word-major
+bitplane scan each, in every decoder mode.  The per-fetch walk
+(:meth:`FetchDecoder.fetch` over every PC) is its oracle: the contract
+is *bit-identical observable behaviour* — same decoded words, same
+counters, same exceptions, same recover-mode events and demotions —
+across hot-loop revisits, partial occurrences, branchy interleavings,
+passthrough gaps, truncation, corrupted images and corrupted tables.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,21 +26,37 @@ from repro.errors import (
     SchemeTagError,
     TableIntegrityError,
 )
+from repro.faults.models import (
+    BBITDoubleBitFlip,
+    BBITStalePC,
+    RunState,
+    TTDoubleBitFlip,
+)
 from repro.hw.bbit import BasicBlockIdentificationTable, BBITEntry
-from repro.hw.fetch_decoder import SCHEME_TTBBIT, FetchDecoder
+from repro.hw.fetch_decoder import (
+    DEFAULT_RECOVERY_EVENT_CAPACITY,
+    SCHEME_TTBBIT,
+    FetchDecoder,
+)
 from repro.hw.tt import TransformationTable
 from repro.sim.tracer import FetchTrace
 from tests.strategies import rng_for, seeded_blocks, seeded_deployment
 
 BLOCK_SIZES = (2, 4, 5, 7)
+MODES = ("strict", "recover", "degraded")
 
 
-def _decoder_for(deployment):
+def _decoder_for(
+    deployment, mode="strict", capacity=DEFAULT_RECOVERY_EVENT_CAPACITY
+):
     return FetchDecoder(
         deployment.tt,
         deployment.bbit,
         deployment.block_size,
         encoded_region=deployment.encoded_region,
+        mode=mode,
+        recovery_event_capacity=capacity,
+        golden_lookup=deployment.golden_lookup,
     )
 
 
@@ -49,13 +69,15 @@ def _stats(decoder):
     }
 
 
-def _walk(deployment, trace, lookup, finalize, bulk):
-    """Decode ``trace`` on a fresh decoder, through ``decode_trace``
-    (``bulk``) or one :meth:`FetchDecoder.fetch` at a time."""
-    decoder = _decoder_for(deployment)
+def _walk(deployment, trace, lookup, finalize, bulk, decoder=None):
+    """Decode ``trace`` on ``decoder`` (a fresh strict one by default),
+    through ``decode_trace`` (``bulk``) or one :meth:`FetchDecoder.fetch`
+    at a time from a reset engine, as ``decode_trace`` starts."""
+    decoder = decoder or _decoder_for(deployment)
     if bulk:
         words = decoder.decode_trace(trace, lookup, finalize=finalize).expand()
     else:
+        decoder.reset()
         words = [decoder.fetch(pc, lookup(pc)) for pc in trace]
         if finalize:
             decoder.finalize()
@@ -196,45 +218,6 @@ def test_corrupted_image_decodes_identically(block_size):
     assert bulk != _golden(deployment, trace)
 
 
-def test_scalar_fallback_modes_bypass_bulk(monkeypatch):
-    # Only the recover and degraded modes skip the bulk path (the
-    # decode still round-trips); strict mixed-scheme traces, whose zoo
-    # regions are served word by word, take it.
-    deployment = seeded_deployment("modes", 5)
-    trace = deployment.trace_for(0)
-    golden = _golden(deployment, trace)
-    bulk_walk = FetchDecoder._decode_trace_bitplane
-    bulk_modes = []
-
-    def strict_only(self, addresses, lookup):
-        if self.mode != "strict":
-            raise AssertionError("bulk walk used outside strict mode")
-        bulk_modes.append(bool(self.region_schemes))
-        return bulk_walk(self, addresses, lookup)
-
-    monkeypatch.setattr(FetchDecoder, "_decode_trace_bitplane", strict_only)
-    for mode in ("recover", "degraded"):
-        decoder = FetchDecoder(
-            deployment.tt,
-            deployment.bbit,
-            deployment.block_size,
-            encoded_region=deployment.encoded_region,
-            mode=mode,
-            golden_lookup=deployment.golden_lookup,
-        )
-        assert (
-            decoder.decode_trace(trace, deployment.image.__getitem__).expand()
-            == golden
-        )
-    assert bulk_modes == []
-    mixed = _mixed_deployment(5)
-    pcs = list(mixed.golden)
-    assert mixed.decoder().decode_trace(pcs, mixed.stored.__getitem__).expand() == [
-        mixed.golden[pc] for pc in pcs
-    ]
-    assert bulk_modes == [True]
-
-
 def test_reuse_across_traces_resets_cleanly():
     # decode_trace resets the engine: back-to-back calls on one
     # decoder behave like calls on fresh decoders.
@@ -288,60 +271,131 @@ def _pcs(deployment, pieces):
     return trace
 
 
-def _outcome(deployment, trace, finalize, bulk):
-    """Output (or raised fault) and counters of one walk, BBIT probes
-    taken as this walk's share of the shared table's counters."""
-    bbit = deployment.bbit
-    lookups, hits = bbit.lookups, bbit.hits
+def _fresh_walk_deployment(block_size):
+    """A new copy of :func:`_walk_deployment`'s tables and image."""
+    return seeded_deployment(f"runs:{block_size}", block_size, 4)
+
+
+#: The fault campaign's own table injectors, by fault shape.
+_TABLE_FAULTS = {
+    "tt_double_bit": TTDoubleBitFlip(),
+    "bbit_double_bit": BBITDoubleBitFlip(),
+    "stale_bbit_tag": BBITStalePC(),
+}
+
+
+def _inject(deployment, fault, seed):
+    state = RunState(deployment.tt, deployment.bbit, [], [], set(), 0)
+    assert _TABLE_FAULTS[fault].inject(state, random.Random(seed)).applicable
+
+
+def _outcome(
+    deployment,
+    trace,
+    finalize,
+    bulk,
+    mode="strict",
+    capacity=DEFAULT_RECOVERY_EVENT_CAPACITY,
+    restore=False,
+):
+    """Output (or raised fault) of one walk on a fresh decoder: its
+    words, ``stats()`` in full (recover-mode events included), the
+    demoted addresses, and the BBIT's hits and parity checks and both
+    tables' parity failures.
+    The tables' counters are cumulative and a fault changes their rows,
+    so give every walk its own ``deployment``.  ``restore`` decodes
+    twice on one decoder, then calls ``restore_degraded()`` and decodes
+    once more (words are concatenated, ``stats()`` listed per call)."""
+    decoder = _decoder_for(deployment, mode, capacity)
+    words, stats = [], []
     try:
-        words, decoder = _walk(
-            deployment, trace, deployment.image.__getitem__, finalize, bulk
-        )
+        for call in range(3 if restore else 1):
+            if call == 2:
+                decoder.restore_degraded()
+            decoded, _ = _walk(
+                deployment,
+                trace,
+                deployment.image.__getitem__,
+                finalize,
+                bulk,
+                decoder,
+            )
+            words += decoded
+            stats.append(decoder.stats())
     except ReproError as err:
         return (type(err), str(err))
     return (
         words,
-        _stats(decoder),
-        bbit.lookups - lookups,
-        bbit.hits - hits,
+        stats,
+        sorted(decoder.degraded_region),
+        deployment.bbit.hits,
+        deployment.bbit.parity_checks,
+        deployment.bbit.parity_failures,
+        deployment.tt.parity_failures,
     )
 
 
 @settings(max_examples=120, deadline=None)
-@given(block_walks())
-def test_fetch_trace_decode_matches_per_fetch_walk(walk):
+@given(block_walks(), st.sampled_from(MODES))
+def test_fetch_trace_decode_matches_per_fetch_walk(walk, mode):
     block_size, pieces = walk
-    deployment = _walk_deployment(block_size)
-    pcs = _pcs(deployment, pieces)
+    pcs = _pcs(_walk_deployment(block_size), pieces)
     trace = FetchTrace.from_addresses(pcs)
-    bulk = _outcome(deployment, trace, False, True)
-    scalar = _outcome(deployment, pcs, False, False)
+    bulk = _outcome(_fresh_walk_deployment(block_size), trace, False, True, mode)
+    scalar = _outcome(_fresh_walk_deployment(block_size), pcs, False, False, mode)
     assert bulk == scalar
-    assert bulk[0] == _golden(deployment, pcs)
+    assert bulk[0] == _golden(_walk_deployment(block_size), pcs)
 
 
-@settings(max_examples=80, deadline=None)
-@given(block_walks(), st.data())
-def test_fetch_trace_decode_faults_match_per_fetch_walk(walk, data):
+@settings(max_examples=200, deadline=None)
+@given(block_walks(), st.sampled_from(MODES), st.data())
+def test_fetch_trace_decode_faults_match_per_fetch_walk(walk, mode, data):
     block_size, pieces = walk
     deployment = _walk_deployment(block_size)
     pcs = _pcs(deployment, pieces)
     which = data.draw(st.integers(min_value=0, max_value=3))
     full = deployment.trace_for(which)
-    fault = data.draw(st.sampled_from(("mid_block", "truncated")))
+    fault = data.draw(
+        st.sampled_from(("mid_block", "truncated", *_TABLE_FAULTS, "restored"))
+    )
+    seed = data.draw(st.integers(min_value=0, max_value=2**16))
+    capacity = data.draw(st.sampled_from((DEFAULT_RECOVERY_EVENT_CAPACITY, 2)))
     if fault == "mid_block":
         # Enter a block at its second instruction (not straight after
-        # its first, which would continue the block).
+        # its first, which would continue the block), then fetch it
+        # whole (in degraded mode, over the addresses just demoted).
         assume(pcs[-1] != full[0])
-        pcs = pcs + full[1:]
-    else:
+        pcs = pcs + full[1:] + full
+    elif fault == "truncated":
         # End the stream one instruction short of a block's end.
         pcs = pcs + full[:-1]
+    else:
+        # Fetch every block once more, so the corrupted row is read.
+        pcs = pcs + _pcs(deployment, [(block, 99) for block in range(4)])
+    if fault == "restored":
+        # A degraded decoder decoding twice over a double-bit TT row,
+        # then again after restore_degraded() re-armed its demotions.
+        mode = "degraded"
+
+    def deploy():
+        fresh = _fresh_walk_deployment(block_size)
+        if fault not in ("mid_block", "truncated"):
+            _inject(fresh, "tt_double_bit" if fault == "restored" else fault, seed)
+        return fresh
+
+    restore = fault == "restored"
     trace = FetchTrace.from_addresses(pcs)
-    bulk = _outcome(deployment, trace, True, True)
-    scalar = _outcome(deployment, pcs, True, False)
+    bulk = _outcome(deploy(), trace, True, True, mode, capacity, restore)
+    scalar = _outcome(deploy(), pcs, True, False, mode, capacity, restore)
     assert bulk == scalar
-    assert isinstance(bulk[0], type) and issubclass(bulk[0], DecodeFault)
+    if mode == "strict":
+        if fault in ("mid_block", "truncated"):
+            assert bulk[0] is DecodeFault
+    else:
+        # recover and degraded modes never raise on a corrupted block
+        assert isinstance(bulk[0], list)
+        if fault in ("mid_block", "truncated"):
+            assert bulk[1][-1]["recoveries"] > 0
 
 
 def test_repeated_last_run_leaves_its_own_engine_state():
@@ -352,23 +406,107 @@ def test_repeated_last_run_leaves_its_own_engine_state():
     deployment = _walk_deployment(5)
     full = deployment.trace_for(0)
     pcs = full[:-1] + full[:1] + full[:-1]
-    bulk = _outcome(deployment, FetchTrace.from_addresses(pcs), True, True)
-    scalar = _outcome(deployment, pcs, True, False)
+    trace = FetchTrace.from_addresses(pcs)
+    bulk = _outcome(_fresh_walk_deployment(5), trace, True, True)
+    scalar = _outcome(_fresh_walk_deployment(5), pcs, True, False)
     assert bulk == scalar
     assert bulk[0] is DecodeFault
     assert "has 1 instruction(s) undecoded" in bulk[1]
 
 
+@pytest.mark.parametrize("mode", ("recover", "degraded"))
+def test_fetch_after_decode_trace_continues_the_walk(mode):
+    # The trace ends on a reused run that entered block 0 mid-way and
+    # stopped one fetch short of its end: the engine must be left in
+    # that run's state (in recover mode, inside its pass-through run),
+    # so a following fetch() continues exactly as the per-fetch walk.
+    deployment = _fresh_walk_deployment(5)
+    full = deployment.trace_for(0)
+    pcs = full[1:-1] + deployment.trace_for(1) + full[1:-1]
+    results = []
+    for bulk in (True, False):
+        fresh = _fresh_walk_deployment(5)
+        decoder = _decoder_for(fresh, mode)
+        words, _ = _walk(fresh, pcs, fresh.image.__getitem__, False, bulk, decoder)
+        words.append(decoder.fetch(full[-1], fresh.image[full[-1]]))
+        results.append((words, decoder.stats()))
+    assert results[0] == results[1]
+    assert results[0][1]["recoveries"] > 0
+
+
+def _retag(deployment, offset):
+    """Move block 0's BBIT row to a tag ``offset`` bytes past its start,
+    with the check word of its true tag: one SEC-DED-correctable bit
+    for the offsets used here."""
+    bbit, base = deployment.bbit, deployment.bases[0]
+    entry = bbit._by_pc.pop(base)
+    bbit._by_pc[base + offset] = BBITEntry(
+        base + offset, entry.tt_index, entry.num_instructions
+    )
+    bbit._parity[base + offset] = bbit._parity.pop(base)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_group_whose_occurrences_decode_differently(mode):
+    # Block 0's tag sits one word into the block.  In a group of four
+    # occurrences the first faults at the block's start, and its probe
+    # one word on corrects the tag; the second decodes cleanly and the
+    # last two reuse it.
+    def deploy():
+        deployment = _fresh_walk_deployment(5)
+        _retag(deployment, 4)
+        return deployment
+
+    pcs = _walk_deployment(5).trace_for(0) * 4
+    bulk = _outcome(deploy(), FetchTrace.from_addresses(pcs), True, True, mode)
+    scalar = _outcome(deploy(), pcs, True, False, mode)
+    assert bulk == scalar
+    if mode == "recover":
+        # once corrected, the block decodes cleanly
+        tail = pcs[len(pcs) // 4 :]
+        assert bulk[0][-len(tail) :] == _golden(_walk_deployment(5), tail)
+        assert bulk[1][0]["ecc_corrections"] == 1
+
+
+def test_decode_that_corrects_a_row_is_not_reused():
+    # Block 0's tag sits on an unencoded word outside it.  The first
+    # probe there corrects the tag (moving the row away) and finds
+    # nothing, with no fault; later probes there check no row at all.
+    def deploy():
+        deployment = _fresh_walk_deployment(5)
+        _retag(deployment, 0x800)
+        deployment.image[deployment.bases[0] + 0x800] = 0x1234
+        return deployment
+
+    stale = _walk_deployment(5).bases[0] + 0x800
+    pcs = [stale] * 3 + _walk_deployment(5).trace_for(0)
+    for mode in MODES:
+        bulk = _outcome(deploy(), FetchTrace.from_addresses(pcs), True, True, mode)
+        scalar = _outcome(deploy(), pcs, True, False, mode)
+        assert bulk == scalar
+        assert bulk[1][0]["ecc_corrections"] == 1
+
+
 @pytest.mark.parametrize("block_size", BLOCK_SIZES)
 def test_quarantined_bbit_row_raises_identically(block_size):
-    deployment = seeded_deployment(f"quarantine:{block_size}", block_size, 3)
-    deployment.bbit.quarantined.add(deployment.bases[2])
+    # Strict mode raises at the probe; recover and degraded modes
+    # record the event (degraded also demotes) at every probe of it.
+    def deploy():
+        deployment = seeded_deployment(f"quarantine:{block_size}", block_size, 3)
+        deployment.bbit.quarantined.add(deployment.bases[2])
+        return deployment
+
+    deployment = deploy()
     pcs = (deployment.trace_for(0) + deployment.trace_for(1)) * 3
-    pcs += deployment.trace_for(2) + deployment.trace_for(0)
-    bulk = _outcome(deployment, FetchTrace.from_addresses(pcs), False, True)
-    scalar = _outcome(deployment, pcs, False, False)
-    assert bulk == scalar
-    assert bulk[0] is TableIntegrityError
+    pcs += (deployment.trace_for(2) + deployment.trace_for(0)) * 2
+    for mode in MODES:
+        bulk = _outcome(deploy(), FetchTrace.from_addresses(pcs), False, True, mode)
+        scalar = _outcome(deploy(), pcs, False, False, mode)
+        assert bulk == scalar
+        if mode == "strict":
+            assert bulk[0] is TableIntegrityError
+        else:
+            assert bulk[1][0]["recovery_events"][0]["kind"] == "bbit_integrity"
 
 
 # ----------------------------------------------------------------------
@@ -428,13 +566,21 @@ class _MixedDeployment:
             pc += 4 * len(words)
         self.end = pc
 
-    def decoder(self, region_schemes=None) -> FetchDecoder:
+    def decoder(
+        self,
+        region_schemes=None,
+        mode="strict",
+        capacity=DEFAULT_RECOVERY_EVENT_CAPACITY,
+    ) -> FetchDecoder:
         schemes = region_schemes or self.region_schemes
         return FetchDecoder(
             self.tt,
             self.bbit,
             self.block_size,
             encoded_region=set(self.encoded_region),
+            mode=mode,
+            recovery_event_capacity=capacity,
+            golden_lookup=self.golden.__getitem__,
             region_schemes=schemes,
             region_word_decoders={
                 pc: (tag, self.decoders[tag])
@@ -470,9 +616,18 @@ def mixed_walks(draw):
     return deployment, pcs
 
 
-def _mixed_outcome(deployment, trace, bulk, finalize=False, region_schemes=None):
-    """Output (or raised fault), counters and BBIT probes of one walk."""
-    decoder = deployment.decoder(region_schemes)
+def _mixed_outcome(
+    deployment,
+    trace,
+    bulk,
+    finalize=False,
+    region_schemes=None,
+    mode="strict",
+    capacity=DEFAULT_RECOVERY_EVENT_CAPACITY,
+):
+    """Output (or raised fault), counters, BBIT probes, recover-mode
+    events, golden-served fetches and demotions of one walk."""
+    decoder = deployment.decoder(region_schemes, mode, capacity)
     bbit = deployment.bbit
     lookups, hits = bbit.lookups, bbit.hits
     lookup = deployment.stored.__getitem__
@@ -485,7 +640,16 @@ def _mixed_outcome(deployment, trace, bulk, finalize=False, region_schemes=None)
                 decoder.finalize()
     except ReproError as err:
         return (type(err), str(err))
-    return words, _stats(decoder), bbit.lookups - lookups, bbit.hits - hits
+    return (
+        words,
+        _stats(decoder),
+        bbit.lookups - lookups,
+        bbit.hits - hits,
+        decoder.recovery_events,
+        decoder.recovery_events_dropped,
+        decoder.golden_served_instructions,
+        sorted(decoder.degraded_region),
+    )
 
 
 @settings(max_examples=120, deadline=None)
@@ -503,10 +667,14 @@ def test_mixed_scheme_decode_matches_per_fetch_walk(walk, finalize):
         assert finalize and bulk[0] is DecodeFault
 
 
-@settings(max_examples=60, deadline=None)
-@given(mixed_walks(), st.data())
-def test_unknown_scheme_tag_raises_at_the_same_fetch(walk, data):
+@settings(max_examples=90, deadline=None)
+@given(mixed_walks(), st.sampled_from(MODES), st.data())
+def test_unknown_scheme_tag_raises_at_the_same_fetch(walk, mode, data):
+    # Strict mode raises at the first fetch under the unknown tag;
+    # recover and degraded modes record it there and serve golden words
+    # (recover mode an event per fetch, which can overflow a small ring).
     deployment, pcs = walk
+    capacity = data.draw(st.sampled_from((DEFAULT_RECOVERY_EVENT_CAPACITY, 2)))
     victim = data.draw(
         st.sampled_from(
             [segment for segment in deployment.segments if segment[2]]
@@ -519,14 +687,26 @@ def test_unknown_scheme_tag_raises_at_the_same_fetch(walk, data):
     )
     pcs = pcs + [first]
     trace = FetchTrace.from_addresses(pcs)
-    bulk = _mixed_outcome(deployment, trace, True, region_schemes=region_schemes)
-    scalar = _mixed_outcome(deployment, pcs, False, region_schemes=region_schemes)
-    assert bulk == scalar
-    assert bulk[0] is SchemeTagError
-    faulting = next(pc for pc in pcs if pc in range(first, first + 4 * length, 4))
-    assert bulk[1] == (
-        f"unknown region scheme tag 'no-such-scheme' at {faulting:#010x}"
+    bulk = _mixed_outcome(
+        deployment, trace, True, False, region_schemes, mode, capacity
     )
+    scalar = _mixed_outcome(
+        deployment, pcs, False, False, region_schemes, mode, capacity
+    )
+    assert bulk == scalar
+    faulting = next(pc for pc in pcs if pc in range(first, first + 4 * length, 4))
+    message = f"unknown region scheme tag 'no-such-scheme' at {faulting:#010x}"
+    if mode == "strict":
+        assert bulk[0] is SchemeTagError
+        assert bulk[1] == message
+    else:
+        assert bulk[0] == [deployment.golden[pc] for pc in pcs]
+        if not bulk[5]:
+            assert bulk[4][0] == {
+                "kind": "scheme_tag",
+                "pc": faulting,
+                "message": message,
+            }
 
 
 @pytest.mark.parametrize("block_size", BLOCK_SIZES)
@@ -546,3 +726,24 @@ def test_zoo_tag_inside_a_tt_block_matches_per_fetch_walk(block_size):
     scalar = _mixed_outcome(deployment, pcs, False, region_schemes=region_schemes)
     assert bulk == scalar
     assert bulk[1]["passthrough"] > 0
+
+
+def test_run_overflowing_the_event_ring_matches_per_fetch_walk():
+    # Under an unknown tag every fetch of the zoo region is a recover
+    # event, so one run fires more events than a two-slot ring keeps;
+    # its later occurrences must still count every event.
+    deployment = _mixed_deployment(5)
+    first, length, _ = deployment.segments[1]
+    assert length > 2
+    region = range(first, first + 4 * length, 4)
+    region_schemes = dict(deployment.region_schemes)
+    region_schemes.update(dict.fromkeys(region, "no-such-scheme"))
+    pcs = list(region) * 3
+    outcomes = [
+        _mixed_outcome(
+            deployment, pcs, bulk, False, region_schemes, "recover", capacity=2
+        )
+        for bulk in (True, False)
+    ]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][5] == 3 * length - 2

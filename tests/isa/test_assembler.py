@@ -148,6 +148,11 @@ class TestDataDirectives:
         assert info.value.line_no == 3
         assert f"(line 3: 'bad: {directive} 1, {token}, 3')" in str(info.value)
 
+    def test_float_beyond_single_range_is_named_with_its_line(self):
+        with pytest.raises(AssemblerError, match="single-precision range") as info:
+            assemble(".data\nbig: .float 1e300\n")
+        assert info.value.line_no == 2
+
 
 class TestPseudoInstructions:
     def test_nop(self):

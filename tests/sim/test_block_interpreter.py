@@ -98,7 +98,7 @@ def raising_fp(monkeypatch):
     """Give ``sqrt.d`` and ``div.d`` Python's raising semantics in both
     paths, so a program can fault at any instruction of a block on a
     value it computes.  No instruction faults mid-block by itself, but
-    an MMIO handler or an ``swc1`` out of single range can."""
+    an MMIO handler can."""
     monkeypatch.setattr(cpu_module, "_fsqrt", math.sqrt)
     monkeypatch.setattr(cpu_module, "_fdiv", operator.truediv)
 
@@ -426,6 +426,23 @@ def test_fp_edge_operands_straight_line(op):
               "li $v0, 10", "syscall"]
     cpu, _ = _assert_same(assemble("\n".join(lines)))
     assert cpu.running is False
+
+
+@pytest.mark.parametrize(
+    "value, stored",
+    ((1e300, math.inf), (-1e300, -math.inf), (3.4028235e38, 3.4028234663852886e38)),
+)
+def test_swc1_beyond_single_range_stores_a_signed_infinity(value, stored):
+    # IEEE 754 rounds a finite double past the single range to an
+    # infinity of its sign (one just past FLT_MAX still rounds down).
+    program = assemble(
+        f".data\nbig: .double {value!r}\nout: .float 0.0\n"
+        ".text\nmain: la $t0, big\nl.d $f0, 0($t0)\nswc1 $f0, 8($t0)\n"
+        "li $v0, 10\nsyscall\n"
+    )
+    cpu, _ = _assert_same(program)
+    assert cpu.running is False
+    assert cpu.memory.read_f32(program.address_of("out")) == stored
 
 
 @pytest.mark.parametrize("iterations", (1, 2, 7))

@@ -223,8 +223,8 @@ def test_decoded_trace_per_fetch_views(entries):
     assert decoded.expand() == flat
     assert list(decoded) == flat
     assert len(decoded) == len(flat)
-    assert DecodedTrace.flat(flat).expand() == flat
-    assert decoded == DecodedTrace.flat(flat)
+    assert DecodedTrace([flat], [1]).expand() == flat
+    assert decoded == DecodedTrace([flat], [1])
 
 
 @given(entry_lists, entry_lists)
@@ -334,7 +334,7 @@ WA, WB = _words(A), _words(B)
 MATCHES_CASES = {
     "clean": (_decoded([(WA, 4), (WB, 1), (WA, 2)]), True),
     "split_but_equal": (_decoded([(WA, 1), (WA, 3), (WB, 1), (WA, 2)]), True),
-    "one_flat_entry": (DecodedTrace.flat(WA * 4 + WB + WA * 2), True),
+    "one_flat_entry": (DecodedTrace([WA * 4 + WB + WA * 2], [1]), True),
     "corrupt_first_of_group": (
         _decoded([(_flip(WA), 1), (WA, 3), (WB, 1), (WA, 2)]),
         False,

@@ -47,6 +47,12 @@ class TestParser:
             main(["experiment", *flags])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags", [["--wal", "x"], ["--resume"]])
+    def test_faults_has_no_journal(self, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["faults", *flags])
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_codebook(self, capsys):

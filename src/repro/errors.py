@@ -68,7 +68,7 @@ class SchemeTagError(ReproError, RuntimeError):
     """A mixed-scheme bundle region carries a scheme tag the fetch
     path cannot honour: the tag names no registered encoder backend
     (corruption, or a bundle built by a newer toolchain).  Strict-mode
-    decoders raise this; recover/degraded decoders fall back to the
+    decoders raise this; recover-mode decoders fall back to the
     golden bundle for the tagged region."""
 
 

@@ -230,11 +230,11 @@ def _run_case(
         target.block_size,
         encoded_region=state.encoded_region,
         mode=mode,
-        # Recover mode gets the golden bundle too: a corrupted scheme
-        # tag has no pass-through story (the region's stored words may
-        # be rewritten), so recovery serves golden words there.  The
+        # Recover mode gets the golden bundle: a corrupted scheme tag
+        # has no pass-through story (the region's stored words may be
+        # rewritten), so recovery serves golden words there.  The
         # classic table-fault recover paths never consult it.
-        golden_lookup=golden if mode in ("recover", "degraded") else None,
+        golden_lookup=golden if mode == "recover" else None,
         region_schemes=state.region_schemes or None,
         region_word_decoders=state.region_word_decoders or None,
     )
@@ -249,10 +249,9 @@ def _run_case(
     try:
         decoded = decoder.decode_trace(trace, lookup, finalize=True)
     except ReproError as err:
-        if mode in ("recover", "degraded"):
-            # Recover/degraded modes promise never to raise on a
-            # corrupted block; an escape is a harness bug, not a
-            # detection.
+        if mode == "recover":
+            # Recover mode promises never to raise on a corrupted
+            # block; an escape is a harness bug, not a detection.
             return CaseResult(
                 target.name,
                 model.name,
@@ -284,9 +283,6 @@ def _run_case(
     if decoder.recovery_events:
         detail = dict(record.detail)
         detail["recovery_events"] = decoder.recovery_events[:8]
-        if decoder.degradations:
-            detail["degradations"] = decoder.degradations
-            detail["golden_served"] = decoder.golden_served_instructions
         return CaseResult(
             target.name, model.name, seed, mode, RECOVERED, detail
         )

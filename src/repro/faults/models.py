@@ -38,7 +38,7 @@ With SEC-DED rows (PR 4) the single-bit table models
 (``tt_selector_flip``, ``tt_end_flip``, ``tt_count_corruption``,
 ``bbit_wrong_tt_index``) are now *corrected* transparently rather than
 detected; the ``*_double_bit_flip`` models exercise the uncorrectable
-path (quarantine → detect / repair / degrade).
+path (quarantine → detect / recover).
 """
 
 from __future__ import annotations
@@ -194,8 +194,8 @@ class TTCountCorruption(_TTRowFault):
 
 class TTDoubleBitFlip(_TTRowFault):
     """Two distinct stored bits of one TT row flip — past SEC-DED's
-    correction power, so the row must be quarantined (detected,
-    repaired from the bundle, or degraded; never served)."""
+    correction power, so the row must be quarantined (detected or
+    recovered; never served)."""
 
     name = "tt_double_bit_flip"
 
@@ -462,7 +462,7 @@ class SchemeTagCorruption(FaultModel):
     a name no backend registered — a loader bug or a metadata upset.
     Every fetch into the region then carries an unhonourable tag:
     strict mode raises :class:`~repro.errors.SchemeTagError`, recover
-    and degraded modes serve the region from the golden bundle.  Not
+    mode serves the region from the golden bundle.  Not
     applicable to classic single-scheme deployments."""
 
     name = "scheme_tag_corruption"

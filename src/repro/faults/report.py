@@ -12,9 +12,9 @@ Outcome vocabulary (one per injected case):
     one single-bit row error along the way — the self-healing path
     working as designed.
 ``recovered``
-    Recover- or degraded-mode decode completed, with the fault logged
-    in the decoder's ``recovery_events`` (degraded to pass-through or
-    golden-image service, never silently wrong without a trace).
+    Recover-mode decode completed, with the fault logged in the
+    decoder's ``recovery_events`` (served by pass-through or from the
+    golden image, never silently wrong without a trace).
 ``silently-corrupted``
     Decode completed with no error and no recovery event, but the
     output differs from the original instruction stream — the failure

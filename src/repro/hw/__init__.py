@@ -4,9 +4,9 @@
 ``fetch_decoder`` walks a fetch stream exactly as the hardware would —
 BBIT lookup on basic-block entry, per-entry transformation selection,
 E/CT tail bookkeeping — and restores original instruction words with
-one two-input boolean function per bus line.  ``scrubber`` (the TT/BBIT
-scrubber) and ``cost`` (the paper's storage/gate arithmetic) are not
-re-exported here: import them from their modules.
+one two-input boolean function per bus line.  ``cost`` (the paper's
+storage/gate arithmetic) is not re-exported here: import it from its
+module.
 """
 
 from repro.errors import TableCapacityError, TableIntegrityError

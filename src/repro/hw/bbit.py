@@ -36,8 +36,8 @@ class BasicBlockIdentificationTable:
     :meth:`lookup` validates it before handing the row to the decoder.
     A single flipped bit is corrected in place (``ecc_corrections``,
     metric ``hw.ecc_corrections``); a double-bit error quarantines the
-    row and raises :class:`~repro.errors.TableIntegrityError` until
-    :meth:`repair_row` rewrites it from a golden source.
+    row and raises :class:`~repro.errors.TableIntegrityError` on every
+    probe of it.
 
     One subtlety of protecting the CAM tag: if correction changes the
     *pc* field itself, the row is keyed under a corrupted tag.  The
@@ -57,7 +57,7 @@ class BasicBlockIdentificationTable:
         #: point.
         self._parity: dict[int, int] = {}
         #: Tags whose last check found an uncorrectable (double-bit)
-        #: error; unreadable until repaired.
+        #: error; unreadable until the table is cleared or resealed.
         self.quarantined: set[int] = set()
         self.lookups = 0
         self.hits = 0
@@ -67,7 +67,6 @@ class BasicBlockIdentificationTable:
         self.parity_failures = 0
         self.ecc_corrections = 0
         self.ecc_double_faults = 0
-        self.repairs = 0
 
     def __len__(self) -> int:
         return len(self._by_pc)
@@ -82,7 +81,6 @@ class BasicBlockIdentificationTable:
         self.parity_failures = 0
         self.ecc_corrections = 0
         self.ecc_double_faults = 0
-        self.repairs = 0
 
     def _row_ecc(self, entry: BBITEntry) -> int:
         return integrity.bbit_row_ecc(
@@ -109,8 +107,8 @@ class BasicBlockIdentificationTable:
     def check_row(self, pc: int) -> str:
         """Validate the row stored under ``pc`` without raising:
         corrects a single-bit error in place and returns ``"clean"`` /
-        ``"corrected"`` / ``"quarantined"`` / ``"missing"``.  The
-        scrubber's sweep primitive."""
+        ``"corrected"`` / ``"quarantined"`` / ``"missing"``.
+        :meth:`lookup` layers the raising behaviour on top."""
         if pc in self.quarantined:
             return "quarantined"
         entry = self._by_pc.get(pc)
@@ -193,27 +191,6 @@ class BasicBlockIdentificationTable:
             return None
         self.hits += 1
         return entry
-
-    def repair_row(self, entry: BBITEntry) -> None:
-        """Rewrite one row from a trusted source (the golden bundle),
-        lifting its quarantine."""
-        self.quarantined.discard(entry.pc)
-        self._by_pc[entry.pc] = entry
-        self._parity[entry.pc] = self._row_ecc(entry)
-        self.repairs += 1
-        if OBS.enabled:
-            OBS.registry.counter(
-                "hw.rows_repaired",
-                "quarantined table rows rewritten from a golden source",
-                table="bbit",
-            ).inc()
-
-    def drop_row(self, pc: int) -> None:
-        """Remove a quarantined row entirely (no golden copy to repair
-        from): subsequent probes miss instead of raising."""
-        self.quarantined.discard(pc)
-        self._by_pc.pop(pc, None)
-        self._parity.pop(pc, None)
 
     def peek(self, pc: int) -> BBITEntry | None:
         """Lookup without statistics (for assertions in tests)."""

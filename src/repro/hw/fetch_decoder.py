@@ -38,23 +38,13 @@ The engine runs in one of two modes:
     hit or non-sequential fetch re-arms normal operation.  Decoded
     output for the abandoned block is, of course, the raw stored
     words — recovery trades silent mis-decoding for an *explicit*
-    degraded region that software can act on.
+    pass-through region that software can act on.  A fetch under a
+    region scheme tag that is not the one armed there has no
+    pass-through story (the region's stored words may be recoded), so
+    when a golden (pre-encoding) image lookup is attached recover
+    mode serves that fetch from it (``decoder.golden_served``).
 
-``degraded``
-    The strongest fallback, available when a golden (pre-encoding)
-    image lookup is attached.  On unrecoverable TT/BBIT corruption the
-    engine *demotes* the affected block: its addresses move from
-    :attr:`FetchDecoder.encoded_region` into
-    :attr:`FetchDecoder.degraded_region` and every subsequent fetch of
-    them is served from the golden image — so the decoded stream stays
-    bit-identical to the original program, at the cost of losing the
-    power benefit for that block.  Each demotion is counted
-    (``decoder.degradations``) alongside the per-fetch
-    ``decoder.golden_served`` volume.  After the scrubber repairs the
-    tables from a golden bundle, :meth:`FetchDecoder.restore_degraded`
-    re-arms the demoted blocks.
-
-Note the single-bit story never reaches any of these modes: the
+Note the single-bit story never reaches either mode: the
 tables' SEC-DED rows correct one flipped bit transparently inside
 :meth:`TransformationTable.read` / BBIT ``lookup``, so only
 uncorrectable (double-bit or worse) corruption surfaces here.
@@ -123,14 +113,8 @@ class FetchDecoder:
             )
         if block_size < 2:
             raise ValueError("block size must be >= 2")
-        if mode not in ("strict", "recover", "degraded"):
-            raise ValueError(
-                f"mode must be 'strict', 'recover' or 'degraded', got {mode!r}"
-            )
-        if mode == "degraded" and golden_lookup is None:
-            raise ValueError(
-                "degraded mode needs a golden_lookup (pc -> original word)"
-            )
+        if mode not in ("strict", "recover"):
+            raise ValueError(f"mode must be 'strict' or 'recover', got {mode!r}")
         self.tt = tt
         self.bbit = bbit
         self.block_size = block_size
@@ -141,12 +125,9 @@ class FetchDecoder:
         self.encoded_region = (
             encoded_region if encoded_region is not None else set()
         )
-        #: Golden-image lookup (pc -> original word) backing degraded
-        #: mode; also usable by the scrubber's verification sweeps.
+        #: Golden-image lookup (pc -> original word) serving recover
+        #: mode's fetches under an unknown region scheme tag.
         self.golden_lookup = golden_lookup
-        #: Addresses demoted out of :attr:`encoded_region` after an
-        #: unrecoverable fault; served from the golden image.
-        self.degraded_region: set[int] = set()
         #: Mixed-scheme bundle support: ``pc -> scheme tag`` for every
         #: address inside a tagged region.  Tags equal to
         #: :data:`SCHEME_TTBBIT` flow through the table path; other
@@ -186,9 +167,7 @@ class FetchDecoder:
         #: registry) instead of growing without bound.
         self.recovery_events: list[dict] = []
         self.recovery_events_dropped = 0
-        #: Degraded-mode bookkeeping: demotion events and the number
-        #: of fetches served straight from the golden image.
-        self.degradations = 0
+        #: Fetches served straight from the golden image.
         self.golden_served_instructions = 0
 
     def reset(self) -> None:
@@ -205,45 +184,9 @@ class FetchDecoder:
         self.tt_reads = 0
         self.recovery_events = []
         self.recovery_events_dropped = 0
-        # degraded_region intentionally survives a reset: demotion is
-        # a persistent memory-layout change, not a per-trace statistic.
-        self.degradations = 0
         self.golden_served_instructions = 0
 
-    def restore_degraded(self) -> int:
-        """Re-arm every demoted block (after the tables were repaired
-        from a golden bundle); returns how many addresses moved back
-        into the encoded region."""
-        restored = len(self.degraded_region)
-        self.encoded_region |= self.degraded_region
-        self.degraded_region.clear()
-        return restored
-
     # ------------------------------------------------------------------
-
-    def _degrade(
-        self, kind: str, pc: int, message: str, block: _ActiveBlock | None = None
-    ) -> None:
-        """Demote the faulting address — or, when the block extent is
-        known, the whole block — out of the encoded region."""
-        pcs = [pc]
-        if block is not None:
-            pcs = [
-                block.start_pc + 4 * i
-                for i in range(block.instructions_total)
-            ]
-        for addr in pcs:
-            self.encoded_region.discard(addr)
-            self.degraded_region.add(addr)
-        self.degradations += 1
-        self._recover(kind, pc, message)
-        if OBS.enabled:
-            OBS.registry.counter(
-                "decoder.degradations",
-                "blocks demoted to golden-image service after an "
-                "unrecoverable table fault",
-                kind=kind,
-            ).inc()
 
     def _serve_golden(self, pc: int) -> int:
         self.golden_served_instructions += 1
@@ -279,8 +222,8 @@ class FetchDecoder:
         bus codecs registered ``None`` (their stored words are raw and
         pass through).  A tag other than the one armed at ``pc`` is
         treated like any other decode-path fault: strict raises
-        :class:`SchemeTagError`, recover/degraded fall back to the
-        golden bundle when attached.
+        :class:`SchemeTagError`, recover falls back to the golden
+        bundle when attached.
         """
         armed = self.region_word_decoders.get(pc)
         if armed is None or armed[0] != scheme:
@@ -289,9 +232,6 @@ class FetchDecoder:
             )
             if self.mode == "strict":
                 raise fault
-            if self.mode == "degraded":
-                self._degrade("scheme_tag", pc, str(fault))
-                return self._serve_golden(pc)
             self._recover("scheme_tag", pc, str(fault))
             if self.golden_lookup is not None:
                 return self._serve_golden(pc)
@@ -310,15 +250,14 @@ class FetchDecoder:
         self.scheme_decoded_instructions += 1
         return decode_word(stored_word)
 
-    def _probe(self, pc: int) -> BBITEntry | None | object:
+    def _probe(self, pc: int) -> BBITEntry | None:
         """Probe the BBIT for a fetch on the idle engine.
 
         Returns the hit entry, or ``None`` for a pass-through fetch.
         A BBIT integrity error, or an encoded word fetched with no
         block active (outside a recover-mode pass-through run), is a
-        fault: strict mode raises it, degraded mode demotes ``pc`` and
-        returns :data:`_DEMOTED` (the caller serves the golden word),
-        and recover mode records it and starts a pass-through run."""
+        fault: strict mode raises it, and recover mode records it and
+        starts a pass-through run."""
         try:
             entry = self.bbit.lookup(pc)
         except TableIntegrityError as err:
@@ -336,13 +275,6 @@ class FetchDecoder:
             ), "mid_block_entry"
         if self.mode == "strict":
             raise fault
-        if self.mode == "degraded":
-            # The block extent is unknown (the BBIT row is the thing
-            # that's broken): demote this address; the block's
-            # remaining words demote themselves one by one as their
-            # mid-block fetches fault here too.
-            self._degrade(kind, pc, str(fault))
-            return _DEMOTED
         self._recover(kind, pc, str(fault))
         self._passthrough_run = True
         return None
@@ -351,17 +283,11 @@ class FetchDecoder:
         self, pc: int, stored_word: int, err: TableIntegrityError
     ) -> int:
         """The active block's TT row read failed at ``pc``: strict mode
-        raises ``err``; degraded mode demotes the whole block (its
-        extent is known; earlier words already decoded correctly) and
-        serves this fetch from the golden image; recover mode abandons
-        the block, so this fetch and the rest of the run pass through."""
+        raises ``err``; recover mode abandons the block, so this fetch
+        and the rest of the run pass through."""
         if self.mode == "strict":
             raise err
-        block = self._active
         self._active = None
-        if self.mode == "degraded":
-            self._degrade("tt_integrity", pc, str(err), block=block)
-            return self._serve_golden(pc)
         self._recover("tt_integrity", pc, str(err))
         self._passthrough_run = True
         self.passthrough_instructions += 1
@@ -382,10 +308,6 @@ class FetchDecoder:
 
     def fetch(self, pc: int, stored_word: int) -> int:
         """Process one fetch; returns the restored instruction word."""
-        if pc in self.degraded_region:
-            # The block was demoted after an unrecoverable fault: its
-            # stored words are untrustworthy, serve the golden image.
-            return self._serve_golden(pc)
         if self.region_schemes:
             scheme = self.region_schemes.get(pc)
             if scheme is not None and scheme != SCHEME_TTBBIT:
@@ -396,8 +318,6 @@ class FetchDecoder:
             self._passthrough_run = False
         if self._active is None:
             entry = self._probe(pc)
-            if entry is _DEMOTED:
-                return self._serve_golden(pc)
             if entry is None:
                 self.passthrough_instructions += 1
                 # Inside a pass-through run only sequential successors
@@ -458,9 +378,7 @@ class FetchDecoder:
             "recoveries": len(self.recovery_events) + self.recovery_events_dropped,
             "recovery_events": list(self.recovery_events),
             "recovery_events_dropped": self.recovery_events_dropped,
-            "degradations": self.degradations,
             "golden_served_instructions": self.golden_served_instructions,
-            "degraded_addresses": len(self.degraded_region),
             "ecc_corrections": (
                 self.tt.ecc_corrections + self.bbit.ecc_corrections
             ),
@@ -483,7 +401,7 @@ class FetchDecoder:
         ).inc(self.decoded_instructions)
         registry.counter(
             "decoder.passthrough_instructions",
-            "fetches served unchanged (BBIT miss or degraded block)",
+            "fetches served unchanged (BBIT miss or recover-mode pass-through)",
             mode=self.mode,
         ).inc(self.passthrough_instructions)
         registry.counter(
@@ -515,7 +433,7 @@ class FetchDecoder:
         )
         registry.counter(
             "decoder.golden_served",
-            "fetches served from the golden image for demoted blocks",
+            "fetches served from the golden image under an unknown scheme tag",
             mode=self.mode,
         ).inc(self.golden_served_instructions)
         if self.scheme_decoded_instructions:
@@ -559,22 +477,22 @@ class FetchDecoder:
         In every mode the walk reads the trace's run groups.  A
         non-sequential fetch always leaves the engine idle (and ends a
         recover-mode pass-through run), and so does a fetch served
-        outside the TT engine (a zoo-tagged or demoted address), so a
-        run's decode depends only on the run and on the table and
-        region state it starts from.  Each distinct run decodes once;
-        later occurrences reuse its words and scale its counters (every
-        :meth:`stats` counter, the BBIT's ``lookups``, ``hits`` and
+        outside the TT engine (a zoo-tagged address), so a run's decode
+        depends only on the run and on the table and region state it
+        starts from.  Each distinct run decodes once; later occurrences
+        reuse its words and scale its counters (every :meth:`stats`
+        counter, the BBIT's ``lookups``, ``hits`` and
         ``parity_checks``, both tables' ``parity_failures``), so they
         equal the per-fetch walk's.  A decode that fired a recover-mode
         event is not reused, and one that changed that state (a SEC-DED
-        correction or a new quarantine on either table, a demotion)
-        also drops every earlier decode.  Inside a run, full
-        basic-block occurrences decode through the word-major bitplane
-        scan and the rest through :meth:`fetch` (zoo and demoted
-        fetches, partial blocks, pass-through runs, a block up to the
-        fetch whose TT row read fails), so every fault surfaces at the
-        same fetch, with the same message and handling, as it would
-        instruction by instruction.  The result has one entry per
+        correction or a new quarantine on either table) also drops
+        every earlier decode.  Inside a run, full basic-block
+        occurrences decode through the word-major bitplane scan and the
+        rest through :meth:`fetch` (zoo fetches, partial blocks,
+        pass-through runs, a block up to the fetch whose TT row read
+        fails), so every fault surfaces at the same fetch, with the
+        same message and handling, as it would instruction by
+        instruction.  The result has one entry per
         group: the run's words and the group's repeat count, or all of
         the group's words once when its occurrences decoded
         differently.  Only the TT's internal ``reads`` and
@@ -625,14 +543,13 @@ class FetchDecoder:
         ) = values
 
     def _table_state(self) -> tuple[int, ...]:
-        """Changes whenever a table row or a region map changes."""
+        """Changes whenever a table row changes."""
         tt, bbit = self.tt, self.bbit
         return (
             tt.ecc_corrections,
             tt.ecc_double_faults,
             bbit.ecc_corrections,
             bbit.ecc_double_faults,
-            self.degradations,
         )
 
     def _decode_trace_bitplane(
@@ -661,8 +578,8 @@ class FetchDecoder:
                 times -= 1
                 fresh.append(done.words)
                 if (now := self._table_state()) != state:
-                    # A row or a region map changed: neither this
-                    # decode nor any earlier one is reusable.
+                    # A row changed: neither this decode nor any
+                    # earlier one is reusable.
                     state = now
                     memo = {}
                 elif not done.fired:
@@ -723,11 +640,10 @@ class FetchDecoder:
 
     def _leaves_engine(self, pc: int, count: int) -> bool:
         """Whether a fetch of the block at ``pc`` after its first is
-        served outside the TT engine (a zoo-tagged or demoted address)."""
+        served outside the TT engine (a zoo-tagged address)."""
         schemes = self.region_schemes
-        demoted = self.degraded_region
         return any(
-            addr in demoted or schemes.get(addr, SCHEME_TTBBIT) != SCHEME_TTBBIT
+            schemes.get(addr, SCHEME_TTBBIT) != SCHEME_TTBBIT
             for addr in range(pc + 4, pc + 4 * count, 4)
         )
 
@@ -749,11 +665,10 @@ class FetchDecoder:
         out: list[int] = []
         block_size = self.block_size
         schemes = self.region_schemes
-        demoted = self.degraded_region
         end = start + 4 * length
         pc = start
         while pc < end:
-            if self._active is not None or self._passthrough_run or pc in demoted:
+            if self._active is not None or self._passthrough_run:
                 out.append(self.fetch(pc, stored_image_lookup(pc)))
                 pc += 4
                 continue
@@ -766,10 +681,6 @@ class FetchDecoder:
                 continue
             # Engine idle: probe the BBIT exactly as fetch() would.
             entry = self._probe(pc)
-            if entry is _DEMOTED:
-                out.append(self._serve_golden(pc))
-                pc += 4
-                continue
             if entry is None:
                 self.passthrough_instructions += 1
                 self._expected_pc = pc + 4 if self._passthrough_run else None
@@ -780,7 +691,7 @@ class FetchDecoder:
             if (
                 count < 2
                 or pc + 4 * count > end
-                or ((schemes or demoted) and self._leaves_engine(pc, count))
+                or (schemes and self._leaves_engine(pc, count))
             ):
                 # A partial or truncated occurrence: fetch() continues
                 # the block from here without re-probing the BBIT.
@@ -834,11 +745,6 @@ class FetchDecoder:
             self._expected_pc = None
             pc += 4 * count
         return out
-
-
-#: :meth:`FetchDecoder._probe`'s result for a fetch that degraded mode
-#: just demoted (served from the golden image).
-_DEMOTED = object()
 
 
 @dataclass

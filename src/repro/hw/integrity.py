@@ -38,8 +38,8 @@ outcomes:
 
 Like every SEC-DED implementation, three or more flipped bits may
 alias to a "correctable" single-bit pattern — the guarantee covers
-one- and two-bit upsets, which is the standard soft-error budget the
-scrubber's sweep cadence is provisioned against.
+one- and two-bit upsets, the standard soft-error budget for a
+table row.
 """
 
 from __future__ import annotations

@@ -128,8 +128,7 @@ class TransformationTable:
     :attr:`ecc_corrections` and the ``hw.ecc_corrections`` metric); a
     double-bit error **quarantines** the row and raises
     :class:`~repro.errors.TableIntegrityError`.  Quarantined rows stay
-    unreadable until :meth:`repair_row` (the scrubber's golden-bundle
-    path) rewrites them.
+    unreadable until :meth:`write` reprograms them.
     """
 
     def __init__(self, capacity: int = 16, width: int = 32, parity: bool = False):
@@ -145,7 +144,7 @@ class TransformationTable:
         #: read corrects or detects.
         self._parity: list[int] = []
         #: Row indices whose last check found an uncorrectable
-        #: (double-bit) error; unreadable until repaired.
+        #: (double-bit) error; unreadable until rewritten.
         self.quarantined: set[int] = set()
         #: Activity counters, published onto the metrics registry by
         #: whoever drives the table (the fetch decoder, the flow).
@@ -155,7 +154,6 @@ class TransformationTable:
         self.parity_failures = 0
         self.ecc_corrections = 0
         self.ecc_double_faults = 0
-        self.repairs = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -204,8 +202,7 @@ class TransformationTable:
         """Validate one populated row against its stored check word
         without raising: corrects a single-bit error in place and
         returns ``"clean"`` / ``"corrected"`` / ``"quarantined"``.
-        The scrubber's sweep primitive; :meth:`read` layers the
-        raising behaviour on top."""
+        :meth:`read` layers the raising behaviour on top."""
         if index in self.quarantined:
             return "quarantined"
         entry = self.entries[index]
@@ -269,18 +266,6 @@ class TransformationTable:
                     "(uncorrectable error; row quarantined)"
                 )
         return self.entries[index]
-
-    def repair_row(self, index: int, entry: TTEntry) -> None:
-        """Rewrite one row from a trusted source (the golden bundle),
-        lifting its quarantine."""
-        self.write(index, entry)
-        self.repairs += 1
-        if OBS.enabled:
-            OBS.registry.counter(
-                "hw.rows_repaired",
-                "quarantined table rows rewritten from a golden source",
-                table="tt",
-            ).inc()
 
     def seal(self) -> None:
         """Recompute every check word from the current rows (for

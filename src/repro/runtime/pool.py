@@ -62,21 +62,13 @@ def run_tasks(
     noun: str,
     initializer: Callable[..., Any] | None = None,
     initargs: tuple = (),
-    on_done: Callable[[int, R], None] | None = None,
 ) -> list[R]:
     """Results of ``tasks`` in task order.
 
     ``worker`` runs in a pool process after ``initializer(*initargs)``
     and must be picklable; ``serial`` runs here and must compute the
-    same result.  ``on_done(index, result)`` fires once per task, in
-    index order, whichever path produced it (a hook for callers that
-    journal results as they land)."""
+    same result."""
     results: dict[int, R] = {}
-
-    def finish(index: int, result: R) -> None:
-        results[index] = result
-        if on_done is not None:
-            on_done(index, result)
 
     if workers and workers > 1:
         breaker = CircuitBreaker(threshold=BREAKER_THRESHOLD)
@@ -94,13 +86,13 @@ def run_tasks(
                     if OBS.enabled and delta is not None:
                         OBS.registry.merge_delta(delta)
                     breaker.record_success()
-                    finish(index, result)
+                    results[index] = result
                 except FutureTimeoutError:
                     _count(
                         f"{prefix}.{noun}_timeouts",
                         f"{noun}s killed by the per-{noun} timeout",
                     )
-                    finish(index, serial(tasks[index]))
+                    results[index] = serial(tasks[index])
                     if breaker.record_failure():
                         downgrade = (
                             f"{breaker.consecutive_failures} consecutive "
@@ -130,5 +122,5 @@ def run_tasks(
     # downgraded pool left unfinished.
     for index, task in enumerate(tasks):
         if index not in results:
-            finish(index, serial(task))
+            results[index] = serial(task)
     return [results[index] for index in range(len(tasks))]

@@ -9,13 +9,13 @@ contract and demands bit-identical agreement:
   oracle decode (:func:`check_stream`);
 * program level — vertical block encode vs the oracle, bitplane vs
   bit-serial block decode, the behavioural :class:`FetchDecoder` in
-  strict, recover and degraded modes against the golden words, and the
+  strict and recover modes against the golden words, and the
   run-group ``decode_trace`` walk against the per-fetch walk in each
   of those modes (:func:`check_program`);
 * table-state level — seeded SEC-DED corruption of live TT/BBIT rows,
   checking each decoder mode's *exact* contractual output: strict
-  raises, recover serves the documented pass-through region, degraded
-  stays bit-identical to the golden image (:func:`check_tables`);
+  raises, recover serves the documented pass-through region
+  (:func:`check_tables`);
 * exhaustive sweeps — every codebook entry for a block size against
   the reference solver plus the bit-serial and bitplane decodes
   (:func:`sweep_codebook`), and every τ selector's bitplane decode and
@@ -159,16 +159,13 @@ def check_program(words: list[int], block_size: int) -> CheckResult:
         return result.fail("program_bit_serial_decode_wrong")
 
     deployment = make_deployment([list(words)], block_size, parity=True)
-    for mode in ("strict", "recover", "degraded"):
+    for mode in ("strict", "recover"):
         decoder = FetchDecoder(
             deployment.tt,
             deployment.bbit,
             block_size,
             encoded_region=deployment.encoded_region,
             mode=mode,
-            golden_lookup=(
-                deployment.golden_lookup if mode == "degraded" else None
-            ),
         )
         try:
             decoded = _fetch_all(decoder, deployment, 0)
@@ -179,7 +176,7 @@ def check_program(words: list[int], block_size: int) -> CheckResult:
             )
         if decoded != list(words):
             return result.fail("decoder_output_wrong", mode=mode)
-        if decoder.recovery_events or decoder.degradations:
+        if decoder.recovery_events:
             return result.fail("decoder_spurious_recovery", mode=mode)
         result.cover("decoder_transitions", f"clean:{mode}")
 
@@ -189,7 +186,7 @@ def check_program(words: list[int], block_size: int) -> CheckResult:
     # over a trace that revisits the block.
     trace = deployment.trace_for(0) * 2
     bbit = deployment.bbit
-    for mode in ("strict", "recover", "degraded"):
+    for mode in ("strict", "recover"):
         walks = []
         for bulk in (True, False):
             decoder = FetchDecoder(
@@ -283,7 +280,7 @@ def check_tables(
     """Seeded table corruption against each decoder mode's contract.
 
     The *same* corruption (regenerated from ``flip_seed``) is applied
-    to a fresh deployment for every mode, so the three fault-handling
+    to a fresh deployment for every mode, so the two fault-handling
     strategies are compared on an identical upset.
     """
     result = CheckResult()
@@ -297,7 +294,7 @@ def check_tables(
         "double_bit_bbit": "bbit_uncorrectable",
     }[fault]
 
-    for mode in ("strict", "recover", "degraded"):
+    for mode in ("strict", "recover"):
         deployment = make_deployment(
             [list(words) for words in blocks], block_size, parity=True
         )
@@ -314,9 +311,6 @@ def check_tables(
             block_size,
             encoded_region=deployment.encoded_region,
             mode=mode,
-            golden_lookup=(
-                deployment.golden_lookup if mode == "degraded" else None
-            ),
         )
 
         decoded: list[list[int] | None] = []
@@ -355,7 +349,7 @@ def check_tables(
                 )
             for which in range(len(blocks)):
                 golden = deployment.golden_words(which)
-                if mode == "degraded" or not uncorrectable or which != 0:
+                if not uncorrectable or which != 0:
                     expected = golden
                 elif fault == "double_bit_bbit":
                     # Recover mode passes the whole faulted block
@@ -372,11 +366,8 @@ def check_tables(
                         fault=fault,
                         block=which,
                     )
-            if uncorrectable:
-                if mode == "recover" and not decoder.recovery_events:
-                    return result.fail("recover_event_missing", fault=fault)
-                if mode == "degraded" and not decoder.degradations:
-                    return result.fail("degradation_missing", fault=fault)
+            if uncorrectable and not decoder.recovery_events:
+                return result.fail("recover_event_missing", fault=fault)
         if fault == "single_bit":
             corrections = (
                 deployment.tt.ecc_corrections + deployment.bbit.ecc_corrections

@@ -25,8 +25,8 @@ universes (in the exhaustive-enumeration spirit of Chee et al.):
     The tail segment length each stream case ended on (1..k).
 ``decoder_transitions``
     The fetch-decoder mode-transition space: clean, SEC-DED-corrected
-    and uncorrectable TT/BBIT corruption, each observed under strict,
-    recover and degraded modes (12 classes).
+    and uncorrectable TT/BBIT corruption, each observed under strict
+    and recover modes (8 classes).
 ``encoder_schemes``
     Every registered encoder-zoo backend
     (:data:`repro.baselines.protocol.ENCODER_REGISTRY`), exercised by
@@ -47,7 +47,7 @@ from typing import Iterable, Mapping
 DECODER_TRANSITIONS = tuple(
     f"{event}:{mode}"
     for event in ("clean", "corrected", "tt_uncorrectable", "bbit_uncorrectable")
-    for mode in ("strict", "recover", "degraded")
+    for mode in ("strict", "recover")
 )
 
 #: Block sizes whose codebook/τ coverage the ``--check`` gate demands

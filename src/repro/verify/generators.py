@@ -114,7 +114,7 @@ class Deployment:
 
     The ground truth (`blocks`: pc-ordered original word lists) rides
     along so every decode path can be differentially checked against
-    it; ``golden_lookup`` serves degraded-mode fetches.
+    it; ``golden_lookup`` is that truth for one PC.
     """
 
     block_size: int

@@ -3,8 +3,8 @@
 The ``scheme_tag_corruption`` model rewrites the per-region scheme tag
 of a deployed mixed bundle.  Strict mode must raise the typed
 :class:`~repro.errors.SchemeTagError` (classified ``detected``);
-recover and degraded modes must re-fetch the region from the golden
-bundle and finish the trace bit-identically (``recovered``).  On a
+recover mode must re-fetch the region from the golden bundle and
+finish the trace bit-identically (``recovered``).  On a
 classic single-scheme deployment the model has nothing to corrupt and
 must report ``not-applicable`` rather than inventing work.
 """
@@ -57,7 +57,7 @@ class TestMixedTarget:
             result = run_case(mixed_target, MODEL, f"tag:strict:{i}", "strict")
             assert result.outcome == "detected", (i, result.outcome)
 
-    @pytest.mark.parametrize("mode", ["recover", "degraded"])
+    @pytest.mark.parametrize("mode", ["recover"])
     def test_recover_modes_recover_every_trial(self, mixed_target, mode):
         for i in range(TRIALS):
             result = run_case(mixed_target, MODEL, f"tag:{mode}:{i}", mode)
@@ -75,6 +75,6 @@ class TestClassicTargetNotApplicable:
         from tests.faults.test_campaign import _synthetic_target
 
         target = _synthetic_target()
-        for mode in ("strict", "recover", "degraded"):
+        for mode in ("strict", "recover"):
             result = run_case(target, MODEL, f"tag:na:{mode}", mode)
             assert result.outcome == "not-applicable", mode

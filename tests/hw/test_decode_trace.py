@@ -5,7 +5,7 @@ once and routes full basic-block occurrences through one word-major
 bitplane scan each, in every decoder mode.  The per-fetch walk
 (:meth:`FetchDecoder.fetch` over every PC) is its oracle: the contract
 is *bit-identical observable behaviour* — same decoded words, same
-counters, same exceptions, same recover-mode events and demotions —
+counters, same exceptions, same recover-mode events —
 across hot-loop revisits, partial occurrences, branchy interleavings,
 passthrough gaps, truncation, corrupted images and corrupted tables.
 """
@@ -43,7 +43,7 @@ from repro.sim.tracer import FetchTrace
 from tests.strategies import rng_for, seeded_blocks, seeded_deployment
 
 BLOCK_SIZES = (2, 4, 5, 7)
-MODES = ("strict", "recover", "degraded")
+MODES = ("strict", "recover")
 
 
 def _decoder_for(
@@ -296,38 +296,22 @@ def _outcome(
     bulk,
     mode="strict",
     capacity=DEFAULT_RECOVERY_EVENT_CAPACITY,
-    restore=False,
 ):
     """Output (or raised fault) of one walk on a fresh decoder: its
-    words, ``stats()`` in full (recover-mode events included), the
-    demoted addresses, and the BBIT's hits and parity checks and both
-    tables' parity failures.
+    words, ``stats()`` in full (recover-mode events included), and the
+    BBIT's hits and parity checks and both tables' parity failures.
     The tables' counters are cumulative and a fault changes their rows,
-    so give every walk its own ``deployment``.  ``restore`` decodes
-    twice on one decoder, then calls ``restore_degraded()`` and decodes
-    once more (words are concatenated, ``stats()`` listed per call)."""
+    so give every walk its own ``deployment``."""
     decoder = _decoder_for(deployment, mode, capacity)
-    words, stats = [], []
     try:
-        for call in range(3 if restore else 1):
-            if call == 2:
-                decoder.restore_degraded()
-            decoded, _ = _walk(
-                deployment,
-                trace,
-                deployment.image.__getitem__,
-                finalize,
-                bulk,
-                decoder,
-            )
-            words += decoded
-            stats.append(decoder.stats())
+        words, _ = _walk(
+            deployment, trace, deployment.image.__getitem__, finalize, bulk, decoder
+        )
     except ReproError as err:
         return (type(err), str(err))
     return (
         words,
-        stats,
-        sorted(decoder.degraded_region),
+        decoder.stats(),
         deployment.bbit.hits,
         deployment.bbit.parity_checks,
         deployment.bbit.parity_failures,
@@ -355,15 +339,13 @@ def test_fetch_trace_decode_faults_match_per_fetch_walk(walk, mode, data):
     pcs = _pcs(deployment, pieces)
     which = data.draw(st.integers(min_value=0, max_value=3))
     full = deployment.trace_for(which)
-    fault = data.draw(
-        st.sampled_from(("mid_block", "truncated", *_TABLE_FAULTS, "restored"))
-    )
+    fault = data.draw(st.sampled_from(("mid_block", "truncated", *_TABLE_FAULTS)))
     seed = data.draw(st.integers(min_value=0, max_value=2**16))
     capacity = data.draw(st.sampled_from((DEFAULT_RECOVERY_EVENT_CAPACITY, 2)))
     if fault == "mid_block":
         # Enter a block at its second instruction (not straight after
         # its first, which would continue the block), then fetch it
-        # whole (in degraded mode, over the addresses just demoted).
+        # whole.
         assume(pcs[-1] != full[0])
         pcs = pcs + full[1:] + full
     elif fault == "truncated":
@@ -372,30 +354,25 @@ def test_fetch_trace_decode_faults_match_per_fetch_walk(walk, mode, data):
     else:
         # Fetch every block once more, so the corrupted row is read.
         pcs = pcs + _pcs(deployment, [(block, 99) for block in range(4)])
-    if fault == "restored":
-        # A degraded decoder decoding twice over a double-bit TT row,
-        # then again after restore_degraded() re-armed its demotions.
-        mode = "degraded"
 
     def deploy():
         fresh = _fresh_walk_deployment(block_size)
         if fault not in ("mid_block", "truncated"):
-            _inject(fresh, "tt_double_bit" if fault == "restored" else fault, seed)
+            _inject(fresh, fault, seed)
         return fresh
 
-    restore = fault == "restored"
     trace = FetchTrace.from_addresses(pcs)
-    bulk = _outcome(deploy(), trace, True, True, mode, capacity, restore)
-    scalar = _outcome(deploy(), pcs, True, False, mode, capacity, restore)
+    bulk = _outcome(deploy(), trace, True, True, mode, capacity)
+    scalar = _outcome(deploy(), pcs, True, False, mode, capacity)
     assert bulk == scalar
     if mode == "strict":
         if fault in ("mid_block", "truncated"):
             assert bulk[0] is DecodeFault
     else:
-        # recover and degraded modes never raise on a corrupted block
+        # recover mode never raises on a corrupted block
         assert isinstance(bulk[0], list)
         if fault in ("mid_block", "truncated"):
-            assert bulk[1][-1]["recoveries"] > 0
+            assert bulk[1]["recoveries"] > 0
 
 
 def test_repeated_last_run_leaves_its_own_engine_state():
@@ -414,7 +391,7 @@ def test_repeated_last_run_leaves_its_own_engine_state():
     assert "has 1 instruction(s) undecoded" in bulk[1]
 
 
-@pytest.mark.parametrize("mode", ("recover", "degraded"))
+@pytest.mark.parametrize("mode", ("recover",))
 def test_fetch_after_decode_trace_continues_the_walk(mode):
     # The trace ends on a reused run that entered block 0 mid-way and
     # stopped one fetch short of its end: the engine must be left in
@@ -465,7 +442,7 @@ def test_group_whose_occurrences_decode_differently(mode):
         # once corrected, the block decodes cleanly
         tail = pcs[len(pcs) // 4 :]
         assert bulk[0][-len(tail) :] == _golden(_walk_deployment(5), tail)
-        assert bulk[1][0]["ecc_corrections"] == 1
+        assert bulk[1]["ecc_corrections"] == 1
 
 
 def test_decode_that_corrects_a_row_is_not_reused():
@@ -484,13 +461,13 @@ def test_decode_that_corrects_a_row_is_not_reused():
         bulk = _outcome(deploy(), FetchTrace.from_addresses(pcs), True, True, mode)
         scalar = _outcome(deploy(), pcs, True, False, mode)
         assert bulk == scalar
-        assert bulk[1][0]["ecc_corrections"] == 1
+        assert bulk[1]["ecc_corrections"] == 1
 
 
 @pytest.mark.parametrize("block_size", BLOCK_SIZES)
 def test_quarantined_bbit_row_raises_identically(block_size):
-    # Strict mode raises at the probe; recover and degraded modes
-    # record the event (degraded also demotes) at every probe of it.
+    # Strict mode raises at the probe; recover mode records the event
+    # at every probe of it.
     def deploy():
         deployment = seeded_deployment(f"quarantine:{block_size}", block_size, 3)
         deployment.bbit.quarantined.add(deployment.bases[2])
@@ -506,7 +483,7 @@ def test_quarantined_bbit_row_raises_identically(block_size):
         if mode == "strict":
             assert bulk[0] is TableIntegrityError
         else:
-            assert bulk[1][0]["recovery_events"][0]["kind"] == "bbit_integrity"
+            assert bulk[1]["recovery_events"][0]["kind"] == "bbit_integrity"
 
 
 # ----------------------------------------------------------------------
@@ -626,7 +603,7 @@ def _mixed_outcome(
     capacity=DEFAULT_RECOVERY_EVENT_CAPACITY,
 ):
     """Output (or raised fault), counters, BBIT probes, recover-mode
-    events, golden-served fetches and demotions of one walk."""
+    events and golden-served fetches of one walk."""
     decoder = deployment.decoder(region_schemes, mode, capacity)
     bbit = deployment.bbit
     lookups, hits = bbit.lookups, bbit.hits
@@ -648,7 +625,6 @@ def _mixed_outcome(
         decoder.recovery_events,
         decoder.recovery_events_dropped,
         decoder.golden_served_instructions,
-        sorted(decoder.degraded_region),
     )
 
 
@@ -671,7 +647,7 @@ def test_mixed_scheme_decode_matches_per_fetch_walk(walk, finalize):
 @given(mixed_walks(), st.sampled_from(MODES), st.data())
 def test_unknown_scheme_tag_raises_at_the_same_fetch(walk, mode, data):
     # Strict mode raises at the first fetch under the unknown tag;
-    # recover and degraded modes record it there and serve golden words
+    # recover mode records it there and serves golden words
     # (recover mode an event per fetch, which can overflow a small ring).
     deployment, pcs = walk
     capacity = data.draw(st.sampled_from((DEFAULT_RECOVERY_EVENT_CAPACITY, 2)))

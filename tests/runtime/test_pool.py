@@ -1,10 +1,9 @@
-"""The shared campaign runner: fan-out, downgrade, journaling hook."""
+"""The shared campaign runner: fan-out, downgrade, serial path."""
 
 import json
 import warnings
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from contextlib import nullcontext
 
 import pytest
 
@@ -129,30 +128,6 @@ class TestDowngrade:
             results, serial_calls = _run(tasks)
         assert results == [task * task for task in tasks]
         assert serial_calls == [task for task in tasks if task % 2 == 0]
-
-
-class TestJournalHook:
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_on_done_fires_once_per_task_in_order(self, monkeypatch, workers):
-        # On the pool path task 2 (index 3) breaks the pool, so the
-        # hook sees pool results, then serial-fallback results — still
-        # each task exactly once, in index order.
-        pool = _fake_pool(
-            lambda task: BrokenExecutor("dead") if task == 2 else task * task
-        )
-        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", pool)
-        done: list[tuple[int, int]] = []
-        tasks = [5, 1, 4, 2, 6]
-        expect_warning = (
-            pytest.warns(RuntimeWarning) if workers > 1 else nullcontext()
-        )
-        with expect_warning:
-            _run(
-                tasks,
-                workers=workers,
-                on_done=lambda index, result: done.append((index, result)),
-            )
-        assert done == [(i, task * task) for i, task in enumerate(tasks)]
 
 
 class TestSerialPath:

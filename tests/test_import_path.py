@@ -3,7 +3,7 @@
 Every ``repro encode`` run and every benchmark process imports the
 flow, the per-region selector and the CLI before doing any work, so
 nothing on that path may pull in numpy or a module only reports,
-the scrubber, the cost model or the disassembler use.  Checked in a
+the cost model or the disassembler use.  Checked in a
 fresh interpreter, because this test process has imported much more.
 """
 
@@ -21,7 +21,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 DEFERRED = (
     "numpy",
     "repro.obs.report",
-    "repro.hw.scrubber",
     "repro.hw.cost",
     "repro.isa.disassembler",
     "repro.pipeline.report",

@@ -68,7 +68,6 @@ class TestCheckProgram:
         assert result.coverage["decoder_transitions"] == {
             "clean:strict",
             "clean:recover",
-            "clean:degraded",
         }
 
     def test_single_word_block(self):
@@ -94,7 +93,6 @@ class TestCheckTables:
         assert result.coverage["decoder_transitions"] == {
             f"{event}:strict",
             f"{event}:recover",
-            f"{event}:degraded",
         }
 
     def test_unknown_fault_is_a_mismatch_not_a_crash(self):

@@ -19,7 +19,7 @@ class TestUniverses:
         assert len(tracker.universes["tau_selectors"]) == 16
 
     def test_decoder_transition_universe(self):
-        assert len(DECODER_TRANSITIONS) == 12
+        assert len(DECODER_TRANSITIONS) == 8
         tracker = CoverageTracker([4])
         assert tracker.universes["decoder_transitions"] == set(
             DECODER_TRANSITIONS

@@ -344,6 +344,55 @@ class TestSingleBitUpsetInEveryRow:
         assert not state.tt.quarantined and not state.bbit.quarantined
 
 
+class TestCorrectOnRead:
+    """One flipped bit in one stored row: the checked read returns the
+    true row, writes it back in place, and the row then checks clean."""
+
+    BASE = 0x400000
+
+    def _tables(self, num_rows=3):
+        tt = TransformationTable(capacity=8, parity=True)
+        bbit = BasicBlockIdentificationTable(capacity=8, parity=True)
+        for i in range(num_rows):
+            end = i == num_rows - 1
+            tt.install(
+                TTEntry(
+                    selectors=tuple((i + j) % 8 for j in range(32)),
+                    end=end,
+                    count=4 if end else 0,
+                )
+            )
+            bbit.install(
+                BBITEntry(pc=self.BASE + 0x40 * i, tt_index=i, num_instructions=6)
+            )
+        return tt, bbit
+
+    def test_single_bit_tt_upset_corrected_in_place(self):
+        tt, bbit = self._tables()
+        entry = tt.entries[2]
+        tt.entries[2] = TTEntry(
+            selectors=entry.selectors, end=entry.end, count=entry.count ^ (1 << 3)
+        )
+        assert tt.read(2).count == 4
+        assert tt.entries[2].count == 4
+        assert tt.ecc_corrections == 1 and not tt.quarantined
+        # The corrected row reads cleanly afterwards.
+        assert tt.check_row(2) == "clean"
+        assert tt.read(2) == entry and tt.ecc_corrections == 1
+
+    def test_single_bit_bbit_upset_corrected_in_place(self):
+        tt, bbit = self._tables()
+        entry = bbit.peek(self.BASE)
+        bbit._by_pc[self.BASE] = BBITEntry(
+            pc=entry.pc, tt_index=entry.tt_index ^ 1, num_instructions=6
+        )
+        assert bbit.lookup(self.BASE).tt_index == 0
+        assert bbit.peek(self.BASE).tt_index == 0
+        assert bbit.ecc_corrections == 1 and not bbit.quarantined
+        assert bbit.check_row(self.BASE) == "clean"
+        assert bbit.lookup(self.BASE) == entry and bbit.ecc_corrections == 1
+
+
 class TestRecoverModeDecoder:
     def test_recover_never_raises_and_records_events(self, words):
         encoding, tt, bbit, image = _setup(words)
@@ -440,6 +489,14 @@ class TestDecoderHardening:
         golden = dict(zip(sorted(image), words))
         with pytest.raises(ValueError, match="mode"):
             FetchDecoder(tt, bbit, 5, mode="degraded", golden_lookup=golden.get)
+
+    def test_unknown_mode_rejected(self, words):
+        encoding, tt, bbit, image = _setup(words)
+        for mode in ("lenient", "Strict", ""):
+            with pytest.raises(ValueError, match="'strict' or 'recover'"):
+                FetchDecoder(tt, bbit, 5, mode=mode)
+        for mode in ("strict", "recover"):
+            assert FetchDecoder(tt, bbit, 5, mode=mode).mode == mode
 
     def test_parity_protected_bbit_detects_corruption(self, words):
         from repro.hw.bbit import BasicBlockIdentificationTable

@@ -28,7 +28,7 @@ command        what it prints
                ``--replay`` reproduces a recorded counterexample)
 ``serve``      the fault-tolerant async encoding service:
                ``--selftest`` runs the seeded chaos/load harness
-               (SERVE_report.json + BENCH_serve.json), ``--jobs``
+               (SERVE_report.json), ``--jobs``
                serves a batch file; ``--wal``/``--resume`` make a
                SIGKILLed run replay to byte-identical results
 =============  =====================================================
@@ -670,13 +670,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             queue_depth=args.queue_depth,
             chaos=chaos,
             deterministic=args.deterministic,
-            transport=args.transport,
             default_deadline_s=args.deadline,
             wal_path=args.wal,
             resume=args.resume,
             cache_dir=args.cache_dir,
             report_path=args.report,
-            bench_path=args.bench_json,
         )
         report, problems = run_selftest(options)
         summary = report["summary"]
@@ -685,8 +683,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         print(
             f"selftest: {summary['jobs']} jobs, {options.tenants} tenants, "
-            f"{options.transport} transport, chaos "
-            f"{'+'.join(sorted(chaos)) or 'off'}"
+            f"chaos {'+'.join(sorted(chaos)) or 'off'}"
         )
         print(f"outcomes:  {outcome_text}")
         ops = report.get("ops")
@@ -700,7 +697,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"(wall {ops['wall_s']:.2f}s)"
             )
         print(f"wrote {args.report}")
-        print(f"wrote {args.bench_json}")
         for problem in problems:
             print(f"PROBLEM: {problem}", file=sys.stderr)
         if observed:
@@ -1154,12 +1150,6 @@ def build_parser() -> argparse.ArgumentParser:
         "kill,slow,malformed (default all; '' disables)",
     )
     p.add_argument(
-        "--transport",
-        choices=("inproc", "tcp"),
-        default="inproc",
-        help="selftest: in-process submits or one TCP client per tenant",
-    )
-    p.add_argument(
         "--deadline",
         type=float,
         default=30.0,
@@ -1193,12 +1183,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="SERVE_report.json",
         metavar="PATH",
         help="where to write the serve report",
-    )
-    p.add_argument(
-        "--bench-json",
-        default="BENCH_serve.json",
-        metavar="PATH",
-        help="selftest: where to write latency/throughput benchmarks",
     )
     p.add_argument(
         "--check",

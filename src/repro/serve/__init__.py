@@ -21,13 +21,12 @@ work out over a process pool — with robustness as the design center:
   byte-identical results (the PR-4 campaign pattern, generalized to a
   live queue).
 
+Jobs enter through :meth:`EncodingServer.submit` (or
+:meth:`EncodingServer.run_batch`, which adds shed backpressure).
 :mod:`repro.serve.selftest` is the chaos/load harness behind
-``repro serve --selftest`` (and ``BENCH_serve.json``);
-:mod:`repro.serve.client` provides the TCP JSONL transport and
-:class:`ServeClient`.  See ``docs/serving.md``.
+``repro serve --selftest``.  See ``docs/serving.md``.
 """
 
-from repro.serve.client import ServeClient, start_tcp_server
 from repro.serve.jobs import (
     JOB_KINDS,
     OUTCOMES,
@@ -46,8 +45,6 @@ __all__ = [
     "parse_request",
     "EncodingServer",
     "ServeConfig",
-    "ServeClient",
-    "start_tcp_server",
     "SelftestOptions",
     "run_selftest",
 ]

@@ -102,7 +102,7 @@ class JobRequest:
         )
 
     def wire(self) -> dict:
-        """The request as a transport/WAL-safe dict (fixed key order)."""
+        """The request as a pipe/WAL-safe dict (fixed key order)."""
         return {
             "tenant": self.tenant,
             "job_id": self.job_id,
@@ -158,8 +158,8 @@ def parse_request(raw: object) -> JobRequest:
         "deadline_s",
         "chaos",
     }
-    # Underscore-prefixed keys are transport/harness annotations
-    # (client sequence numbers, chaos mutation tags) — tolerated.
+    # Underscore-prefixed keys are worker-pipe/harness annotations
+    # (the ``_trace`` context, ``_chaos_mutation`` tags) — tolerated.
     unknown = [
         k for k in raw if k not in known and not str(k).startswith("_")
     ]
@@ -242,7 +242,7 @@ def fallback_identity(raw: object) -> tuple[str, str, str]:
             tenant = raw["tenant"]
         if isinstance(raw.get("job_id"), str) and raw["job_id"]:
             job_id = raw["job_id"]
-        # Transport annotations (client sequence numbers) must not
+        # Annotations (``_chaos_mutation``, ``_trace``) must not
         # perturb the identity, or a resumed run would miss the WAL.
         raw = {k: v for k, v in raw.items() if not str(k).startswith("_")}
     try:

@@ -18,8 +18,9 @@ run to three hard standards:
    what lets CI SIGKILL the server mid-queue, ``--resume`` it, and
    ``cmp`` the two reports byte for byte.
 
-``BENCH_serve.json`` (tail latency, throughput, shed/retry/rebuild
-counters) is the operational side-artifact; it is *not* byte-gated.
+A real (non-deterministic) run adds an ``ops`` block to the report:
+the server's shed/retry/rebuild counters and the wall time.  It is
+*not* byte-gated.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from repro.faults.service import CHAOS_KINDS, SLOW_DEADLINE_S, ChaosPolicy
 from repro.pipeline.cache import BundleCache
 from repro.runtime import atomic_write_text
-from repro.serve.client import ServeClient, start_tcp_server
 from repro.serve.jobs import deterministic_result, parse_request
 from repro.serve.server import EncodingServer, ServeConfig
 from repro.serve.worker import _compute
@@ -61,17 +61,11 @@ class SelftestOptions:
     queue_depth: int = 16
     chaos: tuple[str, ...] = CHAOS_KINDS
     deterministic: bool = False
-    transport: str = "inproc"  # "inproc" | "tcp"
     default_deadline_s: float = 30.0
     wal_path: str | None = None
     resume: bool = False
     cache_dir: str | None = None
     report_path: str | None = None
-    bench_path: str | None = None
-    #: Extra knobs threaded to ServeConfig (tests shrink these).
-    retry_attempts: int = 4
-    breaker_threshold: int = 5
-    breaker_cooldown_s: float = 2.0
 
     def batch_key(self) -> str:
         """The WAL identity of this generated batch: everything that
@@ -190,44 +184,11 @@ def verify_results(
     return problems
 
 
-async def _drive_tcp(
-    server: EncodingServer, requests: list[dict]
-) -> list[dict]:
-    """One TCP client per tenant, each submitting its jobs
-    concurrently — the many-concurrent-clients load shape."""
-    tcp = await start_tcp_server(server)
-    port = tcp.sockets[0].getsockname()[1]
-    by_tenant: dict[str, list[tuple[int, dict]]] = {}
-    for index, raw in enumerate(requests):
-        tenant = raw.get("tenant", "?")
-        by_tenant.setdefault(tenant, []).append((index, raw))
-    results: list[dict | None] = [None] * len(requests)
-
-    async def tenant_session(jobs: list[tuple[int, dict]]) -> None:
-        async with ServeClient("127.0.0.1", port) as client:
-            async def one(index: int, raw: dict) -> None:
-                results[index] = await client.submit(raw)
-
-            await asyncio.gather(*(one(i, r) for i, r in jobs))
-
-    try:
-        await asyncio.gather(
-            *(tenant_session(jobs) for jobs in by_tenant.values())
-        )
-    finally:
-        tcp.close()
-        await tcp.wait_closed()
-    return results  # type: ignore[return-value]
-
-
 async def _run(options: SelftestOptions) -> tuple[list[dict], EncodingServer]:
     config = ServeConfig(
         workers=options.workers,
         queue_depth=options.queue_depth,
         default_deadline_s=options.default_deadline_s,
-        retry_attempts=options.retry_attempts,
-        breaker_threshold=options.breaker_threshold,
-        breaker_cooldown_s=options.breaker_cooldown_s,
         seed=options.seed,
         cache_dir=options.cache_dir,
         wal_path=options.wal_path,
@@ -236,10 +197,7 @@ async def _run(options: SelftestOptions) -> tuple[list[dict], EncodingServer]:
     )
     requests = generate_requests(options)
     async with EncodingServer(config) as server:
-        if options.transport == "tcp":
-            results = await _drive_tcp(server, requests)
-        else:
-            results = await server.run_batch(requests)
+        results = await server.run_batch(requests)
     return results, server
 
 
@@ -265,7 +223,6 @@ def run_selftest(options: SelftestOptions) -> tuple[dict, list[str]]:
         "tenants": options.tenants,
         "jobs_per_tenant": options.jobs_per_tenant,
         "chaos": sorted(options.chaos),
-        "transport": options.transport,
         "deterministic": options.deterministic,
         "summary": {
             "jobs": len(results),
@@ -283,56 +240,4 @@ def run_selftest(options: SelftestOptions) -> tuple[dict, list[str]]:
         atomic_write_text(
             options.report_path, json.dumps(report, indent=1) + "\n"
         )
-    if options.bench_path:
-        atomic_write_text(
-            options.bench_path,
-            json.dumps(_bench_report(options, server, results, wall_s), indent=1)
-            + "\n",
-        )
     return report, problems
-
-
-def _quantile(ordered: list[float], q: float) -> float | None:
-    if not ordered:
-        return None
-    rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[rank]
-
-
-def _bench_report(
-    options: SelftestOptions,
-    server: EncodingServer,
-    results: list[dict],
-    wall_s: float,
-) -> dict:
-    """BENCH_serve.json: tail latency + failure-handling counters."""
-    ordered = sorted(server.latencies)
-    as_ms = lambda v: None if v is None else round(v * 1000.0, 3)  # noqa: E731
-    return {
-        "generated_by": "repro serve --selftest",
-        "schema": "repro.serve.bench/1",
-        "config": {
-            "seed": options.seed,
-            "tenants": options.tenants,
-            "jobs_per_tenant": options.jobs_per_tenant,
-            "workers": options.workers,
-            "queue_depth": options.queue_depth,
-            "chaos": sorted(options.chaos),
-            "transport": options.transport,
-            "resume": options.resume,
-        },
-        "jobs": len(results),
-        "wall_s": round(wall_s, 3),
-        "throughput_jobs_per_s": (
-            round(len(results) / wall_s, 2) if wall_s > 0 else None
-        ),
-        "latency_ms": {
-            "count": len(ordered),
-            "p50": as_ms(_quantile(ordered, 0.50)),
-            "p90": as_ms(_quantile(ordered, 0.90)),
-            "p99": as_ms(_quantile(ordered, 0.99)),
-            "mean": as_ms(sum(ordered) / len(ordered)) if ordered else None,
-            "max": as_ms(ordered[-1]) if ordered else None,
-        },
-        "stats": dict(server.stats),
-    }

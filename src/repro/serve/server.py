@@ -102,11 +102,10 @@ class ServeConfig:
     #: Extra slack the event-loop backstop allows past the in-worker
     #: deadline before declaring the worker hung.
     deadline_grace_s: float = 2.0
-    retry_attempts: int = 4
     #: How many pool breakages one job will ride out before it stops
     #: waiting for a healthy pool and runs on the serial path.  A
     #: break is *infrastructure* failing, not the job, so it has its
-    #: own budget and does not consume ``retry_attempts``.
+    #: own budget and does not consume ``backoff.max_attempts``.
     pool_break_retries: int = 10
     breaker_threshold: int = 5
     breaker_cooldown_s: float = 2.0
@@ -119,6 +118,8 @@ class ServeConfig:
     #: Caller-supplied batch identity folded into the WAL run key
     #: (the selftest passes a digest of its generation parameters).
     batch_key: str = ""
+    #: Retry delays, and in ``max_attempts`` the one retry budget a job
+    #: has for failures of its own.
     backoff: BackoffPolicy = field(
         default_factory=lambda: BackoffPolicy(
             base=0.02, factor=2.0, cap=0.25, max_attempts=4
@@ -160,7 +161,8 @@ class EncodingServer:
         self._wal: CheckpointLog | None = None
         self._started = False
         #: Plain operational counters, kept independently of the obs
-        #: switch so the bench report exists even without --metrics.
+        #: switch so the selftest's ``ops`` block exists without
+        #: --metrics.
         self.stats = {
             "accepted": 0,
             "completed": 0,
@@ -181,9 +183,6 @@ class EncodingServer:
         #: later completion retries the flush (the re-arm probe).
         self._wal_degraded = False
         self._journal_backlog: list[tuple[str, dict]] = []
-        #: Admission-to-completion latencies (seconds) for the bench
-        #: summary; mirrors the serve.job_seconds histogram.
-        self.latencies: list[float] = []
 
     # -- lifecycle -----------------------------------------------------
 
@@ -446,7 +445,7 @@ class EncodingServer:
 
         # Open the job's trace span *detached* (dispatchers interleave
         # many jobs on this one thread, so stack nesting would lie) and
-        # ride its context on the envelope.  ``_trace`` is a transport
+        # ride its context on the envelope.  ``_trace`` is a worker-pipe
         # annotation: invisible to the job key, the WAL, and results.
         job_span = (
             OBS.tracer.begin(
@@ -548,18 +547,10 @@ class EncodingServer:
                 "serve.jobs_retried", "attempt retries after worker trouble"
             )
 
-        policy = self.config.backoff
-        if policy.max_attempts != self.config.retry_attempts:
-            policy = BackoffPolicy(
-                base=policy.base,
-                factor=policy.factor,
-                cap=policy.cap,
-                max_attempts=self.config.retry_attempts,
-            )
         try:
             outcome = await retry_call_async(
                 attempt_once,
-                policy=policy,
+                policy=self.config.backoff,
                 seed=f"serve:{self.config.seed}:{request.key}",
                 retry_on=(Exception,),
                 on_retry=on_retry,
@@ -629,15 +620,12 @@ class EncodingServer:
         self._count(
             "serve.jobs_completed", "jobs finished, by outcome", outcome=outcome
         )
-        if admitted_at is not None:
-            latency = time.monotonic() - admitted_at
-            self.latencies.append(latency)
-            if OBS.enabled:
-                OBS.registry.histogram(
-                    "serve.job_seconds",
-                    "admission-to-completion latency",
-                    kind=result.get("kind") or "unknown",
-                ).observe(latency)
+        if admitted_at is not None and OBS.enabled:
+            OBS.registry.histogram(
+                "serve.job_seconds",
+                "admission-to-completion latency",
+                kind=result.get("kind") or "unknown",
+            ).observe(time.monotonic() - admitted_at)
         if self._wal is not None:
             self._journal(key, deterministic_result(result))
 

@@ -48,12 +48,8 @@ class TestGeneration:
 class TestHarness:
     def test_chaos_run_has_zero_wrong_results(self, tmp_path):
         report_path = tmp_path / "SERVE_report.json"
-        bench_path = tmp_path / "BENCH_serve.json"
         options = SelftestOptions(
-            seed=5,
-            report_path=str(report_path),
-            bench_path=str(bench_path),
-            **SMALL,
+            seed=5, report_path=str(report_path), **SMALL
         )
         report, problems = run_selftest(options)
         assert problems == []
@@ -62,35 +58,9 @@ class TestHarness:
         assert set(outcomes) <= {"ok", "malformed", "deadline_exceeded"}
         written = json.loads(report_path.read_text())
         assert written["summary"] == report["summary"]
-        bench = json.loads(bench_path.read_text())
-        assert bench["schema"] == "repro.serve.bench/1"
-        assert set(bench) == {
-            "generated_by",
-            "schema",
-            "config",
-            "jobs",
-            "wall_s",
-            "throughput_jobs_per_s",
-            "latency_ms",
-            "stats",
-        }
-        assert bench["jobs"] == 24
-        assert bench["latency_ms"]["count"] > 0
-        assert bench["latency_ms"]["p99"] >= bench["latency_ms"]["p50"]
-
-    def test_tcp_transport_reaches_the_same_results(self):
-        seed = 9
-        inproc, problems_a = run_selftest(
-            SelftestOptions(seed=seed, deterministic=True, **SMALL)
-        )
-        tcp, problems_b = run_selftest(
-            SelftestOptions(
-                seed=seed, deterministic=True, transport="tcp", **SMALL
-            )
-        )
-        assert problems_a == problems_b == []
-        # Transport is not allowed to change results, only plumbing.
-        assert inproc["jobs"] == tcp["jobs"]
+        stats = written["ops"]["stats"]
+        assert stats["completed"] == 24
+        assert stats["errors"] == 0
 
     def test_deterministic_report_is_seed_stable(self):
         options = SelftestOptions(seed=3, deterministic=True, **SMALL)

@@ -11,7 +11,7 @@ import pytest
 
 import repro.serve.worker as worker_module
 from repro.pipeline.cache import BundleCache
-from repro.runtime import CheckpointLockError
+from repro.runtime import BackoffPolicy, CheckpointLockError
 from repro.serve.jobs import deterministic_result, parse_request
 from repro.serve.server import EncodingServer, ServeConfig
 from repro.serve.worker import _compute, serial_execute
@@ -350,8 +350,8 @@ class TestRunKey:
             batch_key="x",
             workers=8,
             queue_depth=4,
-            retry_attempts=1,
             breaker_threshold=2,
+            backoff=BackoffPolicy(base=0.5, max_attempts=1),
         )
         assert a.run_key() == b.run_key()
 

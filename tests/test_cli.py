@@ -53,6 +53,14 @@ class TestParser:
             main(["faults", *flags])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--transport", "tcp"], ["--bench-json", "X"]]
+    )
+    def test_serve_has_no_tcp_or_bench_file(self, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", *flags])
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_codebook(self, capsys):
